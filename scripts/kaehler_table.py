@@ -23,7 +23,7 @@ def fmt_factors(factors):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-vertices", type=int, default=5,
-                        help="largest full simplex to evaluate (6 is slow-ish)")
+                        help="largest full simplex to evaluate")
     args = parser.parse_args()
     print("%-8s %-4s %-22s %s" % ("complex", "n", "det factorization",
                                   "conjectured"))

@@ -59,6 +59,14 @@ def load_system(config: RunConfig) -> SetSystem:
     return parse_system(text, closure=config.closure)
 
 
+def load_nonempty_system(config: RunConfig) -> SetSystem:
+    """load_system for the commands whose matrix products need an element."""
+    system = load_system(config)
+    if not len(system):
+        raise ValueError("%s needs a nonempty set system" % config.command)
+    return system
+
+
 def split_literals(text):
     """Split a comma list of scalar literals, ignoring commas inside parens."""
     parts, depth, cur = [], 0, []
@@ -145,7 +153,7 @@ def cmd_gen(config: RunConfig) -> int:
 
 
 def cmd_matrices(config: RunConfig) -> int:
-    system = load_system(config)
+    system = load_nonempty_system(config)
     h = make_field(system, config)
     cm = build_matrices(system, h)
     gbar_L = identities.mat_mul(identities.entrywise_conjugate(cm.g), cm.L,
@@ -191,7 +199,7 @@ def cmd_det(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    system = load_system(config)
+    system = load_nonempty_system(config)
     h = make_field(system, config)
     names = (["greenstar", "energy", "gaussbonnet", "unimodular", "signature"]
              if config.identity == "all" else [config.identity])

@@ -209,28 +209,53 @@ def all_determinants(M, kind=None, with_leibniz=True,
                      pivot_log=elim.log)
 
 
-def bareiss_det(M) -> int:
-    """Exact integer determinant by fraction-free elimination (big integers)."""
-    A = [[int(v) for v in row] for row in M]
-    n = len(A)
-    if n == 0:
-        return 1
+def _bareiss_echelon(M) -> tuple[int, int, int]:
+    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
+
+    Only the rows and columns still to be eliminated are kept.  A column
+    without a nonzero entry there is skipped, so M may be rectangular or rank
+    deficient.  After r pivots every kept entry is an (r+1)-minor of M,
+    which makes each division by the previous pivot exact.  Returns (sign of
+    the row swaps, last pivot, rank); for a square M of full rank the
+    determinant is sign * last pivot.
+    """
+    rows = [[int(v) for v in row] for row in M]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    rank = 0
+    while rows and rows[0]:
+        p = next((k for k, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            rows = [row[1:] for row in rows]
+            continue
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        pivot = rows[0][0]
+        tail = rows[0][1:]
+        rest = []
+        for row in rows[1:]:
+            a = row[0]
+            rest.append([(x * pivot - a * y) // prev
+                         for x, y in zip(row[1:], tail)])
+        rows = rest
+        prev = pivot
+        rank += 1
+    return sign, prev, rank
+
+
+def bareiss_det(M) -> int:
+    """Exact integer determinant by fraction-free elimination (big integers)."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    sign, last_pivot, rank = _bareiss_echelon(M)
+    return sign * last_pivot if rank == n else 0
+
+
+def exact_rank(M) -> int:
+    """Rank over the rationals of an integer matrix (same elimination)."""
+    return _bareiss_echelon(M)[2]
 
 
 @dataclass

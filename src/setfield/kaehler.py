@@ -1,24 +1,30 @@
 """The linear parametrization h -> L(h), its 0/1 Jacobian, and the exact
 integer bilinear form J^T J with big-integer determinant and factorization.
 
-The map from field values to connection matrices is linear, so its Jacobian
-is a constant n^2 x n matrix of zeros and ones depending only on the system.
-Determinants of the resulting Gram form grow like 10^60 already for medium
-complexes, so everything here is exact integer arithmetic.
+The map from field values to connection matrices is linear, L = Z^T D_h Z
+with Z the inclusion matrix of the system, so its Jacobian is a constant
+n^2 x n matrix of zeros and ones whose column k is z_k (x) z_k, z_k the k-th
+row of Z.  Hence J^T J = (Z Z^T) * (Z Z^T) entrywise, and the form is built
+without the Jacobian.  Determinants of the form grow like 10^60 already for
+medium complexes, so everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .determinants import bareiss_det
+from .determinants import bareiss_det, exact_rank
 from .setsystem import SetSystem
 
 TRIAL_DIVISION_BOUND = 10 ** 6
+
+
+def _jacobian_from_zeta(Z: np.ndarray) -> np.ndarray:
+    n = Z.shape[0]
+    return (Z[:, :, None] * Z[:, None, :]).reshape(n, n * n).T
 
 
 def jacobian_dr(system: SetSystem) -> np.ndarray:
@@ -26,51 +32,17 @@ def jacobian_dr(system: SetSystem) -> np.ndarray:
 
     Entry at (flattened (i,j), k) is 1 iff x_k lies in core(x_i) & core(x_j).
     """
-    n = len(system)
-    sub = np.zeros((n, n), dtype=np.int64)
-    for k in range(n):
-        ek = system.elements[k]
-        for i in range(n):
-            sub[k, i] = 1 if ek <= system.elements[i] else 0
-    cols = [np.outer(sub[k], sub[k]).reshape(n * n) for k in range(n)]
-    if not cols:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    return _jacobian_from_zeta(system.zeta)
 
 
 def kaehler_form(system: SetSystem) -> np.ndarray:
-    """The integer Gram matrix J^T J of the parametrization Jacobian."""
-    J = jacobian_dr(system)
-    return J.T @ J
+    """The integer Gram matrix J^T J of the parametrization Jacobian.
 
-
-def exact_det(form) -> int:
-    return bareiss_det(form)
-
-
-def exact_rank(M) -> int:
-    """Rank over the rationals by exact fraction elimination."""
-    A = [[Fraction(int(v)) for v in row] for row in M]
-    rank = 0
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((k for k in range(r, rows) if A[k][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [v * inv for v in A[r]]
-        for k in range(rows):
-            if k != r and A[k][c] != 0:
-                f = A[k][c]
-                A[k] = [a - f * b for a, b in zip(A[k], A[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    Entry (k, l) is |star(x_k) & star(x_l)|^2, i.e. C * C with C = Z Z^T.
+    """
+    Z = system.zeta
+    C = Z @ Z.T
+    return C * C
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -127,26 +99,32 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def exact_det_factor(form) -> tuple[int, list[tuple[int, int]]]:
     """Exact determinant together with its prime factorization."""
-    det = exact_det(form)
+    det = bareiss_det(form)
     return det, factorize(det)
 
 
 @dataclass
 class KaehlerReport:
     n: int
-    jacobian: np.ndarray
+    zeta: np.ndarray
     form: np.ndarray
     det: int
     factorization: list
     rank: int
 
+    @property
+    def jacobian(self) -> np.ndarray:
+        """The n^2 x n parametrization Jacobian, built from zeta on access."""
+        return _jacobian_from_zeta(self.zeta)
+
 
 def kaehler_report(system: SetSystem) -> KaehlerReport:
-    J = jacobian_dr(system)
-    form = J.T @ J
-    det = exact_det(form)
-    return KaehlerReport(len(system), J, form, det, factorize(det),
-                         exact_rank(form))
+    form = kaehler_form(system)
+    det = bareiss_det(form)
+    # a nonzero determinant already proves full rank
+    rank = exact_rank(form) if det == 0 else len(system)
+    return KaehlerReport(len(system), system.zeta, form, det, factorize(det),
+                         rank)
 
 
 def divisibility_scan(systems) -> list[dict]:
@@ -157,7 +135,7 @@ def divisibility_scan(systems) -> list[dict]:
     """
     out = []
     for system in systems:
-        det = exact_det(kaehler_form(system))
+        det = bareiss_det(kaehler_form(system))
         dim = system.dimension
         out.append({
             "elements": len(system),

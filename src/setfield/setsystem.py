@@ -13,11 +13,13 @@ import itertools
 import json
 import re
 
+import numpy as np
+
 
 class SetSystem:
     """Ordered collection of distinct nonempty finite integer sets."""
 
-    __slots__ = ("elements", "vertex_union", "_index")
+    __slots__ = ("elements", "vertex_union", "_index", "_zeta")
 
     def __init__(self, elements):
         elems = []
@@ -35,6 +37,7 @@ class SetSystem:
         self.elements = tuple(elems)
         self.vertex_union = frozenset().union(*elems) if elems else frozenset()
         self._index = {e: k for k, e in enumerate(elems)}
+        self._zeta = None
 
     def __len__(self):
         return len(self.elements)
@@ -66,6 +69,26 @@ class SetSystem:
 
     def canonical(self) -> "SetSystem":
         return SetSystem(sorted(self.elements, key=_canonical_key))
+
+    @property
+    def zeta(self) -> np.ndarray:
+        """Read-only 0/1 inclusion matrix: Z[i, k] = 1 iff x_i <= x_k.
+
+        Row i lists the star of x_i and column k the core of x_k.  In terms
+        of Z, L = Z^T D_h Z and the Kaehler form is (Z Z^T) * (Z Z^T)
+        entrywise.  Built on first use from the vertex incidence matrix B:
+        x_i lies in x_k iff x_i has no vertex outside x_k, i.e. B (1 - B)^T
+        vanishes at (i, k).
+        """
+        if self._zeta is None:
+            column = {v: c for c, v in enumerate(sorted(self.vertex_union))}
+            B = np.zeros((len(self.elements), len(column)), dtype=np.int64)
+            for i, e in enumerate(self.elements):
+                B[i, [column[v] for v in e]] = 1
+            Z = (B @ (1 - B).T == 0).astype(np.int64)
+            Z.flags.writeable = False
+            self._zeta = Z
+        return self._zeta
 
     def is_canonical(self) -> bool:
         keys = [_canonical_key(e) for e in self.elements]

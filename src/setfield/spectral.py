@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .connection import EnergyFunction
-from .kaehler import jacobian_dr
 from .scalars import COMPLEX
 from .setsystem import SetSystem
 
@@ -105,6 +103,10 @@ def _match_step(prev, new):
         second = D2.min(axis=1)
         ambiguous = bool((second < AMBIGUITY_MARGIN * best).any())
     if ambiguous:
+        # scipy costs more to import than a whole small tracking run; only
+        # ambiguous steps need it
+        from scipy.optimize import linear_sum_assignment
+
         _, cols = linear_sum_assignment(D)
     return cols
 
@@ -131,34 +133,44 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")
-    n = len(system)
-    J = jacobian_dr(system).astype(complex)
-
-    def L_of(vec):
-        return (J @ vec).reshape(n, n)
-
+    L_at = wheel_matrices(system, h0, wheel)
     if max_steps is None:
         max_steps = steps * 2 ** ADAPTIVE_DOUBLINGS
-    base = np.sort_complex(eigenvalues(L_of(h0)))
+    base = np.sort_complex(eigenvalues(L_at(0.0)))
     attempt_steps = steps
     while attempt_steps <= max_steps:
-        path = _track_once(L_of, h0, wheel, attempt_steps, base)
+        path = _track_once(L_at, attempt_steps, base)
         if path is not None:
             return SpectralPath(wheel, path[0], path[1], attempt_steps)
         attempt_steps *= 2
     raise TrackingAmbiguityError(wheel, attempt_steps // 2)
 
 
-def _track_once(L_of, h0, wheel, steps, base):
-    n = len(h0)
+def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
+    """t -> L(t) for the field h0 with h0[wheel] turned to e^{it} h0[wheel].
+
+    L = Z^T D_h Z, so turning one value is a rank-one update:
+    L(t) = L(0) + (e^{it} - 1) h0[wheel] z z^T with z the wheel's row of Z.
+    """
+    Z = system.zeta
+    L0 = (Z.T * h0) @ Z
+    z = Z[wheel]
+    turn = h0[wheel] * np.outer(z, z)
+
+    def L_at(t):
+        return L0 + (np.exp(1j * t) - 1.0) * turn
+
+    return L_at
+
+
+def _track_once(L_at, steps, base):
+    n = len(base)
     ts = np.linspace(0.0, 2.0 * math.pi, steps + 1)
     values = np.empty((steps + 1, n), dtype=complex)
     values[0] = base
     prev = base
     for s in range(1, steps + 1):
-        hv = h0.copy()
-        hv[wheel] = h0[wheel] * np.exp(1j * ts[s])
-        new = eigenvalues(L_of(hv))
+        new = eigenvalues(L_at(ts[s]))
         cols = _match_step(prev, new)
         matched = new[cols]
         moves = np.abs(matched - prev)

@@ -8,8 +8,11 @@ with the production paths it validates.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from setfield import SetSystem
 
 
 def laplace_det(M):
@@ -27,6 +30,63 @@ def laplace_det(M):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def fraction_det_rank(M):
+    """Determinant (None unless square) and rank by Gauss-Jordan elimination
+    over Fractions."""
+    A = [[Fraction(int(v)) for v in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    det = Fraction(1)
+    r = 0
+    for c in range(cols):
+        pivot = next((k for k in range(r, rows) if A[k][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            A[r], A[pivot] = A[pivot], A[r]
+            det = -det
+        det *= A[r][c]
+        inv = 1 / A[r][c]
+        A[r] = [v * inv for v in A[r]]
+        for k in range(rows):
+            if k != r and A[k][c] != 0:
+                f = A[k][c]
+                A[k] = [a - f * b for a, b in zip(A[k], A[r])]
+        r += 1
+        if r == rows:
+            break
+    if rows != cols:
+        return None, r
+    return (det if r == rows else Fraction(0)), r
+
+
+def jacobian_by_sets(system):
+    """n^2 x n parametrization Jacobian by set comparisons: entry at
+    (flattened (i,j), k) is 1 iff x_k lies in both x_i and x_j."""
+    n = len(system)
+    sub = np.zeros((n, n), dtype=np.int64)
+    for k in range(n):
+        ek = system.elements[k]
+        for i in range(n):
+            sub[k, i] = 1 if ek <= system.elements[i] else 0
+    cols = [np.outer(sub[k], sub[k]).reshape(n * n) for k in range(n)]
+    if not cols:
+        return np.zeros((0, 0), dtype=np.int64)
+    return np.stack(cols, axis=1)
+
+
+def random_set_system(rng, n, max_vertex=6):
+    """n distinct random nonempty subsets of 1..max_vertex in draw order;
+    in general not closed under subsets."""
+    elems = []
+    while len(elems) < n:
+        e = frozenset(rng.sample(range(1, max_vertex + 1),
+                                 rng.randint(1, max_vertex - 2)))
+        if e not in elems:
+            elems.append(e)
+    return SetSystem(elems)
 
 
 def closure_by_enumeration(generators):

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from setfield.cli import main, split_literals
+import setfield
+from setfield.cli import COMMANDS, main, split_literals
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +160,29 @@ def test_field_length_mismatch_is_reported(capsys):
 def test_bad_input_is_reported(capsys):
     code = main(["gen", "--inline", "not a complex"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_system_succeeds_or_reports_one_line(capsys, command):
+    # an exception escaping main() is what prints a traceback
+    code = main([command, "--inline", "[]"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert not captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, setfield, setfield.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_roots_preset_requires_complex_kind(capsys):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laplace_det
+from oracles import fraction_det_rank, laplace_det
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION,
                       GaussianRational, Quaternion, SetSystem, abelianize,
                       bareiss_det, build_matrices, det_formula_check,
-                      dieudonne_det, invert, leibniz_det, norm_sq, study_det)
+                      dieudonne_det, exact_rank, invert, leibniz_det, norm_sq,
+                      study_det)
 from setfield import scalars
 from setfield.connection import explicit_field, random_field
 from setfield.determinants import (MatrixSizeError, all_determinants,
@@ -102,6 +103,33 @@ def test_bareiss_matches_laplace_oracle():
         for _ in range(10):
             M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert bareiss_det(M) == laplace_det(M)
+
+
+def test_bareiss_det_and_rank_match_fraction_elimination():
+    # products B C of random integer factors plant a rank deficit; zero
+    # columns make the elimination skip columns
+    rng = random.Random(17)
+    cases = [[[0] * 3] * 3, [[0] * 4] * 2, [[7]], [[0]], [[-3]]]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.randint(0, min(rows, cols))
+        B = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rows)]
+        C = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(k)]
+        M = [[sum(b * c for b, c in zip(B[i], col)) for col in zip(*C)]
+             if k else [0] * cols for i in range(rows)]
+        zeroed = min(cols - 1, rng.choice((0, 0, 1, 3)))
+        for j in rng.sample(range(cols), zeroed):
+            for row in M:
+                row[j] = 0
+        cases.append(M)
+        if cols >= rows:
+            cases.append([row[:rows] for row in M])
+    for M in cases:
+        det, rank = fraction_det_rank(M)
+        assert exact_rank(M) == rank
+        if det is not None:
+            assert bareiss_det(M) == det
+    assert exact_rank([]) == 0 and bareiss_det([]) == 1
 
 
 def test_cauchy_binet_for_study_and_dieudonne_quaternions():

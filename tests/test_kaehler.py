@@ -2,12 +2,13 @@ import random
 
 import numpy as np
 
-from oracles import laplace_det
+from oracles import jacobian_by_sets, laplace_det, random_set_system
 from setfield import SetSystem, build_matrices, generate
 from setfield.connection import explicit_field
+from setfield.determinants import bareiss_det, exact_rank
 from setfield.kaehler import (complete_complex_exponent, divisibility_scan,
-                              exact_det, exact_rank, factorize, jacobian_dr,
-                              kaehler_form, kaehler_report)
+                              factorize, jacobian_dr, kaehler_form,
+                              kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
 
 
@@ -17,7 +18,7 @@ def test_jacobian_zero_dimensional_is_identity_like():
     assert J.shape == (4, 2)
     form = kaehler_form(system)
     assert np.array_equal(form, np.eye(2, dtype=np.int64))
-    assert exact_det(form) == 1
+    assert bareiss_det(form) == 1
 
 
 def test_jacobian_single_multiset():
@@ -39,15 +40,27 @@ def test_jacobian_matches_symbolic_edge_matrix(K2):
         assert list(J[:, k]) == flat
 
 
+def test_zeta_and_form_match_set_oracles():
+    rng = random.Random(41)
+    for n in [0, 1, 1] + [rng.randint(2, 24) for _ in range(20)]:
+        system = random_set_system(rng, n)
+        Z = system.zeta
+        assert Z.shape == (n, n) and not Z.flags.writeable
+        assert Z.tolist() == [[int(a <= b) for b in system] for a in system]
+        J = jacobian_by_sets(system)
+        assert np.array_equal(jacobian_dr(system), J)
+        assert np.array_equal(kaehler_form(system), J.T @ J)
+
+
 def test_edge_form_and_det(K2):
     form = kaehler_form(K2)
     assert form.tolist() == [[4, 1, 1], [1, 4, 1], [1, 1, 1]]
-    assert exact_det(form) == 9
+    assert bareiss_det(form) == 9
     assert laplace_det(form.tolist()) == 9
 
 
 def test_triangle_det_is_three_to_ninth(K3):
-    assert exact_det(kaehler_form(K3)) == 3 ** 9
+    assert bareiss_det(kaehler_form(K3)) == 3 ** 9
 
 
 def test_form_symmetry_and_diagonal():
@@ -83,9 +96,9 @@ def test_det_multiplies_over_disjoint_union():
         shift = max(a.vertex_union) if a.vertex_union else 0
         b = SetSystem([{v + shift for v in e} for e in b_raw.elements])
         union = SetSystem(list(a.elements) + list(b.elements))
-        det_a = exact_det(kaehler_form(a))
-        det_b = exact_det(kaehler_form(b))
-        assert exact_det(kaehler_form(union)) == det_a * det_b
+        det_a = bareiss_det(kaehler_form(a))
+        det_b = bareiss_det(kaehler_form(b))
+        assert bareiss_det(kaehler_form(union)) == det_a * det_b
 
 
 def test_factorize_basics():
@@ -116,7 +129,7 @@ def test_complete_complex_formula_small():
 def test_tetrahedron_det_resolves_conflicting_values():
     # two candidate values circulate for the full complex on 4 vertices
     # (3^15 and 3^28); the exact computation decides between them
-    det = exact_det(kaehler_form(complete_complex(4)))
+    det = bareiss_det(kaehler_form(complete_complex(4)))
     assert det != 3 ** 15
     assert det == 3 ** 28
     assert det == 3 ** complete_complex_exponent(4)

@@ -1,19 +1,21 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import greedy_eigen_tracking
+from oracles import greedy_eigen_tracking, random_set_system
 from setfield import (SetSystem, build_matrices, eigenvalues, group_closure,
                       monodromy_report, presentations, track_wheel,
                       wheel_permutations, winding_numbers)
-from setfield.connection import explicit_field, roots_field
+from setfield.connection import explicit_field, random_field, roots_field
+from setfield.scalars import COMPLEX
 from setfield.kaehler import jacobian_dr
 from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
                                format_cycles, path_permutation, perm_compose,
                                perm_cycles, perm_order,
-                               raw_winding_increments)
+                               raw_winding_increments, wheel_matrices)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -115,6 +117,19 @@ def test_constant_path_winds_zero():
     vals = np.full((11, 1), 2.0 + 1.0j)
     path = SpectralPath(0, ts, vals, 10)
     assert winding_numbers(path) == [0]
+
+
+def test_wheel_matrices_match_built_L():
+    rng = random.Random(23)
+    for n in [1] + [rng.randint(2, 16) for _ in range(10)]:
+        system = random_set_system(rng, n)
+        h = random_field(system, COMPLEX, rng)
+        wheel = rng.randrange(n)
+        L_at = wheel_matrices(system, np.array(h.values), wheel)
+        for t in (0.0, 1.3, 4.0):
+            turned = h.replace_value(wheel, h[wheel] * cmath.exp(1j * t))
+            want = np.array(build_matrices(system, turned).L)
+            assert np.abs(L_at(t) - want).max() <= 1e-12
 
 
 def test_permutations_match_reference_greedy_oracle(K3):
