@@ -12,8 +12,8 @@ from .connection import (ConnectionMatrices, EnergyFunction, build_matrices,
                          energy_sum, explicit_field, green_diagonal, omega,
                          omega_field, ones_field, potential_and_curvature,
                          random_field, roots_field, super_trace)
-from .determinants import (DetResult, bareiss_det, det_formula_check,
-                           dieudonne_det, exact_rank, leibniz_det, study_det)
+from .determinants import (bareiss_det, det_formula_check, dieudonne_det,
+                           exact_rank, leibniz_det, study_det)
 from .identities import (IdentityReport, energy_check, gauss_bonnet_check,
                          green_star_check, spectral_signature_check,
                          unimodularity_check)

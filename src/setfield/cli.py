@@ -255,7 +255,8 @@ def cmd_group(config: RunConfig) -> int:
     try:
         report = spectral.monodromy_report(system, h, config.steps,
                                            max_steps=_step_cap())
-    except spectral.TrackingAmbiguityError as exc:
+    except (spectral.TrackingAmbiguityError,
+            spectral.ClosureOverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     emit({
@@ -283,14 +284,17 @@ def cmd_kaehler(config: RunConfig) -> int:
     report = kaehler.kaehler_report(system)
     if config.heatmap:
         _write_form_svg(config.heatmap, report.form)
-    emit({
+    out = {
         "n": report.n,
         "rank": report.rank,
         "det": str(report.det),
         "factorization": [[p, e] for p, e in report.factorization],
         "dimension": system.dimension,
         "divisible_by_3": report.det % 3 == 0,
-    }, config, "kaehler")
+    }
+    if report.unfactored is not None:
+        out["unfactored"] = str(report.unfactored)
+    emit(out, config, "kaehler")
     return 0
 
 

@@ -3,8 +3,12 @@
 The permutation-sum determinant works over any kind but fails det(AB) =
 det(A)det(B) once multiplication stops commuting.  The two row-reduction
 determinants (norm valued, and valued in the abelianized multiplicative
-group) both satisfy the product relation; they are computed from one shared
-elimination pass that records its pivots.
+group) both satisfy the product relation; they are computed from one
+elimination pass that records its pivots.  Quaternion and octonion matrices
+of size 12 and up are eliminated on component arrays (kernel.py), one array
+step per pivot, bit-identical to per-entry arithmetic.  Over the Gaussian rationals the
+abelianized determinant and |det|^2 come from one fraction-free elimination
+over the Gaussian integers, the same Bareiss loop that serves integer forms.
 """
 
 from __future__ import annotations
@@ -12,12 +16,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from . import scalars
-from .scalars import GAUSSIAN, OCTONION, ScalarKind, kind_of
+import numpy as np
+
+from . import kernel, scalars
+from .scalars import GAUSSIAN, OCTONION, GaussianRational, ScalarKind, kind_of
 
 DEFAULT_LEIBNIZ_CAP = 10
 SINGULAR_PIVOT_RATIO = 1e-12
+# Quaternion and octonion matrices from this size on are eliminated on
+# component arrays.  An array step costs about 60 numpy calls per pivot, so
+# smaller matrices are faster on the per-entry loop; both give the same bits.
+COMPONENT_ELIMINATION_MIN_SIZE = 12
 
 
 class MatrixSizeError(ValueError):
@@ -85,6 +97,8 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     """
     kind = _matrix_kind(M, kind)
     n = len(M)
+    if kind in kernel.COMPONENT_MUL and n >= COMPONENT_ELIMINATION_MIN_SIZE:
+        return _row_reduce_components(M, kind, want_log)
     W = [list(row) for row in M]
     log = [] if want_log else None
     exact = kind.exact
@@ -128,6 +142,52 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     return Elimination(pivots, swaps, False, log or [])
 
 
+def _row_reduce_components(M, kind, want_log) -> Elimination:
+    """row_reduce for quaternion and octonion matrices on component arrays.
+
+    Same pivot rule, zero-row skip, inverse and operation order as the
+    per-entry loop; each pivot updates all rows below it in one array step.
+    Only the columns right of the pivot are updated, as no later step reads
+    the others.
+    """
+    mul = kernel.COMPONENT_MUL[kind]
+    W = kernel.to_array(M, kind)
+    n = W.shape[1]
+    log = [] if want_log else None
+    max_norm_sq = float(kernel.norm_sq(W).max()) if n else 0.0
+    threshold_sq = (SINGULAR_PIVOT_RATIO ** 2) * max_norm_sq
+    pivots = []
+    swaps = 0
+    for c in range(n):
+        col = kernel.norm_sq(W[:, c:, c])
+        pr = c + int(np.argmax(col))
+        if col[pr - c] <= threshold_sq:
+            if log is not None:
+                log.append("column %d has no usable pivot; matrix is singular" % c)
+            return Elimination(pivots, swaps, True, log or [])
+        if pr != c:
+            W[:, [c, pr]] = W[:, [pr, c]]
+            col[[0, pr - c]] = col[[pr - c, 0]]
+            swaps += 1
+            if log is not None:
+                log.append("swap rows %d and %d" % (c, pr))
+        pivot = kernel.scalar(W[:, c, c], kind)
+        pivots.append(pivot)
+        if log is not None:
+            log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
+        rows = c + 1 + np.flatnonzero(col[1:] != 0.0)
+        if not len(rows):
+            continue
+        F = np.array(mul(W[:, rows, c], scalars.invert(pivot).components()))
+        W[:, rows, c + 1:] -= np.array(mul(F[:, :, None], W[:, c, None, c + 1:]))
+        if log is not None:
+            for i, r in enumerate(rows):
+                f = kernel.scalar(F[:, i], kind)
+                log.append("row %d -= (%s) * row %d"
+                           % (r, scalars.format_scalar(f), c))
+    return Elimination(pivots, swaps, False, log or [])
+
+
 def study_det(M, kind=None) -> float:
     """Product of pivot norms after reduction; zero exactly on singular matrices.
 
@@ -142,28 +202,24 @@ def study_det(M, kind=None) -> float:
 
 
 def study_det_sq_exact(M):
-    """Exact |det|^2 as a Fraction, for Gaussian-rational matrices."""
-    elim = row_reduce(M, GAUSSIAN)
-    if elim.singular:
-        from fractions import Fraction
-
-        return Fraction(0)
-    prod = scalars.norm_sq(elim.pivots[0])
-    for p in elim.pivots[1:]:
-        prod = prod * scalars.norm_sq(p)
-    return prod
+    """Exact |det|^2 as a Fraction, for Gaussian-rational matrices
+    (Bareiss over the Gaussian integers, see _gaussian_det)."""
+    return _gaussian_det(M).norm_sq()
 
 
 def dieudonne_det(M, kind=None):
     """Row-reduction determinant in the abelianization of the kind.
 
     Reals, complexes and Gaussian rationals come back as themselves (ordinary
-    determinant); quaternions as the nonnegative norm representative.
+    determinant, exact over the Gaussian rationals); quaternions as the
+    nonnegative norm representative.
     Octonions are rejected: use study_det there.
     """
     kind = _matrix_kind(M, kind)
     if kind is OCTONION:
         raise ValueError("no abelianized determinant over octonions; use study_det")
+    if kind is GAUSSIAN:
+        return _gaussian_det(M)
     elim = row_reduce(M, kind)
     if elim.singular:
         return scalars.abelianize(kind.zero)
@@ -175,56 +231,64 @@ def dieudonne_det(M, kind=None):
     return det
 
 
-@dataclass
-class DetResult:
-    """Bundle of the requested determinants of one matrix."""
+class Ring(NamedTuple):
+    """What the Bareiss loop needs of an integral domain: its one, a nonzero
+    test, and the step that eliminates the leading column from a block of
+    rows, dividing exactly by the previous pivot."""
 
-    study: float
-    leibniz: object = None
-    dieudonne: object = None
-    pivot_log: list = field(default_factory=list)
-
-
-def all_determinants(M, kind=None, with_leibniz=True,
-                     cap=DEFAULT_LEIBNIZ_CAP) -> DetResult:
-    kind = _matrix_kind(M, kind)
-    elim = row_reduce(M, kind, want_log=True)
-    if elim.singular:
-        study = 0.0
-        dieu = None if kind is OCTONION else scalars.abelianize(kind.zero)
-    else:
-        study = math.prod(scalars.norm(p) for p in elim.pivots)
-        if kind is OCTONION:
-            dieu = None
-        else:
-            dieu = scalars.abelianize(kind.one)
-            for p in elim.pivots:
-                dieu = dieu * scalars.abelianize(p)
-            if elim.swaps % 2:
-                dieu = dieu * scalars.abelianize(kind.from_int(-1))
-    leib = None
-    if with_leibniz and len(M) <= cap:
-        leib = leibniz_det(M, kind, cap)
-    return DetResult(study=study, leibniz=leib, dieudonne=dieu,
-                     pivot_log=elim.log)
+    one: object
+    nonzero: Callable
+    eliminate: Callable
 
 
-def _bareiss_echelon(M) -> tuple[int, int, int]:
-    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
+def _eliminate_int(rows, pivot, tail, prev):
+    out = []
+    for row in rows:
+        a = row[0]
+        out.append([(x * pivot - a * y) // prev
+                    for x, y in zip(row[1:], tail)])
+    return out
+
+
+def _eliminate_gaussian_int(rows, pivot, tail, prev):
+    # entries are (re, im) pairs; x * pivot - a * y is divided by prev as
+    # (.) * conj(prev) / |prev|^2, exact in Z[i]
+    pr, pi = pivot
+    qr, qi = prev
+    nq = qr * qr + qi * qi
+    out = []
+    for row in rows:
+        ar, ai = row[0]
+        new = []
+        for (xr, xi), (yr, yi) in zip(row[1:], tail):
+            ur = xr * pr - xi * pi - (ar * yr - ai * yi)
+            ui = xr * pi + xi * pr - (ar * yi + ai * yr)
+            new.append(((ur * qr + ui * qi) // nq, (ui * qr - ur * qi) // nq))
+        out.append(new)
+    return out
+
+
+INTEGERS = Ring(1, bool, _eliminate_int)
+GAUSSIAN_INTEGERS = Ring((1, 0), any, _eliminate_gaussian_int)
+
+
+def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object, int]:
+    """Fraction-free row echelon form (Bareiss 1968) over the integers or
+    the Gaussian integers; `rows` is a list of row lists, consumed.
 
     Only the rows and columns still to be eliminated are kept.  A column
-    without a nonzero entry there is skipped, so M may be rectangular or rank
-    deficient.  After r pivots every kept entry is an (r+1)-minor of M,
-    which makes each division by the previous pivot exact.  Returns (sign of
-    the row swaps, last pivot, rank); for a square M of full rank the
-    determinant is sign * last pivot.
+    without a nonzero entry there is skipped, so the matrix may be
+    rectangular or rank deficient.  After r pivots every kept entry is an
+    (r+1)-minor of the input, which makes each division by the previous pivot
+    exact.  Returns (sign of the row swaps, last pivot, rank); for a square
+    matrix of full rank the determinant is sign * last pivot.
     """
-    rows = [[int(v) for v in row] for row in M]
     sign = 1
-    prev = 1
+    prev = ring.one
     rank = 0
     while rows and rows[0]:
-        p = next((k for k, row in enumerate(rows) if row[0]), None)
+        p = next((k for k, row in enumerate(rows) if ring.nonzero(row[0])),
+                 None)
         if p is None:
             rows = [row[1:] for row in rows]
             continue
@@ -232,16 +296,29 @@ def _bareiss_echelon(M) -> tuple[int, int, int]:
             rows[0], rows[p] = rows[p], rows[0]
             sign = -sign
         pivot = rows[0][0]
-        tail = rows[0][1:]
-        rest = []
-        for row in rows[1:]:
-            a = row[0]
-            rest.append([(x * pivot - a * y) // prev
-                         for x, y in zip(row[1:], tail)])
-        rows = rest
+        rows = ring.eliminate(rows[1:], pivot, rows[0][1:], prev)
         prev = pivot
         rank += 1
     return sign, prev, rank
+
+
+def _int_rows(M):
+    return [[int(v) for v in row] for row in M]
+
+
+def _gaussian_det(M) -> GaussianRational:
+    """Determinant of a square Gaussian-rational matrix, exactly."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    re, im, D = kernel.to_gaussian_integers(M)
+    rows = [list(zip(r, i)) for r, i in zip(re, im)]
+    sign, (dr, di), rank = _bareiss_echelon(rows, GAUSSIAN_INTEGERS)
+    if rank < n:
+        return GaussianRational()
+    scale = D ** n
+    return GaussianRational(Fraction(sign * dr, scale),
+                            Fraction(sign * di, scale))
 
 
 def bareiss_det(M) -> int:
@@ -249,13 +326,13 @@ def bareiss_det(M) -> int:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    sign, last_pivot, rank = _bareiss_echelon(M)
+    sign, last_pivot, rank = _bareiss_echelon(_int_rows(M))
     return sign * last_pivot if rank == n else 0
 
 
 def exact_rank(M) -> int:
     """Rank over the rationals of an integer matrix (same elimination)."""
-    return _bareiss_echelon(M)[2]
+    return _bareiss_echelon(_int_rows(M))[2]
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scalars
+from . import kernel, scalars
 from .connection import (EnergyFunction, build_matrices, energy_sum,
                          omega_field, omega_vector, super_trace)
 from .determinants import bareiss_det
@@ -47,7 +47,13 @@ def entrywise_conjugate(M):
 
 def mat_mul(A, B, kind):
     """C = A B with per-entry accumulation; every product is a binary one,
-    so the result is well defined also for the non-associative kind."""
+    so the result is well defined also for the non-associative kind.
+
+    Quaternion, octonion and Gaussian matrices go through kernel.py, with
+    the same results as the loop below.
+    """
+    if kind in kernel.KINDS:
+        return kernel.mat_mul(A, B, kind)
     n = len(A)
     m = len(B[0])
     inner = len(B)

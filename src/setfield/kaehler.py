@@ -69,11 +69,22 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+class CompositeCofactorError(ValueError):
+    """Trial division left a composite cofactor; carries the prime factors
+    found so far and the cofactor."""
+
+    def __init__(self, factors, cofactor):
+        self.factors = factors
+        self.cofactor = cofactor
+        super().__init__("composite cofactor %d survived trial division"
+                         % cofactor)
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial division up to 10^6, then a strong-pseudoprime check on the rest.
 
     The determinants seen in practice factor into tiny primes; a composite
-    leftover would be surprising and is reported loudly.
+    leftover would be surprising and raises CompositeCofactorError.
     """
     if n == 0:
         return [(0, 1)]
@@ -92,7 +103,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
     if n > 1:
         if not _is_probable_prime(n):
-            raise ValueError("composite cofactor %d survived trial division" % n)
+            raise CompositeCofactorError(out, n)
         out.append((n, 1))
     return out
 
@@ -111,6 +122,7 @@ class KaehlerReport:
     det: int
     factorization: list
     rank: int
+    unfactored: int | None = None  # composite cofactor left by factorize
 
     @property
     def jacobian(self) -> np.ndarray:
@@ -123,8 +135,12 @@ def kaehler_report(system: SetSystem) -> KaehlerReport:
     det = bareiss_det(form)
     # a nonzero determinant already proves full rank
     rank = exact_rank(form) if det == 0 else len(system)
-    return KaehlerReport(len(system), system.zeta, form, det, factorize(det),
-                         rank)
+    try:
+        factors, unfactored = factorize(det), None
+    except CompositeCofactorError as exc:
+        factors, unfactored = exc.factors, exc.cofactor
+    return KaehlerReport(len(system), system.zeta, form, det, factors, rank,
+                         unfactored)
 
 
 def divisibility_scan(systems) -> list[dict]:

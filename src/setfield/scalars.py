@@ -15,6 +15,36 @@ from fractions import Fraction
 DEFAULT_TOL = 1e-9
 
 
+# ---------------------------------------------------------------------------
+# product formulas on component sequences.  The scalar classes apply them to
+# floats and the matrix kernel (kernel.py) to numpy arrays, one array per
+# component; both run the same IEEE operations in the same order.
+
+def quat_mul(p, q):
+    """Hamilton product of components (w, x, y, z) with i j = k."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def quat_conj(p):
+    w, x, y, z = p
+    return (w, -x, -y, -z)
+
+
+def oct_mul(p, q):
+    """Cayley-Dickson product (a,b)(c,d) = (ac - d*b, da + bc*) of octonion
+    components, each half a quaternion."""
+    a, b, c, d = p[:4], p[4:], q[:4], q[4:]
+    ac, db = quat_mul(a, c), quat_mul(quat_conj(d), b)
+    da, bc = quat_mul(d, a), quat_mul(b, quat_conj(c))
+    return (ac[0] - db[0], ac[1] - db[1], ac[2] - db[2], ac[3] - db[3],
+            da[0] + bc[0], da[1] + bc[1], da[2] + bc[2], da[3] + bc[3])
+
+
 class Quaternion:
     """Hamilton quaternion w + x i + y j + z k with i j = k, j k = i, k i = j."""
 
@@ -48,12 +78,8 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return Quaternion(other * self.w, other * self.x,
                               other * self.y, other * self.z)
-        a, b, c, d = self.components()
-        e, f, g, h = _as_quat(other).components()
-        return Quaternion(a * e - b * f - c * g - d * h,
-                          a * f + b * e + c * h - d * g,
-                          a * g - b * h + c * e + d * f,
-                          a * h + b * g - c * f + d * e)
+        return Quaternion(*quat_mul(self.components(),
+                                    _as_quat(other).components()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -134,14 +160,7 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Octonion(tuple(other * a for a in self.c))
-        other = _as_oct(other)
-        a = Quaternion(*self.c[:4])
-        b = Quaternion(*self.c[4:])
-        c = Quaternion(*other.c[:4])
-        d = Quaternion(*other.c[4:])
-        z1 = a * c - d.conjugate() * b
-        z2 = d * a + b * c.conjugate()
-        return Octonion(z1.components() + z2.components())
+        return Octonion(oct_mul(self.c, _as_oct(other).c))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):

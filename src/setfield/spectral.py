@@ -283,6 +283,17 @@ def perm_cycles(p):
     return cycles
 
 
+class ClosureOverflowError(RuntimeError):
+    """The group closure grew past its element cap."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        super().__init__(
+            "group closure exceeded cap %d elements (the cap argument of "
+            "group_closure / monodromy_report); the group is too large to "
+            "list" % cap)
+
+
 def format_cycles(p) -> str:
     cycles = perm_cycles(p)
     if not cycles:
@@ -313,7 +324,7 @@ def group_closure(perms, cap=10 ** 6):
                     seen.add(r)
                     nxt.append(r)
                     if len(seen) > cap:
-                        raise RuntimeError("group closure exceeded cap %d" % cap)
+                        raise ClosureOverflowError(cap)
         frontier = nxt
     return len(seen), sorted(seen)
 

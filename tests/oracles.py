@@ -2,7 +2,11 @@
 
 Everything here is deliberately naive: cofactor expansions, chain
 enumerations and per-eigenvalue greedy tracking.  None of it shares code
-with the production paths it validates.
+with the production paths it validates.  The per-entry `mat_mul` and
+`row_reduce` at the end are the library's code from before matrices moved to
+component arrays; they multiply scalar objects one entry at a time, and the
+scalar products themselves are pinned to `quaternion_product` and
+`octonion_product` here.
 """
 
 import cmath
@@ -12,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from setfield import SetSystem
+from setfield import SetSystem, scalars
+from setfield.determinants import SINGULAR_PIVOT_RATIO, Elimination
 
 
 def laplace_det(M):
@@ -149,3 +154,103 @@ def greedy_eigen_tracking(L_of_h, h0, wheel, steps):
             x = V1[np.abs(V1 - x).argmin()]
         perm.append(int(np.abs(V0 - x).argmin()))
     return tuple(perm)
+
+
+# ---------------------------------------------------------------------------
+# per-entry scalar arithmetic, kept as the bit-identity reference for the
+# component-array kernel
+
+def quaternion_product(p, q):
+    """Hamilton product of two component 4-tuples, as Quaternion.__mul__
+    evaluated it before the formula moved to scalars.quat_mul."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def octonion_product(p, q):
+    """Cayley-Dickson product (a,b)(c,d) = (ac - d*b, da + bc*) on quaternion
+    halves, as Octonion.__mul__ evaluated it before."""
+    a, b, c, d = p[:4], p[4:], q[:4], q[4:]
+
+    def conj(x):
+        return (x[0], -x[1], -x[2], -x[3])
+
+    z1 = [x - y for x, y in zip(quaternion_product(a, c),
+                                quaternion_product(conj(d), b))]
+    z2 = [x + y for x, y in zip(quaternion_product(d, a),
+                                quaternion_product(b, conj(c)))]
+    return tuple(z1 + z2)
+
+
+def mat_mul(A, B, kind):
+    """C = A B with per-entry accumulation; every product is a binary one,
+    so the result is well defined also for the non-associative kind."""
+    n = len(A)
+    m = len(B[0])
+    inner = len(B)
+    C = [[kind.zero] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        for j in range(m):
+            acc = kind.zero
+            for k in range(inner):
+                acc = acc + Ai[k] * B[k][j]
+            C[i][j] = acc
+    return C
+
+
+def row_reduce(M, kind=None, want_log=False) -> Elimination:
+    """Reduce to upper triangular form with left-multiplier eliminations.
+
+    Row r picks up  row_r - (M[r][c] * pivot^-1) * row_c, which leaves both
+    row-reduction determinants unchanged; swaps flip the sign bookkeeping.
+    Float kinds pick the largest-norm pivot per column, the exact kind takes
+    the first nonzero one.
+    """
+    kind = kind or scalars.kind_of(M[0][0])
+    n = len(M)
+    W = [list(row) for row in M]
+    log = [] if want_log else None
+    exact = kind.exact
+    if exact:
+        threshold_sq = 0
+    else:
+        max_norm_sq = max((float(scalars.norm_sq(v)) for row in W for v in row),
+                          default=0.0)
+        threshold_sq = (SINGULAR_PIVOT_RATIO ** 2) * max_norm_sq
+    pivots = []
+    swaps = 0
+    for c in range(n):
+        if exact:
+            pr = next((r for r in range(c, n) if bool(W[r][c])), None)
+        else:
+            pr = max(range(c, n), key=lambda r: float(scalars.norm_sq(W[r][c])))
+            if float(scalars.norm_sq(W[pr][c])) <= threshold_sq:
+                pr = None
+        if pr is None:
+            if log is not None:
+                log.append("column %d has no usable pivot; matrix is singular" % c)
+            return Elimination(pivots, swaps, True, log or [])
+        if pr != c:
+            W[c], W[pr] = W[pr], W[c]
+            swaps += 1
+            if log is not None:
+                log.append("swap rows %d and %d" % (c, pr))
+        pivot = W[c][c]
+        pivots.append(pivot)
+        if log is not None:
+            log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
+        inv_pivot = scalars.invert(pivot)
+        for r in range(c + 1, n):
+            if scalars.is_zero(W[r][c]):
+                continue
+            f = W[r][c] * inv_pivot
+            W[r] = [W[r][k] - f * W[c][k] for k in range(n)]
+            if log is not None:
+                log.append("row %d -= (%s) * row %d"
+                           % (r, scalars.format_scalar(f), c))
+    return Elimination(pivots, swaps, False, log or [])

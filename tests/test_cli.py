@@ -197,3 +197,34 @@ def test_output_dir_written(tmp_path, capsys):
                        "--output", out)
     assert code == 0
     assert os.path.exists(os.path.join(out, "gen.json"))
+
+
+def test_group_closure_overflow_reports_one_line(capsys, monkeypatch):
+    # the real closure with a cap below the triangle's order 36
+    from setfield import spectral
+
+    closure = spectral.group_closure
+    monkeypatch.setattr(spectral, "group_closure",
+                        lambda perms, cap: closure(perms, cap=3))
+    code = main(["group", "--inline", "{{1,2,3}}", "--closure",
+                 "--field", "roots:7", "--steps", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "group closure exceeded cap 3" in lines[0]
+
+
+def test_kaehler_reports_unfactored_cofactor(capsys, monkeypatch):
+    from setfield import kaehler
+
+    _, plain = run_json(capsys, "kaehler", "--inline", "{{1,2}}", "--closure")
+    assert "unfactored" not in plain
+    cofactor = 1000003 * 1000033
+    monkeypatch.setattr(kaehler, "bareiss_det", lambda form: 9 * cofactor)
+    code, data = run_json(capsys, "kaehler", "--inline", "{{1,2}}",
+                          "--closure")
+    assert code == 0
+    assert data["det"] == str(9 * cofactor)
+    assert data["factorization"] == [[3, 2]]
+    assert data["unfactored"] == str(cofactor)

@@ -12,8 +12,8 @@ from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION,
                       study_det)
 from setfield import scalars
 from setfield.connection import explicit_field, random_field
-from setfield.determinants import (MatrixSizeError, all_determinants,
-                                   row_reduce, study_det_sq_exact)
+from setfield.determinants import (MatrixSizeError, row_reduce,
+                                   study_det_sq_exact)
 from setfield.setsystem import random_complex
 
 LEIBNIZ_GOLDEN_SYSTEM = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])
@@ -269,9 +269,10 @@ def test_det_formula_octonion_study_only():
         < 1e-9 * max(1.0, report.expected_study)
 
 
-def test_all_determinants_bundle(K2):
+def test_determinants_of_one_matrix_agree(K2):
     h = explicit_field([1 + 0j, 2j, 3 + 0j])
-    res = all_determinants(build_matrices(K2, h).L)
-    assert res.leibniz is not None and res.dieudonne is not None
-    assert abs(res.study - abs(res.leibniz)) < 1e-9
-    assert res.pivot_log
+    L = build_matrices(K2, h).L
+    leibniz, dieudonne = leibniz_det(L), dieudonne_det(L)
+    assert leibniz is not None and dieudonne is not None
+    assert abs(study_det(L) - abs(leibniz)) < 1e-9
+    assert row_reduce(L, want_log=True).log

@@ -1,12 +1,15 @@
 import random
 
 import numpy as np
+import pytest
 
 from oracles import jacobian_by_sets, laplace_det, random_set_system
 from setfield import SetSystem, build_matrices, generate
 from setfield.connection import explicit_field
 from setfield.determinants import bareiss_det, exact_rank
-from setfield.kaehler import (complete_complex_exponent, divisibility_scan,
+from setfield import kaehler
+from setfield.kaehler import (CompositeCofactorError,
+                              complete_complex_exponent, divisibility_scan,
                               factorize, jacobian_dr, kaehler_form,
                               kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
@@ -109,6 +112,24 @@ def test_factorize_basics():
     assert factorize(big) == [(3, 40), (5, 3)]
     p = 1000003  # prime just past the trial-division bound
     assert factorize(p * 9) == [(3, 2), (p, 1)]
+
+
+def test_composite_cofactor_keeps_the_exact_determinant(K2, monkeypatch):
+    # both primes exceed the trial-division bound, so their product is left
+    cofactor = 1000003 * 1000033
+    with pytest.raises(CompositeCofactorError) as info:
+        factorize(-4 * cofactor)
+    assert info.value.factors == [(-1, 1), (2, 2)]
+    assert info.value.cofactor == cofactor
+    assert "composite cofactor %d" % cofactor in str(info.value)
+
+    monkeypatch.setattr(kaehler, "bareiss_det", lambda form: 9 * cofactor)
+    report = kaehler_report(K2)
+    assert report.det == 9 * cofactor and report.rank == 3
+    assert report.factorization == [(3, 2)]
+    assert report.unfactored == cofactor
+    monkeypatch.undo()
+    assert kaehler_report(K2).unfactored is None
 
 
 def test_divisibility_scan_flags_and_exemptions(K2):

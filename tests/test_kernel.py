@@ -1,0 +1,162 @@
+"""The component-array kernel against the per-entry code it replaced.
+
+Quaternion and octonion products and eliminations must be repr-equal (zero
+tolerance, signed zeros included) to the per-entry loops kept in
+oracles.py; Gaussian results are exact and must be equal.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import oracles
+import pytest
+
+from setfield import determinants, kernel, scalars
+from setfield.connection import build_matrices, random_field
+from setfield.determinants import (dieudonne_det, row_reduce,
+                                   study_det_sq_exact)
+from setfield.identities import entrywise_conjugate, mat_mul
+from setfield.scalars import GAUSSIAN, KINDS, GaussianRational
+from setfield.setsystem import random_complex
+
+KIND_CYCLE = ("real", "complex", "quaternion", "octonion", "gaussian")
+MAX_ELEMENTS = 12
+
+
+def _systems(count, seed):
+    """Seeded systems, alternating random complexes and systems that are
+    not closed under subsets, with at most MAX_ELEMENTS elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            system = oracles.random_set_system(rng, rng.randint(1, 10))
+        else:
+            system = random_complex(rng, max_generators=3)
+        if len(system) <= MAX_ELEMENTS:
+            out.append(system)
+    return out
+
+
+def _field(system, kind, rng, variant):
+    """variant 0: unit field, 1: nonunit field, 2: nonunit with one zero."""
+    h = random_field(system, kind, rng, unit=variant == 0)
+    if variant == 2:
+        h = h.replace_value(rng.randrange(len(h)), kind.zero)
+    return h
+
+
+def _cases(count=200, seed=2024):
+    rng = random.Random(seed)
+    for t, system in enumerate(_systems(count, seed)):
+        kind = KINDS[KIND_CYCLE[t % 5]]
+        yield kind, build_matrices(system, _field(system, kind, rng, t % 3))
+
+
+def _elimination_repr(elim):
+    return repr(elim.pivots), elim.swaps, elim.singular, elim.log
+
+
+def test_scalar_products_match_per_entry_formulas():
+    rng = random.Random(5)
+    special = (0.0, -0.0, 1.0, -1.0)
+
+    def draw(d):
+        return tuple(rng.choice(special) if rng.random() < 0.3
+                     else rng.uniform(-3, 3) for _ in range(d))
+
+    for _ in range(2000):
+        p, q = draw(4), draw(4)
+        got = scalars.Quaternion(*p) * scalars.Quaternion(*q)
+        assert repr(got.components()) == repr(oracles.quaternion_product(p, q))
+        p, q = draw(8), draw(8)
+        got = scalars.Octonion(p) * scalars.Octonion(q)
+        assert repr(got.components()) == repr(oracles.octonion_product(p, q))
+
+
+def test_mat_mul_is_bit_identical_to_per_entry():
+    kinds_seen = set()
+    for kind, cm in _cases():
+        kinds_seen.add(kind.name)
+        gbar = entrywise_conjugate(cm.g)
+        for A, B in ((gbar, cm.L), (cm.L, gbar)):
+            assert repr(mat_mul(A, B, kind)) == repr(oracles.mat_mul(A, B, kind))
+    assert kinds_seen == set(KIND_CYCLE)
+
+
+@pytest.mark.parametrize(
+    "min_size", [1, determinants.COMPONENT_ELIMINATION_MIN_SIZE])
+def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, min_size):
+    # min_size 1 sends every quaternion and octonion matrix to the kernel
+    monkeypatch.setattr(determinants, "COMPONENT_ELIMINATION_MIN_SIZE",
+                        min_size)
+    singular = 0
+    for kind, cm in _cases():
+        for M in (cm.L, cm.g):
+            got = row_reduce(M, kind, want_log=True)
+            want = oracles.row_reduce(M, kind, want_log=True)
+            assert _elimination_repr(got) == _elimination_repr(want)
+            assert repr(row_reduce(M, kind).pivots) == repr(want.pivots)
+            singular += got.singular
+    assert singular  # the zero field values reach the singular branch
+
+
+@pytest.mark.parametrize("kind_name", ["quaternion", "octonion", "gaussian"])
+def test_rectangular_and_blocked_products(monkeypatch, kind_name):
+    kind = KINDS[kind_name]
+    rng = random.Random(7)
+    A = [[scalars.random_scalar(kind, rng) for _ in range(5)] for _ in range(3)]
+    B = [[scalars.random_scalar(kind, rng) for _ in range(4)] for _ in range(5)]
+    want = repr(oracles.mat_mul(A, B, kind))
+    assert repr(mat_mul(A, B, kind)) == want
+    monkeypatch.setattr(kernel, "BLOCK_ENTRIES", 5)  # blocks of one k
+    assert repr(mat_mul(A, B, kind)) == want
+
+
+def _old_gaussian_dets(M):
+    """|det|^2 and det from the Fraction elimination's pivots."""
+    elim = oracles.row_reduce(M, GAUSSIAN)
+    if elim.singular:
+        return Fraction(0), GaussianRational()
+    sq = math.prod(scalars.norm_sq(p) for p in elim.pivots)
+    det = scalars.product_right(elim.pivots)
+    return sq, (-det if elim.swaps % 2 else det)
+
+
+def test_gaussian_integer_det_matches_fraction_elimination():
+    count = 0
+    for kind, cm in _cases(count=200, seed=99):
+        if kind is not GAUSSIAN:
+            continue
+        for M in (cm.L, cm.g):
+            sq, det = _old_gaussian_dets(M)
+            assert study_det_sq_exact(M) == sq
+            got = dieudonne_det(M, GAUSSIAN)
+            assert got == det and repr(got) == repr(det)
+            count += 1
+    assert count == 80
+
+
+def test_gaussian_integer_det_matches_laplace():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for trial in range(12):
+            M = [[scalars.random_scalar(GAUSSIAN, rng) for _ in range(n)]
+                 for _ in range(n)]
+            if trial % 4 == 0 and n > 1:  # a repeated row: singular
+                M[-1] = list(M[0])
+            if trial % 4 == 1:  # a zero leading column forces a swap
+                for row in M[:-1]:
+                    row[0] = GaussianRational()
+            want = oracles.laplace_det(M)
+            assert dieudonne_det(M, GAUSSIAN) == want
+            assert study_det_sq_exact(M) == want.norm_sq()
+
+
+def test_to_gaussian_integers_scales_by_lcm():
+    M = [[GaussianRational(Fraction(1, 2), Fraction(-1, 3)), GaussianRational(2)],
+         [GaussianRational(0, Fraction(3, 4)), GaussianRational()]]
+    re, im, D = kernel.to_gaussian_integers(M)
+    assert D == 12
+    assert re == [[6, 24], [0, 0]] and im == [[-4, 0], [9, 0]]

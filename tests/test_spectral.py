@@ -12,10 +12,11 @@ from setfield import (SetSystem, build_matrices, eigenvalues, group_closure,
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.kaehler import jacobian_dr
-from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
-                               format_cycles, path_permutation, perm_compose,
-                               perm_cycles, perm_order,
-                               raw_winding_increments, wheel_matrices)
+from setfield.spectral import (ClosureOverflowError, SpectralPath,
+                               TrackingAmbiguityError, format_cycles,
+                               path_permutation, perm_compose, perm_cycles,
+                               perm_order, raw_winding_increments,
+                               wheel_matrices)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -179,6 +180,14 @@ def test_group_closure_basics():
     with pytest.raises(RuntimeError):
         big = tuple(list(range(1, 13)) + [0])
         group_closure([big], cap=5)
+
+
+def test_closure_overflow_error_names_its_cap():
+    big = tuple(list(range(1, 13)) + [0])
+    with pytest.raises(ClosureOverflowError) as info:
+        group_closure([big], cap=5)
+    assert isinstance(info.value, RuntimeError) and info.value.cap == 5
+    assert "group closure exceeded cap 5" in str(info.value)
 
 
 def test_perm_utilities():
