@@ -26,5 +26,5 @@ from .scalars import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
 from .setsystem import SetSystem, complete_complex, generate, parse_system
 from .spectral import (GroupReport, SpectralPath, TrackingAmbiguityError,
                        WheelPermutation, eigenvalues, group_closure,
-                       monodromy_report, presentations, track_wheel,
-                       wheel_permutations, winding_numbers)
+                       group_order, monodromy_report, presentations,
+                       track_wheel, wheel_permutations, winding_numbers)

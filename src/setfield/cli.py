@@ -179,20 +179,26 @@ def cmd_det(config: RunConfig) -> int:
     out = {"kind": h.kind.name, "n": len(system), "method": config.method}
     for label, M in (("L", cm.L), ("g", cm.g)):
         entry = {}
+        # the logged elimination also gives the row-reduction determinants
+        # (over the Gaussian rationals the abelianized one comes from Bareiss)
+        elim = (determinants.row_reduce(M, h.kind, want_log=True)
+                if config.pivot_log else None)
         if config.method in ("study", "all"):
-            entry["study"] = determinants.study_det(M, h.kind)
+            entry["study"] = (determinants.study_value(elim) if elim is not None
+                              else determinants.study_det(M, h.kind))
         if config.method in ("dieudonne", "all") and h.kind is not scalars.OCTONION:
             entry["dieudonne"] = scalars.to_jsonable(
-                determinants.dieudonne_det(M, h.kind))
+                determinants.dieudonne_value(elim, h.kind)
+                if elim is not None and h.kind is not scalars.GAUSSIAN
+                else determinants.dieudonne_det(M, h.kind))
         if config.method in ("leibniz", "all"):
             try:
                 entry["leibniz"] = scalars.to_jsonable(
                     determinants.leibniz_det(M, h.kind, leib_cap))
             except determinants.MatrixSizeError as exc:
                 entry["leibniz_skipped"] = str(exc)
-        if config.pivot_log:
-            entry["pivot_log"] = determinants.row_reduce(
-                M, h.kind, want_log=True).log
+        if elim is not None:
+            entry["pivot_log"] = elim.log
         out[label] = entry
     emit(out, config, "det")
     return 0
@@ -255,8 +261,7 @@ def cmd_group(config: RunConfig) -> int:
     try:
         report = spectral.monodromy_report(system, h, config.steps,
                                            max_steps=_step_cap())
-    except (spectral.TrackingAmbiguityError,
-            spectral.ClosureOverflowError) as exc:
+    except spectral.TrackingAmbiguityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     emit({

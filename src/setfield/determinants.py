@@ -195,7 +195,11 @@ def study_det(M, kind=None) -> float:
     multiplies just two values at a time so non-associativity never bites a
     single operation.
     """
-    elim = row_reduce(M, kind)
+    return study_value(row_reduce(M, kind))
+
+
+def study_value(elim: Elimination) -> float:
+    """The Study determinant read off an elimination: product of pivot norms."""
     if elim.singular:
         return 0.0
     return math.prod(scalars.norm(p) for p in elim.pivots)
@@ -220,7 +224,12 @@ def dieudonne_det(M, kind=None):
         raise ValueError("no abelianized determinant over octonions; use study_det")
     if kind is GAUSSIAN:
         return _gaussian_det(M)
-    elim = row_reduce(M, kind)
+    return dieudonne_value(row_reduce(M, kind), kind)
+
+
+def dieudonne_value(elim: Elimination, kind: ScalarKind):
+    """The abelianized determinant read off an elimination over `kind`:
+    product of abelianized pivots, negated for an odd number of swaps."""
     if elim.singular:
         return scalars.abelianize(kind.zero)
     det = scalars.abelianize(kind.one)
@@ -362,13 +371,14 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
     cm = build_matrices(system, h)
     kind = h.kind
     if kind is GAUSSIAN:
+        # one exact elimination per matrix gives the det and |det|^2
         target_sq = scalars.norm_sq(h.values[0])
         for v in h.values[1:]:
             target_sq = target_sq * scalars.norm_sq(v)
-        sqL = study_det_sq_exact(cm.L)
-        sqg = study_det_sq_exact(cm.g)
-        dL = dieudonne_det(cm.L, kind)
-        dg = dieudonne_det(cm.g, kind)
+        dL = _gaussian_det(cm.L)
+        dg = _gaussian_det(cm.g)
+        sqL = dL.norm_sq()
+        sqg = dg.norm_sq()
         target_d = scalars.product_right(list(h.values), kind)
         ok = (sqL == target_sq and sqg == target_sq
               and dL == target_d and dg == target_d)
@@ -376,9 +386,12 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
                                 math.sqrt(float(sqg)),
                                 math.sqrt(float(target_sq)), dL, dg, target_d,
                                 0.0 if ok else 1.0, ok, ok)
+    # one elimination per matrix gives both determinants
+    elimL = row_reduce(cm.L, kind)
+    elimg = row_reduce(cm.g, kind)
     expected_study = math.prod(scalars.norm(v) for v in h.values)
-    sL = study_det(cm.L, kind)
-    sg = study_det(cm.g, kind)
+    sL = study_value(elimL)
+    sg = study_value(elimg)
     devs = []
     scale = max(expected_study, 1e-300)
     devs.append(abs(sL - expected_study) / scale)
@@ -386,8 +399,8 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
     if kind is OCTONION:
         dL = dg = target_d = None
     else:
-        dL = dieudonne_det(cm.L, kind)
-        dg = dieudonne_det(cm.g, kind)
+        dL = dieudonne_value(elimL, kind)
+        dg = dieudonne_value(elimg, kind)
         target_d = scalars.abelianize(scalars.product_right(list(h.values), kind))
         dscale = max(scalars.norm(target_d), 1e-300)
         devs.append(scalars.norm(dL - target_d) / dscale)

@@ -22,6 +22,9 @@ DEFAULT_STEPS = 500
 ADAPTIVE_DOUBLINGS = 4  # step cap = 2**4 * requested steps
 AMBIGUITY_MARGIN = 2.0  # second-nearest within this factor -> full assignment
 WINDING_INT_TOL = 1e-3
+# Steps solved by one stacked eigenvalue call and matched together; also the
+# most work an attempt does past the step that fails it.
+TRACK_CHUNK = 32
 
 
 class TrackingAmbiguityError(RuntimeError):
@@ -73,9 +76,14 @@ class GroupReport:
 
 
 def eigenvalues(M) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix (no ordering contract)."""
+    """All eigenvalues of a dense complex matrix, or of each matrix in a
+    stack of shape (..., n, n) (no ordering contract).
+
+    LAPACK solves the matrices of a stack one at a time, so each row of the
+    result has the same bits as a call on that matrix alone.
+    """
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
@@ -111,12 +119,6 @@ def _match_step(prev, new):
     return cols
 
 
-def _local_gaps(new):
-    D = np.abs(new[:, None] - new[None, :])
-    np.fill_diagonal(D, np.inf)
-    return D.min(axis=0)
-
-
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
                 steps: int = DEFAULT_STEPS,
                 max_steps: int | None = None) -> SpectralPath:
@@ -126,7 +128,9 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     matched to the previous one.  If some matched move exceeds half the local
     eigenvalue gap the tracking is ambiguous at this resolution and the whole
     path is recomputed with twice the steps, up to 2^4 times the request (or
-    `max_steps`).  Independent wheels share no state and may run in parallel.
+    `max_steps`).  The doubled grid contains the failed one (its even points
+    are the same times, bit for bit), so a retry solves only the new points.
+    Independent wheels share no state and may run in parallel.
     """
     if not (0 <= wheel < len(system)):
         raise ValueError("wheel index out of range")
@@ -137,11 +141,19 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     if max_steps is None:
         max_steps = steps * 2 ** ADAPTIVE_DOUBLINGS
     base = np.sort_complex(eigenvalues(L_at(0.0)))
+    ts = raw = solved = None
     attempt_steps = steps
     while attempt_steps <= max_steps:
-        path = _track_once(L_at, attempt_steps, base)
-        if path is not None:
-            return SpectralPath(wheel, path[0], path[1], attempt_steps)
+        grid = np.linspace(0.0, 2.0 * math.pi, attempt_steps + 1)
+        samples = np.empty((attempt_steps + 1, len(base)), dtype=complex)
+        have = np.zeros(attempt_steps + 1, dtype=bool)
+        samples[0], have[0] = base, True
+        if ts is not None and np.array_equal(grid[::2], ts):
+            samples[::2], have[::2] = raw, solved
+        ts, raw, solved = grid, samples, have
+        values = _track_once(L_at, ts, raw, solved)
+        if values is not None:
+            return SpectralPath(wheel, ts, values, attempt_steps)
         attempt_steps *= 2
     raise TrackingAmbiguityError(wheel, attempt_steps // 2)
 
@@ -151,6 +163,7 @@ def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
 
     L = Z^T D_h Z, so turning one value is a rank-one update:
     L(t) = L(0) + (e^{it} - 1) h0[wheel] z z^T with z the wheel's row of Z.
+    For an array of times the result is the stack of matrices, one per time.
     """
     Z = system.zeta
     L0 = (Z.T * h0) @ Z
@@ -158,28 +171,63 @@ def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
     turn = h0[wheel] * np.outer(z, z)
 
     def L_at(t):
-        return L0 + (np.exp(1j * t) - 1.0) * turn
+        phase = np.exp(1j * np.asarray(t)) - 1.0
+        return L0 + phase[..., None, None] * turn
 
     return L_at
 
 
-def _track_once(L_at, steps, base):
-    n = len(base)
-    ts = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-    values = np.empty((steps + 1, n), dtype=complex)
-    values[0] = base
-    prev = base
-    for s in range(1, steps + 1):
-        new = eigenvalues(L_at(ts[s]))
-        cols = _match_step(prev, new)
-        matched = new[cols]
-        moves = np.abs(matched - prev)
-        gaps = _local_gaps(new)[cols]
-        if (moves > 0.5 * gaps).any():
+def _track_once(L_at, ts, raw, solved):
+    """Labelled eigenvalues at the times ts, or None if a step is ambiguous.
+
+    raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
+    sorted start, which fixes the labels) where solved[s] is set; the rest
+    are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
+    a retry.  Greedy nearest matching, its collision and second-nearest
+    tests and the "move > half the local gap" test do not depend on the
+    order of the previous eigenvalues, so they run on raw-to-raw distances
+    for a whole chunk at once; a loop then composes the label permutation.
+    Steps flagged ambiguous are matched by _match_step on the labelled
+    previous step, one at a time.
+    """
+    steps = len(ts) - 1
+    n = raw.shape[1]
+    values = np.empty_like(raw)
+    values[0] = raw[0]
+    perm = np.arange(n)  # label -> index into the current raw row
+    diagonal = np.arange(n)
+    for a in range(1, steps + 1, TRACK_CHUNK):
+        b = min(a + TRACK_CHUNK, steps + 1)
+        todo = a + np.flatnonzero(~solved[a:b])
+        if len(todo):
+            raw[todo] = eigenvalues(L_at(ts[todo]))
+            solved[todo] = True
+        new = raw[a:b]
+        D = np.abs(raw[a - 1:b - 1, :, None] - new[:, None, :])
+        cols = D.argmin(axis=2)
+        best = np.take_along_axis(D, cols[:, :, None], axis=2)[:, :, 0]
+        np.put_along_axis(D, cols[:, :, None], np.inf, axis=2)
+        second = D.min(axis=2)
+        sorted_cols = np.sort(cols, axis=1)
+        ambiguous = ((sorted_cols[:, 1:] == sorted_cols[:, :-1]).any(axis=1)
+                     | (second < AMBIGUITY_MARGIN * best).any(axis=1))
+        G = np.abs(new[:, :, None] - new[:, None, :])
+        G[:, diagonal, diagonal] = np.inf
+        gaps = G.min(axis=1)  # nearest other eigenvalue, per raw index
+        moved_too_far = (best > 0.5 * np.take_along_axis(gaps, cols, axis=1)
+                         ).any(axis=1)
+        if (moved_too_far & ~ambiguous).any():
             return None
-        values[s] = matched
-        prev = matched
-    return ts, values
+        for k, s in enumerate(range(a, b)):
+            if ambiguous[k]:
+                prev = values[s - 1]
+                perm = _match_step(prev, new[k])
+                if (np.abs(new[k][perm] - prev) > 0.5 * gaps[k][perm]).any():
+                    return None
+            else:
+                perm = cols[k][perm]
+            values[s] = new[k][perm]
+    return values
 
 
 def raw_winding_increments(path: SpectralPath) -> np.ndarray:
@@ -251,11 +299,11 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
 
 
 # ---------------------------------------------------------------------------
-# permutation utilities and group closure
+# permutation utilities, group closure and group order
 
 def perm_compose(a, b):
     """Apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def perm_order(p) -> int:
@@ -290,8 +338,8 @@ class ClosureOverflowError(RuntimeError):
         self.cap = cap
         super().__init__(
             "group closure exceeded cap %d elements (the cap argument of "
-            "group_closure / monodromy_report); the group is too large to "
-            "list" % cap)
+            "group_closure); the group is too large to list; group_order "
+            "gives its order without listing it" % cap)
 
 
 def format_cycles(p) -> str:
@@ -327,6 +375,98 @@ def group_closure(perms, cap=10 ** 6):
                         raise ClosureOverflowError(cap)
         frontier = nxt
     return len(seen), sorted(seen)
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def group_order(perms) -> int:
+    """Order of the group the permutations generate, by Schreier-Sims.
+
+    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003, ch. 4) with base 0, 1, ..., n-1.  Level i keeps the
+    strong generators that fix 0..i-1 and a transversal of the orbit of i
+    under them: a map from each orbit point b to a pair (u, u^-1) with
+    u[i] = b.  Levels are completed from the last up: each Schreier
+    generator u_{s(b)}^-1 s u_b of level i is sifted through the levels
+    below; a nonidentity residue becomes a new strong generator at the level
+    where its sift stopped, and checking resumes there.  When every level is
+    complete the order is the product of the orbit lengths.  Nothing close
+    to the group's size is ever stored, unlike group_closure.
+    """
+    if not perms:
+        raise ValueError("need at least one permutation")
+    degree = len(perms[0])
+    if any(len(p) != degree for p in perms):
+        raise ValueError("permutations must share one degree")
+    ident = tuple(range(degree))
+    strong = [[] for _ in range(degree)]  # by first moved point
+    trans = [{i: (ident, ident)} for i in range(degree)]
+    checked = [set() for _ in range(degree)]  # (orbit point, generator)
+
+    def level_gens(i):
+        return [g for j in range(i, degree) for g in strong[j]]
+
+    def add_strong(g):
+        """File g under its first moved point j and extend the orbits of
+        every level it belongs to; returns j."""
+        j = next(i for i in range(degree) if g[i] != i)
+        strong[j].append(g)
+        for i in range(j + 1):
+            gens = level_gens(i)
+            orbit = trans[i]
+            points = list(orbit)
+            for b in points:  # grows while it is walked
+                u = orbit[b][0]
+                for s in gens:
+                    c = s[b]
+                    if c not in orbit:
+                        v = perm_compose(s, u)
+                        orbit[c] = (v, _inverse(v))
+                        points.append(c)
+        return j
+
+    def sift(g, start):
+        """What is left of g where it leaves the chain (it fixes every
+        earlier base point and moves the next one), or None if it sifts to
+        the identity."""
+        for i in range(start, degree):
+            if g[i] == i:
+                continue
+            entry = trans[i].get(g[i])
+            if entry is None:
+                return g
+            g = perm_compose(entry[1], g)
+        return None
+
+    for g in perms:
+        g = tuple(g)
+        if g != ident:
+            add_strong(g)
+    i = degree - 1
+    while i >= 0:
+        resume = None
+        orbit = trans[i]
+        gens = level_gens(i)
+        for b in list(orbit):
+            u = orbit[b][0]
+            for s in gens:
+                if (b, s) in checked[i]:
+                    continue
+                checked[i].add((b, s))
+                h = perm_compose(orbit[s[b]][1], perm_compose(s, u))
+                residue = sift(h, i + 1)
+                if residue is not None:
+                    resume = add_strong(residue)
+                    break
+            if resume is not None:
+                break
+        i = resume if resume is not None else i - 1
+    return math.prod(len(orbit) for orbit in trans)
 
 
 def _power(p, k):
@@ -371,9 +511,13 @@ def presentations(perms: list) -> tuple[str, str]:
 def monodromy_report(system: SetSystem, h: EnergyFunction,
                      steps: int = DEFAULT_STEPS, cap=10 ** 6,
                      max_steps: int | None = None) -> GroupReport:
-    """Full pipeline: track every wheel, close the group, emit presentations."""
+    """Full pipeline: track every wheel, order the group, emit presentations.
+
+    The order comes from group_order (Schreier-Sims), which lists no group
+    elements; `cap` is accepted for existing callers and bounds nothing.
+    """
     perms = wheel_permutations(system, h, steps, max_steps=max_steps)
-    order, _ = group_closure([w.perm for w in perms], cap)
+    order = group_order([w.perm for w in perms])
     big, small = presentations(perms)
 
     # every listed relation must hold in the concrete permutation group

@@ -6,7 +6,9 @@ with the production paths it validates.  The per-entry `mat_mul` and
 `row_reduce` at the end are the library's code from before matrices moved to
 component arrays; they multiply scalar objects one entry at a time, and the
 scalar products themselves are pinned to `quaternion_product` and
-`octonion_product` here.
+`octonion_product` here.  `sequential_track_wheel` is the eigenvalue
+tracker from before solves were stacked: one `eigvals` call and one match
+per step, and a retry that starts over.
 """
 
 import cmath
@@ -254,3 +256,80 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
                 log.append("row %d -= (%s) * row %d"
                            % (r, scalars.format_scalar(f), c))
     return Elimination(pivots, swaps, False, log or [])
+
+
+# ---------------------------------------------------------------------------
+# one-matrix-at-a-time eigenvalue tracking, kept as the bit-identity
+# reference for the stacked solves and chunk-wise matching in spectral.py
+
+def match_step(prev, new):
+    """Greedy nearest matching of labelled eigenvalues, with a full
+    assignment when two labels pick one eigenvalue or a second-nearest one
+    lies within twice the nearest distance."""
+    D = np.abs(prev[:, None] - new[None, :])
+    cols = D.argmin(axis=1)
+    ambiguous = len(set(cols.tolist())) != len(cols)
+    if not ambiguous:
+        n = D.shape[0]
+        best = D[np.arange(n), cols]
+        D2 = D.copy()
+        D2[np.arange(n), cols] = np.inf
+        second = D2.min(axis=1)
+        ambiguous = bool((second < 2.0 * best).any())
+    if ambiguous:
+        from scipy.optimize import linear_sum_assignment
+
+        _, cols = linear_sum_assignment(D)
+    return cols
+
+
+def local_gaps(new):
+    """Distance from each eigenvalue to the nearest other one."""
+    D = np.abs(new[:, None] - new[None, :])
+    np.fill_diagonal(D, np.inf)
+    return D.min(axis=0)
+
+
+def track_once(L_at, steps, base):
+    """One tracking attempt at `steps` steps: a fresh eigenvalue solve per
+    step, matched to the previous step; None if some label moves more than
+    half the local gap."""
+    n = len(base)
+    ts = np.linspace(0.0, 2.0 * math.pi, steps + 1)
+    values = np.empty((steps + 1, n), dtype=complex)
+    values[0] = base
+    prev = base
+    for s in range(1, steps + 1):
+        new = np.linalg.eigvals(L_at(ts[s]))
+        cols = match_step(prev, new)
+        matched = new[cols]
+        moves = np.abs(matched - prev)
+        gaps = local_gaps(new)[cols]
+        if (moves > 0.5 * gaps).any():
+            return None
+        values[s] = matched
+        prev = matched
+    return ts, values
+
+
+def sequential_track_wheel(system, h0, wheel, steps, max_steps=None):
+    """(ts, labelled values, steps used) for one wheel: labels from the
+    sorted t=0 spectrum, the whole path redone at twice the steps while an
+    attempt fails, up to 16 times the request; None if all fail."""
+    h0 = np.asarray(h0, dtype=complex)
+    Z = system.zeta
+    L0 = (Z.T * h0) @ Z
+    turn = h0[wheel] * np.outer(Z[wheel], Z[wheel])
+
+    def L_at(t):
+        return L0 + (np.exp(1j * t) - 1.0) * turn
+
+    if max_steps is None:
+        max_steps = 16 * steps
+    base = np.sort_complex(np.linalg.eigvals(L_at(0.0)))
+    while steps <= max_steps:
+        path = track_once(L_at, steps, base)
+        if path is not None:
+            return path[0], path[1], steps
+        steps *= 2
+    return None

@@ -76,6 +76,23 @@ def test_det_pivot_log(capsys):
     assert any("pivot" in line for line in data["L"]["pivot_log"])
 
 
+@pytest.mark.parametrize("kind", ["real", "complex", "quaternion",
+                                  "octonion", "gaussian"])
+def test_det_pivot_log_eliminates_each_matrix_once(capsys, monkeypatch, kind):
+    # the logged elimination also yields the Study value and, except over
+    # the Gaussian rationals (Bareiss) and octonions (none), the Dieudonne one
+    from setfield import determinants
+
+    calls = []
+    original = determinants.row_reduce
+    monkeypatch.setattr(determinants, "row_reduce",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    code, data = run_json(capsys, "det", "--inline", "{{1,2,3}}", "--closure",
+                          "--field", "random:5:" + kind, "--pivot-log")
+    assert code == 0 and len(calls) == 2
+    assert data["L"]["pivot_log"] and data["g"]["study"] > 0
+
+
 def test_check_all_pass_exit_zero(capsys):
     code, data = run_json(capsys, "check", "--inline", "{{1,2}}", "--closure",
                           "--field", "roots:3", "--identity", "all")
@@ -199,20 +216,17 @@ def test_output_dir_written(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "gen.json"))
 
 
-def test_group_closure_overflow_reports_one_line(capsys, monkeypatch):
-    # the real closure with a cap below the triangle's order 36
-    from setfield import spectral
-
-    closure = spectral.group_closure
-    monkeypatch.setattr(spectral, "group_closure",
-                        lambda perms, cap: closure(perms, cap=3))
-    code = main(["group", "--inline", "{{1,2,3}}", "--closure",
-                 "--field", "roots:7", "--steps", "100"])
+def test_group_closure_overflow_reports_one_line(capsys):
+    # `group` no longer lists the group, so a closure cannot overflow; its
+    # exit-2 path is reached by tracking that stays ambiguous: roots of
+    # unity on a diagonal matrix collide at every step count
+    code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3",
+                 "--steps", "50"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "group closure exceeded cap 3" in lines[0]
+    assert "stayed ambiguous" in lines[0]
 
 
 def test_kaehler_reports_unfactored_cofactor(capsys, monkeypatch):

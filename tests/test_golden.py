@@ -1,16 +1,21 @@
-"""Byte-for-byte CLI reports for the noncommutative and exact kinds.
+"""Byte-for-byte CLI reports for the noncommutative and exact kinds and for
+eigenvalue monodromy.
 
 The files under tests/golden/ hold the stdout of `matrices`, `check` and
 `det --pivot-log` as written by the per-entry scalar code, before matrix
 products and eliminations moved to component arrays.  The kernel promises
 the same floating-point operations in the same order, so the reports must
-match to the last byte.  Regenerate (only for an intended format change)
-with `PYTHONPATH=src python tests/test_golden.py --write`.
+match to the last byte.  The `group` and `phase` reports and the triangle's
+`phase --output` CSVs were written by the one-matrix-at-a-time tracker,
+before eigenvalue solves and matching were batched; the batched tracker
+promises the same paths bit for bit.  Regenerate (only for an intended
+format change) with `PYTHONPATH=src python tests/test_golden.py --write`.
 """
 
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,8 @@ from setfield.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 SYSTEMS = {"triangle": "{{1,2,3}}", "path": "{{1,2},{2,3},{3,4}}",
-           "tetrahedron": "{{1,2,3,4}}"}
+           "tetrahedron": "{{1,2,3,4}}",
+           "path-edge": "{{1,2},{2,3},{3,4},{5,6}}"}
 FIELDS = {
     "quaternion": "random:5:quaternion",
     "quaternion-unit": "random:5:quaternion:unit",
@@ -28,13 +34,27 @@ FIELDS = {
     "octonion-unit": "random:5:octonion:unit",
     "gaussian": "random:5:gaussian",
     "gaussian-unit": "random:5:gaussian:unit",
+    "roots7": "roots:7",
+    "roots10": "roots:10",
 }
-COMMANDS = {"matrices": [], "check": [], "det": ["--pivot-log"]}
+COMMANDS = {"matrices": [], "check": [], "det": ["--pivot-log"],
+            "group": [], "phase": []}
 
 # The closure of {1,2,3,4} has 15 elements, enough for eliminations to run on
 # component arrays; `matrices` eliminates nothing and skips it.
-CASES = [(cmd, sysname, fname) for cmd in COMMANDS for sysname in SYSTEMS
-         for fname in FIELDS if (cmd, sysname) != ("matrices", "tetrahedron")]
+ALGEBRA_CASES = [(cmd, sysname, fname)
+                 for cmd in ("matrices", "check", "det")
+                 for sysname in ("triangle", "path", "tetrahedron")
+                 for fname in FIELDS if not fname.startswith("roots")
+                 and (cmd, sysname) != ("matrices", "tetrahedron")]
+# The paper's two worked monodromy cases: group orders 36 and 72.
+MONODROMY_CASES = [(cmd, sysname, fname) for cmd in ("group", "phase")
+                   for sysname, fname in (("triangle", "roots7"),
+                                          ("path-edge", "roots10"))]
+CASES = ALGEBRA_CASES + MONODROMY_CASES
+# `phase --output` writes one CSV of labelled eigenvalue samples per wheel.
+CSV_CASE = ("phase", "triangle", "roots7")
+CSV_WHEELS = 7
 
 
 def _argv(cmd, sysname, fname):
@@ -53,10 +73,28 @@ def _stdout(argv):
     return buf.getvalue()
 
 
+def _csv_path(wheel):
+    return GOLDEN / ("%s_%s_%s_wheel_%02d.csv" % (CSV_CASE + (wheel,)))
+
+
+def _phase_csvs():
+    """The CSV texts `phase --output` writes for CSV_CASE, by wheel."""
+    with tempfile.TemporaryDirectory() as out:
+        _stdout(_argv(*CSV_CASE) + ["--output", out])
+        return [(Path(out) / ("wheel_%02d.csv" % w)).read_text()
+                for w in range(CSV_WHEELS)]
+
+
 @pytest.mark.parametrize("cmd,sysname,fname", CASES)
 def test_cli_report_bytes_match_golden(cmd, sysname, fname):
     want = _path(cmd, sysname, fname).read_text()
     assert _stdout(_argv(cmd, sysname, fname)) == want
+
+
+def test_phase_csv_bytes_match_golden():
+    got = _phase_csvs()
+    for wheel in range(CSV_WHEELS):
+        assert got[wheel] == _csv_path(wheel).read_text(), wheel
 
 
 if __name__ == "__main__":
@@ -65,3 +103,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         _path(*case).write_text(_stdout(_argv(*case)))
+    for wheel, text in enumerate(_phase_csvs()):
+        _csv_path(wheel).write_text(text)

@@ -5,13 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import greedy_eigen_tracking, random_set_system
-from setfield import (SetSystem, build_matrices, eigenvalues, group_closure,
-                      monodromy_report, presentations, track_wheel,
+from oracles import (greedy_eigen_tracking, random_set_system,
+                     sequential_track_wheel)
+from setfield import (SetSystem, build_matrices, eigenvalues, generate,
+                      group_closure, group_order, monodromy_report,
+                      presentations, spectral, track_wheel,
                       wheel_permutations, winding_numbers)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.kaehler import jacobian_dr
+from setfield.setsystem import random_complex
 from setfield.spectral import (ClosureOverflowError, SpectralPath,
                                TrackingAmbiguityError, format_cycles,
                                path_permutation, perm_compose, perm_cycles,
@@ -43,6 +46,19 @@ def test_eigenvalues_of_companion_matrix():
     C = [[0, -6j], [1, 2 + 3j]]
     got = sorted(eigenvalues(C), key=lambda z: (z.real, z.imag))
     assert np.allclose(got, [3j, 2 + 0j])
+
+
+def test_stacked_eigenvalues_equal_single_solves():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    got = eigenvalues(stack)
+    for k in range(5):
+        assert got[k].tobytes() == eigenvalues(stack[k]).tobytes()
+    with pytest.raises(ValueError):
+        eigenvalues(np.ones((2, 3, 4)))
+    stack[3, 1, 2] = np.nan
+    with pytest.raises(ValueError):
+        eigenvalues(stack)
 
 
 def test_eigenvalues_rejects_nonfinite():
@@ -171,6 +187,60 @@ def test_tracking_ambiguity_error_on_exact_collisions():
         track_wheel(system, roots_field(system, 3), 0, steps=50)
 
 
+def _count_matches(monkeypatch):
+    """A list that grows by one per spectral._match_step call; tracking
+    calls it only on steps whose greedy matching is ambiguous."""
+    calls = []
+    match = spectral._match_step
+    monkeypatch.setattr(spectral, "_match_step",
+                        lambda prev, new: calls.append(1) or match(prev, new))
+    return calls
+
+
+def _assert_path_matches_oracle(system, h, wheel, steps, max_steps=None):
+    """Same bits as the one-solve-per-step tracker, or the same failure;
+    returns the steps used (None on failure)."""
+    want = sequential_track_wheel(system, h.values, wheel, steps, max_steps)
+    if want is None:
+        with pytest.raises(TrackingAmbiguityError):
+            track_wheel(system, h, wheel, steps, max_steps)
+        return None
+    path = track_wheel(system, h, wheel, steps, max_steps)
+    assert path.steps == want[2]
+    assert path.ts.tobytes() == want[0].tobytes()
+    assert path.values.tobytes() == want[1].tobytes()
+    return path.steps
+
+
+def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
+    matches = _count_matches(monkeypatch)
+    cases = [(generate([[1, 2, 3]]), 7, range(7)),
+             (generate([[1, 2], [2, 3], [3, 4], [5, 6]]), 10, range(10)),
+             # these full-4 wheels fail at 500 steps and retry up to 4000
+             (generate([[1, 2, 3, 4]]), 15, (1, 5, 7))]
+    used = []
+    for system, order, wheels in cases:
+        h = roots_field(system, order)
+        used += [_assert_path_matches_oracle(system, h, w, 500) for w in wheels]
+    assert max(used) == 4000 and sum(u > 500 for u in used) >= 5
+    assert matches
+
+
+def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
+    matches = _count_matches(monkeypatch)
+    rng = random.Random(29)
+    used = []
+    for _ in range(32):
+        system = random_complex(rng, max_generators=3, max_vertices=5,
+                                max_cardinality=3)
+        h = random_field(system, COMPLEX, rng, unit=True)
+        used += [_assert_path_matches_oracle(system, h, w, 40, 160)
+                 for w in range(len(system))]
+    assert any(u is not None and u > 40 for u in used)
+    assert None in used  # some wheels fail at every step count
+    assert matches
+
+
 def test_group_closure_basics():
     assert group_closure([(0, 1, 2)])[0] == 1
     klein = [(1, 0, 2, 3), (0, 1, 3, 2)]
@@ -188,6 +258,86 @@ def test_closure_overflow_error_names_its_cap():
         group_closure([big], cap=5)
     assert isinstance(info.value, RuntimeError) and info.value.cap == 5
     assert "group closure exceeded cap 5" in str(info.value)
+
+
+def _cycle(degree, points):
+    p = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        p[a] = b
+    return tuple(p)
+
+
+def _random_generators(rng, degree):
+    """One to four permutations; half the sets are short cycles, which keep
+    the generated group small."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            gens.append(_cycle(degree, rng.sample(range(degree),
+                                                  min(degree, rng.randint(1, 3)))))
+        else:
+            p = list(range(degree))
+            rng.shuffle(p)
+            gens.append(tuple(p))
+    return gens
+
+
+def test_group_order_matches_closure():
+    rng = random.Random(41)
+    cap = 20000
+    exact = 0
+    for _ in range(240):
+        gens = _random_generators(rng, rng.randint(1, 9))
+        order = group_order(gens)
+        try:
+            want = group_closure(gens, cap)[0]
+        except ClosureOverflowError:
+            assert order > cap
+            continue
+        assert order == want, gens
+        exact += 1
+    assert exact >= 200
+
+
+def test_group_order_known_families():
+    assert group_order([(0,)]) == 1
+    assert group_order([(0, 1, 2), (0, 1, 2)]) == 1
+    assert group_order([(1, 0, 2, 3), (0, 1, 3, 2)]) == 4  # Klein four
+    for n in range(1, 13):
+        rotation = _cycle(n, list(range(n)))
+        reflection = tuple((-i) % n for i in range(n))
+        assert group_order([rotation, reflection]) == (2 * n if n > 2 else n)
+        swap = _cycle(n, [0, 1]) if n > 1 else (0,)
+        assert group_order([rotation, swap]) == math.factorial(n)
+        if n >= 3:
+            three_cycles = [_cycle(n, [0, 1, k]) for k in range(2, n)]
+            assert group_order(three_cycles) == math.factorial(n) // 2
+
+
+def test_group_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(43)
+    for _ in range(30):
+        degree = rng.randint(2, 30)
+        gens = _random_generators(rng, degree)
+        want = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in gens]).order()
+        assert group_order(gens) == want, gens
+
+
+def test_group_order_rejects_bad_input():
+    with pytest.raises(ValueError):
+        group_order([])
+    with pytest.raises(ValueError):
+        group_order([(0, 1), (0, 1, 2)])
+
+
+def test_full_simplex_group_order_past_any_closure():
+    # the group of the full 4-vertex simplex with 15th roots has 14! elements
+    system = generate([[1, 2, 3, 4]])
+    report = monodromy_report(system, roots_field(system, 15))
+    assert report.group_order == 87178291200 == math.factorial(14)
+    assert report.relations_verified
 
 
 def test_perm_utilities():
