@@ -10,8 +10,11 @@ every scalar kind, commutative or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import scalars
+import numpy as np
+
+from . import kernel, scalars
 from .scalars import COMPLEX, GAUSSIAN, REAL, ScalarKind
 from .setsystem import SetSystem
 
@@ -76,27 +79,93 @@ class ConnectionMatrices:
         return len(self.signs)
 
 
-def build_matrices(system: SetSystem, h: EnergyFunction) -> ConnectionMatrices:
-    """Construct L, g, S for a system and a field, in the system's order."""
+class FieldMatrices(NamedTuple):
+    """A field's values, L and g as component arrays, and the signs.
+
+    Matrices are (d, n, n) arrays and `values` is (d, n).  Quaternion and
+    octonion components are floats (kernel.py).  Gaussian ones are Python
+    ints, the real and imaginary parts of `scale` times the entries, where
+    `scale` is the lcm of the field's denominators.  Real and complex numbers
+    are kept as they are, in object arrays with d = 1.  Every sum over
+    entries starts from `zero`.
+    """
+
+    kind: ScalarKind
+    values: np.ndarray
+    L: np.ndarray
+    g: np.ndarray
+    signs: tuple
+    scale: int
+    zero: object
+
+    def potential_and_curvature(self):
+        """Row sums V of g, each added from zero along the row, and the
+        signed diagonal K(x) = omega(x) g(x,x), as (d, n) arrays."""
+        diag = np.diagonal(self.g, axis1=1, axis2=2)
+        K = np.where(np.array(self.signs) < 0, -diag, diag)
+        return kernel.running_sum(self.g, self.zero), K
+
+
+def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
+    """L = Z^T D_h Z and g = S Z D_h Z^T S from the inclusion matrix Z.
+
+    Row k of Z is the star of x_k, so h(x_k) enters L on the block
+    star(x_k) x star(x_k), and g on core(x_k) x core(x_k) (column k).  Each
+    entry receives its values in increasing k from zero, the order in which
+    energy_sum adds H over core(x) & core(y) and star(x) & star(y).
+    """
     n = len(system)
     if len(h) != n:
         raise ValueError("field has %d values for %d elements" % (len(h), n))
-    cores = [set(system.core(k)) for k in range(n)]
-    stars = [set(system.star(k)) for k in range(n)]
+    kind = h.kind
+    scale = 1
+    if kind is GAUSSIAN:
+        re, im, scale = kernel.to_gaussian_integers([h.values])
+        values, zero = np.array(re + im, dtype=object), 0
+    elif kind in kernel.KINDS:
+        values, zero = kernel.to_array([h.values], kind)[:, 0], 0.0
+    else:
+        values, zero = np.array([h.values], dtype=object), kind.zero
+    Z = system.zeta
+    L = _block_sums(values, Z, zero)
+    G = _block_sums(values, Z.T, zero)
     om = omega_vector(system)
-    L = [[None] * n for _ in range(n)]
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lij = energy_sum(system, h, cores[i] & cores[j])
-            L[i][j] = L[j][i] = lij
-            s = energy_sum(system, h, stars[i] & stars[j])
-            sgn = om[i] * om[j]
-            gij = s if sgn == 1 else -s
-            g[i][j] = g[j][i] = gij
-    return ConnectionMatrices(system, h.kind,
-                              tuple(tuple(r) for r in L),
-                              tuple(tuple(r) for r in g), om)
+    g = np.where(np.multiply.outer(om, om) < 0, -G, G)
+    return FieldMatrices(kind, values, L, g, om, scale, zero)
+
+
+def _block_sums(values, blocks, zero):
+    """S[:, i, j] = sum of values[:, k] over the k with blocks[k, i] and
+    blocks[k, j] set, added in increasing k from `zero`."""
+    d, n = values.shape
+    if values.dtype == object:
+        # Python numbers: each value is added only inside its block (an
+        # array step per k would make n^3 Python additions)
+        S = [[[zero] * n for _ in range(n)] for _ in range(d)]
+        for k, row in enumerate(blocks.tolist()):
+            block = [i for i, inside in enumerate(row) if inside]
+            for Sc, v in zip(S, values[:, k].tolist()):
+                for i in block:
+                    Si = Sc[i]
+                    for j in block:
+                        Si[j] = Si[j] + v
+        return np.array(S, dtype=object).reshape(d, n, n)
+    # floats: one array step per k, adding 0.0 outside block k.  No sum from
+    # zero is ever -0.0 (a round-to-nearest sum is -0.0 only when both terms
+    # are), so adding 0.0 changes no entry's bits.
+    inside = blocks[:, :, None] & blocks[:, None, :] != 0
+    S = np.full((d, n, n), zero, dtype=float)
+    for k in range(n):
+        S += np.where(inside[k], values[:, k, None, None], zero)
+    return S
+
+
+def build_matrices(system: SetSystem, h: EnergyFunction) -> ConnectionMatrices:
+    """Construct L, g, S for a system and a field, in the system's order."""
+    fm = field_matrices(system, h)
+    L, g = (tuple(map(tuple, kernel.from_array(M, h.kind, fm.scale)))
+            for M in (fm.L, fm.g))
+    return ConnectionMatrices(system, h.kind, L, g, fm.signs)
 
 
 def super_trace(M, signs):
@@ -116,29 +185,16 @@ def potential_and_curvature(system: SetSystem, h: EnergyFunction):
     For simplicial complexes the two vectors agree entrywise; for general set
     systems both are still defined and reported separately.
     """
-    cm = build_matrices(system, h)
-    n = cm.n
-    V = []
-    K = []
-    for i in range(n):
-        row = cm.g[i]
-        total = h.kind.zero
-        for v in row:
-            total = total + v
-        V.append(total)
-        K.append(cm.g[i][i] if cm.signs[i] == 1 else -cm.g[i][i])
-    return V, K
+    fm = field_matrices(system, h)
+    return tuple(kernel.from_array(X[:, None], h.kind, fm.scale)[0]
+                 for X in fm.potential_and_curvature())
 
 
 def green_diagonal(system: SetSystem, h: EnergyFunction):
-    """The map from field values to the diagonal Green entries (g(x,x))_x."""
-    n = len(system)
-    stars = [system.star(k) for k in range(n)]
-    out = []
-    for k in range(n):
-        s = energy_sum(system, h, stars[k])
-        out.append(s)  # omega(x)^2 = 1 on the diagonal
-    return out
+    """The map from field values to the diagonal Green entries (g(x,x))_x,
+    each H(star(x)) since omega(x)^2 = 1."""
+    g = build_matrices(system, h).g
+    return [row[k] for k, row in enumerate(g)]
 
 
 # ---------------------------------------------------------------------------

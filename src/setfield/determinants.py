@@ -45,7 +45,9 @@ def _matrix_kind(M, kind=None) -> ScalarKind:
 def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     """Permutation sum with right-bracketed products; factorial cost, capped.
 
-    Exact whenever the entries are exact (ints, Gaussian rationals).
+    Exact whenever the entries are exact (ints, Gaussian rationals).  Over
+    the Gaussian rationals, which commute, the sum is the determinant and
+    comes from one fraction-free elimination instead (same cap).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -53,6 +55,8 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     if n > cap:
         raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d" % (n, cap))
     kind = _matrix_kind(M, kind)
+    if kind is GAUSSIAN:
+        return _gaussian_det(M)
     total = kind.zero
     for perm in itertools.permutations(range(n)):
         term = scalars.product_right([M[i][perm[i]] for i in range(n)], kind)
@@ -93,12 +97,16 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     Row r picks up  row_r - (M[r][c] * pivot^-1) * row_c, which leaves both
     row-reduction determinants unchanged; swaps flip the sign bookkeeping.
     Float kinds pick the largest-norm pivot per column, the exact kind takes
-    the first nonzero one.
+    the first nonzero one.  M may also be a component array in the form of
+    connection.field_matrices (not Gaussian), with `kind` given.
     """
     kind = _matrix_kind(M, kind)
-    n = len(M)
+    arrays = isinstance(M, np.ndarray)
+    n = M.shape[1] if arrays else len(M)
     if kind in kernel.COMPONENT_MUL and n >= COMPONENT_ELIMINATION_MIN_SIZE:
         return _row_reduce_components(M, kind, want_log)
+    if arrays:
+        M = kernel.from_array(M, kind)
     W = [list(row) for row in M]
     log = [] if want_log else None
     exact = kind.exact
@@ -151,7 +159,7 @@ def _row_reduce_components(M, kind, want_log) -> Elimination:
     the others.
     """
     mul = kernel.COMPONENT_MUL[kind]
-    W = kernel.to_array(M, kind)
+    W = M.copy() if isinstance(M, np.ndarray) else kernel.to_array(M, kind)
     n = W.shape[1]
     log = [] if want_log else None
     max_norm_sq = float(kernel.norm_sq(W).max()) if n else 0.0
@@ -320,7 +328,12 @@ def _gaussian_det(M) -> GaussianRational:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    re, im, D = kernel.to_gaussian_integers(M)
+    return _gaussian_integer_det(*kernel.to_gaussian_integers(M))
+
+
+def _gaussian_integer_det(re, im, D) -> GaussianRational:
+    """det((re + i im) / D) for square int matrices re, im (nested lists)."""
+    n = len(re)
     rows = [list(zip(r, i)) for r, i in zip(re, im)]
     sign, (dr, di), rank = _bareiss_echelon(rows, GAUSSIAN_INTEGERS)
     if rank < n:
@@ -366,17 +379,17 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
     Holds for arbitrary finite sets of sets, not only simplicial complexes.
     Exact comparison over Gaussian rationals, relative tolerance elsewhere.
     """
-    from .connection import build_matrices
+    from .connection import field_matrices
 
-    cm = build_matrices(system, h)
+    fm = field_matrices(system, h)
     kind = h.kind
     if kind is GAUSSIAN:
         # one exact elimination per matrix gives the det and |det|^2
         target_sq = scalars.norm_sq(h.values[0])
         for v in h.values[1:]:
             target_sq = target_sq * scalars.norm_sq(v)
-        dL = _gaussian_det(cm.L)
-        dg = _gaussian_det(cm.g)
+        dL, dg = (_gaussian_integer_det(*M.tolist(), fm.scale)
+                  for M in (fm.L, fm.g))
         sqL = dL.norm_sq()
         sqg = dg.norm_sq()
         target_d = scalars.product_right(list(h.values), kind)
@@ -387,8 +400,8 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
                                 math.sqrt(float(target_sq)), dL, dg, target_d,
                                 0.0 if ok else 1.0, ok, ok)
     # one elimination per matrix gives both determinants
-    elimL = row_reduce(cm.L, kind)
-    elimg = row_reduce(cm.g, kind)
+    elimL = row_reduce(fm.L, kind)
+    elimg = row_reduce(fm.g, kind)
     expected_study = math.prod(scalars.norm(v) for v in h.values)
     sL = study_value(elimL)
     sg = study_value(elimg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, scalars
 from .connection import (EnergyFunction, build_matrices, energy_sum,
-                         omega_field, omega_vector, super_trace)
+                         field_matrices, omega_field, omega_vector)
 from .determinants import bareiss_det
 from .setsystem import SetSystem
 
@@ -68,21 +68,62 @@ def mat_mul(A, B, kind):
     return C
 
 
-def identity_deviation(M, kind):
-    """Max entry norm of M - I and the offending index pairs."""
-    n = len(M)
-    worst = 0.0
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            target = kind.one if i == j else kind.zero
-            d = float(scalars.norm_sq(M[i][j] - target)) ** 0.5
-            if d > worst:
-                worst = d
-            if d > 0:
-                witnesses.append((i, j, d))
-    witnesses.sort(key=lambda t: -t[2])
-    return worst, [(i, j) for i, j, _ in witnesses[:8]]
+# component arrays in the form of connection.field_matrices
+
+def _deviation(norms):
+    """(max over entries of sqrt(norm), index pairs of the eight largest
+    nonzero ones, largest first) for a 2-d float array of squared norms."""
+    at = np.flatnonzero(norms > 0)
+    roots = [v ** 0.5 for v in norms.flat[at].tolist()]
+    order = sorted(range(len(roots)), key=lambda t: -roots[t])[:8]
+    return (max(roots, default=0.0),
+            [divmod(int(at[t]), norms.shape[1]) for t in order])
+
+
+_CONJUGATE = np.frompyfunc(scalars.conjugate, 1, 1)
+_NORM_SQ = np.frompyfunc(scalars.norm_sq, 1, 1)
+
+
+def _conjugate(X, kind):
+    if kind in kernel.KINDS:  # every imaginary component changes sign
+        return np.concatenate([X[:1], -X[1:]])
+    return _CONJUGATE(X)
+
+
+def _product(A, B, kind):
+    if kind in kernel.KINDS:
+        return kernel.product(A, B, kind)
+    return np.array(mat_mul(A[0].tolist(), B[0].tolist(), kind),
+                    dtype=object)[None]
+
+
+def _norms(X, kind, scale):
+    """Squared norms of the entries of X (divided by `scale` for Gaussian
+    integers) as floats, each rounded once from its exact value."""
+    if kind is scalars.GAUSSIAN:
+        return (kernel.norm_sq(X) / scale ** 2).astype(float)
+    if kind in kernel.KINDS:
+        return kernel.norm_sq(X)
+    return _NORM_SQ(X[0]).astype(float)
+
+
+def _minus_identity(X, one):
+    Y = X.copy()
+    diag = np.arange(X.shape[1])
+    Y[0, diag, diag] -= one
+    return Y
+
+
+def _norms_as_scalars(fm, h):
+    """|h(x)|^2 times the kind's one, for every x, in fm's form (Gaussian
+    integers at scale fm.scale ** 2, that of conj(g) L)."""
+    kind = h.kind
+    if kind in kernel.KINDS:
+        one = np.zeros(len(fm.values), dtype=fm.values.dtype)
+        one[0] = 1
+        return np.multiply.outer(one, kernel.norm_sq(fm.values))
+    return np.array([[kind.one * float(scalars.norm_sq(v))
+                      for v in h.values]], dtype=object)
 
 
 def _scaled_tol(h: EnergyFunction, tol):
@@ -103,14 +144,16 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     unit field or not, and in ascending canonical order the product is upper
     triangular; both facts are recorded in the report details.
     """
-    cm = build_matrices(system, h)
+    fm = field_matrices(system, h)
     kind = h.kind
-    gbar = entrywise_conjugate(cm.g)
-    gL = mat_mul(gbar, cm.L, kind)
-    Lg = mat_mul(cm.L, gbar, kind)
+    n = len(fm.signs)
+    gbar = _conjugate(fm.g, kind)
+    gL = _product(gbar, fm.L, kind)
+    Lg = _product(fm.L, gbar, kind)
+    scale = fm.scale ** 2  # of the products, for Gaussian integers
     eff = _scaled_tol(h, tol)
-    dev_gL, wit_gL = identity_deviation(gL, kind)
-    dev_Lg, wit_Lg = identity_deviation(Lg, kind)
+    dev_gL, wit_gL = _deviation(_norms(_minus_identity(gL, scale), kind, scale))
+    dev_Lg, wit_Lg = _deviation(_norms(_minus_identity(Lg, scale), kind, scale))
     worst = max(dev_gL, dev_Lg)
 
     complex_ok = system.is_simplicial_complex()
@@ -121,15 +164,14 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     elif not units_ok:
         applicability = "field is not unit valued; inversion not expected"
 
+    diag = np.diagonal(gL, axis1=1, axis2=2)
     diag_dev = 0.0
-    for k in range(cm.n):
-        d = float(scalars.norm_sq(gL[k][k]
-                                  - _norm_sq_as_scalar(h.values[k], kind))) ** 0.5
-        diag_dev = max(diag_dev, d)
+    for v in _norms(diag - _norms_as_scalars(fm, h), kind, scale).tolist():
+        diag_dev = max(diag_dev, v ** 0.5)
     upper = None
     if complex_ok and system.is_canonical():
-        upper = all(float(scalars.norm_sq(gL[i][j])) ** 0.5 <= eff
-                    for i in range(cm.n) for j in range(i))
+        lower = _norms(gL, kind, scale)[np.tril_indices(n, -1)]
+        upper = all(v ** 0.5 <= eff for v in lower.tolist())
 
     holds = worst <= eff
     witnesses = [] if holds else (wit_gL or wit_Lg)
@@ -139,28 +181,22 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
         details={
             "diagonal_matches_norms": complex_ok and diag_dev <= eff,
             "diagonal_deviation": diag_dev,
-            "diagonal": [scalars.to_jsonable(gL[k][k]) for k in range(cm.n)],
+            "diagonal": [scalars.to_jsonable(v) for v in
+                         kernel.from_array(diag[:, None], kind, scale)[0]],
             "upper_triangular": upper,
             "gL_deviation": dev_gL,
             "Lg_deviation": dev_Lg,
         })
 
 
-def _norm_sq_as_scalar(v, kind):
-    n2 = scalars.norm_sq(v)
-    if kind is scalars.GAUSSIAN:
-        return scalars.GaussianRational(n2)
-    return kind.one * float(n2)
-
-
 def energy_check(system: SetSystem, h: EnergyFunction,
                  tol=DEFAULT_TOL) -> IdentityReport:
     """Total of all g entries equals H(G); additive, so valid for every kind."""
-    cm = build_matrices(system, h)
-    total = h.kind.zero
-    for row in cm.g:
-        for v in row:
-            total = total + v
+    fm = field_matrices(system, h)
+    # every entry added in turn, row by row, from zero
+    total = kernel.scalar(
+        kernel.running_sum(fm.g.reshape(len(fm.g), -1), fm.zero),
+        h.kind, fm.scale)
     target = energy_sum(system, h, range(len(system)))
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
@@ -177,17 +213,17 @@ def energy_check(system: SetSystem, h: EnergyFunction,
 def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
                        tol=DEFAULT_TOL) -> IdentityReport:
     """Super trace of g equals the total energy, and potential equals curvature."""
-    cm = build_matrices(system, h)
-    st = super_trace(cm.g, cm.signs)
+    fm = field_matrices(system, h)
+    V, K = fm.potential_and_curvature()
+    if not K.shape[1]:
+        raise ValueError("empty matrix has no super trace")
+    # the super trace is the sum of the curvatures, from the first one on
+    st = kernel.scalar(kernel.running_sum(K), h.kind, fm.scale)
     target = energy_sum(system, h, range(len(system)))
     dev = float(scalars.norm_sq(st - target)) ** 0.5
     witnesses = []
-    for i in range(cm.n):
-        row_total = h.kind.zero
-        for v in cm.g[i]:
-            row_total = row_total + v
-        curv = cm.g[i][i] if cm.signs[i] == 1 else -cm.g[i][i]
-        d = float(scalars.norm_sq(row_total - curv)) ** 0.5
+    for i, v in enumerate(_norms(V - K, h.kind, fm.scale).tolist()):
+        d = v ** 0.5
         if d > dev:
             dev = d
         if d > 0:

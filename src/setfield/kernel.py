@@ -10,8 +10,11 @@ arithmetic.  A structure-tensor GEMM would be faster still, but it sums in
 another order and moves the last bits of every report.
 
 A Gaussian-rational matrix is scaled by the lcm of its denominators to a
-matrix over the Gaussian integers Z[i], held as two int matrices, so exact
-products and eliminations run on Python ints instead of Fractions.
+matrix over the Gaussian integers Z[i], held as two int matrices (or one
+(2, n, m) object array of Python ints), so exact products and eliminations
+run on Python ints instead of Fractions.  `scalar` and `from_array` also
+read real and complex matrices held as (1, n, m) object arrays of their
+numbers (connection.field_matrices).
 """
 
 from __future__ import annotations
@@ -47,15 +50,25 @@ def to_array(M, kind) -> np.ndarray:
     return X.transpose(2, 0, 1)
 
 
-def scalar(X: np.ndarray, kind):
-    """The scalar whose components are the 1-d array X."""
-    return _CLASS[kind](*X.tolist())
+def _maker(kind, scale):
+    if kind is GAUSSIAN:
+        return lambda re, im: GaussianRational(Fraction(re, scale),
+                                               Fraction(im, scale))
+    return _CLASS.get(kind, lambda x: x)  # real and complex: the number
 
 
-def from_array(X: np.ndarray, kind) -> list:
-    """Nested lists of scalars from a (d, n, m) component array."""
-    cls = _CLASS[kind]
-    return [[cls(*c) for c in row] for row in X.transpose(1, 2, 0).tolist()]
+def scalar(X: np.ndarray, kind, scale=1):
+    """The scalar whose components are the 1-d array X (divided by `scale`,
+    an int, for Gaussian-integer components; X holds the number itself for
+    the real and complex kinds)."""
+    return _maker(kind, scale)(*X.tolist())
+
+
+def from_array(X: np.ndarray, kind, scale=1) -> list:
+    """Nested lists of scalars from a (d, n, m) component array (divided by
+    `scale`, an int, for Gaussian-integer components)."""
+    make = _maker(kind, scale)
+    return [[make(*c) for c in row] for row in X.transpose(1, 2, 0).tolist()]
 
 
 def norm_sq(X: np.ndarray) -> np.ndarray:
@@ -64,6 +77,20 @@ def norm_sq(X: np.ndarray) -> np.ndarray:
     for x in X[1:]:
         total = total + x * x
     return total
+
+
+def running_sum(X: np.ndarray, zero=None) -> np.ndarray:
+    """Sum over the last axis, one term at a time in the order of the
+    per-entry loops, from `zero` or, when it is None, from the first term.
+
+    numpy's sum adds pairwise instead.  np.add.accumulate, not np.cumsum:
+    on numpy 2.4 the np.cumsum path keeps memory from call to call, so a
+    long run grows.
+    """
+    if zero is not None:
+        start = np.full(X.shape[:-1] + (1,), zero, dtype=X.dtype)
+        X = np.concatenate([start, X], axis=-1)
+    return np.add.accumulate(X, axis=-1)[..., -1]
 
 
 def array_mat_mul(A: np.ndarray, B: np.ndarray, mul) -> np.ndarray:
@@ -95,17 +122,26 @@ def to_gaussian_integers(M):
     return re, im, D
 
 
+def gaussian_mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for Gaussian-integer component arrays (2, n, p) and (2, p, m)."""
+    return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
+
+
+def product(A: np.ndarray, B: np.ndarray, kind) -> np.ndarray:
+    """A B for component arrays of any kernel kind."""
+    if kind is GAUSSIAN:
+        return gaussian_mat_mul(A, B)
+    return array_mat_mul(A, B, COMPONENT_MUL[kind])
+
+
 def mat_mul(A, B, kind) -> list:
     """A B for quaternion, octonion or Gaussian matrices (nested lists)."""
     if kind is GAUSSIAN:
         ar, ai, da = to_gaussian_integers(A)
         br, bi, db = to_gaussian_integers(B)
-        ar, ai, br, bi = (np.array(x, dtype=object) for x in (ar, ai, br, bi))
-        D = da * db
-        re = (ar @ br - ai @ bi).tolist()
-        im = (ar @ bi + ai @ br).tolist()
-        return [[GaussianRational(Fraction(x, D), Fraction(y, D))
-                 for x, y in zip(rr, ir)] for rr, ir in zip(re, im)]
+        C = gaussian_mat_mul(np.array([ar, ai], dtype=object),
+                             np.array([br, bi], dtype=object))
+        return from_array(C, kind, da * db)
     C = array_mat_mul(to_array(A, kind), to_array(B, kind),
                       COMPONENT_MUL[kind])
     return from_array(C, kind)

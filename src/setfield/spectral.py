@@ -111,12 +111,80 @@ def _match_step(prev, new):
         second = D2.min(axis=1)
         ambiguous = bool((second < AMBIGUITY_MARGIN * best).any())
     if ambiguous:
-        # scipy costs more to import than a whole small tracking run; only
-        # ambiguous steps need it
-        from scipy.optimize import linear_sum_assignment
-
-        _, cols = linear_sum_assignment(D)
+        cols = min_cost_assignment(D)
     return cols
+
+
+def min_cost_assignment(cost) -> np.ndarray:
+    """Columns of a minimum-cost perfect matching of a square cost matrix:
+    row i goes to column cols[i].
+
+    Shortest augmenting paths with dual potentials, one row at a time
+    (Jonker-Volgenant, as laid out by Crouse 2016), O(n^3).  Columns are
+    scanned from the last one down and, among equally short paths, a path
+    ending on a free column is taken, so that ties resolve as in the
+    rectangular_lsap solver of scipy.optimize.linear_sum_assignment.
+    """
+    C = np.asarray(cost, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError("cost matrix must be square")
+    if np.isnan(C).any() or (C == -np.inf).any():
+        raise ValueError("cost matrix has NaN or -inf entries")
+    C = C.tolist()
+    n = len(C)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        seen_rows = [False] * n
+        seen_cols = [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            seen_rows[i] = True
+            index = -1
+            lowest = math.inf
+            Ci, ui = C[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + Ci[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for r in range(n):
+            if seen_rows[r] and r != cur:
+                u[r] += min_val - shortest[col4row[r]]
+        for j in range(n):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.intp)
 
 
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,

@@ -6,7 +6,11 @@ with the production paths it validates.  The per-entry `mat_mul` and
 `row_reduce` at the end are the library's code from before matrices moved to
 component arrays; they multiply scalar objects one entry at a time, and the
 scalar products themselves are pinned to `quaternion_product` and
-`octonion_product` here.  `sequential_track_wheel` is the eigenvalue
+`octonion_product` here.  `build_matrices_by_sets` and the four
+`*_by_entries` checks are the library's construction of L and g (stars and
+cores intersected one pair at a time, summed by the library's `energy_sum`)
+and its identity checks from before they moved onto the inclusion matrix
+and component arrays.  `sequential_track_wheel` is the eigenvalue
 tracker from before solves were stacked: one `eigvals` call and one match
 per step, and a retry that starts over.
 """
@@ -19,7 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from setfield import SetSystem, scalars
-from setfield.determinants import SINGULAR_PIVOT_RATIO, Elimination
+from setfield.connection import ConnectionMatrices, energy_sum, omega_vector
+from setfield.determinants import (SINGULAR_PIVOT_RATIO, DetFormulaReport,
+                                   Elimination)
+from setfield.identities import IdentityReport
 
 
 def laplace_det(M):
@@ -256,6 +263,226 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
                 log.append("row %d -= (%s) * row %d"
                            % (r, scalars.format_scalar(f), c))
     return Elimination(pivots, swaps, False, log or [])
+
+
+# ---------------------------------------------------------------------------
+# L, g and the identity checks one entry at a time, kept as the bit-identity
+# reference for the build on the inclusion matrix and the checks on
+# component arrays
+
+def build_matrices_by_sets(system, h):
+    """L(x,y) = H(core(x) & core(y)) and g(x,y) = omega(x) omega(y)
+    H(star(x) & star(y)), one intersection of index sets per pair."""
+    n = len(system)
+    if len(h) != n:
+        raise ValueError("field has %d values for %d elements" % (len(h), n))
+    cores = [set(system.core(k)) for k in range(n)]
+    stars = [set(system.star(k)) for k in range(n)]
+    om = omega_vector(system)
+    L = [[None] * n for _ in range(n)]
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lij = energy_sum(system, h, cores[i] & cores[j])
+            L[i][j] = L[j][i] = lij
+            s = energy_sum(system, h, stars[i] & stars[j])
+            sgn = om[i] * om[j]
+            gij = s if sgn == 1 else -s
+            g[i][j] = g[j][i] = gij
+    return ConnectionMatrices(system, h.kind,
+                              tuple(tuple(r) for r in L),
+                              tuple(tuple(r) for r in g), om)
+
+
+def _identity_deviation(M, kind):
+    n = len(M)
+    worst = 0.0
+    witnesses = []
+    for i in range(n):
+        for j in range(n):
+            target = kind.one if i == j else kind.zero
+            d = float(scalars.norm_sq(M[i][j] - target)) ** 0.5
+            if d > worst:
+                worst = d
+            if d > 0:
+                witnesses.append((i, j, d))
+    witnesses.sort(key=lambda t: -t[2])
+    return worst, [(i, j) for i, j, _ in witnesses[:8]]
+
+
+def _scaled_tol(h, tol):
+    if h.kind.exact:
+        return 0.0
+    peak = max((float(scalars.norm_sq(v)) for v in h.values), default=1.0)
+    return tol * max(1.0, peak)
+
+
+def _norm_sq_as_scalar(v, kind):
+    n2 = scalars.norm_sq(v)
+    if kind is scalars.GAUSSIAN:
+        return scalars.GaussianRational(n2)
+    return kind.one * float(n2)
+
+
+def green_star_by_entries(system, h, tol=scalars.DEFAULT_TOL):
+    cm = build_matrices_by_sets(system, h)
+    kind = h.kind
+    gbar = [[scalars.conjugate(v) for v in row] for row in cm.g]
+    gL = mat_mul(gbar, cm.L, kind)
+    Lg = mat_mul(cm.L, gbar, kind)
+    eff = _scaled_tol(h, tol)
+    dev_gL, wit_gL = _identity_deviation(gL, kind)
+    dev_Lg, wit_Lg = _identity_deviation(Lg, kind)
+    worst = max(dev_gL, dev_Lg)
+    complex_ok = system.is_simplicial_complex()
+    units_ok = h.all_units(tol)
+    applicability = None
+    if not complex_ok:
+        applicability = "not a simplicial complex; inversion not expected"
+    elif not units_ok:
+        applicability = "field is not unit valued; inversion not expected"
+    diag_dev = 0.0
+    for k in range(cm.n):
+        d = float(scalars.norm_sq(gL[k][k]
+                                  - _norm_sq_as_scalar(h.values[k], kind))) ** 0.5
+        diag_dev = max(diag_dev, d)
+    upper = None
+    if complex_ok and system.is_canonical():
+        upper = all(float(scalars.norm_sq(gL[i][j])) ** 0.5 <= eff
+                    for i in range(cm.n) for j in range(i))
+    holds = worst <= eff
+    witnesses = [] if holds else (wit_gL or wit_Lg)
+    return IdentityReport(
+        name="greenstar", holds=holds, max_abs_deviation=worst,
+        witnesses=witnesses, applicability=applicability,
+        details={
+            "diagonal_matches_norms": complex_ok and diag_dev <= eff,
+            "diagonal_deviation": diag_dev,
+            "diagonal": [scalars.to_jsonable(gL[k][k]) for k in range(cm.n)],
+            "upper_triangular": upper,
+            "gL_deviation": dev_gL,
+            "Lg_deviation": dev_Lg,
+        })
+
+
+def energy_by_entries(system, h, tol=scalars.DEFAULT_TOL):
+    cm = build_matrices_by_sets(system, h)
+    total = h.kind.zero
+    for row in cm.g:
+        for v in row:
+            total = total + v
+    target = energy_sum(system, h, range(len(system)))
+    dev = float(scalars.norm_sq(total - target)) ** 0.5
+    eff = _scaled_tol(h, tol)
+    applicability = None
+    if not system.is_simplicial_complex():
+        applicability = "not a simplicial complex; identity not guaranteed"
+    return IdentityReport("energy", dev <= eff, dev,
+                          witnesses=[] if dev <= eff else [(-1, -1)],
+                          applicability=applicability,
+                          details={"lhs": scalars.to_jsonable(total),
+                                   "rhs": scalars.to_jsonable(target)})
+
+
+def gauss_bonnet_by_entries(system, h, tol=scalars.DEFAULT_TOL):
+    cm = build_matrices_by_sets(system, h)
+    st = None
+    for k, s in enumerate(cm.signs):
+        term = cm.g[k][k] if s == 1 else -cm.g[k][k]
+        st = term if st is None else st + term
+    if st is None:
+        raise ValueError("empty matrix has no super trace")
+    target = energy_sum(system, h, range(len(system)))
+    dev = float(scalars.norm_sq(st - target)) ** 0.5
+    witnesses = []
+    for i in range(cm.n):
+        row_total = h.kind.zero
+        for v in cm.g[i]:
+            row_total = row_total + v
+        curv = cm.g[i][i] if cm.signs[i] == 1 else -cm.g[i][i]
+        d = float(scalars.norm_sq(row_total - curv)) ** 0.5
+        if d > dev:
+            dev = d
+        if d > 0:
+            witnesses.append((i, i))
+    eff = _scaled_tol(h, tol)
+    applicability = None
+    if not system.is_simplicial_complex():
+        applicability = "not a simplicial complex; identity not guaranteed"
+    return IdentityReport("gaussbonnet", dev <= eff, dev,
+                          witnesses=[] if dev <= eff else witnesses,
+                          applicability=applicability,
+                          details={"super_trace": scalars.to_jsonable(st)})
+
+
+def _study(elim):
+    if elim.singular:
+        return 0.0
+    return math.prod(scalars.norm(p) for p in elim.pivots)
+
+
+def _dieudonne(elim, kind):
+    if elim.singular:
+        return scalars.abelianize(kind.zero)
+    det = scalars.abelianize(kind.one)
+    for p in elim.pivots:
+        det = det * scalars.abelianize(p)
+    if elim.swaps % 2:
+        det = det * scalars.abelianize(kind.from_int(-1))
+    return det
+
+
+def det_formula_by_entries(system, h, tol=scalars.DEFAULT_TOL):
+    """det(L) = det(g) = product of the abelianized field values, from one
+    per-entry elimination per matrix (exact Fraction pivots over the
+    Gaussian rationals)."""
+    cm = build_matrices_by_sets(system, h)
+    kind = h.kind
+    elimL = row_reduce(cm.L, kind)
+    elimg = row_reduce(cm.g, kind)
+    if kind is scalars.GAUSSIAN:
+        target_sq = scalars.norm_sq(h.values[0])
+        for v in h.values[1:]:
+            target_sq = target_sq * scalars.norm_sq(v)
+        dL = _dieudonne(elimL, kind)
+        dg = _dieudonne(elimg, kind)
+        sqL = dL.norm_sq()
+        sqg = dg.norm_sq()
+        target_d = scalars.product_right(list(h.values), kind)
+        ok = (sqL == target_sq and sqg == target_sq
+              and dL == target_d and dg == target_d)
+        return DetFormulaReport(kind.name, math.sqrt(float(sqL)),
+                                math.sqrt(float(sqg)),
+                                math.sqrt(float(target_sq)), dL, dg, target_d,
+                                0.0 if ok else 1.0, ok, ok)
+    expected_study = math.prod(scalars.norm(v) for v in h.values)
+    sL = _study(elimL)
+    sg = _study(elimg)
+    scale = max(expected_study, 1e-300)
+    devs = [abs(sL - expected_study) / scale, abs(sg - expected_study) / scale]
+    if kind is scalars.OCTONION:
+        dL = dg = target_d = None
+    else:
+        dL = _dieudonne(elimL, kind)
+        dg = _dieudonne(elimg, kind)
+        target_d = scalars.abelianize(scalars.product_right(list(h.values), kind))
+        dscale = max(scalars.norm(target_d), 1e-300)
+        devs.append(scalars.norm(dL - target_d) / dscale)
+        devs.append(scalars.norm(dg - target_d) / dscale)
+    worst = max(devs)
+    return DetFormulaReport(kind.name, sL, sg, expected_study, dL, dg, target_d,
+                            worst, False, worst <= tol)
+
+
+def leibniz_sum(M, kind):
+    """Permutation sum with right-bracketed products, n! terms."""
+    n = len(M)
+    total = kind.zero
+    for perm in itertools.permutations(range(n)):
+        term = scalars.product_right([M[i][perm[i]] for i in range(n)], kind)
+        odd = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total + (-term if odd % 2 else term)
+    return total
 
 
 # ---------------------------------------------------------------------------

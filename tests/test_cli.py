@@ -202,6 +202,39 @@ def test_import_does_not_load_scipy():
     assert proc.returncode == 0
 
 
+def test_subcommands_do_not_load_scipy():
+    # `group` on the triangle with roots:7 meets an ambiguous tracking step,
+    # which needs a full assignment
+    runs = [["gen", "--inline", "{{1,2,3},{3,4,5}}", "--closure"],
+            ["matrices", "--inline", "{{1,2,3}}", "--closure",
+             "--field", "random:3:complex:unit"],
+            ["det", "--inline", "{{1,2,3}}", "--closure", "--pivot-log",
+             "--field", "random:3:gaussian"],
+            ["check", "--inline", "{{1,2},{2,3},{3,4}}", "--closure",
+             "--field", "random:3:quaternion:unit"],
+            ["group", "--inline", "{{1,2,3}}", "--closure", "--field",
+             "roots:7"],
+            ["kaehler", "--inline", "{{1,2,3}}", "--closure"],
+            ["check", "--inline", "[]"]]
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import sys",
+        "from setfield import spectral",
+        "from setfield.cli import main",
+        "calls = []",
+        "solve = spectral.min_cost_assignment",
+        "spectral.min_cost_assignment = lambda C: calls.append(1) or solve(C)",
+        "codes = [main(argv) for argv in %r]" % (runs,),
+        "print(repr((codes, bool(calls), 'scipy' in sys.modules)))"])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip().splitlines()[-1] == repr(
+        ([0, 0, 0, 0, 0, 0, 2], True, False))
+
+
 def test_roots_preset_requires_complex_kind(capsys):
     code = main(["matrices", "--inline", "{{1,2}}", "--closure",
                  "--field", "roots:5", "--kind", "quaternion"])

@@ -1,0 +1,240 @@
+"""L and g built on the inclusion matrix, and the identity checks run on
+component arrays, against the per-entry code they replaced.
+
+The set-intersection construction and the per-entry checks live in oracles.py.
+Every entry of L and g sums field values in increasing element order from
+zero in both, so matrices and reports must be repr-equal: zero tolerance,
+signed zeros and Python number types included.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import oracles
+import pytest
+
+from setfield import determinants, identities, kernel, scalars
+from setfield.connection import (build_matrices, energy_sum, green_diagonal,
+                                 omega_field, ones_field,
+                                 potential_and_curvature, random_field)
+from setfield.determinants import MatrixSizeError, det_formula_check, leibniz_det
+from setfield.scalars import (COMPLEX, GAUSSIAN, KINDS, OCTONION, QUATERNION,
+                              REAL, GaussianRational, Octonion, Quaternion)
+from setfield.setsystem import SetSystem, random_complex
+
+KIND_CYCLE = ("real", "complex", "quaternion", "octonion", "gaussian")
+VARIANTS = ("unit", "nonunit", "one-zero", "signed-zeros")
+CHECKS = ((identities.green_star_check, oracles.green_star_by_entries),
+          (identities.energy_check, oracles.energy_by_entries),
+          (identities.gauss_bonnet_check, oracles.gauss_bonnet_by_entries),
+          (det_formula_check, oracles.det_formula_by_entries))
+
+
+def _signed_zero(kind, rng):
+    """A value whose zero components carry random signs."""
+    def comp():
+        return rng.choice((0.0, -0.0, rng.uniform(-2, 2)))
+
+    if kind is REAL:
+        return rng.choice((0.0, -0.0))
+    if kind is COMPLEX:
+        return complex(comp(), rng.choice((0.0, -0.0)))
+    if kind is QUATERNION:
+        return Quaternion(*(comp() for _ in range(4)))
+    if kind is OCTONION:
+        return Octonion(tuple(comp() for _ in range(8)))
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 6)))
+
+
+def _field(system, kind, rng, variant):
+    h = random_field(system, kind, rng, unit=variant == "unit")
+    if variant == "one-zero":
+        h = h.replace_value(rng.randrange(len(h)), kind.zero)
+    elif variant == "signed-zeros":
+        for k in rng.sample(range(len(h)), (len(h) + 1) // 2):
+            h = h.replace_value(k, _signed_zero(kind, rng))
+    return h
+
+
+def _systems(count, seed, max_elements=16):
+    """Random complexes alternating with systems not closed under subsets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            system = oracles.random_set_system(rng, rng.randint(1, 14))
+        else:
+            system = random_complex(rng, max_generators=3)
+        if len(system) <= max_elements:
+            out.append(system)
+    return out
+
+
+def _cases(count, seed):
+    """(system, field) pairs: every kind and variant, plus the integer-valued
+    real fields omega and ones, and Gaussian fields with denominators."""
+    rng = random.Random(seed)
+    for t, system in enumerate(_systems(count, seed)):
+        kind = KINDS[KIND_CYCLE[t % 5]]
+        yield system, _field(system, kind, rng, VARIANTS[(t // 5) % 4])
+        if t % 5 == 0:
+            yield system, omega_field(system)
+            yield system, ones_field(system)
+        if t % 5 == 4:
+            yield system, ones_field(system, GAUSSIAN)
+
+
+def test_build_matches_set_intersections():
+    seen = set()
+    for system, h in _cases(160, 11):
+        got = build_matrices(system, h)
+        want = oracles.build_matrices_by_sets(system, h)
+        assert repr(got.L) == repr(want.L), (system, h)
+        assert repr(got.g) == repr(want.g), (system, h)
+        assert got.signs == want.signs and got.kind is h.kind
+        seen.add(h.kind.name)
+        if h.kind is GAUSSIAN:
+            seen.add("gaussian-denominators" if any(
+                v.re.denominator > 1 or v.im.denominator > 1
+                for v in h.values) else "gaussian-integers")
+        if h.kind is REAL and all(type(v) is int for v in h.values):
+            assert all(type(v) is int for row in got.L for v in row)
+            seen.add("int-valued")
+    assert seen >= set(KIND_CYCLE) | {"gaussian-denominators",
+                                      "gaussian-integers", "int-valued"}
+
+
+def test_running_sum_adds_one_term_at_a_time():
+    """Floats with signed zeros and wide magnitudes, where a pairwise sum
+    would differ, and Python numbers whose types must survive."""
+    rng = random.Random(17)
+
+    def loop(row, zero):
+        total = row[0] if zero is None else zero + row[0]
+        for v in row[1:]:
+            total = total + v
+        return total
+
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        rows = [[rng.choice((0.0, -0.0, rng.uniform(-1, 1)
+                             * 10.0 ** rng.randint(-12, 12)))
+                 for _ in range(n)] for _ in range(3)]
+        mixed = [[rng.choice((rng.randint(-3, 3), rng.uniform(-1, 1),
+                              complex(rng.uniform(-1, 1), -0.0)))
+                  for _ in range(n)]]
+        for X, zero in ((np.array(rows), 0.0), (np.array(rows), None),
+                        (np.array(mixed, dtype=object), 0),
+                        (np.array(mixed, dtype=object), None)):
+            want = [loop(row, zero) for row in X.tolist()]
+            assert repr(kernel.running_sum(X, zero).tolist()) == repr(want)
+
+
+def test_build_of_empty_system():
+    system = SetSystem([])
+    for kind in KINDS.values():
+        cm = build_matrices(system, random_field(system, kind, random.Random(0)))
+        assert cm.L == cm.g == cm.signs == ()
+
+
+def test_checks_match_per_entry_reports():
+    """repr of all four reports equals the per-entry code's, every kind."""
+    seen = set()
+    for system, h in _cases(100, 12):
+        for check, by_entries in CHECKS:
+            got = check(system, h)
+            want = by_entries(system, h)
+            assert repr(got) == repr(want), (check.__name__, system, h)
+            seen.add((h.kind.name, type(got).__name__, got.holds))
+    for kind in KIND_CYCLE:  # both verdicts reached for every kind
+        assert (kind, "IdentityReport", True) in seen
+        assert (kind, "IdentityReport", False) in seen
+
+
+def test_checks_match_on_larger_complexes():
+    """Sizes 12 to 18, where quaternion and octonion matrices are eliminated
+    on component arrays."""
+    rng = random.Random(13)
+    done = 0
+    while done < 10:
+        system = random_complex(rng)
+        if not 12 <= len(system) <= 18:
+            continue
+        kind = KINDS[KIND_CYCLE[done % 5]]
+        h = _field(system, kind, rng, VARIANTS[done % 2])
+        for check, by_entries in CHECKS:
+            assert repr(check(system, h)) == repr(by_entries(system, h))
+        done += 1
+
+
+def test_potential_curvature_and_green_diagonal_unchanged():
+    for system, h in _cases(60, 14):
+        cm = oracles.build_matrices_by_sets(system, h)
+        V, K = [], []
+        for i in range(cm.n):
+            total = h.kind.zero
+            for v in cm.g[i]:
+                total = total + v
+            V.append(total)
+            K.append(cm.g[i][i] if cm.signs[i] == 1 else -cm.g[i][i])
+        assert repr(potential_and_curvature(system, h)) == repr((V, K))
+        diag = [energy_sum(system, h, system.star(k)) for k in range(cm.n)]
+        assert repr(green_diagonal(system, h)) == repr(diag)
+
+
+def _gaussian_matrices(rng):
+    """Square Gaussian-rational matrices of order 0 to 7, some singular."""
+    def entry():
+        if rng.random() < 0.3:
+            return GaussianRational()
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+    yield []
+    for t in range(62):
+        n = 7 if t >= 60 else 1 + t % 6  # n = 7 has 5040 terms: two of them
+        M = [[entry() for _ in range(n)] for _ in range(n)]
+        if t % 3 == 1 and n > 1:  # a repeated row
+            M[-1] = list(M[0])
+        elif t % 3 == 2 and n > 1:  # a row combined from two others
+            f = GaussianRational(Fraction(1, 2), 1)
+            M[-1] = [a + f * b for a, b in zip(M[0], M[1])]
+        yield M
+
+
+def test_gaussian_leibniz_is_the_exact_determinant():
+    rng = random.Random(15)
+    singular = 0
+    for M in _gaussian_matrices(rng):
+        got = leibniz_det(M, GAUSSIAN)
+        want = oracles.leibniz_sum(M, GAUSSIAN)
+        assert type(got) is GaussianRational and got == want, M
+        singular += not want
+    assert singular >= 18
+    assert leibniz_det([], GAUSSIAN) == GaussianRational(1)
+
+
+def test_gaussian_leibniz_keeps_its_cap():
+    M = [[GaussianRational(int(i == j)) for j in range(5)] for i in range(5)]
+    with pytest.raises(MatrixSizeError, match="exceeds the permutation-sum cap 4"):
+        leibniz_det(M, GAUSSIAN, cap=4)
+    with pytest.raises(ValueError, match="square"):
+        leibniz_det([[GaussianRational(1), GaussianRational(2)]], GAUSSIAN)
+
+
+def test_det_formula_gaussian_feeds_bareiss_once_per_matrix(monkeypatch):
+    rng = random.Random(16)
+    system = random_complex(rng)
+    h = random_field(system, GAUSSIAN, rng)
+    calls = []
+    original = determinants._bareiss_echelon
+
+    def counting(rows, ring=determinants.INTEGERS):
+        calls.append(ring)
+        return original(rows, ring)
+
+    monkeypatch.setattr(determinants, "_bareiss_echelon", counting)
+    report = det_formula_check(system, h)
+    assert report.exact_equal and report.holds
+    assert calls == [determinants.GAUSSIAN_INTEGERS] * 2

@@ -1,11 +1,14 @@
-"""Byte-for-byte CLI reports for the noncommutative and exact kinds and for
-eigenvalue monodromy.
+"""Byte-for-byte CLI reports for all five scalar kinds and for eigenvalue
+monodromy.
 
 The files under tests/golden/ hold the stdout of `matrices`, `check` and
 `det --pivot-log` as written by the per-entry scalar code, before matrix
 products and eliminations moved to component arrays.  The kernel promises
 the same floating-point operations in the same order, so the reports must
-match to the last byte.  The `group` and `phase` reports and the triangle's
+match to the last byte.  The real and complex `matrices` and `check`
+reports were written while L and g were still built by intersecting stars
+and cores one pair at a time, before the build moved onto the inclusion
+matrix Z.  The `group` and `phase` reports and the triangle's
 `phase --output` CSVs were written by the one-matrix-at-a-time tracker,
 before eigenvalue solves and matching were batched; the batched tracker
 promises the same paths bit for bit.  Regenerate (only for an intended
@@ -36,22 +39,37 @@ FIELDS = {
     "gaussian-unit": "random:5:gaussian:unit",
     "roots7": "roots:7",
     "roots10": "roots:10",
+    "omega": "omega",
+    "ones": "ones",
+    "real": "random:5:real",
+    "real-unit": "random:5:real:unit",
+    "complex": "random:5:complex",
+    "complex-unit": "random:5:complex:unit",
 }
 COMMANDS = {"matrices": [], "check": [], "det": ["--pivot-log"],
             "group": [], "phase": []}
 
 # The closure of {1,2,3,4} has 15 elements, enough for eliminations to run on
 # component arrays; `matrices` eliminates nothing and skips it.
+ALGEBRA_FIELDS = ("quaternion", "quaternion-unit", "octonion", "octonion-unit",
+                  "gaussian", "gaussian-unit")
 ALGEBRA_CASES = [(cmd, sysname, fname)
                  for cmd in ("matrices", "check", "det")
                  for sysname in ("triangle", "path", "tetrahedron")
-                 for fname in FIELDS if not fname.startswith("roots")
-                 and (cmd, sysname) != ("matrices", "tetrahedron")]
+                 for fname in ALGEBRA_FIELDS
+                 if (cmd, sysname) != ("matrices", "tetrahedron")]
+# Real and complex fields, integer-valued ones included, through the reports
+# built on L and g.
+NUMBER_FIELDS = ("omega", "ones", "real", "real-unit", "complex",
+                 "complex-unit")
+NUMBER_CASES = [(cmd, sysname, fname) for cmd in ("matrices", "check")
+                for sysname in ("triangle", "path", "tetrahedron")
+                for fname in NUMBER_FIELDS]
 # The paper's two worked monodromy cases: group orders 36 and 72.
 MONODROMY_CASES = [(cmd, sysname, fname) for cmd in ("group", "phase")
                    for sysname, fname in (("triangle", "roots7"),
                                           ("path-edge", "roots10"))]
-CASES = ALGEBRA_CASES + MONODROMY_CASES
+CASES = ALGEBRA_CASES + NUMBER_CASES + MONODROMY_CASES
 # `phase --output` writes one CSV of labelled eigenvalue samples per wheel.
 CSV_CASE = ("phase", "triangle", "roots7")
 CSV_WHEELS = 7

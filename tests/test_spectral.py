@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -239,6 +240,71 @@ def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
     assert any(u is not None and u > 40 for u in used)
     assert None in used  # some wheels fail at every step count
     assert matches
+
+
+def _cost_matrices(rng):
+    """Seeded square cost matrices of order 1 to 7: continuous ones, small
+    integers with many ties, and eigenvalue distances with a collision."""
+    for t in range(1200):
+        n = 1 + t % 7
+        style = t % 3
+        if style == 0:
+            yield rng.random((n, n))
+        elif style == 1:
+            yield rng.integers(0, 3, (n, n)).astype(float)
+        else:
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            w = z + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            w[rng.integers(0, n)] = w[0]
+            yield np.abs(z[:, None] - w[None, :])
+
+
+def test_min_cost_assignment_matches_scipy():
+    linear_sum_assignment = pytest.importorskip(
+        "scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(31)
+    unique = 0
+    for C in _cost_matrices(rng):
+        n = len(C)
+        cols = spectral.min_cost_assignment(C)
+        rows, want = linear_sum_assignment(C)
+        assert sorted(cols.tolist()) == list(range(n))
+        rows = np.arange(n)
+        assert C[rows, cols].sum() == C[rows, want].sum()
+        perms = np.array(list(itertools.permutations(range(n))))
+        totals = C[rows, perms].sum(axis=1)
+        if (totals == totals.min()).sum() == 1:
+            unique += 1
+            assert cols.tolist() == want.tolist(), C
+    assert unique >= 700
+
+
+def test_min_cost_assignment_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        spectral.min_cost_assignment(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="NaN"):
+        spectral.min_cost_assignment(np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="infeasible"):
+        spectral.min_cost_assignment(np.full((2, 2), np.inf))
+    assert spectral.min_cost_assignment(np.zeros((0, 0))).tolist() == []
+
+
+def test_golden_ambiguous_steps_match_scipy(monkeypatch):
+    """Every assignment the golden group and phase reports depend on."""
+    linear_sum_assignment = pytest.importorskip(
+        "scipy.optimize").linear_sum_assignment
+    from setfield.cli import main
+    from test_golden import MONODROMY_CASES, _argv
+
+    seen = []
+    solve = spectral.min_cost_assignment
+    monkeypatch.setattr(spectral, "min_cost_assignment",
+                        lambda C: seen.append(C.copy()) or solve(C))
+    for case in MONODROMY_CASES:
+        assert main(_argv(*case)) == 0
+    assert len(seen) >= 4
+    for C in seen:
+        assert solve(C).tolist() == linear_sum_assignment(C)[1].tolist()
 
 
 def test_group_closure_basics():
