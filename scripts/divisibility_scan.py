@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Scan random positive-dimensional complexes for 3 | det(J^T J).
 
-Every positive-dimensional simplicial complex observed so far has a
-bilinear-form determinant divisible by 3 (zero-dimensional systems are
-exactly the determinant-1 cases).  A counterexample would be big news and
-makes the scan exit nonzero.
+Most positive-dimensional simplicial complexes have a bilinear-form
+determinant divisible by 3, but not all: every cycle graph gives a power of
+7 (the triangle boundary gives 343).  The determinant is the product over
+the elements x of gamma(x) = sum over z containing x of
+(-1)^(|z|-|x|) |star z|^2 (Lindstroem 1969; Wilf 1968), so 3 divides it
+exactly when 3 divides some gamma(x).  The scan prints each determinant
+and how many are divisible.
 """
 
 import argparse
@@ -24,19 +27,13 @@ def main():
     rng = random.Random(args.seed)
     systems = [random_complex(rng, min_dimension=1) for _ in range(args.count)]
     rows = divisibility_scan(systems)
-    bad = 0
     print("%-5s %-5s %-10s %s" % ("n", "dim", "3 | det", "det"))
     for row in rows:
-        flag = "yes" if row["divisible_by_3"] else "NO  <-- counterexample"
-        if not row["divisible_by_3"] and not row["exempt"]:
-            bad += 1
+        flag = "yes" if row["divisible_by_3"] else "no"
         print("%-5d %-5d %-10s %d"
               % (row["elements"], row["dimension"], flag, row["det"]))
-    if bad:
-        print("found %d counterexample(s); investigate before trusting runs"
-              % bad, file=sys.stderr)
-        return 1
-    print("all %d positive-dimensional determinants divisible by 3" % len(rows))
+    print("%d of %d positive-dimensional determinants divisible by 3"
+          % (sum(row["divisible_by_3"] for row in rows), len(rows)))
     return 0
 
 

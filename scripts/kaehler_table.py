@@ -2,8 +2,9 @@
 """Exact bilinear-form determinants for full simplexes and the 55-element case.
 
 Prints det(J^T J) of the parametrization Jacobian for the complete complexes
-on 1..max vertices next to the conjectured closed form 3^(sum C(n,k)(n-k)),
-then the simplicial complex generated by {1,2,3,4,5} and {3,4,5,6,7}.
+on 1..max vertices next to the closed form 3^(sum C(n,k)(n-k)), a theorem
+(Lindstroem 1969; Wilf 1968), then the simplicial complex generated by
+{1,2,3,4,5} and {3,4,5,6,7}.
 """
 
 import argparse
@@ -26,7 +27,7 @@ def main():
                         help="largest full simplex to evaluate")
     args = parser.parse_args()
     print("%-8s %-4s %-22s %s" % ("complex", "n", "det factorization",
-                                  "conjectured"))
+                                  "closed form"))
     for v in range(1, args.max_vertices + 1):
         system = complete_complex(v)
         t0 = time.time()

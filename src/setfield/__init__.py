@@ -17,14 +17,14 @@ from .determinants import (bareiss_det, det_formula_check, dieudonne_det,
 from .identities import (IdentityReport, energy_check, gauss_bonnet_check,
                          green_star_check, spectral_signature_check,
                          unimodularity_check)
-from .kaehler import (KaehlerReport, divisibility_scan, jacobian_dr,
-                      kaehler_form, kaehler_report)
+from .kaehler import (KaehlerReport, divisibility_scan, kaehler_form,
+                      kaehler_report)
 from .scalars import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
                       GaussianRational, Octonion, Quaternion, abelianize,
                       conjugate, invert, is_unit, norm_sq, parse_scalar,
                       product_right)
 from .setsystem import SetSystem, complete_complex, generate, parse_system
 from .spectral import (GroupReport, SpectralPath, TrackingAmbiguityError,
-                       WheelPermutation, eigenvalues, group_closure,
-                       group_order, monodromy_report, presentations,
-                       track_wheel, wheel_permutations, winding_numbers)
+                       WheelPermutation, eigenvalues, group_order,
+                       monodromy_report, presentations, track_wheel,
+                       wheel_permutations, winding_numbers)

@@ -16,9 +16,11 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__, determinants, identities, kaehler, scalars, spectral
+from . import (__version__, determinants, identities, kaehler, kernel,
+               scalars, spectral)
 from .connection import (EnergyFunction, build_matrices, explicit_field,
-                         omega_field, ones_field, random_field, roots_field)
+                         field_matrices, omega_field, ones_field,
+                         random_field, roots_field)
 from .scalars import KINDS
 from .setsystem import SetSystem, parse_system, system_to_json
 
@@ -85,6 +87,13 @@ def split_literals(text):
     return [p.strip() for p in parts if p.strip()]
 
 
+def parse_kind(name: str) -> scalars.ScalarKind:
+    if name not in KINDS:
+        raise ValueError("unknown scalar kind %r (one of %s)"
+                         % (name, ", ".join(sorted(KINDS))))
+    return KINDS[name]
+
+
 def make_field(system: SetSystem, config: RunConfig) -> EnergyFunction:
     preset = config.preset
     kind = KINDS[config.kind_name] if config.kind_name else None
@@ -94,13 +103,16 @@ def make_field(system: SetSystem, config: RunConfig) -> EnergyFunction:
         return ones_field(system, kind or scalars.REAL)
     if preset.startswith("roots:"):
         order = int(preset.split(":", 1)[1])
+        if order < 1:
+            raise ValueError("roots:N needs N >= 1, got %d" % order)
         if kind not in (None, scalars.COMPLEX):
             raise ValueError("preset roots:n needs the complex kind")
         return roots_field(system, order)
     if preset.startswith("random:"):
         parts = preset.split(":")
         seed = int(parts[1])
-        rkind = KINDS[parts[2]] if len(parts) > 2 else (kind or scalars.COMPLEX)
+        rkind = (parse_kind(parts[2]) if len(parts) > 2
+                 else kind or scalars.COMPLEX)
         unit = len(parts) > 3 and parts[3] == "unit"
         return random_field(system, rkind, random.Random(seed), unit=unit)
     if preset.startswith("values:"):
@@ -155,17 +167,17 @@ def cmd_gen(config: RunConfig) -> int:
 def cmd_matrices(config: RunConfig) -> int:
     system = load_nonempty_system(config)
     h = make_field(system, config)
-    cm = build_matrices(system, h)
-    gbar_L = identities.mat_mul(identities.entrywise_conjugate(cm.g), cm.L,
-                                h.kind)
+    fm = field_matrices(system, h)
+    gbar_L = kernel.product(kernel.conjugate(fm.g, h.kind), fm.L, h.kind)
     emit({
         "elements": system_to_json(system),
         "kind": h.kind.name,
         "field": [scalars.to_jsonable(v) for v in h.values],
-        "L": matrix_to_json(cm.L),
-        "g": matrix_to_json(cm.g),
-        "S": list(cm.signs),
-        "conj_g_L": matrix_to_json(gbar_L),
+        "L": matrix_to_json(kernel.from_array(fm.L, h.kind, fm.scale)),
+        "g": matrix_to_json(kernel.from_array(fm.g, h.kind, fm.scale)),
+        "S": list(fm.signs),
+        "conj_g_L": matrix_to_json(
+            kernel.from_array(gbar_L, h.kind, fm.scale ** 2)),
     }, config, "matrices")
     return 0
 
@@ -258,12 +270,8 @@ def cmd_phase(config: RunConfig) -> int:
 def cmd_group(config: RunConfig) -> int:
     system = load_system(config)
     h = make_field(system, config)
-    try:
-        report = spectral.monodromy_report(system, h, config.steps,
-                                           max_steps=_step_cap())
-    except spectral.TrackingAmbiguityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    report = spectral.monodromy_report(system, h, config.steps,
+                                       max_steps=_step_cap())
     emit({
         "n": len(system),
         "steps": config.steps,
@@ -446,7 +454,7 @@ def main(argv=None) -> int:
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
     try:
         return COMMANDS[config.command](config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, spectral.TrackingAmbiguityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -82,11 +82,9 @@ class ConnectionMatrices:
 class FieldMatrices(NamedTuple):
     """A field's values, L and g as component arrays, and the signs.
 
-    Matrices are (d, n, n) arrays and `values` is (d, n).  Quaternion and
-    octonion components are floats (kernel.py).  Gaussian ones are Python
-    ints, the real and imaginary parts of `scale` times the entries, where
-    `scale` is the lcm of the field's denominators.  Real and complex numbers
-    are kept as they are, in object arrays with d = 1.  Every sum over
+    Matrices are (d, n, n) arrays and `values` is (d, n), in the form
+    kernel.py gives the kind; Gaussian entries are `scale` times the
+    field's, where `scale` is the lcm of its denominators.  Every sum over
     entries starts from `zero`.
     """
 
@@ -117,21 +115,13 @@ def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
     n = len(system)
     if len(h) != n:
         raise ValueError("field has %d values for %d elements" % (len(h), n))
-    kind = h.kind
-    scale = 1
-    if kind is GAUSSIAN:
-        re, im, scale = kernel.to_gaussian_integers([h.values])
-        values, zero = np.array(re + im, dtype=object), 0
-    elif kind in kernel.KINDS:
-        values, zero = kernel.to_array([h.values], kind)[:, 0], 0.0
-    else:
-        values, zero = np.array([h.values], dtype=object), kind.zero
+    values, scale, zero = kernel.field_values(h.values, h.kind)
     Z = system.zeta
     L = _block_sums(values, Z, zero)
     G = _block_sums(values, Z.T, zero)
     om = omega_vector(system)
     g = np.where(np.multiply.outer(om, om) < 0, -G, G)
-    return FieldMatrices(kind, values, L, g, om, scale, zero)
+    return FieldMatrices(h.kind, values, L, g, om, scale, zero)
 
 
 def _block_sums(values, blocks, zero):

@@ -159,7 +159,7 @@ def _row_reduce_components(M, kind, want_log) -> Elimination:
     the others.
     """
     mul = kernel.COMPONENT_MUL[kind]
-    W = M.copy() if isinstance(M, np.ndarray) else kernel.to_array(M, kind)
+    W = M.copy() if isinstance(M, np.ndarray) else kernel.to_array(M, kind)[0]
     n = W.shape[1]
     log = [] if want_log else None
     max_norm_sq = float(kernel.norm_sq(W).max()) if n else 0.0

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, scalars
-from .connection import (EnergyFunction, build_matrices, energy_sum,
-                         field_matrices, omega_field, omega_vector)
+from .connection import (EnergyFunction, energy_sum, field_matrices,
+                         omega_field, omega_vector)
 from .determinants import bareiss_det
 from .setsystem import SetSystem
 
@@ -39,36 +39,7 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# generic matrix helpers over the scalar tower
-
-def entrywise_conjugate(M):
-    return [[scalars.conjugate(v) for v in row] for row in M]
-
-
-def mat_mul(A, B, kind):
-    """C = A B with per-entry accumulation; every product is a binary one,
-    so the result is well defined also for the non-associative kind.
-
-    Quaternion, octonion and Gaussian matrices go through kernel.py, with
-    the same results as the loop below.
-    """
-    if kind in kernel.KINDS:
-        return kernel.mat_mul(A, B, kind)
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    C = [[kind.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            acc = kind.zero
-            for k in range(inner):
-                acc = acc + Ai[k] * B[k][j]
-            C[i][j] = acc
-    return C
-
-
-# component arrays in the form of connection.field_matrices
+# helpers on arrays in the form of connection.field_matrices
 
 def _deviation(norms):
     """(max over entries of sqrt(norm), index pairs of the eight largest
@@ -80,50 +51,11 @@ def _deviation(norms):
             [divmod(int(at[t]), norms.shape[1]) for t in order])
 
 
-_CONJUGATE = np.frompyfunc(scalars.conjugate, 1, 1)
-_NORM_SQ = np.frompyfunc(scalars.norm_sq, 1, 1)
-
-
-def _conjugate(X, kind):
-    if kind in kernel.KINDS:  # every imaginary component changes sign
-        return np.concatenate([X[:1], -X[1:]])
-    return _CONJUGATE(X)
-
-
-def _product(A, B, kind):
-    if kind in kernel.KINDS:
-        return kernel.product(A, B, kind)
-    return np.array(mat_mul(A[0].tolist(), B[0].tolist(), kind),
-                    dtype=object)[None]
-
-
-def _norms(X, kind, scale):
-    """Squared norms of the entries of X (divided by `scale` for Gaussian
-    integers) as floats, each rounded once from its exact value."""
-    if kind is scalars.GAUSSIAN:
-        return (kernel.norm_sq(X) / scale ** 2).astype(float)
-    if kind in kernel.KINDS:
-        return kernel.norm_sq(X)
-    return _NORM_SQ(X[0]).astype(float)
-
-
 def _minus_identity(X, one):
     Y = X.copy()
     diag = np.arange(X.shape[1])
     Y[0, diag, diag] -= one
     return Y
-
-
-def _norms_as_scalars(fm, h):
-    """|h(x)|^2 times the kind's one, for every x, in fm's form (Gaussian
-    integers at scale fm.scale ** 2, that of conj(g) L)."""
-    kind = h.kind
-    if kind in kernel.KINDS:
-        one = np.zeros(len(fm.values), dtype=fm.values.dtype)
-        one[0] = 1
-        return np.multiply.outer(one, kernel.norm_sq(fm.values))
-    return np.array([[kind.one * float(scalars.norm_sq(v))
-                      for v in h.values]], dtype=object)
 
 
 def _scaled_tol(h: EnergyFunction, tol):
@@ -147,13 +79,15 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     fm = field_matrices(system, h)
     kind = h.kind
     n = len(fm.signs)
-    gbar = _conjugate(fm.g, kind)
-    gL = _product(gbar, fm.L, kind)
-    Lg = _product(fm.L, gbar, kind)
+    gbar = kernel.conjugate(fm.g, kind)
+    gL = kernel.product(gbar, fm.L, kind)
+    Lg = kernel.product(fm.L, gbar, kind)
     scale = fm.scale ** 2  # of the products, for Gaussian integers
     eff = _scaled_tol(h, tol)
-    dev_gL, wit_gL = _deviation(_norms(_minus_identity(gL, scale), kind, scale))
-    dev_Lg, wit_Lg = _deviation(_norms(_minus_identity(Lg, scale), kind, scale))
+    dev_gL, wit_gL = _deviation(kernel.norms(_minus_identity(gL, scale), kind,
+                                             scale))
+    dev_Lg, wit_Lg = _deviation(kernel.norms(_minus_identity(Lg, scale), kind,
+                                             scale))
     worst = max(dev_gL, dev_Lg)
 
     complex_ok = system.is_simplicial_complex()
@@ -166,11 +100,12 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
 
     diag = np.diagonal(gL, axis1=1, axis2=2)
     diag_dev = 0.0
-    for v in _norms(diag - _norms_as_scalars(fm, h), kind, scale).tolist():
+    for v in kernel.norms(diag - kernel.norm_values(fm.values, kind), kind,
+                          scale).tolist():
         diag_dev = max(diag_dev, v ** 0.5)
     upper = None
     if complex_ok and system.is_canonical():
-        lower = _norms(gL, kind, scale)[np.tril_indices(n, -1)]
+        lower = kernel.norms(gL, kind, scale)[np.tril_indices(n, -1)]
         upper = all(v ** 0.5 <= eff for v in lower.tolist())
 
     holds = worst <= eff
@@ -222,7 +157,7 @@ def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
     target = energy_sum(system, h, range(len(system)))
     dev = float(scalars.norm_sq(st - target)) ** 0.5
     witnesses = []
-    for i, v in enumerate(_norms(V - K, h.kind, fm.scale).tolist()):
+    for i, v in enumerate(kernel.norms(V - K, h.kind, fm.scale).tolist()):
         d = v ** 0.5
         if d > dev:
             dev = d
@@ -241,19 +176,11 @@ def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
 def unimodularity_check(system: SetSystem) -> IdentityReport:
     """With h = omega, L and g are integer matrices, g L = 1 exactly, and
     det(L) is the product of the signs, hence +1 or -1."""
-    h = omega_field(system)
-    cm = build_matrices(system, h)
-    L = [[int(v) for v in row] for row in cm.L]
-    g = [[int(v) for v in row] for row in cm.g]
-    n = len(L)
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            got = sum(g[i][k] * L[k][j] for k in range(n))
-            if got != want:
-                witnesses.append((i, j))
-    det = bareiss_det(L)
+    fm = field_matrices(system, omega_field(system))
+    gL = kernel.product(fm.g, fm.L, fm.kind)[0]
+    witnesses = [tuple(w) for w in
+                 np.argwhere(gL != np.eye(len(gL), dtype=int)).tolist()]
+    det = bareiss_det(fm.L[0])
     expected = 1
     for s in omega_vector(system):
         expected *= s
@@ -273,9 +200,7 @@ def spectral_signature_check(system: SetSystem, h: EnergyFunction,
         raise ValueError("spectral signature needs a real field")
     if not h.all_nonzero():
         raise ValueError("spectral signature needs a nowhere-zero field")
-    cm = build_matrices(system, h)
-    L = np.array([[float(v) for v in row] for row in cm.L])
-    eig = np.linalg.eigvalsh(L)
+    eig = np.linalg.eigvalsh(field_matrices(system, h).L[0].astype(float))
     neg_eig = int((eig < 0).sum())
     neg_h = sum(1 for v in h.values if v < 0)
     min_abs = float(np.abs(eig).min()) if len(eig) else 0.0

@@ -16,23 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import bareiss_det, exact_rank
+from .determinants import bareiss_det
 from .setsystem import SetSystem
 
 TRIAL_DIVISION_BOUND = 10 ** 6
-
-
-def _jacobian_from_zeta(Z: np.ndarray) -> np.ndarray:
-    n = Z.shape[0]
-    return (Z[:, :, None] * Z[:, None, :]).reshape(n, n * n).T
-
-
-def jacobian_dr(system: SetSystem) -> np.ndarray:
-    """n^2 x n matrix; column k is L built from the k-th standard basis field.
-
-    Entry at (flattened (i,j), k) is 1 iff x_k lies in core(x_i) & core(x_j).
-    """
-    return _jacobian_from_zeta(system.zeta)
 
 
 def kaehler_form(system: SetSystem) -> np.ndarray:
@@ -117,37 +104,38 @@ def exact_det_factor(form) -> tuple[int, list[tuple[int, int]]]:
 @dataclass
 class KaehlerReport:
     n: int
-    zeta: np.ndarray
     form: np.ndarray
     det: int
     factorization: list
     rank: int
     unfactored: int | None = None  # composite cofactor left by factorize
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        """The n^2 x n parametrization Jacobian, built from zeta on access."""
-        return _jacobian_from_zeta(self.zeta)
-
 
 def kaehler_report(system: SetSystem) -> KaehlerReport:
+    """The form, its exact determinant and factorization, and its rank.
+
+    The elements are distinct, so Z is unitriangular once they are sorted
+    by size.  Hence the columns z_k (x) z_k of the Jacobian are linearly
+    independent, and the form J^T J is positive definite: det > 0 and
+    rank = n for every set system.
+    """
     form = kaehler_form(system)
     det = bareiss_det(form)
-    # a nonzero determinant already proves full rank
-    rank = exact_rank(form) if det == 0 else len(system)
     try:
         factors, unfactored = factorize(det), None
     except CompositeCofactorError as exc:
         factors, unfactored = exc.factors, exc.cofactor
-    return KaehlerReport(len(system), system.zeta, form, det, factors, rank,
+    return KaehlerReport(len(system), form, det, factors, len(system),
                          unfactored)
 
 
 def divisibility_scan(systems) -> list[dict]:
     """Dimension, determinant and 3-divisibility for each complex in a family.
 
-    Zero-dimensional systems are exempt from the divisibility observation
-    (their form is a permutation-free diagonal with unit determinant).
+    Most positive-dimensional complexes have a determinant divisible by 3,
+    but not all: every cycle graph gives a power of 7 (the triangle boundary
+    gives 343).  Zero-dimensional systems are flagged exempt; their form is
+    the identity, with determinant 1.
     """
     out = []
     for system in systems:
@@ -164,5 +152,10 @@ def divisibility_scan(systems) -> list[dict]:
 
 
 def complete_complex_exponent(n: int) -> int:
-    """Conjectured exponent e with det = 3^e for the full simplex on n vertices."""
+    """Exponent e with det = 3^e for the full simplex on n vertices.
+
+    A theorem: the form of a simplicial complex is Z D_gamma Z^T with
+    gamma(x) the Moebius inversion of |star|^2 over supersets (Lindstroem
+    1969; Wilf 1968), and on the full simplex gamma(x) = 3^(n - |x|).
+    """
     return sum(math.comb(n, k) * (n - k) for k in range(1, n))

@@ -443,9 +443,23 @@ def _parse_float_terms(text, units):
     return out
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def parse_scalar(text, kind=None):
-    """Parse a literal like 1.5, 2+3i, 1+2i+3j+4k, o(...), q(3/4+1/4i)."""
-    text = text.strip()
+    """Parse a literal like 1.5, 2+3i, 1+2i+3j+4k, o(...), q(3/4+1/4i); a
+    literal of another kind than `kind`, when given, is an error."""
+    value = _parse_literal(text.strip(), kind)
+    if kind is not None and kind_of(value) != kind:
+        raise ValueError("%r is not a %s literal" % (text, kind.name))
+    return value
+
+
+def _parse_literal(text, kind):
     if kind is GAUSSIAN and not text.startswith("q("):
         text = "q(%s)" % text
     if text.startswith("o(") and text.endswith(")"):
@@ -465,7 +479,7 @@ def parse_scalar(text, kind=None):
             elif coeff == "-":
                 val = Fraction(-1)
             else:
-                val = Fraction(coeff)
+                val = _fraction(coeff)
             if unit:
                 im_part += val
             else:
@@ -478,7 +492,7 @@ def parse_scalar(text, kind=None):
     if kind is COMPLEX or terms["i"]:
         return complex(terms[""], terms["i"])
     if kind is GAUSSIAN:
-        return GaussianRational(Fraction(text))
+        return GaussianRational(_fraction(text))
     if kind is OCTONION:
         return Octonion(terms[""])
     return terms[""]

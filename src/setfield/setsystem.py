@@ -185,7 +185,10 @@ def parse_system(text: str, closure: bool = False) -> SetSystem:
     text = text.strip()
     if text.startswith("["):
         sets = json.loads(text)
-        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        if not isinstance(sets, list) or not all(
+                isinstance(s, list)
+                and not any(isinstance(v, (list, dict)) for v in s)
+                for s in sets):
             raise ValueError("JSON input must be an array of arrays of integers")
     elif text.startswith("{"):
         inner = text

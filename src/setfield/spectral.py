@@ -202,6 +202,8 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     """
     if not (0 <= wheel < len(system)):
         raise ValueError("wheel index out of range")
+    if steps < 1:
+        raise ValueError("steps must be at least 1, got %d" % steps)
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")
@@ -367,7 +369,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
 
 
 # ---------------------------------------------------------------------------
-# permutation utilities, group closure and group order
+# permutation utilities and group order
 
 def perm_compose(a, b):
     """Apply b first, then a."""
@@ -399,50 +401,11 @@ def perm_cycles(p):
     return cycles
 
 
-class ClosureOverflowError(RuntimeError):
-    """The group closure grew past its element cap."""
-
-    def __init__(self, cap):
-        self.cap = cap
-        super().__init__(
-            "group closure exceeded cap %d elements (the cap argument of "
-            "group_closure); the group is too large to list; group_order "
-            "gives its order without listing it" % cap)
-
-
 def format_cycles(p) -> str:
     cycles = perm_cycles(p)
     if not cycles:
         return "()"
     return "".join("(%s)" % " ".join(str(v + 1) for v in cyc) for cyc in cycles)
-
-
-def group_closure(perms, cap=10 ** 6):
-    """Breadth-first closure of a generator list under composition.
-
-    Returns (order, sorted element list); raises if the closure grows past cap.
-    """
-    if not perms:
-        raise ValueError("need at least one permutation")
-    degree = len(perms[0])
-    if any(len(p) != degree for p in perms):
-        raise ValueError("permutations must share one degree")
-    gens = [tuple(p) for p in perms]
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = perm_compose(p, q)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-                    if len(seen) > cap:
-                        raise ClosureOverflowError(cap)
-        frontier = nxt
-    return len(seen), sorted(seen)
 
 
 def _inverse(p):
@@ -464,7 +427,7 @@ def group_order(perms) -> int:
     below; a nonidentity residue becomes a new strong generator at the level
     where its sift stopped, and checking resumes there.  When every level is
     complete the order is the product of the orbit lengths.  Nothing close
-    to the group's size is ever stored, unlike group_closure.
+    to the group's size is ever stored, unlike a breadth-first closure.
     """
     if not perms:
         raise ValueError("need at least one permutation")

@@ -12,7 +12,9 @@ cores intersected one pair at a time, summed by the library's `energy_sum`)
 and its identity checks from before they moved onto the inclusion matrix
 and component arrays.  `sequential_track_wheel` is the eigenvalue
 tracker from before solves were stacked: one `eigvals` call and one match
-per step, and a retry that starts over.
+per step, and a retry that starts over.  `group_closure` lists a
+permutation group breadth first, the way group orders were found before
+Schreier-Sims.
 """
 
 import cmath
@@ -165,9 +167,48 @@ def greedy_eigen_tracking(L_of_h, h0, wheel, steps):
     return tuple(perm)
 
 
+class ClosureOverflowError(RuntimeError):
+    """The group closure grew past its element cap."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        super().__init__(
+            "group closure exceeded cap %d elements (the cap argument of "
+            "group_closure); the group is too large to list; group_order "
+            "gives its order without listing it" % cap)
+
+
+def group_closure(perms, cap=10 ** 6):
+    """Breadth-first closure of a generator list under composition.
+
+    Returns (order, sorted element list); raises if the closure grows past cap.
+    """
+    if not perms:
+        raise ValueError("need at least one permutation")
+    degree = len(perms[0])
+    if any(len(p) != degree for p in perms):
+        raise ValueError("permutations must share one degree")
+    gens = [tuple(p) for p in perms]
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in gens:
+                r = tuple(map(p.__getitem__, q))  # q first, then p
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+                    if len(seen) > cap:
+                        raise ClosureOverflowError(cap)
+        frontier = nxt
+    return len(seen), sorted(seen)
+
+
 # ---------------------------------------------------------------------------
 # per-entry scalar arithmetic, kept as the bit-identity reference for the
-# component-array kernel
+# array kernel
 
 def quaternion_product(p, q):
     """Hamilton product of two component 4-tuples, as Quaternion.__mul__
@@ -193,6 +234,10 @@ def octonion_product(p, q):
     z2 = [x + y for x, y in zip(quaternion_product(d, a),
                                 quaternion_product(b, conj(c)))]
     return tuple(z1 + z2)
+
+
+def entrywise_conjugate(M):
+    return [[scalars.conjugate(v) for v in row] for row in M]
 
 
 def mat_mul(A, B, kind):
@@ -327,7 +372,7 @@ def _norm_sq_as_scalar(v, kind):
 def green_star_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     cm = build_matrices_by_sets(system, h)
     kind = h.kind
-    gbar = [[scalars.conjugate(v) for v in row] for row in cm.g]
+    gbar = entrywise_conjugate(cm.g)
     gL = mat_mul(gbar, cm.L, kind)
     Lg = mat_mul(cm.L, gbar, kind)
     eff = _scaled_tol(h, tol)

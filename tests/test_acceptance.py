@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 
+from oracles import entrywise_conjugate, group_closure, mat_mul
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
                       SetSystem, bareiss_det, build_matrices,
                       det_formula_check, energy_check, gauss_bonnet_check,
@@ -14,10 +15,9 @@ from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
                       wheel_permutations)
 from setfield import scalars
 from setfield.connection import explicit_field, random_field, roots_field
-from setfield.identities import entrywise_conjugate, mat_mul
 from setfield.kaehler import complete_complex_exponent, kaehler_form
 from setfield.setsystem import complete_complex, random_complex
-from setfield.spectral import (group_closure, perm_cycles, path_permutation,
+from setfield.spectral import (perm_cycles, path_permutation,
                                raw_winding_increments, track_wheel)
 
 NONCLOSED_GOLDEN = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])

@@ -179,6 +179,35 @@ def test_bad_input_is_reported(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--inline", "{{1,2}}", "--field", "random:1:foo"],
+     "unknown scalar kind 'foo'"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--field", "roots:0"],
+     "roots:N needs N >= 1"),
+    (["check", "--inline", "{{1,2}}", "--closure",
+      "--field", "values:q(1/0),1,1"], "zero denominator in '1/0'"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--kind", "gaussian",
+      "--field", "values:1,2,1/0"], "zero denominator in '1/0'"),
+    (["check", "--inline", "{{1}}", "--kind", "real",
+      "--field", "values:1+2i"], "'1+2i' is not a real literal"),
+    (["group", "--inline", "{{1,2,3}}", "--closure", "--field", "roots:7",
+      "--steps", "0"], "steps must be at least 1, got 0"),
+    (["group", "--inline", "{{1,2,3}}", "--closure", "--field", "roots:7",
+      "--steps", "-5"], "steps must be at least 1, got -5"),
+    (["phase", "--inline", "{{1},{2}}", "--field", "roots:1", "--wheel", "0",
+      "--steps", "1"], "stayed ambiguous"),
+], ids=["random-kind", "roots-0", "gaussian-literal-zero-denominator",
+        "gaussian-kind-zero-denominator", "literal-of-other-kind",
+        "steps-0", "steps-negative", "phase-ambiguous"])
+def test_malformed_input_exits_two_with_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 2 and not captured.out
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_empty_system_succeeds_or_reports_one_line(capsys, command):
     # an exception escaping main() is what prints a traceback

@@ -1,0 +1,102 @@
+"""Fuzzed --inline and --field text: every run exits 0, 1 or 2, never with a
+traceback, and exit 2 comes with exactly one `error:` line on stderr.
+
+Systems stay at no more than four vertices (or a dozen characters of free
+text), so each run takes milliseconds.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setfield.cli import main
+from setfield.setsystem import parse_system
+
+GOOD_SETS = st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=4,
+                              unique=True), min_size=1, max_size=3,
+                     unique_by=frozenset)
+ODD_SETS = st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.floats(-2, 5)
+    | st.text("ab1", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=1), inner, max_size=2),
+    max_leaves=6)
+
+
+def _braces(sets):
+    return "{%s}" % ",".join("{%s}" % ",".join(map(str, s)) for s in sets)
+
+
+INLINE = st.one_of(
+    GOOD_SETS.map(_braces),
+    GOOD_SETS.map(json.dumps),
+    ODD_SETS.map(_braces),
+    st.lists(JSON, max_size=3).map(json.dumps),
+    st.text(alphabet="{}[],0123456789- .x", max_size=12),
+)
+LITERAL = st.one_of(
+    st.text(alphabet="0123456789./-+ijkeq()o,", max_size=10),
+    st.sampled_from(["1", "-2.5", "1+2i", "1-j+k", "q(1/2+1/3i)", "q(1/0)",
+                     "1/0", "3/4", "o(1,2,3,4,5,6,7,8)", "o(1)", "0", "nan",
+                     "1e400"]),
+)
+KIND_NAMES = ("real", "complex", "quaternion", "octonion", "gaussian", "foo", "")
+PRESET = st.one_of(
+    st.sampled_from(["omega", "ones", "", "values:", "random:", "roots:"]),
+    st.integers(-2, 12).map("roots:{}".format),
+    st.tuples(st.integers(-1, 99), st.sampled_from(KIND_NAMES),
+              st.sampled_from(["", ":unit", ":x"])).map(
+        lambda t: "random:%d:%s%s" % t),
+    st.text(alphabet="abdefgimnorstuvw:0123456789,-", max_size=12),
+)
+PHASE = st.tuples(st.integers(-1, 3), st.integers(-2, 40)).map(
+    lambda t: ["phase", "--wheel", str(t[0]), "--steps", str(t[1])])
+KIND = st.sampled_from([[], ["--kind", "real"], ["--kind", "complex"],
+                        ["--kind", "quaternion"], ["--kind", "gaussian"]])
+
+
+def _size(inline, closure):
+    try:
+        return len(parse_system(inline, closure))
+    except ValueError:
+        return 1
+
+
+@st.composite
+def argvs(draw):
+    argv = draw(st.sampled_from([
+        ["gen"], ["matrices"], ["check"], ["kaehler"],
+        ["det", "--method", "study"], ["det", "--method", "dieudonne"], None]))
+    argv = list(argv or draw(PHASE))
+    inline = draw(INLINE)
+    closure = draw(st.booleans())
+    argv += ["--inline=" + inline] + (["--closure"] if closure else [])
+    if argv[0] in ("gen", "kaehler"):
+        return argv
+    # a values list of the system's length, so that most of them parse
+    n = _size(inline, closure)
+    field = draw(PRESET | st.lists(LITERAL, min_size=n, max_size=n).map(
+        lambda xs: "values:" + ",".join(xs)))
+    return argv + ["--field=" + field] + draw(KIND)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_cli_text_exits_cleanly(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert not out and len(lines) == 1 and lines[0].startswith("error:"), \
+            (argv, err)

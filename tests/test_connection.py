@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import entrywise_conjugate, mat_mul
 from setfield import (COMPLEX, GAUSSIAN, SetSystem, build_matrices,
                       energy_sum, generate, green_diagonal, omega,
                       omega_field, potential_and_curvature, super_trace)
 from setfield import scalars
 from setfield.connection import (explicit_field, ones_field, random_field,
                                  roots_field)
-from setfield.identities import entrywise_conjugate, mat_mul
 from setfield.setsystem import random_complex
 
 

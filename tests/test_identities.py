@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import entrywise_conjugate, mat_mul
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
                       SetSystem, build_matrices, energy_check,
                       gauss_bonnet_check, generate, green_star_check,
@@ -10,7 +11,7 @@ from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
 from setfield import scalars
 from setfield.connection import (explicit_field, omega_field, ones_field,
                                  random_field, roots_field)
-from setfield.identities import entrywise_conjugate, mat_mul, run_checks
+from setfield.identities import run_checks
 from setfield.setsystem import random_complex
 
 DESCENDING = SetSystem([[1, 2], [2, 3], [1], [2], [3]])

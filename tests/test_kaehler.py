@@ -10,14 +10,13 @@ from setfield.determinants import bareiss_det, exact_rank
 from setfield import kaehler
 from setfield.kaehler import (CompositeCofactorError,
                               complete_complex_exponent, divisibility_scan,
-                              factorize, jacobian_dr, kaehler_form,
-                              kaehler_report)
+                              factorize, kaehler_form, kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
 
 
 def test_jacobian_zero_dimensional_is_identity_like():
     system = SetSystem([[1], [2]])
-    J = jacobian_dr(system)
+    J = jacobian_by_sets(system)
     assert J.shape == (4, 2)
     form = kaehler_form(system)
     assert np.array_equal(form, np.eye(2, dtype=np.int64))
@@ -26,14 +25,14 @@ def test_jacobian_zero_dimensional_is_identity_like():
 
 def test_jacobian_single_multiset():
     system = SetSystem([[1, 2, 3]])
-    J = jacobian_dr(system)
+    J = jacobian_by_sets(system)
     assert J.shape == (1, 1) and J[0, 0] == 1
 
 
 def test_jacobian_matches_symbolic_edge_matrix(K2):
     # column k of the Jacobian must be the flattened L for the k-th basis
     # field; cross-checked against L built the ordinary way
-    J = jacobian_dr(K2)
+    J = jacobian_by_sets(K2)
     n = len(K2)
     for k in range(n):
         basis = [0.0] * n
@@ -51,7 +50,6 @@ def test_zeta_and_form_match_set_oracles():
         assert Z.shape == (n, n) and not Z.flags.writeable
         assert Z.tolist() == [[int(a <= b) for b in system] for a in system]
         J = jacobian_by_sets(system)
-        assert np.array_equal(jacobian_dr(system), J)
         assert np.array_equal(kaehler_form(system), J.T @ J)
 
 
@@ -84,6 +82,28 @@ def test_full_rank_on_generated_complexes():
         report = kaehler_report(system)
         assert report.rank == report.n
         assert report.det > 0
+
+
+def test_form_is_positive_definite_on_every_set_system():
+    # Z is unitriangular up to order, so J has full column rank: the report
+    # never needs an exact rank
+    rng = random.Random(53)
+    systems = [random_complex(rng, max_generators=3, max_vertices=5)
+               for _ in range(100)]
+    systems += [random_set_system(rng, rng.randint(1, 12)) for _ in range(100)]
+    for system in systems:
+        report = kaehler_report(system)
+        assert report.det > 0
+        assert report.rank == len(system) == exact_rank(report.form)
+
+
+def test_triangle_boundary_det_is_not_divisible_by_3():
+    # a cycle graph: gamma(vertex) = d^2 + d + 1 = 7, gamma(edge) = 1
+    cycle = generate([[1, 2], [2, 3], [1, 3]])
+    report = kaehler_report(cycle)
+    assert report.det == 343 == 7 ** 3
+    assert report.factorization == [(7, 3)]
+    assert divisibility_scan([cycle])[0]["divisible_by_3"] is False
 
 
 def test_rank_detects_degeneracy():
@@ -162,4 +182,4 @@ def test_report_bundle(K2):
     assert report.det == 9
     assert report.factorization == [(3, 2)]
     assert report.rank == 3
-    assert report.jacobian.shape == (9, 3)
+    assert report.form.shape == (3, 3)

@@ -1,8 +1,9 @@
-"""The component-array kernel against the per-entry code it replaced.
+"""The array kernel against the per-entry code it replaced.
 
-Quaternion and octonion products and eliminations must be repr-equal (zero
-tolerance, signed zeros included) to the per-entry loops kept in
-oracles.py; Gaussian results are exact and must be equal.
+Products, conjugates and norms of all five kinds, and quaternion and
+octonion eliminations, must be repr-equal (zero tolerance, signed zeros and
+int-valued entries included) to the per-entry loops kept in oracles.py;
+Gaussian results are exact and must be equal.
 """
 
 import math
@@ -13,10 +14,10 @@ import oracles
 import pytest
 
 from setfield import determinants, kernel, scalars
-from setfield.connection import build_matrices, random_field
+from setfield.connection import (build_matrices, omega_field, ones_field,
+                                 random_field)
 from setfield.determinants import (dieudonne_det, row_reduce,
                                    study_det_sq_exact)
-from setfield.identities import entrywise_conjugate, mat_mul
 from setfield.scalars import GAUSSIAN, KINDS, GaussianRational
 from setfield.setsystem import random_complex
 
@@ -54,6 +55,13 @@ def _cases(count=200, seed=2024):
         yield kind, build_matrices(system, _field(system, kind, rng, t % 3))
 
 
+def _product(A, B, kind):
+    """kernel.product on nested lists of scalars, read back as lists."""
+    X, sx = kernel.to_array(A, kind)
+    Y, sy = kernel.to_array(B, kind)
+    return kernel.from_array(kernel.product(X, Y, kind), kind, sx * sy)
+
+
 def _elimination_repr(elim):
     return repr(elim.pivots), elim.swaps, elim.singular, elim.log
 
@@ -79,10 +87,28 @@ def test_mat_mul_is_bit_identical_to_per_entry():
     kinds_seen = set()
     for kind, cm in _cases():
         kinds_seen.add(kind.name)
-        gbar = entrywise_conjugate(cm.g)
+        gbar = oracles.entrywise_conjugate(cm.g)
         for A, B in ((gbar, cm.L), (cm.L, gbar)):
-            assert repr(mat_mul(A, B, kind)) == repr(oracles.mat_mul(A, B, kind))
+            assert repr(_product(A, B, kind)) == repr(oracles.mat_mul(A, B, kind))
     assert kinds_seen == set(KIND_CYCLE)
+
+
+def test_integer_products_stay_integers():
+    for system in _systems(20, 11):
+        for h in (omega_field(system), ones_field(system)):
+            cm = build_matrices(system, h)
+            got = _product(cm.g, cm.L, h.kind)
+            assert repr(got) == repr(oracles.mat_mul(cm.g, cm.L, h.kind))
+            assert all(type(v) is int for row in got for v in row)
+
+
+def test_conjugates_and_norms_match_per_entry():
+    for kind, cm in _cases(count=100, seed=8):
+        X, scale = kernel.to_array(cm.g, kind)
+        got = kernel.from_array(kernel.conjugate(X, kind), kind, scale)
+        assert repr(got) == repr(oracles.entrywise_conjugate(cm.g))
+        want = [[float(scalars.norm_sq(v)) for v in row] for row in cm.g]
+        assert repr(kernel.norms(X, kind, scale).tolist()) == repr(want)
 
 
 @pytest.mark.parametrize(
@@ -102,16 +128,17 @@ def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, min_size):
     assert singular  # the zero field values reach the singular branch
 
 
-@pytest.mark.parametrize("kind_name", ["quaternion", "octonion", "gaussian"])
+@pytest.mark.parametrize("kind_name", ["quaternion", "octonion", "gaussian",
+                                       "real", "complex"])
 def test_rectangular_and_blocked_products(monkeypatch, kind_name):
     kind = KINDS[kind_name]
     rng = random.Random(7)
     A = [[scalars.random_scalar(kind, rng) for _ in range(5)] for _ in range(3)]
     B = [[scalars.random_scalar(kind, rng) for _ in range(4)] for _ in range(5)]
     want = repr(oracles.mat_mul(A, B, kind))
-    assert repr(mat_mul(A, B, kind)) == want
+    assert repr(_product(A, B, kind)) == want
     monkeypatch.setattr(kernel, "BLOCK_ENTRIES", 5)  # blocks of one k
-    assert repr(mat_mul(A, B, kind)) == want
+    assert repr(_product(A, B, kind)) == want
 
 
 def _old_gaussian_dets(M):

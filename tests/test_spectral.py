@@ -6,20 +6,18 @@ import random
 import numpy as np
 import pytest
 
-from oracles import (greedy_eigen_tracking, random_set_system,
+from oracles import (ClosureOverflowError, greedy_eigen_tracking,
+                     group_closure, jacobian_by_sets, random_set_system,
                      sequential_track_wheel)
 from setfield import (SetSystem, build_matrices, eigenvalues, generate,
-                      group_closure, group_order, monodromy_report,
-                      presentations, spectral, track_wheel,
-                      wheel_permutations, winding_numbers)
+                      group_order, monodromy_report, presentations, spectral,
+                      track_wheel, wheel_permutations, winding_numbers)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
-from setfield.kaehler import jacobian_dr
 from setfield.setsystem import random_complex
-from setfield.spectral import (ClosureOverflowError, SpectralPath,
-                               TrackingAmbiguityError, format_cycles,
-                               path_permutation, perm_compose, perm_cycles,
-                               perm_order, raw_winding_increments,
+from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
+                               format_cycles, path_permutation, perm_compose,
+                               perm_cycles, perm_order, raw_winding_increments,
                                wheel_matrices)
 
 ZERO_DIM = SetSystem([[1], [2]])
@@ -153,7 +151,7 @@ def test_wheel_matrices_match_built_L():
 def test_permutations_match_reference_greedy_oracle(K3):
     h = roots_field(K3, 7)
     n = len(K3)
-    J = jacobian_dr(K3).astype(complex)
+    J = jacobian_by_sets(K3).astype(complex)
 
     def L_of(vec):
         return (J @ vec).reshape(n, n)
@@ -305,6 +303,13 @@ def test_golden_ambiguous_steps_match_scipy(monkeypatch):
     assert len(seen) >= 4
     for C in seen:
         assert solve(C).tolist() == linear_sum_assignment(C)[1].tolist()
+
+
+def test_track_wheel_rejects_steps_below_one(K3):
+    h = roots_field(K3, 7)
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            track_wheel(K3, h, 0, steps)
 
 
 def test_group_closure_basics():
