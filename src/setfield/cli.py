@@ -14,7 +14,9 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import (__version__, determinants, identities, kaehler, kernel,
                scalars, spectral)
@@ -47,7 +49,6 @@ class RunConfig:
     wheel: int | None = None
     pivot_log: bool = False
     heatmap: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def load_system(config: RunConfig) -> SetSystem:
@@ -132,7 +133,12 @@ def matrix_to_json(M):
 def emit(report: dict, config: RunConfig, name: str) -> None:
     report = dict(report)
     report["version"] = __version__
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError:  # inf or nan
+        raise ValueError("the report has a number that is not finite: the "
+                         "input overflows double precision") from None
     print(text)
     if config.output_dir:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -186,30 +192,31 @@ def cmd_det(config: RunConfig) -> int:
     system = load_system(config)
     h = make_field(system, config)
     cm = build_matrices(system, h)
-    leib_cap = int(os.environ.get(ENV_LEIBNIZ_CAP,
-                                  determinants.DEFAULT_LEIBNIZ_CAP))
+    leib_cap = _env_int(ENV_LEIBNIZ_CAP, determinants.DEFAULT_LEIBNIZ_CAP)
+    study = config.method in ("study", "all")
+    dieudonne = (config.method in ("dieudonne", "all")
+                 and h.kind is not scalars.OCTONION)
     out = {"kind": h.kind.name, "n": len(system), "method": config.method}
     for label, M in (("L", cm.L), ("g", cm.g)):
         entry = {}
-        # the logged elimination also gives the row-reduction determinants
+        # one elimination gives the log and both row-reduction determinants
         # (over the Gaussian rationals the abelianized one comes from Bareiss)
-        elim = (determinants.row_reduce(M, h.kind, want_log=True)
-                if config.pivot_log else None)
-        if config.method in ("study", "all"):
-            entry["study"] = (determinants.study_value(elim) if elim is not None
-                              else determinants.study_det(M, h.kind))
-        if config.method in ("dieudonne", "all") and h.kind is not scalars.OCTONION:
+        elim = (determinants.row_reduce(M, h.kind, config.pivot_log)
+                if config.pivot_log or study or (dieudonne and not h.kind.exact)
+                else None)
+        if study:
+            entry["study"] = determinants.study_value(elim)
+        if dieudonne:
             entry["dieudonne"] = scalars.to_jsonable(
-                determinants.dieudonne_value(elim, h.kind)
-                if elim is not None and h.kind is not scalars.GAUSSIAN
-                else determinants.dieudonne_det(M, h.kind))
+                determinants.dieudonne_det(M, h.kind) if h.kind.exact
+                else determinants.dieudonne_value(elim, h.kind))
         if config.method in ("leibniz", "all"):
             try:
                 entry["leibniz"] = scalars.to_jsonable(
                     determinants.leibniz_det(M, h.kind, leib_cap))
             except determinants.MatrixSizeError as exc:
                 entry["leibniz_skipped"] = str(exc)
-        if elim is not None:
+        if config.pivot_log:
             entry["pivot_log"] = elim.log
         out[label] = entry
     emit(out, config, "det")
@@ -237,9 +244,19 @@ def cmd_check(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _step_cap() -> int | None:
-    cap = os.environ.get(ENV_STEP_CAP)
-    return int(cap) if cap else None
+def _env_int(name, default=None):
+    text = os.environ.get(name)
+    try:
+        return int(text) if text else default
+    except ValueError:
+        raise ValueError("%s=%r is not an integer" % (name, text)) from None
+
+
+def _step_cap(steps) -> int | None:
+    cap = _env_int(ENV_STEP_CAP)
+    if cap is not None and cap < steps:
+        raise ValueError("%s=%d is below --steps %d" % (ENV_STEP_CAP, cap, steps))
+    return cap
 
 
 def cmd_phase(config: RunConfig) -> int:
@@ -247,9 +264,10 @@ def cmd_phase(config: RunConfig) -> int:
     h = make_field(system, config)
     wheels = ([config.wheel] if config.wheel is not None
               else list(range(len(system))))
+    cap = _step_cap(config.steps)
     summary = []
     for w in wheels:
-        path = spectral.track_wheel(system, h, w, config.steps, _step_cap())
+        path = spectral.track_wheel(system, h, w, config.steps, cap)
         perm = spectral.path_permutation(path)
         winds = spectral.winding_numbers(path)
         summary.append({
@@ -271,7 +289,7 @@ def cmd_group(config: RunConfig) -> int:
     system = load_system(config)
     h = make_field(system, config)
     report = spectral.monodromy_report(system, h, config.steps,
-                                       max_steps=_step_cap())
+                                       max_steps=_step_cap(config.steps))
     emit({
         "n": len(system),
         "steps": config.steps,
@@ -453,7 +471,9 @@ def main(argv=None) -> int:
     fields = {f for f in RunConfig.__dataclass_fields__}
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
     try:
-        return COMMANDS[config.command](config)
+        # an overflow shows as inf or nan in the report, which emit rejects
+        with np.errstate(all="ignore"):
+            return COMMANDS[config.command](config)
     except (ValueError, OSError, spectral.TrackingAmbiguityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -3,12 +3,13 @@
 The permutation-sum determinant works over any kind but fails det(AB) =
 det(A)det(B) once multiplication stops commuting.  The two row-reduction
 determinants (norm valued, and valued in the abelianized multiplicative
-group) both satisfy the product relation; they are computed from one
-elimination pass that records its pivots.  Quaternion and octonion matrices
-of size 12 and up are eliminated on component arrays (kernel.py), one array
-step per pivot, bit-identical to per-entry arithmetic.  Over the Gaussian rationals the
-abelianized determinant and |det|^2 come from one fraction-free elimination
-over the Gaussian integers, the same Bareiss loop that serves integer forms.
+group) both satisfy the product relation; they are read off one elimination
+that records its pivots and runs on a (d, n, n) array for every kind: float
+components for quaternions and octonions, the scalars themselves (d = 1)
+otherwise, bit-identical to a per-entry loop.  Over the Gaussian rationals
+the abelianized determinant and |det|^2 come from one fraction-free
+elimination over the Gaussian integers, the same Bareiss loop that serves
+integer forms.
 """
 
 from __future__ import annotations
@@ -26,20 +27,10 @@ from .scalars import GAUSSIAN, OCTONION, GaussianRational, ScalarKind, kind_of
 
 DEFAULT_LEIBNIZ_CAP = 10
 SINGULAR_PIVOT_RATIO = 1e-12
-# Quaternion and octonion matrices from this size on are eliminated on
-# component arrays.  An array step costs about 60 numpy calls per pivot, so
-# smaller matrices are faster on the per-entry loop; both give the same bits.
-COMPONENT_ELIMINATION_MIN_SIZE = 12
 
 
 class MatrixSizeError(ValueError):
     """Raised when the permutation-sum determinant is asked for too large a matrix."""
-
-
-def _matrix_kind(M, kind=None) -> ScalarKind:
-    if kind is not None:
-        return kind
-    return kind_of(M[0][0])
 
 
 def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
@@ -54,7 +45,7 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
         raise ValueError("matrix must be square")
     if n > cap:
         raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d" % (n, cap))
-    kind = _matrix_kind(M, kind)
+    kind = kind or kind_of(M[0][0])
     if kind is GAUSSIAN:
         return _gaussian_det(M)
     total = kind.zero
@@ -97,100 +88,56 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     Row r picks up  row_r - (M[r][c] * pivot^-1) * row_c, which leaves both
     row-reduction determinants unchanged; swaps flip the sign bookkeeping.
     Float kinds pick the largest-norm pivot per column, the exact kind takes
-    the first nonzero one.  M may also be a component array in the form of
-    connection.field_matrices (not Gaussian), with `kind` given.
+    the first nonzero one.  Each pivot updates the rows below it with a
+    nonzero entry in one array step, right of the pivot column only (no
+    later step reads the others).  M may also be a component array in the
+    form of connection.field_matrices (not Gaussian), with `kind` given.
     """
-    kind = _matrix_kind(M, kind)
-    arrays = isinstance(M, np.ndarray)
-    n = M.shape[1] if arrays else len(M)
-    if kind in kernel.COMPONENT_MUL and n >= COMPONENT_ELIMINATION_MIN_SIZE:
-        return _row_reduce_components(M, kind, want_log)
-    if arrays:
-        M = kernel.from_array(M, kind)
-    W = [list(row) for row in M]
-    log = [] if want_log else None
-    exact = kind.exact
-    if exact:
-        threshold_sq = 0
-    else:
-        max_norm_sq = max((float(scalars.norm_sq(v)) for row in W for v in row),
-                          default=0.0)
-        threshold_sq = (SINGULAR_PIVOT_RATIO ** 2) * max_norm_sq
-    pivots = []
-    swaps = 0
-    for c in range(n):
-        if exact:
-            pr = next((r for r in range(c, n) if bool(W[r][c])), None)
-        else:
-            pr = max(range(c, n), key=lambda r: float(scalars.norm_sq(W[r][c])))
-            if float(scalars.norm_sq(W[pr][c])) <= threshold_sq:
-                pr = None
-        if pr is None:
-            if log is not None:
-                log.append("column %d has no usable pivot; matrix is singular" % c)
-            return Elimination(pivots, swaps, True, log or [])
-        if pr != c:
-            W[c], W[pr] = W[pr], W[c]
-            swaps += 1
-            if log is not None:
-                log.append("swap rows %d and %d" % (c, pr))
-        pivot = W[c][c]
-        pivots.append(pivot)
-        if log is not None:
-            log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
-        inv_pivot = scalars.invert(pivot)
-        for r in range(c + 1, n):
-            if scalars.is_zero(W[r][c]):
-                continue
-            f = W[r][c] * inv_pivot
-            W[r] = [W[r][k] - f * W[c][k] for k in range(n)]
-            if log is not None:
-                log.append("row %d -= (%s) * row %d"
-                           % (r, scalars.format_scalar(f), c))
-    return Elimination(pivots, swaps, False, log or [])
-
-
-def _row_reduce_components(M, kind, want_log) -> Elimination:
-    """row_reduce for quaternion and octonion matrices on component arrays.
-
-    Same pivot rule, zero-row skip, inverse and operation order as the
-    per-entry loop; each pivot updates all rows below it in one array step.
-    Only the columns right of the pivot are updated, as no later step reads
-    the others.
-    """
-    mul = kernel.COMPONENT_MUL[kind]
-    W = M.copy() if isinstance(M, np.ndarray) else kernel.to_array(M, kind)[0]
+    kind = kind or kind_of(M[0][0])
+    W = (M.copy() if isinstance(M, np.ndarray)
+         else np.array([M], dtype=object) if kind is GAUSSIAN  # exact entries
+         else kernel.to_array(M, kind)[0])
+    objects = W.dtype == object
     n = W.shape[1]
     log = [] if want_log else None
-    max_norm_sq = float(kernel.norm_sq(W).max()) if n else 0.0
-    threshold_sq = (SINGULAR_PIVOT_RATIO ** 2) * max_norm_sq
-    pivots = []
-    swaps = 0
+    threshold_sq = 0 if kind.exact or not n else (
+        SINGULAR_PIVOT_RATIO ** 2 * float(kernel.norms(W, kind).max()))
+    pivots, swaps = [], 0
     for c in range(n):
-        col = kernel.norm_sq(W[:, c:, c])
-        pr = c + int(np.argmax(col))
-        if col[pr - c] <= threshold_sq:
+        col = W[:, c:, c]  # a view: it follows the swap below
+        # the first nonzero entry (False <= 0), or the largest norm
+        key = col[0] != 0 if kind.exact else kernel.norms(col, kind)
+        pr = c + int(np.argmax(key))
+        if key[pr - c] <= threshold_sq:
             if log is not None:
                 log.append("column %d has no usable pivot; matrix is singular" % c)
             return Elimination(pivots, swaps, True, log or [])
         if pr != c:
             W[:, [c, pr]] = W[:, [pr, c]]
-            col[[0, pr - c]] = col[[pr - c, 0]]
+            key[[0, pr - c]] = key[[pr - c, 0]]
             swaps += 1
             if log is not None:
                 log.append("swap rows %d and %d" % (c, pr))
-        pivot = kernel.scalar(W[:, c, c], kind)
+        pivot = W[0, c, c] if objects else kernel.scalar(W[:, c, c], kind)
         pivots.append(pivot)
         if log is not None:
             log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
-        rows = c + 1 + np.flatnonzero(col[1:] != 0.0)
+        # the rows below whose entry is not zero (x == 0 for the numbers,
+        # a zero norm for quaternions and octonions)
+        rows = c + 1 + np.flatnonzero(col[0, 1:] != 0 if objects else key[1:])
         if not len(rows):
             continue
-        F = np.array(mul(W[:, rows, c], scalars.invert(pivot).components()))
-        W[:, rows, c + 1:] -= np.array(mul(F[:, :, None], W[:, c, None, c + 1:]))
+        inverse = scalars.invert(pivot)
+        inverse = (np.full((1, 1), inverse, dtype=object) if objects
+                   else np.array(inverse.components())[:, None])
+        F = kernel.multiply(W[:, rows, c], inverse, kind)
+        step = max(1, kernel.BLOCK_PRODUCTS // (len(W) ** 2 * (n - c)))
+        for i in range(0, len(rows), step):  # blocks of rows, as in products
+            W[:, rows[i:i + step], c + 1:] -= kernel.multiply(
+                F[:, i:i + step, None], W[:, c, None, c + 1:], kind)
         if log is not None:
             for i, r in enumerate(rows):
-                f = kernel.scalar(F[:, i], kind)
+                f = F[0, i] if objects else kernel.scalar(F[:, i], kind)
                 log.append("row %d -= (%s) * row %d"
                            % (r, scalars.format_scalar(f), c))
     return Elimination(pivots, swaps, False, log or [])
@@ -227,7 +174,7 @@ def dieudonne_det(M, kind=None):
     nonnegative norm representative.
     Octonions are rejected: use study_det there.
     """
-    kind = _matrix_kind(M, kind)
+    kind = kind or kind_of(M[0][0])
     if kind is OCTONION:
         raise ValueError("no abelianized determinant over octonions; use study_det")
     if kind is GAUSSIAN:

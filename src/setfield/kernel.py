@@ -10,38 +10,100 @@ component, and `to_array` decides the form from the kind:
   instead of Fractions;
 - real and complex: d = 1, an object array of the numbers themselves.
 
-Products apply the component formulas of `scalars` (`quat_mul`, `oct_mul`,
-or Python's `*` on the numbers) to whole arrays.  Each array operation is
-the operation the scalar classes perform on a single entry, in the same
-order, and sums over the inner index run one k at a time from a zero start
-like a per-entry loop.  Results are therefore bit-identical to per-entry
-arithmetic.  A structure-tensor GEMM would be faster still, but it sums in
-another order and moves the last bits of every report.
+Quaternion and octonion products run from a term table read off
+`scalars.quat_mul` and `scalars.oct_mul` (see `_term_table`), real and
+complex products are Python's `*` on the numbers, and sums over the inner
+index run one k at a time from a zero start like a per-entry loop.  Each
+entry sees the IEEE operations of the per-entry arithmetic in its order, so
+results are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
 from . import scalars
 from .scalars import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
-                      GaussianRational, Octonion, Quaternion, oct_mul, quat_mul)
+                      GaussianRational, Octonion, Quaternion)
 
-COMPONENT_MUL = {QUATERNION: quat_mul, OCTONION: oct_mul}
 _NUMBER_KINDS = (REAL, COMPLEX)
 _CLASS = {QUATERNION: Quaternion, OCTONION: Octonion, GAUSSIAN: GaussianRational}
 # the start of every sum over entries; the numbers start from their own zero
 _ZERO = {QUATERNION: 0.0, OCTONION: 0.0, GAUSSIAN: 0}
 _NORM_SQ = np.frompyfunc(scalars.norm_sq, 1, 1)
 
-# Entries per component of one block of products in array_mat_mul.  Bigger
-# blocks take fewer numpy calls, but oct_mul keeps about 20 block-sized
-# arrays alive.
-BLOCK_ENTRIES = 1 << 11
+# Products p_i q_j that one block of `product`, or of the rows an elimination
+# step updates, holds at once.  The term table of a kind with d components
+# has d^2 terms per entry, so a block holds fewer entries as d grows.
+BLOCK_PRODUCTS = 1 << 15
+
+
+class _Symbol:
+    """A product formula run on symbols: a component of the left (side 0) or
+    right (side 1) factor with a sign, or, from products on, `groups`
+    [(sign, [(sign, i, j), ...]), ...] of signed products p_i q_j that stand
+    for G_1 + s_2 G_2 + ..., each group G summed left to right."""
+
+    def __init__(self, groups=None, side=0, index=0, sign=1):
+        self.groups, self.side, self.index, self.sign = groups, side, index, sign
+
+    def __neg__(self):
+        return _Symbol(None, self.side, self.index, -self.sign)
+
+    def __mul__(self, other):
+        p, q = sorted((self, other), key=lambda c: c.side)
+        return _Symbol([(1, [(p.sign * q.sign, p.index, q.index)])])
+
+    def __add__(self, other, sign=1):
+        (_, terms), = other.groups
+        if len(self.groups) == 1 and len(terms) == 1:  # x - p q is x + (-p) q
+            (s, i, j), = terms
+            return _Symbol([(1, self.groups[0][1] + [(sign * s, i, j)])])
+        return _Symbol(self.groups + [(sign, terms)])
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+
+_FORMULAS = {QUATERNION: scalars.quat_mul, OCTONION: scalars.oct_mul}
+
+
+@functools.cache  # on first use, so that importing stays cheap
+def _term_table(kind):
+    """(S, I, J, G) for the product formula of the kind on d components:
+    term t of group g of output component k is S[t, r] p[I[t, r]] q[J[t, r]]
+    with r = g d + k, and group g > 0 enters with sign G[g, k].  (-p) q is
+    -(p q) and x - y is x + (-y) bit for bit, so signs fold into the terms,
+    but not a group's sign: -(a + b) is -0.0 where (-a) + (-b) is +0.0."""
+    d = kind.n_components
+    out = _FORMULAS[kind]([_Symbol(None, 0, i) for i in range(d)],
+                          [_Symbol(None, 1, j) for j in range(d)])
+    rows = [c.groups[g] for g in range(len(out[0].groups)) for c in out]
+    T = np.array([terms for _, terms in rows]).transpose(1, 0, 2)
+    G = np.array([sign for sign, _ in rows], dtype=float).reshape(-1, d)
+    return T[..., 0].astype(float), T[..., 1], T[..., 2], G
+
+
+def multiply(P: np.ndarray, Q: np.ndarray, kind) -> np.ndarray:
+    """Entrywise product of broadcastable arrays of the kind with the same
+    number of axes: the term table on quaternion and octonion components,
+    Python's `*` on an object array of scalars."""
+    if kind not in _FORMULAS:
+        return P * Q
+    S, I, J, G = _term_table(kind)
+    tail = (1,) * (P.ndim - 1)
+    terms = P[I] * S.reshape(S.shape + tail) * Q[J]
+    sums = terms[0]
+    for t in terms[1:]:  # each group left to right
+        sums = sums + t
+    out, *later = sums.reshape(G.shape + sums.shape[1:])
+    for sign, group in zip(G[1:], later):
+        out = out + sign.reshape((-1,) + tail) * group
+    return out
 
 
 def _coerce(M, kind):
@@ -141,26 +203,6 @@ def running_sum(X: np.ndarray, zero=None) -> np.ndarray:
     return np.add.accumulate(X, axis=-1)[..., -1]
 
 
-def array_mat_mul(A: np.ndarray, B: np.ndarray, mul) -> np.ndarray:
-    """A B for arrays A (d, n, p) and B (d, p, m) and an entrywise product
-    `mul` of component arrays.
-
-    The products A[:, i, k] B[:, k, j] of a block of k are formed at once,
-    then added in increasing k to an accumulator that starts from zero (the
-    int 0 on object arrays).
-    """
-    d, n, p = A.shape
-    m = B.shape[2]
-    acc = np.zeros((d, n, m), dtype=A.dtype)
-    step = max(1, BLOCK_ENTRIES // max(1, n * m))
-    for k0 in range(0, p, step):
-        P = np.array(mul(A[:, :, k0:k0 + step, None],
-                         B[:, None, k0:k0 + step, :]))
-        for k in range(P.shape[2]):
-            acc += P[:, :, k]
-    return acc
-
-
 def to_gaussian_integers(M):
     """(re, im, D) with int matrices re, im and M = (re + i im) / D, where D
     is the lcm of the denominators of M."""
@@ -172,14 +214,23 @@ def to_gaussian_integers(M):
     return re, im, D
 
 
-def gaussian_mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B for Gaussian-integer component arrays (2, n, p) and (2, p, m)."""
-    return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
-
-
 def product(A: np.ndarray, B: np.ndarray, kind) -> np.ndarray:
-    """A B for arrays of any kind (Gaussian integers at the product of the
-    two scales)."""
+    """A B for arrays A (d, n, p) and B (d, p, m) of any kind.
+
+    Gaussian integers multiply exactly, at the product of the two scales.
+    Otherwise the products A[:, i, k] B[:, k, j] of a block of k are formed
+    at once, then added in increasing k to an accumulator that starts from
+    zero (the int 0 on object arrays).
+    """
     if kind is GAUSSIAN:
-        return gaussian_mat_mul(A, B)
-    return array_mat_mul(A, B, COMPONENT_MUL.get(kind, operator.mul))
+        return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
+    d, n, p = A.shape
+    m = B.shape[2]
+    acc = np.zeros((d, n, m), dtype=A.dtype)
+    step = max(1, BLOCK_PRODUCTS // max(1, d * d * n * m))
+    for k0 in range(0, p, step):
+        P = multiply(A[:, :, k0:k0 + step, None], B[:, None, k0:k0 + step, :],
+                     kind)
+        for k in range(P.shape[2]):
+            acc += P[:, :, k]
+    return acc

@@ -8,6 +8,7 @@ so determinant identities can be checked with zero tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -17,8 +18,9 @@ DEFAULT_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # product formulas on component sequences.  The scalar classes apply them to
-# floats and the matrix kernel (kernel.py) to numpy arrays, one array per
-# component; both run the same IEEE operations in the same order.
+# floats; the matrix kernel (kernel.py) evaluates each once on symbolic
+# components and runs the same IEEE operations, in the same order, from the
+# term table it reads off.
 
 def quat_mul(p, q):
     """Hamilton product of components (w, x, y, z) with i j = k."""
@@ -452,10 +454,14 @@ def _fraction(text):
 
 def parse_scalar(text, kind=None):
     """Parse a literal like 1.5, 2+3i, 1+2i+3j+4k, o(...), q(3/4+1/4i); a
-    literal of another kind than `kind`, when given, is an error."""
+    literal of another kind than `kind`, when given, or with a component
+    that is not finite (1e400, o(nan)) is an error."""
     value = _parse_literal(text.strip(), kind)
     if kind is not None and kind_of(value) != kind:
         raise ValueError("%r is not a %s literal" % (text, kind.name))
+    parts = value.components() if hasattr(value, "components") else [value]
+    if not kind_of(value).exact and not all(map(cmath.isfinite, parts)):
+        raise ValueError("%r is not a finite number" % text)
     return value
 
 

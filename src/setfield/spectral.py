@@ -204,6 +204,8 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
         raise ValueError("wheel index out of range")
     if steps < 1:
         raise ValueError("steps must be at least 1, got %d" % steps)
+    if max_steps is not None and max_steps < steps:
+        raise ValueError("max_steps %d is below steps %d" % (max_steps, steps))
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")

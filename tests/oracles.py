@@ -4,9 +4,9 @@ Everything here is deliberately naive: cofactor expansions, chain
 enumerations and per-eigenvalue greedy tracking.  None of it shares code
 with the production paths it validates.  The per-entry `mat_mul` and
 `row_reduce` at the end are the library's code from before matrices moved to
-component arrays; they multiply scalar objects one entry at a time, and the
-scalar products themselves are pinned to `quaternion_product` and
-`octonion_product` here.  `build_matrices_by_sets` and the four
+component arrays and one array elimination served every kind; they work on
+scalar objects one entry at a time, with the scalar classes' own products,
+which are pinned to `quaternion_product` and `octonion_product` here.  `build_matrices_by_sets` and the four
 `*_by_entries` checks are the library's construction of L and g (stars and
 cores intersected one pair at a time, summed by the library's `energy_sum`)
 and its identity checks from before they moved onto the inclusion matrix

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -79,18 +80,25 @@ def test_det_pivot_log(capsys):
 @pytest.mark.parametrize("kind", ["real", "complex", "quaternion",
                                   "octonion", "gaussian"])
 def test_det_pivot_log_eliminates_each_matrix_once(capsys, monkeypatch, kind):
-    # the logged elimination also yields the Study value and, except over
-    # the Gaussian rationals (Bareiss) and octonions (none), the Dieudonne one
+    # one elimination per matrix, with or without the log, yields the Study
+    # value and, except over the Gaussian rationals (Bareiss) and octonions
+    # (none), the Dieudonne one
     from setfield import determinants
 
     calls = []
     original = determinants.row_reduce
     monkeypatch.setattr(determinants, "row_reduce",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
-    code, data = run_json(capsys, "det", "--inline", "{{1,2,3}}", "--closure",
-                          "--field", "random:5:" + kind, "--pivot-log")
+    argv = ["det", "--inline", "{{1,2,3}}", "--closure",
+            "--field", "random:5:" + kind]
+    code, data = run_json(capsys, *argv, "--pivot-log")
     assert code == 0 and len(calls) == 2
     assert data["L"]["pivot_log"] and data["g"]["study"] > 0
+    code, plain = run_json(capsys, *argv)
+    assert code == 0 and len(calls) == 4
+    for label in ("L", "g"):
+        del data[label]["pivot_log"]
+    assert plain == data
 
 
 def test_check_all_pass_exit_zero(capsys):
@@ -196,16 +204,46 @@ def test_bad_input_is_reported(capsys):
       "--steps", "-5"], "steps must be at least 1, got -5"),
     (["phase", "--inline", "{{1},{2}}", "--field", "roots:1", "--wheel", "0",
       "--steps", "1"], "stayed ambiguous"),
+    (["matrices", "--inline", "{{1}}", "--field", "values:1e400"],
+     "'1e400' is not a finite number"),
+    (["matrices", "--inline", "{{1}}", "--field",
+      "values:o(nan,0,0,0,0,0,0,0)"],
+     "'o(nan,0,0,0,0,0,0,0)' is not a finite number"),
+    (["check", "--inline", "{{1,2}}", "--closure",
+      "--field", "values:1e200,1e200,1e200"], "not finite"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--kind", "octonion",
+      "--field", "values:o(1e200),1,1"], "not finite"),
 ], ids=["random-kind", "roots-0", "gaussian-literal-zero-denominator",
         "gaussian-kind-zero-denominator", "literal-of-other-kind",
-        "steps-0", "steps-negative", "phase-ambiguous"])
+        "steps-0", "steps-negative", "phase-ambiguous", "literal-overflow",
+        "literal-nan", "report-overflow-real", "report-overflow-octonion"])
 def test_malformed_input_exits_two_with_one_line(capsys, argv, message):
-    code = main(argv)
+    _assert_one_error_line(capsys, argv, message)
+
+
+def _assert_one_error_line(capsys, argv, message):
+    # a warning (numpy's overflow warnings among them) fails the run here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert code == 2 and not captured.out
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("4", "SETFIELD_STEP_CAP=4 is below --steps 10"),
+    ("abc", "SETFIELD_STEP_CAP='abc' is not an integer"),
+])
+@pytest.mark.parametrize("command", ["phase", "group"])
+def test_step_cap_errors_name_the_variable(capsys, monkeypatch, command, cap,
+                                           message):
+    monkeypatch.setenv("SETFIELD_STEP_CAP", cap)
+    _assert_one_error_line(capsys, [command, "--inline", "{{1,2}}",
+                                    "--closure", "--field", "roots:7",
+                                    "--steps", "10"], message)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -1,5 +1,6 @@
 """Fuzzed --inline and --field text: every run exits 0, 1 or 2, never with a
-traceback, and exit 2 comes with exactly one `error:` line on stderr.
+traceback or a warning, exit 2 comes with exactly one `error:` line on
+stderr, and every other run prints a report in strict JSON.
 
 Systems stay at no more than four vertices (or a dozen characters of free
 text), so each run takes milliseconds.
@@ -8,6 +9,7 @@ text), so each run takes milliseconds.
 import contextlib
 import io
 import json
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,10 @@ LITERAL = st.one_of(
                      "1/0", "3/4", "o(1,2,3,4,5,6,7,8)", "o(1)", "0", "nan",
                      "1e400"]),
 )
+# not finite, or finite but overflowing once multiplied
+HUGE = st.sampled_from(["1e400", "o(nan,0,0,0,0,0,0,0)", "o(inf)", "o(1e400)",
+                        "-1e400j", "1e200", "-1e308", "1e200+1e200i", "1e154k",
+                        "o(0,1e200)"])
 KIND_NAMES = ("real", "complex", "quaternion", "octonion", "gaussian", "foo", "")
 PRESET = st.one_of(
     st.sampled_from(["omega", "ones", "", "values:", "random:", "roots:"]),
@@ -66,6 +72,10 @@ def _size(inline, closure):
         return 1
 
 
+def _values(literals):
+    return "values:" + ",".join(literals)
+
+
 @st.composite
 def argvs(draw):
     argv = draw(st.sampled_from([
@@ -79,16 +89,23 @@ def argvs(draw):
         return argv
     # a values list of the system's length, so that most of them parse
     n = _size(inline, closure)
-    field = draw(PRESET | st.lists(LITERAL, min_size=n, max_size=n).map(
-        lambda xs: "values:" + ",".join(xs)))
+    field = draw(PRESET
+                 | st.lists(LITERAL, min_size=n, max_size=n).map(_values)
+                 | HUGE.map(lambda x: _values([x] * n)))
     return argv + ["--field=" + field] + draw(KIND)
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _reject(constant):
+    raise ValueError("%s is not JSON" % constant)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -100,3 +117,5 @@ def test_cli_text_exits_cleanly(argv):
         lines = err.strip().splitlines()
         assert not out and len(lines) == 1 and lines[0].startswith("error:"), \
             (argv, err)
+    else:  # a report in strict JSON: no Infinity or NaN
+        assert not err and json.loads(out, parse_constant=_reject), argv

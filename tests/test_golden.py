@@ -49,8 +49,8 @@ FIELDS = {
 COMMANDS = {"matrices": [], "check": [], "det": ["--pivot-log"],
             "group": [], "phase": []}
 
-# The closure of {1,2,3,4} has 15 elements, enough for eliminations to run on
-# component arrays; `matrices` eliminates nothing and skips it.
+# The closure of {1,2,3,4} has 15 elements, the largest eliminations here;
+# `matrices` eliminates nothing and skips it.
 ALGEBRA_FIELDS = ("quaternion", "quaternion-unit", "octonion", "octonion-unit",
                   "gaussian", "gaussian-unit")
 ALGEBRA_CASES = [(cmd, sysname, fname)

@@ -1,19 +1,20 @@
 """The array kernel against the per-entry code it replaced.
 
-Products, conjugates and norms of all five kinds, and quaternion and
-octonion eliminations, must be repr-equal (zero tolerance, signed zeros and
-int-valued entries included) to the per-entry loops kept in oracles.py;
-Gaussian results are exact and must be equal.
+Products, conjugates, norms and eliminations of all five kinds must be
+repr-equal (zero tolerance, signed zeros and int-valued entries included) to
+the per-entry loops kept in oracles.py; Gaussian results are exact and must
+be equal.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracles
 import pytest
 
-from setfield import determinants, kernel, scalars
+from setfield import kernel, scalars
 from setfield.connection import (build_matrices, omega_field, ones_field,
                                  random_field)
 from setfield.determinants import (dieudonne_det, row_reduce,
@@ -83,6 +84,25 @@ def test_scalar_products_match_per_entry_formulas():
         assert repr(got.components()) == repr(oracles.octonion_product(p, q))
 
 
+@pytest.mark.parametrize("kind_name", ["quaternion", "octonion"])
+def test_term_table_products_keep_signed_zeros(kind_name):
+    # few distinct values, signed zeros among them, so that products repeat
+    # and group sums cancel exactly to +0.0.  -(a + b) is -0.0 where
+    # (-a) + (-b) is +0.0, so a table that folds a group's sign into its
+    # terms fails here.
+    kind = KINDS[kind_name]
+    d = kind.n_components
+    formula = scalars.quat_mul if kind is scalars.QUATERNION else scalars.oct_mul
+    rng = np.random.default_rng(17)
+    values = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, 0.5]
+    P, Q = (rng.choice(values, size=(d, 64, 64)) for _ in range(2))
+    want = np.array(formula(P, Q))
+    assert kernel.multiply(P, Q, kind).tobytes() == want.tobytes()
+    P, Q = P[:, :8, :1], Q[:, :1, :8]  # broadcast, as in a block of products
+    want = np.array(formula(P, Q))
+    assert kernel.multiply(P, Q, kind).tobytes() == want.tobytes()
+
+
 def test_mat_mul_is_bit_identical_to_per_entry():
     kinds_seen = set()
     for kind, cm in _cases():
@@ -111,12 +131,10 @@ def test_conjugates_and_norms_match_per_entry():
         assert repr(kernel.norms(X, kind, scale).tolist()) == repr(want)
 
 
-@pytest.mark.parametrize(
-    "min_size", [1, determinants.COMPONENT_ELIMINATION_MIN_SIZE])
-def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, min_size):
-    # min_size 1 sends every quaternion and octonion matrix to the kernel
-    monkeypatch.setattr(determinants, "COMPONENT_ELIMINATION_MIN_SIZE",
-                        min_size)
+@pytest.mark.parametrize("block_products", [1, 12])
+def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, block_products):
+    # 1 puts a row in each block of the update; 12 puts several rows in a
+    # block for the one-component kinds near the end of the elimination
     singular = 0
     for kind, cm in _cases():
         for M in (cm.L, cm.g):
@@ -124,6 +142,10 @@ def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, min_size):
             want = oracles.row_reduce(M, kind, want_log=True)
             assert _elimination_repr(got) == _elimination_repr(want)
             assert repr(row_reduce(M, kind).pivots) == repr(want.pivots)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "BLOCK_PRODUCTS", block_products)
+                got = row_reduce(M, kind, want_log=True)
+            assert _elimination_repr(got) == _elimination_repr(want)
             singular += got.singular
     assert singular  # the zero field values reach the singular branch
 
@@ -137,7 +159,7 @@ def test_rectangular_and_blocked_products(monkeypatch, kind_name):
     B = [[scalars.random_scalar(kind, rng) for _ in range(4)] for _ in range(5)]
     want = repr(oracles.mat_mul(A, B, kind))
     assert repr(_product(A, B, kind)) == want
-    monkeypatch.setattr(kernel, "BLOCK_ENTRIES", 5)  # blocks of one k
+    monkeypatch.setattr(kernel, "BLOCK_PRODUCTS", 5)  # blocks of one k
     assert repr(_product(A, B, kind)) == want
 
 

@@ -88,6 +88,14 @@ def test_track_wheel_rejects_zero_field():
         track_wheel(ZERO_DIM, explicit_field([0j, 1 + 0j]), 0)
 
 
+def test_track_wheel_rejects_a_cap_below_the_steps():
+    # a cap below the request used to skip tracking and report ambiguity
+    with pytest.raises(ValueError, match="max_steps 4 is below steps 50"):
+        track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=50, max_steps=4)
+    path = track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=50, max_steps=50)
+    assert path.steps == 50
+
+
 def test_matrix_returns_after_full_turn(K3):
     h = roots_field(K3, 7)
     path = track_wheel(K3, h, 3, steps=500)
