@@ -4,6 +4,11 @@ Every number in a report comes straight from the library; the CLI only
 parses, dispatches and serializes.  Reports are deterministic for a fixed
 (input, seed): JSON is emitted with sorted keys, the random field preset uses
 Python's seeded Mersenne Twister, and SVG plots are assembled by hand.
+
+`gen` and `kaehler` are integer combinatorics, and malformed input fails
+before a field is built, so this module imports nothing that imports numpy.
+The float commands (matrices, det, check, phase, group) import numpy and
+the modules built on it only once their system has been parsed.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import (__version__, determinants, identities, kaehler, kernel,
-               scalars, spectral)
-from .connection import (EnergyFunction, build_matrices, explicit_field,
-                         field_matrices, omega_field, ones_field,
-                         random_field, roots_field)
+from . import __version__, kaehler, scalars
 from .scalars import KINDS
 from .setsystem import SetSystem, parse_system, system_to_json
 
@@ -41,8 +40,8 @@ class RunConfig:
     closure: bool = False
     preset: str = "omega"
     kind_name: str | None = None
-    tolerance: float = scalars.DEFAULT_TOL
-    steps: int = spectral.DEFAULT_STEPS
+    tolerance: float | None = None  # else SETFIELD_TOLERANCE or DEFAULT_TOL
+    steps: int | None = None  # else spectral.DEFAULT_STEPS
     output_dir: str | None = None
     method: str = "all"
     identity: str = "all"
@@ -59,13 +58,9 @@ def load_system(config: RunConfig) -> SetSystem:
         text = config.inline
     else:
         raise ValueError("need --input FILE or --inline TEXT")
-    return parse_system(text, closure=config.closure)
-
-
-def load_nonempty_system(config: RunConfig) -> SetSystem:
-    """load_system for the commands whose matrix products need an element."""
-    system = load_system(config)
-    if not len(system):
+    system = parse_system(text, closure=config.closure)
+    if not len(system) and config.command in ("matrices", "check"):
+        # their matrix products need an element
         raise ValueError("%s needs a nonempty set system" % config.command)
     return system
 
@@ -95,7 +90,10 @@ def parse_kind(name: str) -> scalars.ScalarKind:
     return KINDS[name]
 
 
-def make_field(system: SetSystem, config: RunConfig) -> EnergyFunction:
+def make_field(system: SetSystem, config: RunConfig):
+    from .connection import (explicit_field, omega_field, ones_field,
+                             random_field, roots_field)
+
     preset = config.preset
     kind = KINDS[config.kind_name] if config.kind_name else None
     if preset == "omega":
@@ -158,8 +156,7 @@ def _json_default(v):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen(config: RunConfig) -> int:
-    system = load_system(config)
+def cmd_gen(config: RunConfig, system: SetSystem) -> int:
     emit({
         "elements": system_to_json(system),
         "n": len(system),
@@ -170,8 +167,10 @@ def cmd_gen(config: RunConfig) -> int:
     return 0
 
 
-def cmd_matrices(config: RunConfig) -> int:
-    system = load_nonempty_system(config)
+def cmd_matrices(config: RunConfig, system: SetSystem) -> int:
+    from . import kernel
+    from .connection import field_matrices
+
     h = make_field(system, config)
     fm = field_matrices(system, h)
     gbar_L = kernel.product(kernel.conjugate(fm.g, h.kind), fm.L, h.kind)
@@ -188,11 +187,13 @@ def cmd_matrices(config: RunConfig) -> int:
     return 0
 
 
-def cmd_det(config: RunConfig) -> int:
-    system = load_system(config)
+def cmd_det(config: RunConfig, system: SetSystem) -> int:
+    from . import determinants
+    from .connection import build_matrices
+
     h = make_field(system, config)
     cm = build_matrices(system, h)
-    leib_cap = _env_int(ENV_LEIBNIZ_CAP, determinants.DEFAULT_LEIBNIZ_CAP)
+    leib_cap = _env_number(ENV_LEIBNIZ_CAP, determinants.DEFAULT_LEIBNIZ_CAP)
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
                  and h.kind is not scalars.OCTONION)
@@ -223,8 +224,9 @@ def cmd_det(config: RunConfig) -> int:
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
-    system = load_nonempty_system(config)
+def cmd_check(config: RunConfig, system: SetSystem) -> int:
+    from . import identities
+
     h = make_field(system, config)
     names = (["greenstar", "energy", "gaussbonnet", "unimodular", "signature"]
              if config.identity == "all" else [config.identity])
@@ -244,30 +246,37 @@ def cmd_check(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _env_int(name, default=None):
+def _env_number(name, default=None, parse=int):
+    """An environment override; unset or empty means `default`."""
     text = os.environ.get(name)
     try:
-        return int(text) if text else default
+        return parse(text) if text else default
     except ValueError:
-        raise ValueError("%s=%r is not an integer" % (name, text)) from None
+        what = "an integer" if parse is int else "a number"
+        raise ValueError("%s=%r is not %s" % (name, text, what)) from None
 
 
-def _step_cap(steps) -> int | None:
-    cap = _env_int(ENV_STEP_CAP)
+def _steps(config: RunConfig) -> tuple[int, int | None]:
+    """--steps (spectral.DEFAULT_STEPS if not given) and the step cap."""
+    from . import spectral
+
+    steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
+    cap = _env_number(ENV_STEP_CAP)
     if cap is not None and cap < steps:
         raise ValueError("%s=%d is below --steps %d" % (ENV_STEP_CAP, cap, steps))
-    return cap
+    return steps, cap
 
 
-def cmd_phase(config: RunConfig) -> int:
-    system = load_system(config)
+def cmd_phase(config: RunConfig, system: SetSystem) -> int:
+    from . import spectral
+
     h = make_field(system, config)
     wheels = ([config.wheel] if config.wheel is not None
               else list(range(len(system))))
-    cap = _step_cap(config.steps)
+    steps, cap = _steps(config)
     summary = []
     for w in wheels:
-        path = spectral.track_wheel(system, h, w, config.steps, cap)
+        path = spectral.track_wheel(system, h, w, steps, cap)
         perm = spectral.path_permutation(path)
         winds = spectral.winding_numbers(path)
         summary.append({
@@ -285,14 +294,15 @@ def cmd_phase(config: RunConfig) -> int:
     return 0
 
 
-def cmd_group(config: RunConfig) -> int:
-    system = load_system(config)
+def cmd_group(config: RunConfig, system: SetSystem) -> int:
+    from . import spectral
+
     h = make_field(system, config)
-    report = spectral.monodromy_report(system, h, config.steps,
-                                       max_steps=_step_cap(config.steps))
+    steps, cap = _steps(config)
+    report = spectral.monodromy_report(system, h, steps, max_steps=cap)
     emit({
         "n": len(system),
-        "steps": config.steps,
+        "steps": steps,
         "order": report.group_order,
         "generators": [{
             "wheel": w.wheel,
@@ -310,8 +320,7 @@ def cmd_group(config: RunConfig) -> int:
     return 0
 
 
-def cmd_kaehler(config: RunConfig) -> int:
-    system = load_system(config)
+def cmd_kaehler(config: RunConfig, system: SetSystem) -> int:
     report = kaehler.kaehler_report(system)
     if config.heatmap:
         _write_form_svg(config.heatmap, report.form)
@@ -378,13 +387,13 @@ def _write_path_svg(path_name: str, path, size=480) -> None:
 
 
 def _write_form_svg(path_name: str, form, cell=8) -> None:
-    n = form.shape[0]
-    peak = max(1, int(form.max()))
+    n = len(form)
+    peak = max([1] + [v for row in form for v in row])
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
              % (n * cell, n * cell)]
     for i in range(n):
         for j in range(n):
-            v = int(form[i, j])
+            v = form[i][j]
             shade = 255 - int(200 * math.sqrt(v / peak))
             lines.append('<rect x="%d" y="%d" width="%d" height="%d" '
                          'fill="rgb(%d,%d,%d)"/>'
@@ -418,9 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 " | values:a,b,c")
             p.add_argument("--kind", dest="kind_name", choices=sorted(KINDS),
                            help="scalar kind for ones/values presets")
-        p.add_argument("--tolerance", type=float,
-                       default=float(os.environ.get(ENV_TOLERANCE,
-                                                    scalars.DEFAULT_TOL)))
+        p.add_argument("--tolerance", type=float)
 
     p = sub.add_parser("gen", help="parse / close a complex and describe it")
     common(p, with_field=False)
@@ -443,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="eigenvalue paths for turned wheels")
     common(p)
     p.add_argument("--wheel", type=int, help="single wheel index (default all)")
-    p.add_argument("--steps", type=int, default=spectral.DEFAULT_STEPS)
+    p.add_argument("--steps", type=int)
 
     p = sub.add_parser("group", help="monodromy permutation group")
     common(p)
-    p.add_argument("--steps", type=int, default=spectral.DEFAULT_STEPS)
+    p.add_argument("--steps", type=int)
 
     p = sub.add_parser("kaehler", help="exact bilinear form determinant")
     common(p, with_field=False)
@@ -470,11 +477,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fields = {f for f in RunConfig.__dataclass_fields__}
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    command = COMMANDS[config.command]
+    errors = (ValueError, OSError)
     try:
+        if config.tolerance is None:
+            config.tolerance = _env_number(ENV_TOLERANCE, scalars.DEFAULT_TOL,
+                                           float)
+        system = load_system(config)
+        if config.command in ("gen", "kaehler"):  # integers only: no numpy
+            return command(config, system)
+        import numpy as np
+
+        from .spectral import TrackingAmbiguityError
+
+        errors += (TrackingAmbiguityError,)
         # an overflow shows as inf or nan in the report, which emit rejects
         with np.errstate(all="ignore"):
-            return COMMANDS[config.command](config)
-    except (ValueError, OSError, spectral.TrackingAmbiguityError) as exc:
+            return command(config, system)
+    except errors as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ components for quaternions and octonions, the scalars themselves (d = 1)
 otherwise, bit-identical to a per-entry loop.  Over the Gaussian rationals
 the abelianized determinant and |det|^2 come from one fraction-free
 elimination over the Gaussian integers, the same Bareiss loop that serves
-integer forms.
+integer forms.  numpy and the kernel are imported by the functions that
+need them, so that the Bareiss loop imports without either.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import kernel, scalars
+from . import scalars
 from .scalars import GAUSSIAN, OCTONION, GaussianRational, ScalarKind, kind_of
 
 DEFAULT_LEIBNIZ_CAP = 10
@@ -93,6 +92,10 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     later step reads the others).  M may also be a component array in the
     form of connection.field_matrices (not Gaussian), with `kind` given.
     """
+    import numpy as np
+
+    from . import kernel
+
     kind = kind or kind_of(M[0][0])
     W = (M.copy() if isinstance(M, np.ndarray)
          else np.array([M], dtype=object) if kind is GAUSSIAN  # exact entries
@@ -272,6 +275,8 @@ def _int_rows(M):
 
 def _gaussian_det(M) -> GaussianRational:
     """Determinant of a square Gaussian-rational matrix, exactly."""
+    from . import kernel
+
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")

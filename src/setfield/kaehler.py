@@ -4,9 +4,11 @@ integer bilinear form J^T J with big-integer determinant and factorization.
 The map from field values to connection matrices is linear, L = Z^T D_h Z
 with Z the inclusion matrix of the system, so its Jacobian is a constant
 n^2 x n matrix of zeros and ones whose column k is z_k (x) z_k, z_k the k-th
-row of Z.  Hence J^T J = (Z Z^T) * (Z Z^T) entrywise, and the form is built
-without the Jacobian.  Determinants of the form grow like 10^60 already for
-medium complexes, so everything here is exact integer arithmetic.
+row of Z.  Hence J^T J = (Z Z^T) * (Z Z^T) entrywise: entry (k, l) is the
+squared size of star(x_k) & star(x_l), one AND of two star bit rows and a
+popcount.  The form is built without the Jacobian or numpy.  Determinants
+of the form grow like 10^60 already for medium complexes, so everything
+here is exact integer arithmetic on Python ints.
 """
 
 from __future__ import annotations
@@ -14,22 +16,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .determinants import bareiss_det
 from .setsystem import SetSystem
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 
-def kaehler_form(system: SetSystem) -> np.ndarray:
-    """The integer Gram matrix J^T J of the parametrization Jacobian.
+def kaehler_form(system: SetSystem) -> list[list[int]]:
+    """The integer Gram matrix J^T J of the parametrization Jacobian, as
+    nested lists of ints.
 
-    Entry (k, l) is |star(x_k) & star(x_l)|^2, i.e. C * C with C = Z Z^T.
+    Entry (k, l) is |star(x_k) & star(x_l)|^2, i.e. C * C with C = Z Z^T,
+    read off the star bit rows.
     """
-    Z = system.zeta
-    C = Z @ Z.T
-    return C * C
+    stars = system.star_rows
+    return [[(a & b).bit_count() ** 2 for b in stars] for a in stars]
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -103,8 +104,11 @@ def exact_det_factor(form) -> tuple[int, list[tuple[int, int]]]:
 
 @dataclass
 class KaehlerReport:
+    """The form (kaehler_form's nested lists of ints), its determinant,
+    factorization and rank."""
+
     n: int
-    form: np.ndarray
+    form: list[list[int]]
     det: int
     factorization: list
     rank: int

@@ -9,17 +9,17 @@ simplicial complexes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import re
-
-import numpy as np
 
 
 class SetSystem:
     """Ordered collection of distinct nonempty finite integer sets."""
 
-    __slots__ = ("elements", "vertex_union", "_index", "_zeta")
+    __slots__ = ("elements", "vertex_union", "_index", "_star_rows", "_zeta")
 
     def __init__(self, elements):
         elems = []
@@ -37,6 +37,7 @@ class SetSystem:
         self.elements = tuple(elems)
         self.vertex_union = frozenset().union(*elems) if elems else frozenset()
         self._index = {e: k for k, e in enumerate(elems)}
+        self._star_rows = None
         self._zeta = None
 
     def __len__(self):
@@ -71,21 +72,40 @@ class SetSystem:
         return SetSystem(sorted(self.elements, key=_canonical_key))
 
     @property
-    def zeta(self) -> np.ndarray:
-        """Read-only 0/1 inclusion matrix: Z[i, k] = 1 iff x_i <= x_k.
+    def star_rows(self) -> tuple[int, ...]:
+        """The inclusion relation as bit rows: bit k of row i is set iff
+        x_i <= x_k.
 
-        Row i lists the star of x_i and column k the core of x_k.  In terms
-        of Z, L = Z^T D_h Z and the Kaehler form is (Z Z^T) * (Z Z^T)
-        entrywise.  Built on first use from the vertex incidence matrix B:
-        x_i lies in x_k iff x_i has no vertex outside x_k, i.e. B (1 - B)^T
-        vanishes at (i, k).
+        Row i is the star of x_i, and bit i across the rows the core of x_i.
+        x_i lies in x_k iff every vertex of x_i does, so row i is the AND,
+        over the vertices of x_i, of the elements containing that vertex.
+        Everything else that needs inclusion reads it from here.
+        """
+        if self._star_rows is None:
+            containing = {}
+            for k, e in enumerate(self.elements):
+                for v in e:
+                    containing[v] = containing.get(v, 0) | 1 << k
+            self._star_rows = tuple(
+                functools.reduce(operator.and_, map(containing.get, e))
+                for e in self.elements)
+        return self._star_rows
+
+    @property
+    def zeta(self):
+        """Read-only 0/1 inclusion matrix (int64): Z[i, k] = 1 iff x_i <= x_k.
+
+        The star rows unpacked: row i lists the star of x_i and column k the
+        core of x_k.  In terms of Z, L = Z^T D_h Z.  numpy is imported here,
+        on first use, so that the integer work needs none.
         """
         if self._zeta is None:
-            column = {v: c for c, v in enumerate(sorted(self.vertex_union))}
-            B = np.zeros((len(self.elements), len(column)), dtype=np.int64)
-            for i, e in enumerate(self.elements):
-                B[i, [column[v] for v in e]] = 1
-            Z = (B @ (1 - B).T == 0).astype(np.int64)
+            import numpy as np
+
+            n = len(self.elements)
+            Z = np.array([[row >> k & 1 for k in range(n)]
+                          for row in self.star_rows],
+                         dtype=np.int64).reshape(n, n)
             Z.flags.writeable = False
             self._zeta = Z
         return self._zeta
@@ -112,13 +132,12 @@ class SetSystem:
 
     def core(self, x: int) -> list[int]:
         """Indices of all y contained in element x (x itself included)."""
-        ex = self.elements[x]
-        return [k for k, e in enumerate(self.elements) if e <= ex]
+        return [k for k, row in enumerate(self.star_rows) if row >> x & 1]
 
     def star(self, x: int) -> list[int]:
         """Indices of all y containing element x (x itself included)."""
-        ex = self.elements[x]
-        return [k for k, e in enumerate(self.elements) if ex <= e]
+        row = self.star_rows[x]
+        return [k for k in range(len(self.elements)) if row >> k & 1]
 
     def complement_dual(self) -> "SetSystem":
         """Map every x to vertex_union minus x, preserving order; swaps star and core."""

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -246,6 +247,31 @@ def test_step_cap_errors_name_the_variable(capsys, monkeypatch, command, cap,
                                     "--steps", "10"], message)
 
 
+@pytest.mark.parametrize("command", ["det", "check", "gen"])
+def test_tolerance_errors_name_the_variable(capsys, monkeypatch, command):
+    # read in main, so a bad value is an input error for every command
+    monkeypatch.setenv("SETFIELD_TOLERANCE", "x")
+    _assert_one_error_line(capsys, [command, "--inline", "{{1,2}}",
+                                    "--closure"],
+                           "SETFIELD_TOLERANCE='x' is not a number")
+
+
+def test_tolerance_override_and_empty_overrides(capsys, monkeypatch):
+    energy = ["check", "--inline", "{{1,2}}", "--closure",
+              "--identity", "energy"]
+    monkeypatch.setenv("SETFIELD_TOLERANCE", "-1")
+    assert run_cli(capsys, *energy)[0] == 1  # no deviation is below -1
+    assert run_cli(capsys, *energy, "--tolerance", "1e-9")[0] == 0
+    # an empty value means unset, for the tolerance and both caps
+    for name in ("SETFIELD_TOLERANCE", "SETFIELD_STEP_CAP",
+                 "SETFIELD_LEIBNIZ_CAP"):
+        monkeypatch.setenv(name, "")
+    assert run_cli(capsys, *energy)[0] == 0
+    assert run_cli(capsys, "det", "--inline", "{{1,2}}", "--closure")[0] == 0
+    assert run_cli(capsys, "phase", "--inline", "{{1,2}}", "--closure",
+                   "--field", "roots:7", "--steps", "10")[0] == 0
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_empty_system_succeeds_or_reports_one_line(capsys, command):
     # an exception escaping main() is what prints a traceback
@@ -267,6 +293,75 @@ def test_import_does_not_load_scipy():
             "sys.exit('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+# integer work, or input that fails before a field is built
+NUMPY_FREE_RUNS = [["gen", "--inline", "{{1,2,3},{3,4,5}}", "--closure"],
+                   ["kaehler", "--inline", "{{1,2,3,4,5},{3,4,5,6,7}}",
+                    "--closure"],
+                   ["det", "--inline", "{{1,2"],
+                   ["check", "--inline", "[]"]]
+
+
+def _cold_main(runs, block_numpy):
+    """(numpy imported with the package, [(code, stdout, stderr)]) for
+    main() on each argv in a fresh interpreter; `block_numpy` makes any
+    numpy import fail."""
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "if %r:" % block_numpy,
+        "    sys.modules['numpy'] = None",
+        "import setfield, setfield.cli",
+        "loaded = sys.modules.get('numpy') is not None",
+        "results = []",
+        "for argv in %r:" % (runs,),
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):",
+        "        code = setfield.cli.main(argv)",
+        "    results.append((code, out.getvalue(), err.getvalue()))",
+        "print(repr((loaded, results)))"])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cold_path_is_numpy_free():
+    loaded, normal = _cold_main(NUMPY_FREE_RUNS, block_numpy=False)
+    assert not loaded  # `import setfield, setfield.cli` leaves numpy out
+    assert [code for code, _, _ in normal] == [0, 0, 2, 2]
+    assert _cold_main(NUMPY_FREE_RUNS, block_numpy=True) == (False, normal)
+
+
+def test_package_names_resolve():
+    from setfield import (  # noqa: F401  the names the package exported
+        COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL, ConnectionMatrices,
+        EnergyFunction, GaussianRational, GroupReport, IdentityReport,
+        KaehlerReport, Octonion, Quaternion, SetSystem, SpectralPath,
+        TrackingAmbiguityError, WheelPermutation, abelianize, bareiss_det,
+        build_matrices, complete_complex, conjugate, det_formula_check,
+        dieudonne_det, divisibility_scan, eigenvalues, energy_check,
+        energy_sum, exact_rank, explicit_field, gauss_bonnet_check, generate,
+        green_diagonal, green_star_check, group_order, invert, is_unit,
+        kaehler_form, kaehler_report, leibniz_det, monodromy_report,
+        norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
+        potential_and_curvature, presentations, product_right, random_field,
+        roots_field, spectral_signature_check, study_det, super_trace,
+        track_wheel, unimodularity_check, wheel_permutations,
+        winding_numbers)
+    from setfield import connection, kaehler, spectral
+
+    assert SetSystem is setfield.setsystem.SetSystem
+    assert kaehler_form is kaehler.kaehler_form
+    assert TrackingAmbiguityError is spectral.TrackingAmbiguityError
+    assert omega is connection.omega
+    assert setfield.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        setfield.no_such_name
 
 
 def test_subcommands_do_not_load_scipy():

@@ -1,15 +1,18 @@
-"""Fuzzed --inline and --field text: every run exits 0, 1 or 2, never with a
-traceback or a warning, exit 2 comes with exactly one `error:` line on
-stderr, and every other run prints a report in strict JSON.
+"""Fuzzed --inline and --field text, and fuzzed environment overrides: every
+run exits 0, 1 or 2, never with a traceback or a warning, exit 2 comes with
+exactly one `error:` line on stderr, and every other run prints a report in
+strict JSON.
 
 Systems stay at no more than four vertices (or a dozen characters of free
-text), so each run takes milliseconds.
+text), and step caps at a few hundred, so each run takes milliseconds.
 """
 
 import contextlib
 import io
 import json
+import os
 import warnings
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +66,24 @@ PHASE = st.tuples(st.integers(-1, 3), st.integers(-2, 40)).map(
     lambda t: ["phase", "--wheel", str(t[0]), "--steps", str(t[1])])
 KIND = st.sampled_from([[], ["--kind", "real"], ["--kind", "complex"],
                         ["--kind", "quaternion"], ["--kind", "gaussian"]])
+# unset (None), empty, numbers and text that is none; the `det` methods
+# drawn here skip the permutation sum, so the Leibniz cap is only parsed
+ENV_VALUE = (st.none()
+             | st.sampled_from(["", "x", "1e-9", "-1", "0", "1.5", " 7 ", "1_0",
+                                "0x10", "1e400", "nan", "inf", "-inf"])
+             | st.integers(-2, 300).map(str)
+             | st.text(alphabet="-+.eEinfa x", max_size=4))
+ENV = st.fixed_dictionaries({name: ENV_VALUE for name in (
+    "SETFIELD_TOLERANCE", "SETFIELD_STEP_CAP", "SETFIELD_LEIBNIZ_CAP")})
+# well-formed runs, so that each override gets read and used
+ENV_ARGV = st.tuples(
+    st.sampled_from([["gen"], ["kaehler"], ["matrices"], ["check"],
+                     ["det", "--method", "study"],
+                     ["det", "--method", "dieudonne"],
+                     ["phase", "--wheel", "0", "--steps", "20",
+                      "--field", "roots:5"]]),
+    GOOD_SETS.map(_braces), st.booleans()).map(
+    lambda t: t[0] + ["--inline=" + t[1]] + (["--closure"] if t[2] else []))
 
 
 def _size(inline, closure):
@@ -108,10 +129,7 @@ def _reject(constant):
     raise ValueError("%s is not JSON" % constant)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(argvs())
-def test_cli_text_exits_cleanly(argv):
-    code, out, err = _run(argv)
+def _assert_clean_exit(argv, code, out, err):
     assert code in (0, 1, 2), argv
     if code == 2:
         lines = err.strip().splitlines()
@@ -119,3 +137,20 @@ def test_cli_text_exits_cleanly(argv):
             (argv, err)
     else:  # a report in strict JSON: no Infinity or NaN
         assert not err and json.loads(out, parse_constant=_reject), argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_cli_text_exits_cleanly(argv):
+    _assert_clean_exit(argv, *_run(argv))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ENV_ARGV, ENV)
+def test_env_overrides_exit_cleanly(argv, env):
+    overrides = {name: text for name, text in env.items() if text is not None}
+    with mock.patch.dict(os.environ, overrides):
+        for name in env.keys() - overrides.keys():
+            os.environ.pop(name, None)
+        result = _run(argv)
+    _assert_clean_exit((argv, env), *result)

@@ -11,8 +11,11 @@ and cores one pair at a time, before the build moved onto the inclusion
 matrix Z.  The `group` and `phase` reports and the triangle's
 `phase --output` CSVs were written by the one-matrix-at-a-time tracker,
 before eigenvalue solves and matching were batched; the batched tracker
-promises the same paths bit for bit.  Regenerate (only for an intended
-format change) with `PYTHONPATH=src python tests/test_golden.py --write`.
+promises the same paths bit for bit.  The `gen` and `kaehler` reports and
+the edge's `kaehler --heatmap` SVG were written while the Kaehler form was
+still an int64 array (Z Z^T)*(Z Z^T) built with numpy.  Regenerate (only
+for an intended format change) with
+`PYTHONPATH=src python tests/test_golden.py --write`.
 """
 
 import contextlib
@@ -29,7 +32,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SYSTEMS = {"triangle": "{{1,2,3}}", "path": "{{1,2},{2,3},{3,4}}",
            "tetrahedron": "{{1,2,3,4}}",
-           "path-edge": "{{1,2},{2,3},{3,4},{5,6}}"}
+           "path-edge": "{{1,2},{2,3},{3,4},{5,6}}",
+           "edge": "{{1,2}}", "cycle": "{{1,2},{2,3},{1,3}}",
+           "two-fives": "{{1,2,3,4,5},{3,4,5,6,7}}"}
 FIELDS = {
     "quaternion": "random:5:quaternion",
     "quaternion-unit": "random:5:quaternion:unit",
@@ -69,19 +74,26 @@ NUMBER_CASES = [(cmd, sysname, fname) for cmd in ("matrices", "check")
 MONODROMY_CASES = [(cmd, sysname, fname) for cmd in ("group", "phase")
                    for sysname, fname in (("triangle", "roots7"),
                                           ("path-edge", "roots10"))]
-CASES = ALGEBRA_CASES + NUMBER_CASES + MONODROMY_CASES
+# `gen` and `kaehler` take no field: the edge, the boundary of the triangle
+# (det 7^3) and the 55-element complex (det 3^113 5^7 7^7).
+EXACT_CASES = [(cmd, sysname, None) for cmd in ("gen", "kaehler")
+               for sysname in ("edge", "cycle", "two-fives")]
+CASES = ALGEBRA_CASES + NUMBER_CASES + MONODROMY_CASES + EXACT_CASES
 # `phase --output` writes one CSV of labelled eigenvalue samples per wheel.
 CSV_CASE = ("phase", "triangle", "roots7")
 CSV_WHEELS = 7
+HEATMAP = GOLDEN / "kaehler_edge_heatmap.svg"
 
 
 def _argv(cmd, sysname, fname):
-    return ([cmd, "--inline", SYSTEMS[sysname], "--closure",
-             "--field", FIELDS[fname]] + COMMANDS[cmd])
+    field = [] if fname is None else ["--field", FIELDS[fname]]
+    return ([cmd, "--inline", SYSTEMS[sysname], "--closure"] + field
+            + COMMANDS.get(cmd, []))
 
 
 def _path(cmd, sysname, fname):
-    return GOLDEN / ("%s_%s_%s.json" % (cmd, sysname, fname))
+    return GOLDEN / ("_".join(p for p in (cmd, sysname, fname) if p)
+                     + ".json")
 
 
 def _stdout(argv):
@@ -103,6 +115,14 @@ def _phase_csvs():
                 for w in range(CSV_WHEELS)]
 
 
+def _heatmap():
+    """The SVG `kaehler --heatmap` writes for the edge."""
+    with tempfile.TemporaryDirectory() as out:
+        svg = Path(out) / "form.svg"
+        _stdout(_argv("kaehler", "edge", None) + ["--heatmap", str(svg)])
+        return svg.read_text()
+
+
 @pytest.mark.parametrize("cmd,sysname,fname", CASES)
 def test_cli_report_bytes_match_golden(cmd, sysname, fname):
     want = _path(cmd, sysname, fname).read_text()
@@ -115,6 +135,10 @@ def test_phase_csv_bytes_match_golden():
         assert got[wheel] == _csv_path(wheel).read_text(), wheel
 
 
+def test_kaehler_heatmap_bytes_match_golden():
+    assert _heatmap() == HEATMAP.read_text()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
@@ -123,3 +147,4 @@ if __name__ == "__main__":
         _path(*case).write_text(_stdout(_argv(*case)))
     for wheel, text in enumerate(_phase_csvs()):
         _csv_path(wheel).write_text(text)
+    HEATMAP.write_text(_heatmap())
