@@ -256,6 +256,19 @@ def _env_number(name, default=None, parse=int):
         raise ValueError("%s=%r is not %s" % (name, text, what)) from None
 
 
+def _tolerance(flag: float | None) -> float:
+    """--tolerance, else SETFIELD_TOLERANCE, else DEFAULT_TOL: a finite
+    number >= 0 (inf would let every check hold, nan fail every one)."""
+    if flag is None:
+        value = _env_number(ENV_TOLERANCE, scalars.DEFAULT_TOL, float)
+        source = "%s=%r" % (ENV_TOLERANCE, os.environ.get(ENV_TOLERANCE))
+    else:
+        value, source = flag, "--tolerance %r" % flag
+    if not 0 <= value < math.inf:
+        raise ValueError("%s is not a finite number >= 0" % source)
+    return value
+
+
 def _steps(config: RunConfig) -> tuple[int, int | None]:
     """--steps (spectral.DEFAULT_STEPS if not given) and the step cap."""
     from . import spectral
@@ -480,9 +493,7 @@ def main(argv=None) -> int:
     command = COMMANDS[config.command]
     errors = (ValueError, OSError)
     try:
-        if config.tolerance is None:
-            config.tolerance = _env_number(ENV_TOLERANCE, scalars.DEFAULT_TOL,
-                                           float)
+        config.tolerance = _tolerance(config.tolerance)
         system = load_system(config)
         if config.command in ("gen", "kaehler"):  # integers only: no numpy
             return command(config, system)

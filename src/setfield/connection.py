@@ -104,6 +104,12 @@ class FieldMatrices(NamedTuple):
         return kernel.running_sum(self.g, self.zero), K
 
 
+# The matrices of the most recent (system, field) pair, as (system, field,
+# FieldMatrices): the checks run on one pair one after another, and each
+# reads the same L and g.
+_LAST = None
+
+
 def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
     """L = Z^T D_h Z and g = S Z D_h Z^T S from the inclusion matrix Z.
 
@@ -111,7 +117,16 @@ def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
     star(x_k) x star(x_k), and g on core(x_k) x core(x_k) (column k).  Each
     entry receives its values in increasing k from zero, the order in which
     energy_sum adds H over core(x) & core(y) and star(x) & star(y).
+
+    The result for the most recent pair is kept, and returned again while
+    both arguments are the same objects (`is`, not ==: equal fields can
+    give different bytes, as 1 and 1.0 or 0.0 and -0.0 do).  Callers share
+    it, so its arrays are read-only.
     """
+    global _LAST
+    last = _LAST  # one read, so that a concurrent call cannot mix two entries
+    if last is not None and last[0] is system and last[1] is h:
+        return last[2]
     n = len(system)
     if len(h) != n:
         raise ValueError("field has %d values for %d elements" % (len(h), n))
@@ -121,7 +136,11 @@ def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
     G = _block_sums(values, Z.T, zero)
     om = omega_vector(system)
     g = np.where(np.multiply.outer(om, om) < 0, -G, G)
-    return FieldMatrices(h.kind, values, L, g, om, scale, zero)
+    for X in (values, L, g):
+        X.flags.writeable = False
+    fm = FieldMatrices(h.kind, values, L, g, om, scale, zero)
+    _LAST = (system, h, fm)
+    return fm
 
 
 def _block_sums(values, blocks, zero):

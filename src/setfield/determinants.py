@@ -88,8 +88,9 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     row-reduction determinants unchanged; swaps flip the sign bookkeeping.
     Float kinds pick the largest-norm pivot per column, the exact kind takes
     the first nonzero one.  Each pivot updates the rows below it with a
-    nonzero entry in one array step, right of the pivot column only (no
-    later step reads the others).  M may also be a component array in the
+    nonzero entry in blocks of rows (one row per array step over the exact
+    kind, whose entries grow), right of the pivot column only (no later step
+    reads the others).  M may also be a component array in the
     form of connection.field_matrices (not Gaussian), with `kind` given.
     """
     import numpy as np
@@ -134,7 +135,14 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
         inverse = (np.full((1, 1), inverse, dtype=object) if objects
                    else np.array(inverse.components())[:, None])
         F = kernel.multiply(W[:, rows, c], inverse, kind)
-        step = max(1, kernel.BLOCK_PRODUCTS // (len(W) ** 2 * (n - c)))
+        if kind.exact:
+            # exact entries grow as the elimination goes on: free the ones
+            # just read (no later step reads them) and update one row at a
+            # time, so that one step holds a single new row
+            W[:, rows, c] = 0
+            step = 1
+        else:
+            step = max(1, kernel.BLOCK_PRODUCTS // (len(W) ** 2 * (n - c)))
         for i in range(0, len(rows), step):  # blocks of rows, as in products
             W[:, rows[i:i + step], c + 1:] -= kernel.multiply(
                 F[:, i:i + step, None], W[:, c, None, c + 1:], kind)

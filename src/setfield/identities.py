@@ -20,6 +20,8 @@ from .determinants import bareiss_det
 from .setsystem import SetSystem
 
 DEFAULT_TOL = scalars.DEFAULT_TOL
+# the kinds whose products commute bit for bit
+_COMMUTATIVE = (scalars.REAL, scalars.COMPLEX, scalars.GAUSSIAN)
 
 
 @dataclass
@@ -75,19 +77,30 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     The diagonal of conjugate(g).L equals |h(x)|^2 on any simplicial complex,
     unit field or not, and in ascending canonical order the product is upper
     triangular; both facts are recorded in the report details.
+
+    L and conjugate(g) are symmetric as arrays, so over the commutative kinds
+    (real, complex, Gaussian), whose products commute bit for bit, L
+    conjugate(g) is the transpose of conjugate(g) L, each entry summed in the
+    same order: it is not formed again, and the norms of its entries are
+    read off transposed.
     """
     fm = field_matrices(system, h)
     kind = h.kind
     n = len(fm.signs)
     gbar = kernel.conjugate(fm.g, kind)
     gL = kernel.product(gbar, fm.L, kind)
-    Lg = kernel.product(fm.L, gbar, kind)
     scale = fm.scale ** 2  # of the products, for Gaussian integers
     eff = _scaled_tol(h, tol)
-    dev_gL, wit_gL = _deviation(kernel.norms(_minus_identity(gL, scale), kind,
-                                             scale))
-    dev_Lg, wit_Lg = _deviation(kernel.norms(_minus_identity(Lg, scale), kind,
-                                             scale))
+    # squared norms of the entries of gL - 1 and Lg - 1
+    sq_gL = kernel.norms(_minus_identity(gL, scale), kind, scale)
+    if kind in _COMMUTATIVE:
+        sq_Lg = sq_gL.T
+    else:
+        sq_Lg = kernel.norms(
+            _minus_identity(kernel.product(fm.L, gbar, kind), scale), kind,
+            scale)
+    dev_gL, wit_gL = _deviation(sq_gL)
+    dev_Lg, wit_Lg = _deviation(sq_Lg)
     worst = max(dev_gL, dev_Lg)
 
     complex_ok = system.is_simplicial_complex()
@@ -105,7 +118,8 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
         diag_dev = max(diag_dev, v ** 0.5)
     upper = None
     if complex_ok and system.is_canonical():
-        lower = kernel.norms(gL, kind, scale)[np.tril_indices(n, -1)]
+        # below the diagonal, gL - 1 is gL
+        lower = sq_gL[np.tril_indices(n, -1)]
         upper = all(v ** 0.5 <= eff for v in lower.tolist())
 
     holds = worst <= eff

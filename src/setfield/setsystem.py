@@ -19,7 +19,8 @@ import re
 class SetSystem:
     """Ordered collection of distinct nonempty finite integer sets."""
 
-    __slots__ = ("elements", "vertex_union", "_index", "_star_rows", "_zeta")
+    __slots__ = ("elements", "vertex_union", "_index", "_star_rows", "_zeta",
+                 "_simplicial")
 
     def __init__(self, elements):
         elems = []
@@ -39,6 +40,7 @@ class SetSystem:
         self._index = {e: k for k, e in enumerate(elems)}
         self._star_rows = None
         self._zeta = None
+        self._simplicial = None
 
     def __len__(self):
         return len(self.elements)
@@ -121,14 +123,15 @@ class SetSystem:
         return SetSystem(self.elements[k] for k in order)
 
     def is_simplicial_complex(self) -> bool:
-        """True iff every nonempty subset of every element is present."""
-        members = self._index
-        for e in self.elements:
-            for r in range(1, len(e)):
-                for sub in itertools.combinations(e, r):
-                    if frozenset(sub) not in members:
-                        return False
-        return True
+        """True iff every nonempty subset of every element is present
+        (enumerated on first use, then kept)."""
+        if self._simplicial is None:
+            members = self._index
+            self._simplicial = all(
+                frozenset(sub) in members for e in self.elements
+                for r in range(1, len(e))
+                for sub in itertools.combinations(e, r))
+        return self._simplicial
 
     def core(self, x: int) -> list[int]:
         """Indices of all y contained in element x (x itself included)."""

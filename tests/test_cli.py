@@ -250,17 +250,27 @@ def test_step_cap_errors_name_the_variable(capsys, monkeypatch, command, cap,
 @pytest.mark.parametrize("command", ["det", "check", "gen"])
 def test_tolerance_errors_name_the_variable(capsys, monkeypatch, command):
     # read in main, so a bad value is an input error for every command
+    argv = [command, "--inline", "{{1,2}}", "--closure"]
     monkeypatch.setenv("SETFIELD_TOLERANCE", "x")
-    _assert_one_error_line(capsys, [command, "--inline", "{{1,2}}",
-                                    "--closure"],
+    _assert_one_error_line(capsys, argv,
                            "SETFIELD_TOLERANCE='x' is not a number")
+    # inf would let every check hold, nan fail every one
+    for text in ("inf", "-inf", "nan", "-1", "1e400"):
+        monkeypatch.setenv("SETFIELD_TOLERANCE", text)
+        _assert_one_error_line(
+            capsys, argv,
+            "SETFIELD_TOLERANCE=%r is not a finite number >= 0" % text)
+        _assert_one_error_line(
+            capsys, argv + ["--tolerance=" + text],
+            "--tolerance %r is not a finite number >= 0" % float(text))
 
 
 def test_tolerance_override_and_empty_overrides(capsys, monkeypatch):
-    energy = ["check", "--inline", "{{1,2}}", "--closure",
-              "--identity", "energy"]
-    monkeypatch.setenv("SETFIELD_TOLERANCE", "-1")
-    assert run_cli(capsys, *energy)[0] == 1  # no deviation is below -1
+    # a zero tolerance fails on the roundoff of this energy sum
+    energy = ["check", "--inline", "{{1,2},{2,3}}", "--closure",
+              "--field", "roots:5", "--identity", "energy"]
+    monkeypatch.setenv("SETFIELD_TOLERANCE", "0")
+    assert run_cli(capsys, *energy)[0] == 1
     assert run_cli(capsys, *energy, "--tolerance", "1e-9")[0] == 0
     # an empty value means unset, for the tolerance and both caps
     for name in ("SETFIELD_TOLERANCE", "SETFIELD_STEP_CAP",

@@ -10,6 +10,7 @@ text), and step caps at a few hundred, so each run takes milliseconds.
 import contextlib
 import io
 import json
+import math
 import os
 import warnings
 from unittest import mock
@@ -75,6 +76,12 @@ ENV_VALUE = (st.none()
              | st.text(alphabet="-+.eEinfa x", max_size=4))
 ENV = st.fixed_dictionaries({name: ENV_VALUE for name in (
     "SETFIELD_TOLERANCE", "SETFIELD_STEP_CAP", "SETFIELD_LEIBNIZ_CAP")})
+# --tolerance text that parses as a float, finite or not (text that does
+# not is an argparse usage error)
+TOLERANCE_FLAG = (st.none()
+                  | st.sampled_from(["0", "-0.0", "1e-9", "-1", "nan", "inf",
+                                     "-inf", "1e400", "-1e-300"])
+                  | st.floats().map(repr))
 # well-formed runs, so that each override gets read and used
 ENV_ARGV = st.tuples(
     st.sampled_from([["gen"], ["kaehler"], ["matrices"], ["check"],
@@ -146,11 +153,21 @@ def test_cli_text_exits_cleanly(argv):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(ENV_ARGV, ENV)
-def test_env_overrides_exit_cleanly(argv, env):
+@given(ENV_ARGV, ENV, TOLERANCE_FLAG)
+def test_env_overrides_exit_cleanly(argv, env, flag):
+    if flag is not None:
+        argv = argv + ["--tolerance=" + flag]
     overrides = {name: text for name, text in env.items() if text is not None}
     with mock.patch.dict(os.environ, overrides):
         for name in env.keys() - overrides.keys():
             os.environ.pop(name, None)
         result = _run(argv)
     _assert_clean_exit((argv, env), *result)
+    # a tolerance in force that is not finite, or is negative, is an input
+    # error naming where it came from; the flag wins over the variable
+    text, source = ((flag, "--tolerance") if flag is not None
+                    else (env["SETFIELD_TOLERANCE"], "SETFIELD_TOLERANCE"))
+    with contextlib.suppress(TypeError, ValueError):  # unset, empty or junk
+        if not 0 <= float(text) < math.inf:
+            code, _, err = result
+            assert code == 2 and source in err, (argv, env, err)

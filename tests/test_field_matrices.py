@@ -4,7 +4,8 @@ component arrays, against the per-entry code they replaced.
 The set-intersection construction and the per-entry checks live in oracles.py.
 Every entry of L and g sums field values in increasing element order from
 zero in both, so matrices and reports must be repr-equal: zero tolerance,
-signed zeros and Python number types included.
+signed zeros and Python number types included.  The checks on one
+(system, field) pair share one build of L and g.
 """
 
 import random
@@ -14,9 +15,9 @@ import numpy as np
 import oracles
 import pytest
 
-from setfield import determinants, identities, kernel, scalars
-from setfield.connection import (build_matrices, energy_sum, green_diagonal,
-                                 omega_field, ones_field,
+from setfield import connection, determinants, identities, kernel, scalars
+from setfield.connection import (EnergyFunction, build_matrices, energy_sum,
+                                 green_diagonal, omega_field, ones_field,
                                  potential_and_curvature, random_field)
 from setfield.determinants import MatrixSizeError, det_formula_check, leibniz_det
 from setfield.scalars import (COMPLEX, GAUSSIAN, KINDS, OCTONION, QUATERNION,
@@ -166,6 +167,81 @@ def test_checks_match_on_larger_complexes():
         for check, by_entries in CHECKS:
             assert repr(check(system, h)) == repr(by_entries(system, h))
         done += 1
+
+
+def test_checks_on_one_pair_build_l_and_g_once(monkeypatch):
+    """The most recent (system, field) pair keeps its L and g; another pair,
+    or an equal field that is another object, builds its own."""
+    calls = []
+    original = connection._block_sums
+
+    def counting(values, blocks, zero):
+        calls.append(blocks.shape)
+        return original(values, blocks, zero)
+
+    monkeypatch.setattr(connection, "_block_sums", counting)
+    rng = random.Random(18)
+    system = random_complex(rng)
+    for kind in (REAL, QUATERNION, GAUSSIAN):
+        h = random_field(system, kind, rng, unit=True)
+        calls.clear()
+        reports = [check(system, h) for check, _ in CHECKS]
+        assert all(r.holds for r in reports)
+        assert len(calls) == 2  # L and g, once
+    other = random_complex(rng)
+    det_formula_check(other, ones_field(other))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("first, second", [(1, 1.0), (0.0, -0.0)])
+def test_equal_fields_that_are_other_objects_rebuild(monkeypatch, first,
+                                                     second):
+    system = SetSystem([[1], [2], [1, 2]])
+    h1, h2 = (EnergyFunction(REAL, (v, 2, v)) for v in (first, second))
+    assert h1 == h2 and hash(h1) == hash(h2)
+    got = [connection.field_matrices(system, h) for h in (h1, h2, h1)]
+    want = []
+    for h in (h1, h2):
+        monkeypatch.setattr(connection, "_LAST", None)
+        want.append(connection.field_matrices(system, h))
+    for fm, fresh in zip(got, want + want[:1]):
+        for a, b in ((fm.values, fresh.values), (fm.L, fresh.L),
+                     (fm.g, fresh.g)):
+            assert repr(a.tolist()) == repr(b.tolist())
+    assert repr(got[0].values.tolist()) != repr(got[1].values.tolist())
+
+
+def test_field_matrices_are_read_only():
+    system = random_complex(random.Random(19))
+    fm = connection.field_matrices(system, omega_field(system))
+    for X in (fm.values, fm.L, fm.g):
+        with pytest.raises(ValueError, match="read-only"):
+            X[(0,) * X.ndim] = 5
+
+
+def test_green_star_by_transpose_matches_both_products():
+    """Over the commutative kinds L conjugate(g) is read off conjugate(g) L
+    transposed; reports, witnesses and details equal the per-entry code,
+    which forms both products, on complexes and on systems not closed
+    under subsets."""
+    seen = set()
+    for t, system in enumerate(_systems(200, 20)):
+        rng = random.Random(t)
+        kind = (REAL, COMPLEX, GAUSSIAN)[t % 3]
+        variant = ("unit", "nonunit", "omega", "ones")[(t // 3) % 4]
+        if variant == "omega":
+            h = omega_field(system)
+        elif variant == "ones":
+            h = ones_field(system, kind)
+        else:
+            h = random_field(system, kind, rng, unit=variant == "unit")
+        got = identities.green_star_check(system, h)
+        assert repr(got) == repr(oracles.green_star_by_entries(system, h)), \
+            (system, h)
+        seen.add((h.kind.name, variant, got.holds, bool(got.witnesses)))
+    for kind in ("real", "complex", "gaussian"):
+        assert (kind, "unit", True, False) in seen
+        assert (kind, "nonunit", False, True) in seen
 
 
 def test_potential_curvature_and_green_diagonal_unchanged():

@@ -8,6 +8,7 @@ be equal.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,29 @@ def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, block_products):
             assert _elimination_repr(got) == _elimination_repr(want)
             singular += got.singular
     assert singular  # the zero field values reach the singular branch
+
+
+def test_gaussian_row_reduce_memory_stays_near_per_entry():
+    """Gaussian entries grow as the elimination goes on, so an update step
+    holds one new row of them, not a block: the peak stays within 1.2 times
+    the per-entry loop's, with the same pivots, swaps and log."""
+    rng = random.Random(23)
+    n = 24
+    M = [[scalars.random_scalar(GAUSSIAN, rng) for _ in range(n)]
+         for _ in range(n)]
+    peaks = []
+    for reduce in (row_reduce, oracles.row_reduce):
+        tracemalloc.start()
+        try:
+            reduce(M, GAUSSIAN)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.2 * peaks[1], peaks
+    got = row_reduce(M, GAUSSIAN, want_log=True)
+    want = oracles.row_reduce(M, GAUSSIAN, want_log=True)
+    assert not want.singular
+    assert _elimination_repr(got) == _elimination_repr(want)
 
 
 @pytest.mark.parametrize("kind_name", ["quaternion", "octonion", "gaussian",
