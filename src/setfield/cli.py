@@ -145,8 +145,7 @@ def emit(report: dict, config: RunConfig, name: str) -> None:
 
 
 def _json_default(v):
-    if isinstance(v, (scalars.Quaternion, scalars.Octonion,
-                      scalars.GaussianRational)):
+    if isinstance(v, (scalars.Hypercomplex, scalars.GaussianRational)):
         return scalars.to_jsonable(v)
     if hasattr(v, "item"):
         return v.item()
@@ -188,30 +187,28 @@ def cmd_matrices(config: RunConfig, system: SetSystem) -> int:
 
 
 def cmd_det(config: RunConfig, system: SetSystem) -> int:
-    from . import determinants
-    from .connection import build_matrices
+    from . import determinants, kernel
+    from .connection import field_matrices
 
     h = make_field(system, config)
-    cm = build_matrices(system, h)
+    fm = field_matrices(system, h)
     leib_cap = _env_number(ENV_LEIBNIZ_CAP, determinants.DEFAULT_LEIBNIZ_CAP)
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
                  and h.kind is not scalars.OCTONION)
     out = {"kind": h.kind.name, "n": len(system), "method": config.method}
-    for label, M in (("L", cm.L), ("g", cm.g)):
+    for label, X in (("L", fm.L), ("g", fm.g)):
         entry = {}
         # one elimination gives the log and both row-reduction determinants
-        # (over the Gaussian rationals the abelianized one comes from Bareiss)
-        elim = (determinants.row_reduce(M, h.kind, config.pivot_log)
-                if config.pivot_log or study or (dieudonne and not h.kind.exact)
-                else None)
+        elim = (determinants.row_reduce((X, fm.scale), h.kind, config.pivot_log)
+                if config.pivot_log or study or dieudonne else None)
         if study:
             entry["study"] = determinants.study_value(elim)
         if dieudonne:
             entry["dieudonne"] = scalars.to_jsonable(
-                determinants.dieudonne_det(M, h.kind) if h.kind.exact
-                else determinants.dieudonne_value(elim, h.kind))
+                determinants.dieudonne_value(elim, h.kind))
         if config.method in ("leibniz", "all"):
+            M = kernel.from_array(X, h.kind, fm.scale)
             try:
                 entry["leibniz"] = scalars.to_jsonable(
                     determinants.leibniz_det(M, h.kind, leib_cap))

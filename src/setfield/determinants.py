@@ -4,12 +4,13 @@ The permutation-sum determinant works over any kind but fails det(AB) =
 det(A)det(B) once multiplication stops commuting.  The two row-reduction
 determinants (norm valued, and valued in the abelianized multiplicative
 group) both satisfy the product relation; they are read off one elimination
-that records its pivots and runs on a (d, n, n) array for every kind: float
-components for quaternions and octonions, the scalars themselves (d = 1)
-otherwise, bit-identical to a per-entry loop.  Over the Gaussian rationals
-the abelianized determinant and |det|^2 come from one fraction-free
-elimination over the Gaussian integers, the same Bareiss loop that serves
-integer forms.  numpy and the kernel are imported by the functions that
+that records its pivots.  Over the float kinds it runs on a (d, n, n)
+array, float components for quaternions and octonions and the numbers
+themselves (d = 1) for reals and complexes, bit-identical to a per-entry
+loop.  Over the Gaussian rationals every step of it is read off one
+fraction-free elimination over the Gaussian integers, the same Bareiss loop
+that serves integer forms and gives the exact determinant and |det|^2.
+numpy and the kernel are imported by the functions that
 need them, so that the Bareiss loop imports without either.
 """
 
@@ -86,72 +87,109 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
 
     Row r picks up  row_r - (M[r][c] * pivot^-1) * row_c, which leaves both
     row-reduction determinants unchanged; swaps flip the sign bookkeeping.
-    Float kinds pick the largest-norm pivot per column, the exact kind takes
-    the first nonzero one.  Each pivot updates the rows below it with a
-    nonzero entry in blocks of rows (one row per array step over the exact
-    kind, whose entries grow), right of the pivot column only (no later step
-    reads the others).  M may also be a component array in the
-    form of connection.field_matrices (not Gaussian), with `kind` given.
+    M is a matrix of scalars or, with `kind` given, its kernel.to_array pair
+    (X, scale), the form of connection.field_matrices.  The steps come from
+    `_float_steps`, or over the Gaussian rationals from `_gaussian_steps`.
     """
     import numpy as np
 
     from . import kernel
 
     kind = kind or kind_of(M[0][0])
-    W = (M.copy() if isinstance(M, np.ndarray)
-         else np.array([M], dtype=object) if kind is GAUSSIAN  # exact entries
-         else kernel.to_array(M, kind)[0])
+    if not (isinstance(M, tuple) and len(M) == 2
+            and isinstance(M[0], np.ndarray)):
+        M = kernel.to_array(M, kind)
+    steps = _gaussian_steps(*M) if kind is GAUSSIAN else _float_steps(*M, kind)
+    log, pivots, swaps = [], [], 0
+    for c, step in enumerate(steps):
+        if step is None:
+            if want_log:
+                log.append("column %d has no usable pivot; matrix is singular" % c)
+            return Elimination(pivots, swaps, True, log)
+        pr, pivot, multipliers = step
+        swaps += pr != c
+        pivots.append(pivot)
+        if want_log:
+            if pr != c:
+                log.append("swap rows %d and %d" % (c, pr))
+            log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
+            log.extend("row %d -= (%s) * row %d" % (r, scalars.format_scalar(f), c)
+                       for r, f in multipliers)
+    return Elimination(pivots, swaps, False, log)
+
+
+def _float_steps(W, scale, kind):
+    """row_reduce's steps on a (d, n, n) float-kind array: per column
+    (pivot row, pivot, lazy (row, multiplier) pairs), the pivot being the
+    entry of largest norm, or None once that norm is at most
+    SINGULAR_PIVOT_RATIO times the matrix's largest.  A pivot updates the
+    rows below it with a nonzero entry, in blocks of rows, right of the
+    pivot column only."""
+    import numpy as np
+
+    from . import kernel
+
+    W = W.copy()
     objects = W.dtype == object
     n = W.shape[1]
-    log = [] if want_log else None
-    threshold_sq = 0 if kind.exact or not n else (
-        SINGULAR_PIVOT_RATIO ** 2 * float(kernel.norms(W, kind).max()))
-    pivots, swaps = [], 0
+    threshold_sq = (SINGULAR_PIVOT_RATIO ** 2
+                    * float(kernel.norms(W, kind).max())) if n else 0
     for c in range(n):
         col = W[:, c:, c]  # a view: it follows the swap below
-        # the first nonzero entry (False <= 0), or the largest norm
-        key = col[0] != 0 if kind.exact else kernel.norms(col, kind)
+        key = kernel.norms(col, kind)
         pr = c + int(np.argmax(key))
         if key[pr - c] <= threshold_sq:
-            if log is not None:
-                log.append("column %d has no usable pivot; matrix is singular" % c)
-            return Elimination(pivots, swaps, True, log or [])
+            yield None
+            return
         if pr != c:
             W[:, [c, pr]] = W[:, [pr, c]]
             key[[0, pr - c]] = key[[pr - c, 0]]
-            swaps += 1
-            if log is not None:
-                log.append("swap rows %d and %d" % (c, pr))
-        pivot = W[0, c, c] if objects else kernel.scalar(W[:, c, c], kind)
-        pivots.append(pivot)
-        if log is not None:
-            log.append("pivot %d: %s" % (c, scalars.format_scalar(pivot)))
+        pivot = kernel.scalar(W[:, c, c], kind)
         # the rows below whose entry is not zero (x == 0 for the numbers,
         # a zero norm for quaternions and octonions)
         rows = c + 1 + np.flatnonzero(col[0, 1:] != 0 if objects else key[1:])
-        if not len(rows):
-            continue
-        inverse = scalars.invert(pivot)
-        inverse = (np.full((1, 1), inverse, dtype=object) if objects
-                   else np.array(inverse.components())[:, None])
-        F = kernel.multiply(W[:, rows, c], inverse, kind)
-        if kind.exact:
-            # exact entries grow as the elimination goes on: free the ones
-            # just read (no later step reads them) and update one row at a
-            # time, so that one step holds a single new row
-            W[:, rows, c] = 0
-            step = 1
-        else:
+        if len(rows):
+            inverse = scalars.invert(pivot)
+            inverse = (np.full((1, 1), inverse, dtype=object) if objects
+                       else np.array(inverse.components())[:, None])
+            F = kernel.multiply(W[:, rows, c], inverse, kind)
             step = max(1, kernel.BLOCK_PRODUCTS // (len(W) ** 2 * (n - c)))
-        for i in range(0, len(rows), step):  # blocks of rows, as in products
-            W[:, rows[i:i + step], c + 1:] -= kernel.multiply(
-                F[:, i:i + step, None], W[:, c, None, c + 1:], kind)
-        if log is not None:
-            for i, r in enumerate(rows):
-                f = F[0, i] if objects else kernel.scalar(F[:, i], kind)
-                log.append("row %d -= (%s) * row %d"
-                           % (r, scalars.format_scalar(f), c))
-    return Elimination(pivots, swaps, False, log or [])
+            for i in range(0, len(rows), step):  # blocks of rows, as in products
+                W[:, rows[i:i + step], c + 1:] -= kernel.multiply(
+                    F[:, i:i + step, None], W[:, c, None, c + 1:], kind)
+        yield pr, pivot, ((r, kernel.scalar(F[:, i], kind))
+                          for i, r in enumerate(rows))
+
+
+def _gaussian_steps(X, D):
+    """row_reduce's steps over the Gaussian rationals X / D, read off the
+    Bareiss loop on the Gaussian integers X.  After c steps a Bareiss entry
+    is the Fraction elimination's entry times B_{c-1} D, where B_{c-1} is the
+    previous Bareiss pivot (B_{-1} = 1).  So the two take the same first
+    nonzero pivots and swaps, pivot c is B_c / (B_{c-1} D), and a row's
+    multiplier is its leading entry over B_c."""
+    re, im = X.tolist()
+    prev = GAUSSIAN_INTEGERS.one
+    steps = _bareiss_steps([list(zip(r, i)) for r, i in zip(re, im)],
+                           GAUSSIAN_INTEGERS)
+    for c, step in enumerate(steps):
+        if step is None:
+            yield None
+            return
+        p, rows = step
+        pivot = rows[0][0]
+        yield c + p, _gaussian_ratio(pivot, prev, D), (
+            (r, _gaussian_ratio(row[0], pivot))
+            for r, row in enumerate(rows[1:], c + 1) if any(row[0]))
+        prev = pivot
+
+
+def _gaussian_ratio(x, y, d=1) -> GaussianRational:
+    """x / (y d) for Gaussian integers x, y as (re, im) pairs and an int d."""
+    (xr, xi), (yr, yi) = x, y
+    den = (yr * yr + yi * yi) * d
+    return GaussianRational(Fraction(xr * yr + xi * yi, den),
+                            Fraction(xi * yr - xr * yi, den))
 
 
 def study_det(M, kind=None) -> float:
@@ -188,8 +226,6 @@ def dieudonne_det(M, kind=None):
     kind = kind or kind_of(M[0][0])
     if kind is OCTONION:
         raise ValueError("no abelianized determinant over octonions; use study_det")
-    if kind is GAUSSIAN:
-        return _gaussian_det(M)
     return dieudonne_value(row_reduce(M, kind), kind)
 
 
@@ -247,34 +283,40 @@ INTEGERS = Ring(1, bool, _eliminate_int)
 GAUSSIAN_INTEGERS = Ring((1, 0), any, _eliminate_gaussian_int)
 
 
-def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object, int]:
+def _bareiss_steps(rows, ring=INTEGERS):
     """Fraction-free row echelon form (Bareiss 1968) over the integers or
     the Gaussian integers; `rows` is a list of row lists, consumed.
 
     Only the rows and columns still to be eliminated are kept.  A column
-    without a nonzero entry there is skipped, so the matrix may be
-    rectangular or rank deficient.  After r pivots every kept entry is an
-    (r+1)-minor of the input, which makes each division by the previous pivot
-    exact.  Returns (sign of the row swaps, last pivot, rank); for a square
-    matrix of full rank the determinant is sign * last pivot.
+    without a nonzero entry there is skipped (yields None), so the matrix
+    may be rectangular or rank deficient.  Otherwise the first row with a
+    nonzero leading entry, at p, is swapped to the top, and (p, rows) is
+    yielded before the step.  After r pivots every kept entry is an
+    (r+1)-minor of the input, so each division by the previous pivot is
+    exact.
     """
-    sign = 1
     prev = ring.one
-    rank = 0
     while rows and rows[0]:
         p = next((k for k, row in enumerate(rows) if ring.nonzero(row[0])),
                  None)
         if p is None:
             rows = [row[1:] for row in rows]
+            yield None
             continue
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
-            sign = -sign
+        rows[0], rows[p] = rows[p], rows[0]
+        yield p, rows
         pivot = rows[0][0]
         rows = ring.eliminate(rows[1:], pivot, rows[0][1:], prev)
         prev = pivot
-        rank += 1
-    return sign, prev, rank
+
+
+def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object, int]:
+    """(sign of the row swaps, last pivot, rank) of the Bareiss loop; for a
+    square matrix of full rank the determinant is sign * last pivot."""
+    sign, last, rank = 1, ring.one, 0
+    for p, rows in filter(None, _bareiss_steps(rows, ring)):
+        sign, last, rank = -sign if p else sign, rows[0][0], rank + 1
+    return sign, last, rank
 
 
 def _int_rows(M):
@@ -344,24 +386,17 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
     fm = field_matrices(system, h)
     kind = h.kind
     if kind is GAUSSIAN:
-        # one exact elimination per matrix gives the det and |det|^2
-        target_sq = scalars.norm_sq(h.values[0])
-        for v in h.values[1:]:
-            target_sq = target_sq * scalars.norm_sq(v)
+        # one exact elimination per matrix gives the det, hence |det|^2
         dL, dg = (_gaussian_integer_det(*M.tolist(), fm.scale)
                   for M in (fm.L, fm.g))
-        sqL = dL.norm_sq()
-        sqg = dg.norm_sq()
         target_d = scalars.product_right(list(h.values), kind)
-        ok = (sqL == target_sq and sqg == target_sq
-              and dL == target_d and dg == target_d)
-        return DetFormulaReport(kind.name, math.sqrt(float(sqL)),
-                                math.sqrt(float(sqg)),
-                                math.sqrt(float(target_sq)), dL, dg, target_d,
+        ok = dL == target_d and dg == target_d
+        study = (math.sqrt(float(d.norm_sq())) for d in (dL, dg, target_d))
+        return DetFormulaReport(kind.name, *study, dL, dg, target_d,
                                 0.0 if ok else 1.0, ok, ok)
     # one elimination per matrix gives both determinants
-    elimL = row_reduce(fm.L, kind)
-    elimg = row_reduce(fm.g, kind)
+    elimL = row_reduce((fm.L, fm.scale), kind)
+    elimg = row_reduce((fm.g, fm.scale), kind)
     expected_study = math.prod(scalars.norm(v) for v in h.values)
     sL = study_value(elimL)
     sg = study_value(elimg)

@@ -241,17 +241,19 @@ ALL_CHECKS = {
 
 def run_checks(system: SetSystem, h: EnergyFunction, names,
                tol=DEFAULT_TOL) -> list[IdentityReport]:
-    reports = []
-    for name in names:
+    # unimodular runs last: its omega field, a new object, would evict h's
+    # L and g from the one-entry cache of connection.field_matrices
+    reports = {}
+    for name in sorted(names, key=lambda name: name == "unimodular"):
         if name == "unimodular":
-            reports.append(unimodularity_check(system))
+            reports[name] = unimodularity_check(system)
         elif name == "signature":
             if h.kind is scalars.REAL and h.all_nonzero():
-                reports.append(spectral_signature_check(system, h))
+                reports[name] = spectral_signature_check(system, h)
             else:
-                reports.append(IdentityReport(
+                reports[name] = IdentityReport(
                     "signature", True, 0.0,
-                    applicability="skipped: needs a nowhere-zero real field"))
+                    applicability="skipped: needs a nowhere-zero real field")
         else:
-            reports.append(ALL_CHECKS[name](system, h, tol))
-    return reports
+            reports[name] = ALL_CHECKS[name](system, h, tol)
+    return [reports[name] for name in names]

@@ -6,16 +6,16 @@ component, and `to_array` decides the form from the kind:
 - quaternion and octonion: d = 4 or 8 float components;
 - Gaussian rational: the matrix scaled by the lcm of its denominators to a
   matrix over the Gaussian integers Z[i], as a (2, n, m) object array of
-  Python ints, so exact products and eliminations run on Python ints
-  instead of Fractions;
+  Python ints, so exact products run on Python ints instead of Fractions
+  (and eliminations too: the Bareiss loop in determinants.py);
 - real and complex: d = 1, an object array of the numbers themselves.
 
-Quaternion and octonion products run from a term table read off
-`scalars.quat_mul` and `scalars.oct_mul` (see `_term_table`), real and
-complex products are Python's `*` on the numbers, and sums over the inner
-index run one k at a time from a zero start like a per-entry loop.  Each
-entry sees the IEEE operations of the per-entry arithmetic in its order, so
-results are bit-identical to it.
+Quaternion and octonion products run from a term table read off the
+`formula` of their class, `scalars.quat_mul` and `scalars.oct_mul` (see
+`_term_table`), real and complex products are Python's `*` on the numbers,
+and sums over the inner index run one k at a time from a zero start like a
+per-entry loop.  Each entry sees the IEEE operations of the per-entry
+arithmetic in its order, so results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .scalars import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
-                      GaussianRational, Octonion, Quaternion)
+from .scalars import COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL
 
 _NUMBER_KINDS = (REAL, COMPLEX)
-_CLASS = {QUATERNION: Quaternion, OCTONION: Octonion, GAUSSIAN: GaussianRational}
 # the start of every sum over entries; the numbers start from their own zero
 _ZERO = {QUATERNION: 0.0, OCTONION: 0.0, GAUSSIAN: 0}
 _NORM_SQ = np.frompyfunc(scalars.norm_sq, 1, 1)
@@ -69,9 +67,6 @@ class _Symbol:
         return self.__add__(other, -1)
 
 
-_FORMULAS = {QUATERNION: scalars.quat_mul, OCTONION: scalars.oct_mul}
-
-
 @functools.cache  # on first use, so that importing stays cheap
 def _term_table(kind):
     """(S, I, J, G) for the product formula of the kind on d components:
@@ -80,8 +75,8 @@ def _term_table(kind):
     -(p q) and x - y is x + (-y) bit for bit, so signs fold into the terms,
     but not a group's sign: -(a + b) is -0.0 where (-a) + (-b) is +0.0."""
     d = kind.n_components
-    out = _FORMULAS[kind]([_Symbol(None, 0, i) for i in range(d)],
-                          [_Symbol(None, 1, j) for j in range(d)])
+    out = kind.cls.formula([_Symbol(None, 0, i) for i in range(d)],
+                           [_Symbol(None, 1, j) for j in range(d)])
     rows = [c.groups[g] for g in range(len(out[0].groups)) for c in out]
     T = np.array([terms for _, terms in rows]).transpose(1, 0, 2)
     G = np.array([sign for sign, _ in rows], dtype=float).reshape(-1, d)
@@ -91,8 +86,8 @@ def _term_table(kind):
 def multiply(P: np.ndarray, Q: np.ndarray, kind) -> np.ndarray:
     """Entrywise product of broadcastable arrays of the kind with the same
     number of axes: the term table on quaternion and octonion components,
-    Python's `*` on an object array of scalars."""
-    if kind not in _FORMULAS:
+    Python's `*` on an object array of real or complex numbers."""
+    if not issubclass(kind.cls, scalars.Hypercomplex):
         return P * Q
     S, I, J, G = _term_table(kind)
     tail = (1,) * (P.ndim - 1)
@@ -107,9 +102,8 @@ def multiply(P: np.ndarray, Q: np.ndarray, kind) -> np.ndarray:
 
 
 def _coerce(M, kind):
-    cls = _CLASS[kind]
-    return [[v if isinstance(v, cls) else kind.from_int(v) for v in row]
-            for row in M]
+    cls = kind.cls
+    return [[v if isinstance(v, cls) else cls(v) for v in row] for row in M]
 
 
 def to_array(M, kind) -> tuple[np.ndarray, int]:
@@ -134,10 +128,12 @@ def field_values(values, kind) -> tuple[np.ndarray, int, object]:
 
 
 def _maker(kind, scale):
+    if issubclass(kind.cls, scalars.Hypercomplex):
+        return kind.cls
     if kind is GAUSSIAN:
-        return lambda re, im: GaussianRational(Fraction(re, scale),
-                                               Fraction(im, scale))
-    return _CLASS.get(kind, lambda x: x)  # real and complex: the number
+        return lambda re, im: scalars.GaussianRational(Fraction(re, scale),
+                                                       Fraction(im, scale))
+    return lambda x: x  # real and complex: the number itself
 
 
 def scalar(X: np.ndarray, kind, scale=1):

@@ -2,14 +2,18 @@
 
 All five kinds carry conjugation, the norm |a|^2 = a* a, units and (where it
 exists) the abelianization map used by row-reduction determinants.  Float
-kinds use machine doubles; the Gaussian rationals are exact `Fraction` pairs
-so determinant identities can be checked with zero tolerance.
+kinds use machine doubles: reals and complexes are Python's numbers, and
+quaternions and octonions are one class, `Hypercomplex`, on a tuple of float
+components with the product formula of its algebra (`quat_mul`, `oct_mul`).
+The Gaussian rationals are exact `Fraction` pairs so determinant identities
+can be checked with zero tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -47,82 +51,129 @@ def oct_mul(p, q):
             da[0] + bc[0], da[1] + bc[1], da[2] + bc[2], da[3] + bc[3])
 
 
-class Quaternion:
-    """Hamilton quaternion w + x i + y j + z k with i j = k, j k = i, k i = j."""
+def _componentwise(op, d):
+    """(a, b) -> (a[0] op b[0], ..., a[d-1] op b[d-1]), written out: map()
+    over four components takes three times as long as the operations."""
+    terms = ", ".join("a[%d] %s b[%d]" % (k, op, k) for k in range(d))
+    return eval("lambda a, b: (%s,)" % terms)
 
-    __slots__ = ("w", "x", "y", "z")
 
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+_new = object.__new__
+
+
+class Hypercomplex:
+    """A tuple of `dimension` float components and the product `formula`
+    of its algebra: the arithmetic of Quaternion and Octonion, written once.
+
+    Built from up to `dimension` numbers, or from one tuple or list of them,
+    padded with 0.0; results are built from ready tuples of floats.  Values
+    mix with ints, floats and values of their own class only.
+    """
+
+    __slots__ = ("c",)
+    dimension = 0
+    formula = None
+
+    def __init_subclass__(cls):
+        cls._add = staticmethod(_componentwise("+", cls.dimension))
+        cls._sub = staticmethod(_componentwise("-", cls.dimension))
+
+    def __init__(self, *components):
+        if len(components) == 1 and isinstance(components[0], (tuple, list)):
+            components = components[0]
+        pad = self.dimension - len(components)
+        if pad < 0:
+            raise ValueError("%s takes at most %d components"
+                             % (type(self).__name__.lower(), self.dimension))
+        self.c = tuple(map(float, components)) + (0.0,) * pad
+
+    @classmethod
+    def _of(cls, c):
+        value = _new(cls)
+        value.c = c
+        return value
+
+    def _components_of(self, v):
+        if isinstance(v, type(self)):
+            return v.c
+        if isinstance(v, (int, float)):
+            return type(self)(v).c
+        raise TypeError("cannot mix %r with %ss"
+                        % (v, type(self).__name__.lower()))
 
     def components(self):
-        return (self.w, self.x, self.y, self.z)
+        return self.c
 
     def __add__(self, other):
-        other = _as_quat(other)
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        # sums are built in place, with the same-class test first: a call
+        # to _of or _components_of would take a sixth of their time each
+        value = _new(type(self))
+        value.c = self._add(self.c, other.c if type(other) is type(self)
+                            else self._components_of(other))
+        return value
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_quat(other)
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        value = _new(type(self))
+        value.c = self._sub(self.c, other.c if type(other) is type(self)
+                            else self._components_of(other))
+        return value
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return self._of(tuple(map(operator.neg, self.c)))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(other * self.w, other * self.x,
-                              other * self.y, other * self.z)
-        return Quaternion(*quat_mul(self.components(),
-                                    _as_quat(other).components()))
+            s = float(other)
+            return self._of(tuple([s * a for a in self.c]))
+        return self._of(self.formula(self.c, self._components_of(other)))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return _as_quat(other) * self
+    # a number times a value is the value times the number; an algebra
+    # product never gets here, other classes raise in _components_of
+    __rmul__ = __mul__
 
     def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return self._of(self.c[:1] + tuple(map(operator.neg, self.c[1:])))
 
     def norm_sq(self):
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        """Sum of the squared components, added left to right."""
+        total = 0.0
+        for a in self.c:
+            total += a * a
+        return total
 
     def inverse(self):
         n2 = self.norm_sq()
         if n2 == 0.0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+            raise ZeroDivisionError("inverse of zero %s"
+                                    % type(self).__name__.lower())
+        c = self.c
+        return self._of((c[0] / n2,) + tuple([-a / n2 for a in c[1:]]))
 
     def __eq__(self, other):
         if isinstance(other, (int, float)):
-            other = Quaternion(other)
-        if not isinstance(other, Quaternion):
+            other = type(self)(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.components() == other.components()
+        return self.c == other.c
 
     def __hash__(self):
-        return hash(self.components())
+        return hash(self.c)
 
     def __repr__(self):
-        return "Quaternion(%r, %r, %r, %r)" % self.components()
+        return "%s%r" % (type(self).__name__, self.c)
 
 
-def _as_quat(v):
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, (int, float)):
-        return Quaternion(v)
-    raise TypeError("cannot mix %r with quaternions" % (v,))
+class Quaternion(Hypercomplex):
+    """Hamilton quaternion w + x i + y j + z k with i j = k, j k = i, k i = j."""
+
+    __slots__ = ()
+    dimension = 4
+    formula = staticmethod(quat_mul)
 
 
-class Octonion:
+class Octonion(Hypercomplex):
     """Octonion in the basis e0..e7 built by doubling the quaternions.
 
     The product is the Cayley-Dickson formula (a,b)(c,d) = (ac - d*b, da + bc*)
@@ -131,76 +182,9 @@ class Octonion:
     but not associative; chained products must fix a bracketing.
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, *components):
-        if len(components) == 1 and isinstance(components[0], (tuple, list)):
-            components = tuple(components[0])
-        if len(components) > 8:
-            raise ValueError("octonion takes at most 8 components")
-        c = [0.0] * 8
-        for k, v in enumerate(components):
-            c[k] = float(v)
-        self.c = tuple(c)
-
-    def components(self):
-        return self.c
-
-    def __add__(self, other):
-        other = _as_oct(other)
-        return Octonion(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_oct(other)
-        return Octonion(tuple(a - b for a, b in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return Octonion(tuple(-a for a in self.c))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Octonion(tuple(other * a for a in self.c))
-        return Octonion(oct_mul(self.c, _as_oct(other).c))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return _as_oct(other) * self
-
-    def conjugate(self):
-        return Octonion((self.c[0],) + tuple(-a for a in self.c[1:]))
-
-    def norm_sq(self):
-        return sum(a * a for a in self.c)
-
-    def inverse(self):
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("inverse of zero octonion")
-        return Octonion(tuple(a / n2 for a in self.conjugate().c))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, float)):
-            other = Octonion(other)
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __repr__(self):
-        return "Octonion%r" % (self.c,)
-
-
-def _as_oct(v):
-    if isinstance(v, Octonion):
-        return v
-    if isinstance(v, (int, float)):
-        return Octonion(v)
-    raise TypeError("cannot mix %r with octonions" % (v,))
+    __slots__ = ()
+    dimension = 8
+    formula = staticmethod(oct_mul)
 
 
 class GaussianRational:
@@ -270,25 +254,20 @@ def _as_gr(v):
 
 
 class ScalarKind:
-    """One of the five supported scalar algebras, with its zero/one and coercions."""
+    """One of the five supported scalar algebras, with its zero and one.
+    `cls` makes its values (from ints; from components for quaternions and
+    octonions); for the reals it is `int`, so that ints stay ints."""
 
-    def __init__(self, name, zero, one, exact, n_components):
+    def __init__(self, name, cls, exact, n_components):
         self.name = name
-        self.zero = zero
-        self.one = one
+        self.cls = cls
         self.exact = exact
         self.n_components = n_components
+        self.zero = cls(0)
+        self.one = cls(1)
 
     def from_int(self, n):
-        if self.name == "real":
-            return n
-        if self.name == "complex":
-            return complex(n)
-        if self.name == "quaternion":
-            return Quaternion(n)
-        if self.name == "octonion":
-            return Octonion(n)
-        return GaussianRational(n)
+        return self.cls(n)
 
     def __repr__(self):
         return "ScalarKind(%s)" % self.name
@@ -300,40 +279,33 @@ class ScalarKind:
         return hash(self.name)
 
 
-REAL = ScalarKind("real", 0, 1, False, 1)
-COMPLEX = ScalarKind("complex", 0j, 1 + 0j, False, 2)
-QUATERNION = ScalarKind("quaternion", Quaternion(), Quaternion(1), False, 4)
-OCTONION = ScalarKind("octonion", Octonion(), Octonion(1), False, 8)
-GAUSSIAN = ScalarKind("gaussian", GaussianRational(), GaussianRational(1), True, 2)
+REAL = ScalarKind("real", int, False, 1)
+COMPLEX = ScalarKind("complex", complex, False, 2)
+QUATERNION = ScalarKind("quaternion", Quaternion, False, Quaternion.dimension)
+OCTONION = ScalarKind("octonion", Octonion, False, Octonion.dimension)
+GAUSSIAN = ScalarKind("gaussian", GaussianRational, True, 2)
 
 KINDS = {k.name: k for k in (REAL, COMPLEX, QUATERNION, OCTONION, GAUSSIAN)}
 
 
 def kind_of(a) -> ScalarKind:
-    if isinstance(a, Quaternion):
-        return QUATERNION
-    if isinstance(a, Octonion):
-        return OCTONION
-    if isinstance(a, GaussianRational):
-        return GAUSSIAN
-    if isinstance(a, complex):
-        return COMPLEX
+    for kind in (QUATERNION, OCTONION, GAUSSIAN, COMPLEX):
+        if isinstance(a, kind.cls):
+            return kind
     if isinstance(a, (int, float, Fraction)):
         return REAL
     raise TypeError("not a scalar: %r" % (a,))
 
 
 def conjugate(a):
-    if isinstance(a, (Quaternion, Octonion, GaussianRational)):
-        return a.conjugate()
-    if isinstance(a, complex):
+    if isinstance(a, (Hypercomplex, GaussianRational, complex)):
         return a.conjugate()
     return a
 
 
 def norm_sq(a):
     """a* a as a real number (exact Fraction for Gaussian rationals)."""
-    if isinstance(a, (Quaternion, Octonion, GaussianRational)):
+    if isinstance(a, (Hypercomplex, GaussianRational)):
         return a.norm_sq()
     if isinstance(a, complex):
         return a.real * a.real + a.imag * a.imag
@@ -346,7 +318,7 @@ def norm(a) -> float:
 
 def invert(a):
     """a^-1 = a* / |a|^2; raises ZeroDivisionError on zero input."""
-    if isinstance(a, (Quaternion, Octonion, GaussianRational)):
+    if isinstance(a, (Hypercomplex, GaussianRational)):
         return a.inverse()
     if a == 0:
         raise ZeroDivisionError("inverse of zero scalar")
@@ -360,7 +332,7 @@ def invert(a):
 def is_zero(a, tol=0.0):
     if tol and not kind_of(a).exact:
         return norm_sq(a) <= tol * tol
-    if isinstance(a, (Quaternion, Octonion)):
+    if isinstance(a, Hypercomplex):
         return a.norm_sq() == 0.0
     if isinstance(a, GaussianRational):
         return not bool(a)
@@ -525,27 +497,25 @@ def to_jsonable(a):
         return float(a) if isinstance(a, float) else a
     if k is COMPLEX:
         return [a.real, a.imag]
-    if k is QUATERNION:
-        return list(a.components())
-    if k is OCTONION:
-        return list(a.components())
-    return format_scalar(a)
+    if k is GAUSSIAN:
+        return format_scalar(a)
+    return list(a.components())
 
 
 # ---------------------------------------------------------------------------
 # random draws (seeded rng supplied by caller)
 
 def random_scalar(kind, rng, span=2.0):
+    if kind is GAUSSIAN:
+        return GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+    c = [rng.uniform(-span, span) for _ in range(kind.n_components)]
     if kind is REAL:
-        return rng.uniform(-span, span)
+        return c[0]
     if kind is COMPLEX:
-        return complex(rng.uniform(-span, span), rng.uniform(-span, span))
-    if kind is QUATERNION:
-        return Quaternion(*(rng.uniform(-span, span) for _ in range(4)))
-    if kind is OCTONION:
-        return Octonion(tuple(rng.uniform(-span, span) for _ in range(8)))
-    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-                            Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+        return complex(*c)
+    return kind.cls(c)
 
 
 def random_nonzero(kind, rng, span=2.0, min_norm=0.1):
@@ -566,7 +536,4 @@ def random_unit(kind, rng):
     if kind is REAL:
         return rng.choice([-1.0, 1.0])
     a = random_nonzero(kind, rng)
-    scale = 1.0 / norm(a)
-    if kind is COMPLEX:
-        return a * scale
-    return a * scale
+    return a * (1.0 / norm(a))

@@ -352,21 +352,15 @@ def path_permutation(path: SpectralPath) -> tuple:
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
                        steps: int = DEFAULT_STEPS,
-                       keep_paths: bool = False,
                        max_steps: int | None = None):
-    """One WheelPermutation per element; optionally the raw paths as well."""
+    """One WheelPermutation per element."""
     perms = []
-    paths = []
     for wheel in range(len(system)):
         path = track_wheel(system, h, wheel, steps, max_steps)
         perm = path_permutation(path)
         wind = winding_numbers(path)
         perms.append(WheelPermutation(wheel, perm, perm_order(perm),
                                       tuple(wind)))
-        if keep_paths:
-            paths.append(path)
-    if keep_paths:
-        return perms, paths
     return perms
 
 

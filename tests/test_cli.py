@@ -81,9 +81,10 @@ def test_det_pivot_log(capsys):
 @pytest.mark.parametrize("kind", ["real", "complex", "quaternion",
                                   "octonion", "gaussian"])
 def test_det_pivot_log_eliminates_each_matrix_once(capsys, monkeypatch, kind):
-    # one elimination per matrix, with or without the log, yields the Study
-    # value and, except over the Gaussian rationals (Bareiss) and octonions
-    # (none), the Dieudonne one
+    # one elimination per matrix, with or without the log, on the arrays of
+    # connection.field_matrices, yields the Study value and, except over the
+    # octonions, the Dieudonne one; over the Gaussian rationals it is read
+    # off the Bareiss loop
     from setfield import determinants
 
     calls = []
@@ -100,6 +101,50 @@ def test_det_pivot_log_eliminates_each_matrix_once(capsys, monkeypatch, kind):
     for label in ("L", "g"):
         del data[label]["pivot_log"]
     assert plain == data
+
+
+def test_det_pivot_log_on_gaussian_swaps_matches_fraction_elimination(capsys):
+    # not closed under subsets; g(x0, x0) = H(star {1}) = 1/2 + 1/3 - 5/6 = 0,
+    # so g needs a swap, and the denominators give the matrices a scale of 6
+    import oracles
+
+    from setfield.connection import explicit_field
+    from setfield.determinants import dieudonne_value, study_value
+    from setfield.scalars import GAUSSIAN, parse_scalar, to_jsonable
+    from setfield.setsystem import parse_system
+
+    text, values = "{{1},{1,2},{1,3}}", ["q(1/2+i)", "q(1/3)", "q(-5/6-i)"]
+    code, data = run_json(capsys, "det", "--inline", text, "--kind",
+                          "gaussian", "--field", "values:" + ",".join(values),
+                          "--pivot-log")
+    assert code == 0
+    system = parse_system(text)
+    assert not system.is_simplicial_complex()
+    h = explicit_field([parse_scalar(v, GAUSSIAN) for v in values], GAUSSIAN)
+    cm = oracles.build_matrices_by_sets(system, h)
+    for label, M in (("L", cm.L), ("g", cm.g)):
+        want = oracles.row_reduce(M, GAUSSIAN, want_log=True)
+        assert data[label]["pivot_log"] == want.log
+        assert data[label]["study"] == study_value(want)
+        assert data[label]["dieudonne"] == to_jsonable(
+            dieudonne_value(want, GAUSSIAN))
+    assert any(line.startswith("swap") for line in data["g"]["pivot_log"])
+
+
+def test_check_all_builds_the_field_matrices_once_per_field(capsys,
+                                                            monkeypatch):
+    # the caller's field and the omega field of the unimodularity check
+    from setfield import connection
+
+    calls = []
+    original = connection._block_sums
+    monkeypatch.setattr(connection, "_block_sums",
+                        lambda *a: calls.append(1) or original(*a))
+    code, data = run_json(capsys, "check", "--inline", "{{1,2,3}}",
+                          "--closure", "--field", "random:1:real")
+    assert [c["name"] for c in data["checks"]] == [
+        "greenstar", "energy", "gaussbonnet", "unimodular", "signature"]
+    assert len(calls) == 4  # L and g of each field
 
 
 def test_check_all_pass_exit_zero(capsys):

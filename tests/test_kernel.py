@@ -152,9 +152,10 @@ def test_row_reduce_is_bit_identical_to_per_entry(monkeypatch, block_products):
 
 
 def test_gaussian_row_reduce_memory_stays_near_per_entry():
-    """Gaussian entries grow as the elimination goes on, so an update step
-    holds one new row of them, not a block: the peak stays within 1.2 times
-    the per-entry loop's, with the same pivots, swaps and log."""
+    """Gaussian entries grow as the elimination goes on; read off the
+    Bareiss loop, which keeps only the rows still to be eliminated, the
+    peak stays within 1.2 times the per-entry Fraction loop's, with the
+    same pivots, swaps and log."""
     rng = random.Random(23)
     n = 24
     M = [[scalars.random_scalar(GAUSSIAN, rng) for _ in range(n)]
@@ -233,3 +234,62 @@ def test_to_gaussian_integers_scales_by_lcm():
     re, im, D = kernel.to_gaussian_integers(M)
     assert D == 12
     assert re == [[6, 24], [0, 0]] and im == [[-4, 0], [9, 0]]
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian elimination, read off the Bareiss loop, against the Fraction
+# elimination in oracles.py
+
+def _gaussian(re, im=0, den=1):
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _assert_gaussian_elimination_matches(M):
+    got = row_reduce(M, GAUSSIAN, want_log=True)
+    want = oracles.row_reduce(M, GAUSSIAN, want_log=True)
+    assert _elimination_repr(got) == _elimination_repr(want)
+    assert repr(row_reduce(M, GAUSSIAN).pivots) == repr(want.pivots)
+    X, scale = kernel.to_array(M, GAUSSIAN)
+    got = row_reduce((X, scale), GAUSSIAN, want_log=True)
+    assert _elimination_repr(got) == _elimination_repr(want)
+    return want
+
+
+def test_gaussian_elimination_zero_first_column_is_singular_at_once():
+    rng = random.Random(3)
+    M = [[_gaussian(0)] + [scalars.random_scalar(GAUSSIAN, rng)
+                           for _ in range(3)] for _ in range(4)]
+    want = _assert_gaussian_elimination_matches(M)
+    assert want.singular and not want.pivots
+    assert want.log == ["column 0 has no usable pivot; matrix is singular"]
+
+
+def test_gaussian_elimination_swap_then_singular_column():
+    rng = random.Random(5)
+    for _ in range(20):
+        M = [[scalars.random_scalar(GAUSSIAN, rng) for _ in range(4)]
+             for _ in range(4)]
+        M[0][0] = _gaussian(0)  # the first pivot needs a swap
+        # the last row is a combination of the first two: singular later
+        a, b = (scalars.random_scalar(GAUSSIAN, rng) for _ in range(2))
+        M[3] = [a * x + b * y for x, y in zip(M[0], M[1])]
+        want = _assert_gaussian_elimination_matches(M)
+        assert want.swaps and want.singular and want.pivots
+
+
+def test_gaussian_elimination_of_the_empty_matrix():
+    want = _assert_gaussian_elimination_matches([])
+    assert (want.pivots, want.swaps, want.singular, want.log) == \
+        ([], 0, False, [])
+
+
+def test_gaussian_elimination_with_a_matrix_scale():
+    # denominators 2, 3, 4 and 5: the Gaussian integers are 60 times M
+    rng = random.Random(9)
+    for n in range(1, 6):
+        M = [[_gaussian(rng.randint(-4, 4), rng.randint(-4, 4),
+                        rng.choice((2, 3, 4, 5))) for _ in range(n)]
+             for _ in range(n)]
+        M[0][0] = _gaussian(1, 1, 60)
+        assert kernel.to_array(M, GAUSSIAN)[1] == 60
+        _assert_gaussian_elimination_matches(M)

@@ -1,8 +1,10 @@
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +235,73 @@ def test_random_unit_is_unit():
         for _ in range(10):
             u = scalars.random_unit(kind, rng)
             assert is_unit(u, 1e-9), name
+
+
+# ---------------------------------------------------------------------------
+# Quaternion and Octonion share one class, Hypercomplex
+
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -3.25)
+
+
+def test_hypercomplex_constructor_forms():
+    assert Quaternion(1).components() == (1.0, 0.0, 0.0, 0.0)
+    assert Quaternion(1, 2, 3, 4).components() == (1.0, 2.0, 3.0, 4.0)
+    assert Quaternion().components() == (0.0,) * 4
+    c = (1, -2, 3, 0, 0.5, 0, 0, 7)
+    assert Octonion(c) == Octonion(*c) == Octonion(list(c))
+    assert Octonion(c).components() == tuple(map(float, c))
+    assert Octonion(2).components() == (2.0,) + (0.0,) * 7
+    assert all(type(a) is float
+               for v in (Quaternion(1, 2), Octonion(c), 2 * Quaternion(1),
+                         Quaternion(1) * np.float64(0.5))
+               for a in v.components())
+
+
+def test_hypercomplex_rejects_extra_components_and_mixed_algebras():
+    with pytest.raises(ValueError, match="at most 4"):
+        Quaternion(1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match="at most 8"):
+        Octonion(tuple(range(9)))
+    q, o = Quaternion(1, 2), Octonion(1, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((q, o), (o, q), (q, Fraction(1, 2)), (o, 1j)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert q != o and o != q
+
+
+def test_hypercomplex_repr_is_unchanged():
+    assert repr(Quaternion(1, -2, 0.5, -0.0)) == \
+        "Quaternion(1.0, -2.0, 0.5, -0.0)"
+    assert repr(Octonion(1, 2)) == \
+        "Octonion(1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)"
+
+
+def _component_formulas(c):
+    """conjugate, |c|^2 (added left to right) and inverse on a tuple."""
+    conj = (c[0],) + tuple(-a for a in c[1:])
+    n2 = c[0] * c[0]
+    for a in c[1:]:
+        n2 = n2 + a * a
+    return conj, n2, tuple(a / n2 for a in conj) if n2 else None
+
+
+def test_conjugate_norm_and_inverse_are_the_component_formulas():
+    rng = random.Random(41)
+    for trial in range(400):
+        for cls in (Quaternion, Octonion):
+            c = tuple(rng.choice(SPECIAL) if trial % 2 or rng.random() < 0.3
+                      else rng.uniform(-2, 2) for _ in range(cls.dimension))
+            v = cls(c)
+            conj, n2, inv = _component_formulas(c)
+            assert repr(v.conjugate().components()) == repr(conj)
+            assert repr(v.norm_sq()) == repr(n2)
+            if inv is None:
+                with pytest.raises(ZeroDivisionError):
+                    v.inverse()
+            else:
+                assert repr(v.inverse().components()) == repr(inv)
+            for s in (2, -0.5):
+                want = tuple(s * a for a in c)
+                assert repr((s * v).components()) == repr(want)
+                assert repr((v * s).components()) == repr(want)
