@@ -19,7 +19,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import __version__, kaehler, scalars
 from .scalars import KINDS
@@ -30,27 +29,7 @@ ENV_STEP_CAP = "SETFIELD_STEP_CAP"
 ENV_LEIBNIZ_CAP = "SETFIELD_LEIBNIZ_CAP"
 
 
-@dataclass
-class RunConfig:
-    """Everything one subcommand run needs, resolved from flags and env vars."""
-
-    command: str
-    inline: str | None = None
-    input_path: str | None = None
-    closure: bool = False
-    preset: str = "omega"
-    kind_name: str | None = None
-    tolerance: float | None = None  # else SETFIELD_TOLERANCE or DEFAULT_TOL
-    steps: int | None = None  # else spectral.DEFAULT_STEPS
-    output_dir: str | None = None
-    method: str = "all"
-    identity: str = "all"
-    wheel: int | None = None
-    pivot_log: bool = False
-    heatmap: str | None = None
-
-
-def load_system(config: RunConfig) -> SetSystem:
+def load_system(config: argparse.Namespace) -> SetSystem:
     if config.input_path:
         with open(config.input_path) as fh:
             text = fh.read()
@@ -90,7 +69,7 @@ def parse_kind(name: str) -> scalars.ScalarKind:
     return KINDS[name]
 
 
-def make_field(system: SetSystem, config: RunConfig):
+def make_field(system: SetSystem, config: argparse.Namespace):
     from .connection import (explicit_field, omega_field, ones_field,
                              random_field, roots_field)
 
@@ -128,7 +107,7 @@ def matrix_to_json(M):
     return [[scalars.to_jsonable(v) for v in row] for row in M]
 
 
-def emit(report: dict, config: RunConfig, name: str) -> None:
+def emit(report: dict, config: argparse.Namespace, name: str) -> None:
     report = dict(report)
     report["version"] = __version__
     try:
@@ -155,7 +134,7 @@ def _json_default(v):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen(config: RunConfig, system: SetSystem) -> int:
+def cmd_gen(config: argparse.Namespace, system: SetSystem) -> int:
     emit({
         "elements": system_to_json(system),
         "n": len(system),
@@ -166,7 +145,7 @@ def cmd_gen(config: RunConfig, system: SetSystem) -> int:
     return 0
 
 
-def cmd_matrices(config: RunConfig, system: SetSystem) -> int:
+def cmd_matrices(config: argparse.Namespace, system: SetSystem) -> int:
     from . import kernel
     from .connection import field_matrices
 
@@ -186,7 +165,7 @@ def cmd_matrices(config: RunConfig, system: SetSystem) -> int:
     return 0
 
 
-def cmd_det(config: RunConfig, system: SetSystem) -> int:
+def cmd_det(config: argparse.Namespace, system: SetSystem) -> int:
     from . import determinants, kernel
     from .connection import field_matrices
 
@@ -196,24 +175,34 @@ def cmd_det(config: RunConfig, system: SetSystem) -> int:
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
                  and h.kind is not scalars.OCTONION)
+    leibniz, skipped = config.method in ("leibniz", "all"), None
+    if leibniz:
+        try:
+            determinants.check_leibniz_cap(len(system), leib_cap)
+        except determinants.MatrixSizeError as exc:
+            leibniz, skipped = False, str(exc)
+    # Q(i) commutes: there the permutation sum is the determinant, which the
+    # elimination gives exactly, so Bareiss runs once per matrix
+    exact = leibniz and h.kind is scalars.GAUSSIAN
     out = {"kind": h.kind.name, "n": len(system), "method": config.method}
     for label, X in (("L", fm.L), ("g", fm.g)):
         entry = {}
         # one elimination gives the log and both row-reduction determinants
         elim = (determinants.row_reduce((X, fm.scale), h.kind, config.pivot_log)
-                if config.pivot_log or study or dieudonne else None)
+                if config.pivot_log or study or dieudonne or exact else None)
         if study:
             entry["study"] = determinants.study_value(elim)
         if dieudonne:
             entry["dieudonne"] = scalars.to_jsonable(
                 determinants.dieudonne_value(elim, h.kind))
-        if config.method in ("leibniz", "all"):
-            M = kernel.from_array(X, h.kind, fm.scale)
-            try:
-                entry["leibniz"] = scalars.to_jsonable(
-                    determinants.leibniz_det(M, h.kind, leib_cap))
-            except determinants.MatrixSizeError as exc:
-                entry["leibniz_skipped"] = str(exc)
+        if exact:
+            entry["leibniz"] = scalars.to_jsonable(
+                determinants.dieudonne_value(elim, h.kind))
+        elif leibniz:
+            entry["leibniz"] = scalars.to_jsonable(determinants.leibniz_det(
+                kernel.from_array(X, h.kind, fm.scale), h.kind, leib_cap))
+        elif skipped:
+            entry["leibniz_skipped"] = skipped
         if config.pivot_log:
             entry["pivot_log"] = elim.log
         out[label] = entry
@@ -221,7 +210,7 @@ def cmd_det(config: RunConfig, system: SetSystem) -> int:
     return 0
 
 
-def cmd_check(config: RunConfig, system: SetSystem) -> int:
+def cmd_check(config: argparse.Namespace, system: SetSystem) -> int:
     from . import identities
 
     h = make_field(system, config)
@@ -266,7 +255,7 @@ def _tolerance(flag: float | None) -> float:
     return value
 
 
-def _steps(config: RunConfig) -> tuple[int, int | None]:
+def _steps(config: argparse.Namespace) -> tuple[int, int | None]:
     """--steps (spectral.DEFAULT_STEPS if not given) and the step cap."""
     from . import spectral
 
@@ -277,7 +266,7 @@ def _steps(config: RunConfig) -> tuple[int, int | None]:
     return steps, cap
 
 
-def cmd_phase(config: RunConfig, system: SetSystem) -> int:
+def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
     from . import spectral
 
     h = make_field(system, config)
@@ -304,7 +293,7 @@ def cmd_phase(config: RunConfig, system: SetSystem) -> int:
     return 0
 
 
-def cmd_group(config: RunConfig, system: SetSystem) -> int:
+def cmd_group(config: argparse.Namespace, system: SetSystem) -> int:
     from . import spectral
 
     h = make_field(system, config)
@@ -330,7 +319,7 @@ def cmd_group(config: RunConfig, system: SetSystem) -> int:
     return 0
 
 
-def cmd_kaehler(config: RunConfig, system: SetSystem) -> int:
+def cmd_kaehler(config: argparse.Namespace, system: SetSystem) -> int:
     report = kaehler.kaehler_report(system)
     if config.heatmap:
         _write_form_svg(config.heatmap, report.form)
@@ -484,9 +473,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    config = build_parser().parse_args(argv)
     command = COMMANDS[config.command]
     errors = (ValueError, OSError)
     try:

@@ -9,9 +9,10 @@ array, float components for quaternions and octonions and the numbers
 themselves (d = 1) for reals and complexes, bit-identical to a per-entry
 loop.  Over the Gaussian rationals every step of it is read off one
 fraction-free elimination over the Gaussian integers, the same Bareiss loop
-that serves integer forms and gives the exact determinant and |det|^2.
-numpy and the kernel are imported by the functions that
-need them, so that the Bareiss loop imports without either.
+that serves integer forms.  Q(i) commutes, so there the Dieudonne value of
+that elimination is the exact determinant, which is also the permutation
+sum.  numpy and the kernel are imported by the functions that need them, so
+that the Bareiss loop imports without either.
 """
 
 from __future__ import annotations
@@ -43,16 +44,23 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    if n > cap:
-        raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d" % (n, cap))
+    check_leibniz_cap(n, cap)
     kind = kind or kind_of(M[0][0])
     if kind is GAUSSIAN:
-        return _gaussian_det(M)
+        from . import kernel
+
+        return _gaussian_integer_det(*kernel.to_gaussian_integers(M))
     total = kind.zero
     for perm in itertools.permutations(range(n)):
         term = scalars.product_right([M[i][perm[i]] for i in range(n)], kind)
         total = total + (term if _perm_parity(perm) == 0 else -term)
     return total
+
+
+def check_leibniz_cap(n, cap):
+    """Raise MatrixSizeError if an n x n permutation sum is over `cap`."""
+    if n > cap:
+        raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d" % (n, cap))
 
 
 def _perm_parity(perm):
@@ -209,12 +217,6 @@ def study_value(elim: Elimination) -> float:
     return math.prod(scalars.norm(p) for p in elim.pivots)
 
 
-def study_det_sq_exact(M):
-    """Exact |det|^2 as a Fraction, for Gaussian-rational matrices
-    (Bareiss over the Gaussian integers, see _gaussian_det)."""
-    return _gaussian_det(M).norm_sq()
-
-
 def dieudonne_det(M, kind=None):
     """Row-reduction determinant in the abelianization of the kind.
 
@@ -321,16 +323,6 @@ def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object, int]:
 
 def _int_rows(M):
     return [[int(v) for v in row] for row in M]
-
-
-def _gaussian_det(M) -> GaussianRational:
-    """Determinant of a square Gaussian-rational matrix, exactly."""
-    from . import kernel
-
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("matrix must be square")
-    return _gaussian_integer_det(*kernel.to_gaussian_integers(M))
 
 
 def _gaussian_integer_det(re, im, D) -> GaussianRational:

@@ -207,8 +207,8 @@ def unimodularity_check(system: SetSystem) -> IdentityReport:
                           details={"det_L": det, "expected_det": expected})
 
 
-def spectral_signature_check(system: SetSystem, h: EnergyFunction,
-                             gap=0.0) -> IdentityReport:
+def spectral_signature_check(system: SetSystem,
+                             h: EnergyFunction) -> IdentityReport:
     """Real fields: negative h values and negative eigenvalues of L are equinumerous."""
     if h.kind is not scalars.REAL:
         raise ValueError("spectral signature needs a real field")
@@ -221,8 +221,6 @@ def spectral_signature_check(system: SetSystem, h: EnergyFunction,
     applicability = None
     if not system.is_simplicial_complex():
         applicability = "not a simplicial complex; signature rule not guaranteed"
-    if gap and min_abs <= gap:
-        applicability = "eigenvalue within %g of zero; count unreliable" % gap
     ok = neg_eig == neg_h
     return IdentityReport("signature", ok, 0.0 if ok else abs(neg_eig - neg_h),
                           witnesses=[], applicability=applicability,

@@ -329,9 +329,7 @@ def invert(a):
     return 1.0 / a
 
 
-def is_zero(a, tol=0.0):
-    if tol and not kind_of(a).exact:
-        return norm_sq(a) <= tol * tol
+def is_zero(a):
     if isinstance(a, Hypercomplex):
         return a.norm_sq() == 0.0
     if isinstance(a, GaussianRational):
@@ -378,13 +376,6 @@ def product_right(factors, kind=None):
     for f in reversed(factors[:-1]):
         acc = f * acc
     return acc
-
-
-def approx_equal(a, b, tol=DEFAULT_TOL):
-    d = a - b
-    if kind_of(d).exact:
-        return not bool(d)
-    return float(norm_sq(d)) <= tol * tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite sets of sets, downward closures, stars, cores and duals.
+"""Finite sets of sets, downward closures, stars and cores.
 
 Elements are nonempty frozensets of positive integer vertices kept in an
 explicit stable order; most linear algebra downstream is order sensitive, so
@@ -19,7 +19,7 @@ import re
 class SetSystem:
     """Ordered collection of distinct nonempty finite integer sets."""
 
-    __slots__ = ("elements", "vertex_union", "_index", "_star_rows", "_zeta",
+    __slots__ = ("elements", "vertex_union", "_star_rows", "_zeta",
                  "_simplicial")
 
     def __init__(self, elements):
@@ -37,7 +37,6 @@ class SetSystem:
             elems.append(f)
         self.elements = tuple(elems)
         self.vertex_union = frozenset().union(*elems) if elems else frozenset()
-        self._index = {e: k for k, e in enumerate(elems)}
         self._star_rows = None
         self._zeta = None
         self._simplicial = None
@@ -59,9 +58,6 @@ class SetSystem:
 
     def __repr__(self):
         return "SetSystem(%s)" % ", ".join(str(sorted(e)) for e in self.elements)
-
-    def index_of(self, element) -> int:
-        return self._index[frozenset(element)]
 
     @property
     def dimension(self) -> int:
@@ -116,17 +112,11 @@ class SetSystem:
         keys = [_canonical_key(e) for e in self.elements]
         return keys == sorted(keys)
 
-    def reordered(self, order) -> "SetSystem":
-        """Copy with elements permuted; `order` lists old indices in new positions."""
-        if sorted(order) != list(range(len(self))):
-            raise ValueError("order must be a permutation of element indices")
-        return SetSystem(self.elements[k] for k in order)
-
     def is_simplicial_complex(self) -> bool:
         """True iff every nonempty subset of every element is present
         (enumerated on first use, then kept)."""
         if self._simplicial is None:
-            members = self._index
+            members = set(self.elements)
             self._simplicial = all(
                 frozenset(sub) in members for e in self.elements
                 for r in range(1, len(e))
@@ -141,18 +131,6 @@ class SetSystem:
         """Indices of all y containing element x (x itself included)."""
         row = self.star_rows[x]
         return [k for k in range(len(self.elements)) if row >> k & 1]
-
-    def complement_dual(self) -> "SetSystem":
-        """Map every x to vertex_union minus x, preserving order; swaps star and core."""
-        comps = []
-        for k, e in enumerate(self.elements):
-            c = self.vertex_union - e
-            if not c:
-                raise ValueError(
-                    "element %d (%r) equals the vertex union; its complement is empty"
-                    % (k, sorted(e)))
-            comps.append(c)
-        return SetSystem(comps)
 
 
 def _canonical_key(e):

@@ -97,22 +97,26 @@ def _complex_field_array(h: EnergyFunction) -> np.ndarray:
     return np.asarray(h.values, dtype=complex)
 
 
-def _match_step(prev, new):
-    """Match previous labels to new eigenvalues; greedy first, assignment when
-    the greedy choice is ambiguous or collides."""
-    D = np.abs(prev[:, None] - new[None, :])
-    cols = D.argmin(axis=1)
-    ambiguous = len(set(cols.tolist())) != len(cols)
-    if not ambiguous:
-        n = D.shape[0]
-        best = D[np.arange(n), cols]
-        D2 = D.copy()
-        D2[np.arange(n), cols] = np.inf
-        second = D2.min(axis=1)
-        ambiguous = bool((second < AMBIGUITY_MARGIN * best).any())
-    if ambiguous:
-        cols = min_cost_assignment(D)
-    return cols
+def _greedy_match(prev, new):
+    """Greedy nearest matching of stacked steps (..., n): label i of prev goes
+    to new[..., cols[..., i]], a distance best[..., i] away.  A step is
+    ambiguous, and needs _assign instead, when two labels pick one
+    eigenvalue or some second-nearest lies within AMBIGUITY_MARGIN times the
+    nearest.  Returns (cols, best, ambiguous)."""
+    D = np.abs(prev[..., :, None] - new[..., None, :])
+    cols = D.argmin(axis=-1)
+    best = np.take_along_axis(D, cols[..., None], axis=-1)[..., 0]
+    np.put_along_axis(D, cols[..., None], np.inf, axis=-1)
+    second = D.min(axis=-1)
+    sorted_cols = np.sort(cols, axis=-1)
+    ambiguous = ((sorted_cols[..., 1:] == sorted_cols[..., :-1]).any(axis=-1)
+                 | (second < AMBIGUITY_MARGIN * best).any(axis=-1))
+    return cols, best, ambiguous
+
+
+def _assign(prev, new):
+    """Minimum-cost matching of the labels prev to the eigenvalues new."""
+    return min_cost_assignment(np.abs(prev[:, None] - new[None, :]))
 
 
 def min_cost_assignment(cost) -> np.ndarray:
@@ -255,12 +259,11 @@ def _track_once(L_at, ts, raw, solved):
     raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
     sorted start, which fixes the labels) where solved[s] is set; the rest
     are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
-    a retry.  Greedy nearest matching, its collision and second-nearest
-    tests and the "move > half the local gap" test do not depend on the
-    order of the previous eigenvalues, so they run on raw-to-raw distances
-    for a whole chunk at once; a loop then composes the label permutation.
-    Steps flagged ambiguous are matched by _match_step on the labelled
-    previous step, one at a time.
+    a retry.  _greedy_match and the "move > half the local gap" test do
+    not depend on the order of the previous eigenvalues, so they run on
+    raw-to-raw distances for a whole chunk at once; a loop then composes the
+    label permutation.  Steps flagged ambiguous are matched by _assign on
+    the labelled previous step, one at a time.
     """
     steps = len(ts) - 1
     n = raw.shape[1]
@@ -275,14 +278,7 @@ def _track_once(L_at, ts, raw, solved):
             raw[todo] = eigenvalues(L_at(ts[todo]))
             solved[todo] = True
         new = raw[a:b]
-        D = np.abs(raw[a - 1:b - 1, :, None] - new[:, None, :])
-        cols = D.argmin(axis=2)
-        best = np.take_along_axis(D, cols[:, :, None], axis=2)[:, :, 0]
-        np.put_along_axis(D, cols[:, :, None], np.inf, axis=2)
-        second = D.min(axis=2)
-        sorted_cols = np.sort(cols, axis=1)
-        ambiguous = ((sorted_cols[:, 1:] == sorted_cols[:, :-1]).any(axis=1)
-                     | (second < AMBIGUITY_MARGIN * best).any(axis=1))
+        cols, best, ambiguous = _greedy_match(raw[a - 1:b - 1], new)
         G = np.abs(new[:, :, None] - new[:, None, :])
         G[:, diagonal, diagonal] = np.inf
         gaps = G.min(axis=1)  # nearest other eigenvalue, per raw index
@@ -293,7 +289,7 @@ def _track_once(L_at, ts, raw, solved):
         for k, s in enumerate(range(a, b)):
             if ambiguous[k]:
                 prev = values[s - 1]
-                perm = _match_step(prev, new[k])
+                perm = _assign(prev, new[k])
                 if (np.abs(new[k][perm] - prev) > 0.5 * gaps[k][perm]).any():
                     return None
             else:
@@ -317,14 +313,14 @@ def raw_winding_increments(path: SpectralPath) -> np.ndarray:
     return increments.sum(axis=0) / (2.0 * math.pi)
 
 
-def winding_numbers(path: SpectralPath, tol=WINDING_INT_TOL) -> list[int]:
+def winding_numbers(path: SpectralPath) -> list[int]:
     """Integer winding per label around 0.
 
     Fixed labels report the winding of their own closed path.  For a
     permutation cycle the arcs close up only jointly, so the cycle loop's
     winding is attributed to the arc with the largest share of the turning
     and the other labels of the cycle report 0; per-cycle totals must land
-    within `tol` of an integer or tracking is declared failed.
+    within WINDING_INT_TOL of an integer or tracking is declared failed.
     """
     raw = raw_winding_increments(path)
     perm = path_permutation(path)
@@ -333,7 +329,7 @@ def winding_numbers(path: SpectralPath, tol=WINDING_INT_TOL) -> list[int]:
                                     if perm[k] == k]:
         total = float(sum(raw[m] for m in cyc))
         r = round(total)
-        if abs(total - r) > tol:
+        if abs(total - r) > WINDING_INT_TOL:
             raise ValueError(
                 "winding of cycle %s is %.6f, not an integer (tracking "
                 "failure?)" % (cyc, total))
@@ -346,7 +342,9 @@ def path_permutation(path: SpectralPath) -> tuple:
     """Match the end of the path back to the t=0 labels."""
     start = path.values[0]
     end = path.values[-1]
-    cols = _match_step(end, start)
+    cols, _, ambiguous = _greedy_match(end, start)
+    if ambiguous:
+        cols = _assign(end, start)
     return tuple(int(c) for c in cols)
 
 

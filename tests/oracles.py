@@ -6,15 +6,16 @@ with the production paths it validates.  The per-entry `mat_mul` and
 `row_reduce` at the end are the library's code from before matrices moved to
 component arrays and one array elimination served every kind; they work on
 scalar objects one entry at a time, with the scalar classes' own products,
-which are pinned to `quaternion_product` and `octonion_product` here.  `build_matrices_by_sets` and the four
-`*_by_entries` checks are the library's construction of L and g (stars and
-cores intersected one pair at a time, summed by the library's `energy_sum`)
-and its identity checks from before they moved onto the inclusion matrix
-and component arrays.  `sequential_track_wheel` is the eigenvalue
-tracker from before solves were stacked: one `eigvals` call and one match
-per step, and a retry that starts over.  `group_closure` lists a
-permutation group breadth first, the way group orders were found before
-Schreier-Sims.
+which are pinned to `quaternion_product` and `octonion_product` here.
+`build_matrices_by_sets` and the four `*_by_entries` checks are the
+library's construction of L and g and its identity checks from before they
+moved onto the inclusion matrix and component arrays: cores and stars found
+by frozenset inclusion and intersected one pair at a time, each sum taken in
+increasing element order from the kind's zero.  `sequential_track_wheel` is
+the eigenvalue tracker from before solves were stacked: one `eigvals` call
+and one match per step, and a retry that starts over.  `group_closure`
+lists a permutation group breadth first, the way group orders were found
+before Schreier-Sims.
 """
 
 import cmath
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from setfield import SetSystem, scalars
-from setfield.connection import ConnectionMatrices, energy_sum, omega_vector
+from setfield.connection import ConnectionMatrices, omega_vector
 from setfield.determinants import (SINGULAR_PIVOT_RATIO, DetFormulaReport,
                                    Elimination)
 from setfield.identities import IdentityReport
@@ -315,22 +316,32 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
 # reference for the build on the inclusion matrix and the checks on
 # component arrays
 
+def _energy(h, members):
+    """H(A): the sum of h over the indices A in increasing order, from the
+    kind's zero."""
+    total = h.kind.zero
+    for k in sorted(members):
+        total = total + h.values[k]
+    return total
+
+
 def build_matrices_by_sets(system, h):
     """L(x,y) = H(core(x) & core(y)) and g(x,y) = omega(x) omega(y)
     H(star(x) & star(y)), one intersection of index sets per pair."""
     n = len(system)
     if len(h) != n:
         raise ValueError("field has %d values for %d elements" % (len(h), n))
-    cores = [set(system.core(k)) for k in range(n)]
-    stars = [set(system.star(k)) for k in range(n)]
+    sets = system.elements
+    cores = [{k for k in range(n) if sets[k] <= sets[i]} for i in range(n)]
+    stars = [{k for k in range(n) if sets[i] <= sets[k]} for i in range(n)]
     om = omega_vector(system)
     L = [[None] * n for _ in range(n)]
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lij = energy_sum(system, h, cores[i] & cores[j])
+            lij = _energy(h, cores[i] & cores[j])
             L[i][j] = L[j][i] = lij
-            s = energy_sum(system, h, stars[i] & stars[j])
+            s = _energy(h, stars[i] & stars[j])
             sgn = om[i] * om[j]
             gij = s if sgn == 1 else -s
             g[i][j] = g[j][i] = gij
@@ -416,7 +427,7 @@ def energy_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     for row in cm.g:
         for v in row:
             total = total + v
-    target = energy_sum(system, h, range(len(system)))
+    target = _energy(h, range(len(system)))
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
     applicability = None
@@ -437,7 +448,7 @@ def gauss_bonnet_by_entries(system, h, tol=scalars.DEFAULT_TOL):
         st = term if st is None else st + term
     if st is None:
         raise ValueError("empty matrix has no super trace")
-    target = energy_sum(system, h, range(len(system)))
+    target = _energy(h, range(len(system)))
     dev = float(scalars.norm_sq(st - target)) ** 0.5
     witnesses = []
     for i in range(cm.n):

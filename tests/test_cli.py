@@ -103,6 +103,24 @@ def test_det_pivot_log_eliminates_each_matrix_once(capsys, monkeypatch, kind):
     assert plain == data
 
 
+@pytest.mark.parametrize("method", ["leibniz", "study", "dieudonne", "all"])
+def test_gaussian_det_runs_bareiss_once_per_matrix(capsys, monkeypatch,
+                                                   method):
+    # Q(i) commutes, so the Leibniz entry is the exact determinant that the
+    # elimination behind the Study and Dieudonne values already gives
+    from setfield import determinants
+
+    calls = []
+    original = determinants._bareiss_steps
+    monkeypatch.setattr(determinants, "_bareiss_steps",
+                        lambda *a: calls.append(1) or original(*a))
+    code, data = run_json(capsys, "det", "--inline", "{{1,2,3}}", "--closure",
+                          "--field", "random:1:gaussian", "--method", method)
+    assert code == 0 and len(calls) == 2
+    if method == "all":
+        assert data["L"]["leibniz"] == data["L"]["dieudonne"]
+
+
 def test_det_pivot_log_on_gaussian_swaps_matches_fraction_elimination(capsys):
     # not closed under subsets; g(x0, x0) = H(star {1}) = 1/2 + 1/3 - 5/6 = 0,
     # so g needs a swap, and the denominators give the matrices a scale of 6

@@ -12,8 +12,7 @@ from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION,
                       study_det)
 from setfield import scalars
 from setfield.connection import explicit_field, random_field
-from setfield.determinants import (MatrixSizeError, row_reduce,
-                                   study_det_sq_exact)
+from setfield.determinants import MatrixSizeError, row_reduce
 from setfield.setsystem import random_complex
 
 LEIBNIZ_GOLDEN_SYSTEM = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])
@@ -256,7 +255,7 @@ def test_study_sq_exact_matches_norm_product():
     want = Fraction(1)
     for v in h.values:
         want *= norm_sq(v)
-    assert study_det_sq_exact(cm.L) == want
+    assert dieudonne_det(cm.L).norm_sq() == want
 
 
 def test_det_formula_octonion_study_only():

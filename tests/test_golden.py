@@ -8,13 +8,15 @@ the same floating-point operations in the same order, so the reports must
 match to the last byte.  The real and complex `matrices` and `check`
 reports were written while L and g were still built by intersecting stars
 and cores one pair at a time, before the build moved onto the inclusion
-matrix Z.  The `group` and `phase` reports and the triangle's
-`phase --output` CSVs were written by the one-matrix-at-a-time tracker,
-before eigenvalue solves and matching were batched; the batched tracker
-promises the same paths bit for bit.  The `gen` and `kaehler` reports and
-the edge's `kaehler --heatmap` SVG were written while the Kaehler form was
-still an int64 array (Z Z^T)*(Z Z^T) built with numpy.  Regenerate (only
-for an intended format change) with
+matrix Z.  The real and complex `det --pivot-log` reports were written by
+the array elimination; they pin the int-versus-float bytes of pivots,
+Dieudonne and Leibniz values.  The `group` and `phase` reports and the
+triangle's `phase --output` CSVs were written by the one-matrix-at-a-time
+tracker, before eigenvalue solves and matching were batched; the batched
+tracker promises the same paths bit for bit.  The `gen` and `kaehler`
+reports and the edge's `kaehler --heatmap` SVG were written while the
+Kaehler form was still an int64 array (Z Z^T)*(Z Z^T) built with numpy.
+Regenerate (only for an intended format change) with
 `PYTHONPATH=src python tests/test_golden.py --write`.
 """
 
@@ -64,10 +66,10 @@ ALGEBRA_CASES = [(cmd, sysname, fname)
                  for fname in ALGEBRA_FIELDS
                  if (cmd, sysname) != ("matrices", "tetrahedron")]
 # Real and complex fields, integer-valued ones included, through the reports
-# built on L and g.
+# built on L and g and through their eliminations.
 NUMBER_FIELDS = ("omega", "ones", "real", "real-unit", "complex",
                  "complex-unit")
-NUMBER_CASES = [(cmd, sysname, fname) for cmd in ("matrices", "check")
+NUMBER_CASES = [(cmd, sysname, fname) for cmd in ("matrices", "check", "det")
                 for sysname in ("triangle", "path", "tetrahedron")
                 for fname in NUMBER_FIELDS]
 # The paper's two worked monodromy cases: group orders 36 and 72.

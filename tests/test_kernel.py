@@ -18,8 +18,7 @@ import pytest
 from setfield import kernel, scalars
 from setfield.connection import (build_matrices, omega_field, ones_field,
                                  random_field)
-from setfield.determinants import (dieudonne_det, row_reduce,
-                                   study_det_sq_exact)
+from setfield.determinants import dieudonne_det, leibniz_det, row_reduce
 from setfield.scalars import GAUSSIAN, KINDS, GaussianRational
 from setfield.setsystem import random_complex
 
@@ -205,7 +204,7 @@ def test_gaussian_integer_det_matches_fraction_elimination():
             continue
         for M in (cm.L, cm.g):
             sq, det = _old_gaussian_dets(M)
-            assert study_det_sq_exact(M) == sq
+            assert leibniz_det(M, GAUSSIAN, len(M)).norm_sq() == sq
             got = dieudonne_det(M, GAUSSIAN)
             assert got == det and repr(got) == repr(det)
             count += 1
@@ -225,7 +224,7 @@ def test_gaussian_integer_det_matches_laplace():
                     row[0] = GaussianRational()
             want = oracles.laplace_det(M)
             assert dieudonne_det(M, GAUSSIAN) == want
-            assert study_det_sq_exact(M) == want.norm_sq()
+            assert leibniz_det(M, GAUSSIAN).norm_sq() == want.norm_sq()
 
 
 def test_to_gaussian_integers_scales_by_lcm():

@@ -54,15 +54,19 @@ def test_is_simplicial_complex_counterexamples():
     assert not SetSystem([[1, 3, 4], [4]]).is_simplicial_complex()
 
 
+def _index(system, element):
+    return system.elements.index(frozenset(element))
+
+
 def test_core_and_star_on_edge(K2):
-    assert K2.core(K2.index_of([1, 2])) == [0, 1, 2]
-    assert K2.core(K2.index_of([1])) == [0]
-    assert K2.star(K2.index_of([1])) == [0, 2]
-    assert K2.star(K2.index_of([1, 2])) == [2]
+    assert K2.core(_index(K2, [1, 2])) == [0, 1, 2]
+    assert K2.core(_index(K2, [1])) == [0]
+    assert K2.star(_index(K2, [1])) == [0, 2]
+    assert K2.star(_index(K2, [1, 2])) == [2]
 
 
 def test_star_on_triangle(K3):
-    got = {K3.elements[k] for k in K3.star(K3.index_of([2]))}
+    got = {K3.elements[k] for k in K3.star(_index(K3, [2]))}
     assert got == {frozenset(s) for s in ([2], [1, 2], [2, 3], [1, 2, 3])}
 
 
@@ -79,24 +83,6 @@ def test_star_core_duality(gens):
             assert (y in system.core(x)) == (x in system.star(y))
 
 
-def test_complement_dual_swaps_star_and_core():
-    system = SetSystem([[1], [2, 3]])
-    dual = system.complement_dual()
-    assert system_to_json(dual) == [[2, 3], [1]]
-    for k in range(len(system)):
-        assert set(dual.core(k)) == set(system.star(k))
-        assert set(dual.star(k)) == set(system.core(k))
-
-
-def test_complement_dual_simple_pair():
-    assert system_to_json(SetSystem([[1], [2]]).complement_dual()) == [[2], [1]]
-
-
-def test_complement_dual_rejects_full_element(K2):
-    with pytest.raises(ValueError, match="element 2"):
-        K2.complement_dual()
-
-
 def test_canonical_order_is_monotone():
     rng = random.Random(11)
     for _ in range(20):
@@ -104,14 +90,6 @@ def test_canonical_order_is_monotone():
         keys = [(len(e), sorted(e)) for e in system.elements]
         assert keys == sorted(keys)
         assert system.is_canonical()
-
-
-def test_reordered_preserves_sets(K2):
-    rev = K2.reordered([2, 1, 0])
-    assert rev.elements == tuple(reversed(K2.elements))
-    assert not rev.is_canonical()
-    with pytest.raises(ValueError):
-        K2.reordered([0, 0, 1])
 
 
 def test_rejects_bad_elements():

@@ -195,12 +195,12 @@ def test_tracking_ambiguity_error_on_exact_collisions():
 
 
 def _count_matches(monkeypatch):
-    """A list that grows by one per spectral._match_step call; tracking
-    calls it only on steps whose greedy matching is ambiguous."""
+    """A list that grows by one per spectral._assign call; tracking calls
+    it only on steps whose greedy matching is ambiguous."""
     calls = []
-    match = spectral._match_step
-    monkeypatch.setattr(spectral, "_match_step",
-                        lambda prev, new: calls.append(1) or match(prev, new))
+    assign = spectral._assign
+    monkeypatch.setattr(spectral, "_assign",
+                        lambda prev, new: calls.append(1) or assign(prev, new))
     return calls
 
 
