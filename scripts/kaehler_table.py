@@ -11,8 +11,7 @@ import argparse
 import time
 
 from setfield import generate
-from setfield.kaehler import (complete_complex_exponent, exact_det_factor,
-                              kaehler_form)
+from setfield.kaehler import complete_complex_exponent, kaehler_report
 from setfield.setsystem import complete_complex
 
 
@@ -31,7 +30,8 @@ def main():
     for v in range(1, args.max_vertices + 1):
         system = complete_complex(v)
         t0 = time.time()
-        det, factors = exact_det_factor(kaehler_form(system))
+        report = kaehler_report(system)
+        det, factors = report.det, report.factorization
         expo = complete_complex_exponent(v)
         agree = "3^%d %s" % (expo, "OK" if det == 3 ** expo else "MISMATCH")
         print("%-8s %-4d %-22s %s  (%.1fs)"
@@ -40,7 +40,7 @@ def main():
 
     big = generate([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]])
     t0 = time.time()
-    det, factors = exact_det_factor(kaehler_form(big))
+    factors = kaehler_report(big).factorization
     print("%-8s %-4d %-22s %s  (%.1fs)"
           % ("two-5s", len(big), fmt_factors(factors), "", time.time() - t0))
 

@@ -124,7 +124,7 @@ def emit(report: dict, config: argparse.Namespace, name: str) -> None:
 
 
 def _json_default(v):
-    if isinstance(v, (scalars.Hypercomplex, scalars.GaussianRational)):
+    if isinstance(v, scalars.Hypercomplex):
         return scalars.to_jsonable(v)
     if hasattr(v, "item"):
         return v.item()
@@ -355,9 +355,12 @@ def _write_path_csv(path_name: str, path) -> None:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f")
+PATH_SVG_SIZE = 480  # width and height of a spectral path plot, in pixels
+FORM_SVG_CELL = 8  # side of one entry of a form heatmap, in pixels
 
 
-def _write_path_svg(path_name: str, path, size=480) -> None:
+def _write_path_svg(path_name: str, path) -> None:
+    size = PATH_SVG_SIZE
     vals = path.values
     span = max(1e-9, float(abs(vals).max()) * 1.1)
 
@@ -385,7 +388,8 @@ def _write_path_svg(path_name: str, path, size=480) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_form_svg(path_name: str, form, cell=8) -> None:
+def _write_form_svg(path_name: str, form) -> None:
+    cell = FORM_SVG_CELL
     n = len(form)
     peak = max([1] + [v for row in form for v in row])
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'

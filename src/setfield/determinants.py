@@ -49,7 +49,7 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     if kind is GAUSSIAN:
         from . import kernel
 
-        return _gaussian_integer_det(*kernel.to_gaussian_integers(M))
+        return _gaussian_integer_det(*kernel.to_array(M, GAUSSIAN))
     total = kind.zero
     for perm in itertools.permutations(range(n)):
         term = scalars.product_right([M[i][perm[i]] for i in range(n)], kind)
@@ -176,10 +176,8 @@ def _gaussian_steps(X, D):
     previous Bareiss pivot (B_{-1} = 1).  So the two take the same first
     nonzero pivots and swaps, pivot c is B_c / (B_{c-1} D), and a row's
     multiplier is its leading entry over B_c."""
-    re, im = X.tolist()
     prev = GAUSSIAN_INTEGERS.one
-    steps = _bareiss_steps([list(zip(r, i)) for r, i in zip(re, im)],
-                           GAUSSIAN_INTEGERS)
+    steps = _bareiss_steps(_gaussian_rows(X), GAUSSIAN_INTEGERS)
     for c, step in enumerate(steps):
         if step is None:
             yield None
@@ -325,11 +323,19 @@ def _int_rows(M):
     return [[int(v) for v in row] for row in M]
 
 
-def _gaussian_integer_det(re, im, D) -> GaussianRational:
-    """det((re + i im) / D) for square int matrices re, im (nested lists)."""
-    n = len(re)
-    rows = [list(zip(r, i)) for r, i in zip(re, im)]
-    sign, (dr, di), rank = _bareiss_echelon(rows, GAUSSIAN_INTEGERS)
+def _gaussian_rows(X):
+    """The Bareiss rows, lists of (re, im) pairs, of a (2, n, m) array of
+    Gaussian integers."""
+    re, im = X.tolist()
+    return [list(zip(r, i)) for r, i in zip(re, im)]
+
+
+def _gaussian_integer_det(X, D) -> GaussianRational:
+    """det(X / D) for a (2, n, n) array X of Gaussian integers and an int D,
+    the kernel.to_array pair."""
+    n = X.shape[1]
+    sign, (dr, di), rank = _bareiss_echelon(_gaussian_rows(X),
+                                            GAUSSIAN_INTEGERS)
     if rank < n:
         return GaussianRational()
     scale = D ** n
@@ -379,8 +385,7 @@ def det_formula_check(system, h, tol=scalars.DEFAULT_TOL) -> DetFormulaReport:
     kind = h.kind
     if kind is GAUSSIAN:
         # one exact elimination per matrix gives the det, hence |det|^2
-        dL, dg = (_gaussian_integer_det(*M.tolist(), fm.scale)
-                  for M in (fm.L, fm.g))
+        dL, dg = (_gaussian_integer_det(M, fm.scale) for M in (fm.L, fm.g))
         target_d = scalars.product_right(list(h.values), kind)
         ok = dL == target_d and dg == target_d
         study = (math.sqrt(float(d.norm_sq())) for d in (dL, dg, target_d))

@@ -96,12 +96,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def exact_det_factor(form) -> tuple[int, list[tuple[int, int]]]:
-    """Exact determinant together with its prime factorization."""
-    det = bareiss_det(form)
-    return det, factorize(det)
-
-
 @dataclass
 class KaehlerReport:
     """The form (kaehler_form's nested lists of ints), its determinant,

@@ -109,15 +109,19 @@ def _coerce(M, kind):
 def to_array(M, kind) -> tuple[np.ndarray, int]:
     """(X, scale): the (d, n, m) array of a matrix of scalars of the kind,
     and the int its Gaussian entries were multiplied by (1 otherwise)."""
-    if kind is GAUSSIAN:
-        re, im, scale = to_gaussian_integers(M)
-        return np.array([re, im], dtype=object), scale
     if kind in _NUMBER_KINDS:
         return np.array([M], dtype=object), 1
-    rows = [[v.components() for v in row] for row in _coerce(M, kind)]
+    rows = [[v.c for v in row] for row in _coerce(M, kind)]
     m = len(rows[0]) if rows else 0
-    X = np.array(rows, dtype=float).reshape(len(rows), m, kind.n_components)
-    return X.transpose(2, 0, 1), 1
+    scale = 1
+    if kind is GAUSSIAN:  # scaled by the lcm of the denominators to ints
+        scale = math.lcm(*(x.denominator for row in rows for c in row
+                           for x in c))
+        rows = [[[x.numerator * (scale // x.denominator) for x in c]
+                 for c in row] for row in rows]
+    X = np.array(rows, dtype=object if kind.exact else float).reshape(
+        len(rows), m, kind.n_components)
+    return X.transpose(2, 0, 1), scale
 
 
 def field_values(values, kind) -> tuple[np.ndarray, int, object]:
@@ -128,11 +132,11 @@ def field_values(values, kind) -> tuple[np.ndarray, int, object]:
 
 
 def _maker(kind, scale):
-    if issubclass(kind.cls, scalars.Hypercomplex):
-        return kind.cls
     if kind is GAUSSIAN:
         return lambda re, im: scalars.GaussianRational(Fraction(re, scale),
                                                        Fraction(im, scale))
+    if issubclass(kind.cls, scalars.Hypercomplex):
+        return kind.cls
     return lambda x: x  # real and complex: the number itself
 
 
@@ -197,17 +201,6 @@ def running_sum(X: np.ndarray, zero=None) -> np.ndarray:
         start = np.full(X.shape[:-1] + (1,), zero, dtype=X.dtype)
         X = np.concatenate([start, X], axis=-1)
     return np.add.accumulate(X, axis=-1)[..., -1]
-
-
-def to_gaussian_integers(M):
-    """(re, im, D) with int matrices re, im and M = (re + i im) / D, where D
-    is the lcm of the denominators of M."""
-    M = _coerce(M, GAUSSIAN)
-    D = math.lcm(*(x.denominator for row in M for v in row
-                   for x in (v.re, v.im)))
-    re = [[v.re.numerator * (D // v.re.denominator) for v in row] for row in M]
-    im = [[v.im.numerator * (D // v.im.denominator) for v in row] for row in M]
-    return re, im, D
 
 
 def product(A: np.ndarray, B: np.ndarray, kind) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Scalar tower: reals, complexes, quaternions, octonions and exact Gaussian rationals.
 
 All five kinds carry conjugation, the norm |a|^2 = a* a, units and (where it
-exists) the abelianization map used by row-reduction determinants.  Float
-kinds use machine doubles: reals and complexes are Python's numbers, and
-quaternions and octonions are one class, `Hypercomplex`, on a tuple of float
-components with the product formula of its algebra (`quat_mul`, `oct_mul`).
-The Gaussian rationals are exact `Fraction` pairs so determinant identities
-can be checked with zero tolerance.
+exists) the abelianization map used by row-reduction determinants.  Reals
+and complexes are Python's numbers.  The other three are one class,
+`Hypercomplex`: a tuple of components in the field its subclass names
+(`component`) and the product formula of its algebra (`formula`).
+Quaternions and octonions have float components and `quat_mul`, `oct_mul`;
+the Gaussian rationals have `Fraction` pairs and `complex_mul`, so
+determinant identities can be checked with zero tolerance.
 """
 
 from __future__ import annotations
@@ -22,9 +23,16 @@ DEFAULT_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # product formulas on component sequences.  The scalar classes apply them to
-# floats; the matrix kernel (kernel.py) evaluates each once on symbolic
-# components and runs the same IEEE operations, in the same order, from the
-# term table it reads off.
+# their components; the matrix kernel (kernel.py) evaluates the float ones
+# once on symbolic components and runs the same IEEE operations, in the same
+# order, from the term table it reads off.
+
+def complex_mul(p, q):
+    """Product (a + b i)(c + d i) of component pairs."""
+    a, b = p
+    c, d = q
+    return (a * c - b * d, a * d + b * c)
+
 
 def quat_mul(p, q):
     """Hamilton product of components (w, x, y, z) with i j = k."""
@@ -62,16 +70,19 @@ _new = object.__new__
 
 
 class Hypercomplex:
-    """A tuple of `dimension` float components and the product `formula`
-    of its algebra: the arithmetic of Quaternion and Octonion, written once.
+    """A tuple of `dimension` components in the field `component` and the
+    product `formula` of its algebra: the arithmetic of Quaternion, Octonion
+    and GaussianRational, written once.
 
     Built from up to `dimension` numbers, or from one tuple or list of them,
-    padded with 0.0; results are built from ready tuples of floats.  Values
-    mix with ints, floats and values of their own class only.
+    padded with zeros; results are built from ready tuples of components.
+    Values mix with ints, with numbers of their component field and with
+    values of their own class only.
     """
 
     __slots__ = ("c",)
     dimension = 0
+    component = float
     formula = None
 
     def __init_subclass__(cls):
@@ -85,7 +96,8 @@ class Hypercomplex:
         if pad < 0:
             raise ValueError("%s takes at most %d components"
                              % (type(self).__name__.lower(), self.dimension))
-        self.c = tuple(map(float, components)) + (0.0,) * pad
+        zero = self.component(0)
+        self.c = tuple(map(self.component, components)) + (zero,) * pad
 
     @classmethod
     def _of(cls, c):
@@ -96,7 +108,7 @@ class Hypercomplex:
     def _components_of(self, v):
         if isinstance(v, type(self)):
             return v.c
-        if isinstance(v, (int, float)):
+        if isinstance(v, (int, self.component)):
             return type(self)(v).c
         raise TypeError("cannot mix %r with %ss"
                         % (v, type(self).__name__.lower()))
@@ -124,8 +136,8 @@ class Hypercomplex:
         return self._of(tuple(map(operator.neg, self.c)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            s = float(other)
+        if isinstance(other, (int, self.component)):
+            s = self.component(other)
             return self._of(tuple([s * a for a in self.c]))
         return self._of(self.formula(self.c, self._components_of(other)))
 
@@ -138,21 +150,25 @@ class Hypercomplex:
 
     def norm_sq(self):
         """Sum of the squared components, added left to right."""
-        total = 0.0
-        for a in self.c:
+        c = self.c
+        total = c[0] * c[0]
+        for a in c[1:]:
             total += a * a
         return total
 
     def inverse(self):
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if not n2:
             raise ZeroDivisionError("inverse of zero %s"
                                     % type(self).__name__.lower())
         c = self.c
         return self._of((c[0] / n2,) + tuple([-a / n2 for a in c[1:]]))
 
+    def __bool__(self):
+        return any(self.c)
+
     def __eq__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, self.component)):
             other = type(self)(other)
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -187,70 +203,15 @@ class Octonion(Hypercomplex):
     formula = staticmethod(oct_mul)
 
 
-class GaussianRational:
+class GaussianRational(Hypercomplex):
     """Exact a + b i with rational a, b; arithmetic never rounds."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _as_gr(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self):
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        n2 = self.norm_sq()
-        if n2 == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n2, -self.im / n2)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
-
-
-def _as_gr(v):
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    raise TypeError("cannot mix %r with Gaussian rationals" % (v,))
+    __slots__ = ()
+    dimension = 2
+    component = Fraction
+    formula = staticmethod(complex_mul)
+    re = property(lambda self: self.c[0])
+    im = property(lambda self: self.c[1])
 
 
 class ScalarKind:
@@ -298,14 +259,14 @@ def kind_of(a) -> ScalarKind:
 
 
 def conjugate(a):
-    if isinstance(a, (Hypercomplex, GaussianRational, complex)):
+    if isinstance(a, (Hypercomplex, complex)):
         return a.conjugate()
     return a
 
 
 def norm_sq(a):
     """a* a as a real number (exact Fraction for Gaussian rationals)."""
-    if isinstance(a, (Hypercomplex, GaussianRational)):
+    if isinstance(a, Hypercomplex):
         return a.norm_sq()
     if isinstance(a, complex):
         return a.real * a.real + a.imag * a.imag
@@ -318,7 +279,7 @@ def norm(a) -> float:
 
 def invert(a):
     """a^-1 = a* / |a|^2; raises ZeroDivisionError on zero input."""
-    if isinstance(a, (Hypercomplex, GaussianRational)):
+    if isinstance(a, Hypercomplex):
         return a.inverse()
     if a == 0:
         raise ZeroDivisionError("inverse of zero scalar")
@@ -331,9 +292,7 @@ def invert(a):
 
 def is_zero(a):
     if isinstance(a, Hypercomplex):
-        return a.norm_sq() == 0.0
-    if isinstance(a, GaussianRational):
-        return not bool(a)
+        return not a.norm_sq()
     return a == 0
 
 
@@ -385,27 +344,22 @@ _TERM = re.compile(r"([+-]?(?:\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+|))([ijk]?)")
 _RAT_TERM = re.compile(r"([+-]?\d+(?:/\d+)?|[+-])(i?)")
 
 
-def _parse_float_terms(text, units):
-    """Sum of signed coefficient/unit terms, e.g. '1+2i-3k' -> {'':1,'i':2,'k':-3}."""
-    out = dict.fromkeys(units, 0.0)
+def _terms(text, pattern, number, error):
+    """Sums by unit of the signed terms of `text` that `pattern` reads as
+    (coefficient, unit), e.g. '1+2i-3i' -> {'': 1, 'i': -1}, each from
+    number('0') in the order written; a bare sign or no coefficient is 1.
+    Text that no term matches raises ValueError(error)."""
+    sums = {}
     pos = 0
-    text = text.replace(" ", "")
     while pos < len(text):
-        m = _TERM.match(text, pos)
+        m = pattern.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError("bad scalar literal: %r" % text)
-        coeff, unit = m.group(1), m.group(2)
-        if unit not in out:
-            raise ValueError("unit %r not allowed in %r" % (unit, text))
-        if coeff in ("", "+"):
-            value = 1.0
-        elif coeff == "-":
-            value = -1.0
-        else:
-            value = float(coeff)
-        out[unit] += value
+            raise ValueError(error)
+        coeff, unit = m.groups()
+        value = number(coeff if coeff.strip("+-") else coeff + "1")
+        sums[unit] = sums.get(unit, number("0")) + value
         pos = m.end()
-    return out
+    return sums
 
 
 def _fraction(text):
@@ -432,39 +386,21 @@ def _parse_literal(text, kind):
     if kind is GAUSSIAN and not text.startswith("q("):
         text = "q(%s)" % text
     if text.startswith("o(") and text.endswith(")"):
-        comps = [float(p) for p in text[2:-1].split(",")]
-        return Octonion(comps)
+        return Octonion([float(p) for p in text[2:-1].split(",")])
     if text.startswith("q(") and text.endswith(")"):
-        body = text[2:-1].replace(" ", "")
-        re_part, im_part = Fraction(0), Fraction(0)
-        pos = 0
-        while pos < len(body):
-            m = _RAT_TERM.match(body, pos)
-            if not m or m.end() == pos:
-                raise ValueError("bad Gaussian rational literal: %r" % text)
-            coeff, unit = m.group(1), m.group(2)
-            if coeff in ("+", ""):
-                val = Fraction(1)
-            elif coeff == "-":
-                val = Fraction(-1)
-            else:
-                val = _fraction(coeff)
-            if unit:
-                im_part += val
-            else:
-                re_part += val
-            pos = m.end()
-        return GaussianRational(re_part, im_part)
-    terms = _parse_float_terms(text, ("", "i", "j", "k"))
-    if kind is QUATERNION or terms["j"] or terms["k"]:
-        return Quaternion(terms[""], terms["i"], terms["j"], terms["k"])
-    if kind is COMPLEX or terms["i"]:
-        return complex(terms[""], terms["i"])
-    if kind is GAUSSIAN:
-        return GaussianRational(_fraction(text))
+        terms = _terms(text[2:-1].replace(" ", ""), _RAT_TERM, _fraction,
+                       "bad Gaussian rational literal: %r" % text)
+        return GaussianRational(terms.get("", 0), terms.get("i", 0))
+    text = text.replace(" ", "")
+    terms = _terms(text, _TERM, float, "bad scalar literal: %r" % text)
+    a, i, j, k = (terms.get(unit, 0.0) for unit in ("", "i", "j", "k"))
+    if kind is QUATERNION or j or k:
+        return Quaternion(a, i, j, k)
+    if kind is COMPLEX or i:
+        return complex(a, i)
     if kind is OCTONION:
-        return Octonion(terms[""])
-    return terms[""]
+        return Octonion(a)
+    return a
 
 
 def format_scalar(a) -> str:
@@ -496,12 +432,17 @@ def to_jsonable(a):
 # ---------------------------------------------------------------------------
 # random draws (seeded rng supplied by caller)
 
-def random_scalar(kind, rng, span=2.0):
+RANDOM_SPAN = 2.0  # float components are drawn from [-RANDOM_SPAN, RANDOM_SPAN]
+MIN_NORM = 0.1  # random_nonzero's smallest norm for the float kinds
+
+
+def random_scalar(kind, rng):
     if kind is GAUSSIAN:
         return GaussianRational(
             Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
             Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-    c = [rng.uniform(-span, span) for _ in range(kind.n_components)]
+    c = [rng.uniform(-RANDOM_SPAN, RANDOM_SPAN)
+         for _ in range(kind.n_components)]
     if kind is REAL:
         return c[0]
     if kind is COMPLEX:
@@ -509,13 +450,13 @@ def random_scalar(kind, rng, span=2.0):
     return kind.cls(c)
 
 
-def random_nonzero(kind, rng, span=2.0, min_norm=0.1):
+def random_nonzero(kind, rng):
     while True:
-        a = random_scalar(kind, rng, span)
+        a = random_scalar(kind, rng)
         if kind.exact:
             if bool(a):
                 return a
-        elif float(norm_sq(a)) >= min_norm * min_norm:
+        elif float(norm_sq(a)) >= MIN_NORM * MIN_NORM:
             return a
 
 

@@ -19,8 +19,7 @@ import re
 class SetSystem:
     """Ordered collection of distinct nonempty finite integer sets."""
 
-    __slots__ = ("elements", "vertex_union", "_star_rows", "_zeta",
-                 "_simplicial")
+    __slots__ = ("elements", "vertex_union", "_star_rows", "_zeta")
 
     def __init__(self, elements):
         elems = []
@@ -39,7 +38,6 @@ class SetSystem:
         self.vertex_union = frozenset().union(*elems) if elems else frozenset()
         self._star_rows = None
         self._zeta = None
-        self._simplicial = None
 
     def __len__(self):
         return len(self.elements)
@@ -65,9 +63,6 @@ class SetSystem:
         if not self.elements:
             return -1
         return max(len(e) for e in self.elements) - 1
-
-    def canonical(self) -> "SetSystem":
-        return SetSystem(sorted(self.elements, key=_canonical_key))
 
     @property
     def star_rows(self) -> tuple[int, ...]:
@@ -113,15 +108,11 @@ class SetSystem:
         return keys == sorted(keys)
 
     def is_simplicial_complex(self) -> bool:
-        """True iff every nonempty subset of every element is present
-        (enumerated on first use, then kept)."""
-        if self._simplicial is None:
-            members = set(self.elements)
-            self._simplicial = all(
-                frozenset(sub) in members for e in self.elements
-                for r in range(1, len(e))
-                for sub in itertools.combinations(e, r))
-        return self._simplicial
+        """True iff every nonempty subset of every element is present: the
+        star rows' bits count the pairs y <= x, and an element x has at most
+        2^|x| - 1 nonempty subsets y in the system."""
+        return (sum(row.bit_count() for row in self.star_rows)
+                == sum(2 ** len(e) - 1 for e in self.elements))
 
     def core(self, x: int) -> list[int]:
         """Indices of all y contained in element x (x itself included)."""

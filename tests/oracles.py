@@ -11,7 +11,9 @@ which are pinned to `quaternion_product` and `octonion_product` here.
 library's construction of L and g and its identity checks from before they
 moved onto the inclusion matrix and component arrays: cores and stars found
 by frozenset inclusion and intersected one pair at a time, each sum taken in
-increasing element order from the kind's zero.  `sequential_track_wheel` is
+increasing element order from the kind's zero, with their own signs omega
+and their own closure test, `is_closed_by_enumeration`, which looks up
+every subset of every element.  `sequential_track_wheel` is
 the eigenvalue tracker from before solves were stacked: one `eigvals` call
 and one match per step, and a retry that starts over.  `group_closure`
 lists a permutation group breadth first, the way group orders were found
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from setfield import SetSystem, scalars
-from setfield.connection import ConnectionMatrices, omega_vector
+from setfield.connection import ConnectionMatrices
 from setfield.determinants import (SINGULAR_PIVOT_RATIO, DetFormulaReport,
                                    Elimination)
 from setfield.identities import IdentityReport
@@ -114,6 +116,15 @@ def closure_by_enumeration(generators):
         for r in range(1, len(members) + 1):
             out.update(map(frozenset, itertools.combinations(members, r)))
     return out
+
+
+def is_closed_by_enumeration(system):
+    """True iff every nonempty proper subset of every element of the system
+    is an element too, looked up subset by subset."""
+    members = set(system.elements)
+    return all(frozenset(sub) in members for e in system.elements
+               for r in range(1, len(e))
+               for sub in itertools.combinations(e, r))
 
 
 def chain_euler_characteristic(poset):
@@ -334,7 +345,7 @@ def build_matrices_by_sets(system, h):
     sets = system.elements
     cores = [{k for k in range(n) if sets[k] <= sets[i]} for i in range(n)]
     stars = [{k for k in range(n) if sets[i] <= sets[k]} for i in range(n)]
-    om = omega_vector(system)
+    om = tuple((-1) ** (len(e) - 1) for e in sets)
     L = [[None] * n for _ in range(n)]
     g = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -390,7 +401,7 @@ def green_star_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     dev_gL, wit_gL = _identity_deviation(gL, kind)
     dev_Lg, wit_Lg = _identity_deviation(Lg, kind)
     worst = max(dev_gL, dev_Lg)
-    complex_ok = system.is_simplicial_complex()
+    complex_ok = is_closed_by_enumeration(system)
     units_ok = h.all_units(tol)
     applicability = None
     if not complex_ok:
@@ -431,7 +442,7 @@ def energy_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
     applicability = None
-    if not system.is_simplicial_complex():
+    if not is_closed_by_enumeration(system):
         applicability = "not a simplicial complex; identity not guaranteed"
     return IdentityReport("energy", dev <= eff, dev,
                           witnesses=[] if dev <= eff else [(-1, -1)],
@@ -463,7 +474,7 @@ def gauss_bonnet_by_entries(system, h, tol=scalars.DEFAULT_TOL):
             witnesses.append((i, i))
     eff = _scaled_tol(h, tol)
     applicability = None
-    if not system.is_simplicial_complex():
+    if not is_closed_by_enumeration(system):
         applicability = "not a simplicial complex; identity not guaranteed"
     return IdentityReport("gaussbonnet", dev <= eff, dev,
                           witnesses=[] if dev <= eff else witnesses,

@@ -246,6 +246,25 @@ def test_field_length_mismatch_is_reported(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("values, kind, field", [
+    ("1,2+1i,3", "complex", [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]),
+    ("1,q(1/2),3", "gaussian", ["q(1+0i)", "q(1/2+0i)", "q(3+0i)"]),
+], ids=["complex", "gaussian"])
+def test_values_field_promotes_numbers_to_the_other_kind(capsys, values, kind,
+                                                        field):
+    code, data = run_json(capsys, "matrices", "--inline", "{{1,2}}",
+                          "--closure", "--field", "values:" + values)
+    assert code == 0
+    assert data["kind"] == kind and data["field"] == field
+
+
+def test_values_field_of_mixed_kinds_reports_one_line(capsys):
+    # 1+1j is the quaternion 1 + 1 j, which no number promotes to
+    _assert_one_error_line(capsys, ["matrices", "--inline", "{{1,2}}",
+                                    "--closure", "--field", "values:1,1+1j,2"],
+                           "mixed scalar kinds")
+
+
 def test_bad_input_is_reported(capsys):
     code = main(["gen", "--inline", "not a complex"])
     assert code == 2

@@ -230,8 +230,9 @@ def test_gaussian_integer_det_matches_laplace():
 def test_to_gaussian_integers_scales_by_lcm():
     M = [[GaussianRational(Fraction(1, 2), Fraction(-1, 3)), GaussianRational(2)],
          [GaussianRational(0, Fraction(3, 4)), GaussianRational()]]
-    re, im, D = kernel.to_gaussian_integers(M)
+    X, D = kernel.to_array(M, GAUSSIAN)
     assert D == 12
+    re, im = X.tolist()
     assert re == [[6, 24], [0, 0]] and im == [[-4, 0], [9, 0]]
 
 

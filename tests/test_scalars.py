@@ -24,6 +24,31 @@ def _close(a, b, tol):
     return norm_sq(a - b) <= tol * tol
 
 
+def test_gaussian_rationals_are_hypercomplex_with_fraction_components():
+    assert issubclass(GaussianRational, scalars.Hypercomplex)
+    g = GaussianRational(1, Fraction(2, 3))
+    assert all(type(x) is Fraction for x in (g * 3).c + (g * g).c)
+    assert g * 3 == GaussianRational(3, 2)
+    assert (g.re, g.im) == (1, Fraction(2, 3))
+
+
+def test_zero_values_are_false():
+    assert not Quaternion(0) and not Octonion() and not GaussianRational(0)
+    assert Quaternion(0, 0, 0, -1) and GaussianRational(0, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("other", [0.5, 1j, Quaternion(1)],
+                         ids=["float", "complex", "quaternion"])
+def test_gaussian_values_do_not_mix_with_floats(other):
+    g = GaussianRational(1, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(g, other)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(other, g)
+
+
 def test_conjugate_examples():
     assert conjugate(2 + 3j) == 2 - 3j
     assert conjugate(Quaternion(0, 1, 0, 0)) == Quaternion(0, -1, 0, 0)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closure_by_enumeration
+from oracles import (closure_by_enumeration, is_closed_by_enumeration,
+                     random_set_system)
 from setfield import SetSystem, generate
 from setfield.setsystem import (complete_complex, parse_system, random_complex,
                                 system_to_json)
@@ -52,6 +53,27 @@ def test_is_simplicial_complex_counterexamples():
     assert not SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]]
                          ).is_simplicial_complex()
     assert not SetSystem([[1, 3, 4], [4]]).is_simplicial_complex()
+
+
+def test_closure_test_matches_subset_enumeration():
+    # closed systems, systems drawn without closure, and closed systems
+    # less one element (still closed when that element was maximal)
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(600):
+        shape = trial % 3
+        if shape == 0:
+            system = random_set_system(rng, rng.randint(1, 12))
+        else:
+            elements = list(random_complex(rng).elements)
+            if shape == 2:
+                del elements[rng.randrange(len(elements))]
+            rng.shuffle(elements)
+            system = SetSystem(elements)
+        want = is_closed_by_enumeration(system)
+        assert system.is_simplicial_complex() == want, system
+        seen.add((shape, want))
+    assert {(0, False), (1, True), (2, True), (2, False)} <= seen
 
 
 def _index(system, element):

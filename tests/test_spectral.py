@@ -143,6 +143,23 @@ def test_constant_path_winds_zero():
     assert winding_numbers(path) == [0]
 
 
+def test_ambiguous_end_match_takes_the_minimum_cost_permutation(monkeypatch):
+    # labels 0 and 1 end nearest the same start value, so the greedy match
+    # collides and the end is matched by one full assignment
+    start = np.array([0.0, 1.0, 10.0], dtype=complex)
+    end = np.array([0.9, 0.8, 10.0], dtype=complex)
+    path = SpectralPath(0, np.array([0.0, 2 * math.pi]),
+                        np.stack([start, end]), 1)
+    calls = []
+    assign = spectral._assign
+    monkeypatch.setattr(spectral, "_assign",
+                        lambda *a: calls.append(a) or assign(*a))
+    want = min(itertools.permutations(range(3)),
+               key=lambda p: sum(abs(end[i] - start[p[i]]) for i in range(3)))
+    assert path_permutation(path) == want == (1, 0, 2)
+    assert len(calls) == 1
+
+
 def test_wheel_matrices_match_built_L():
     rng = random.Random(23)
     for n in [1] + [rng.randint(2, 16) for _ in range(10)]:
