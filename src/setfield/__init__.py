@@ -14,10 +14,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "connection": ("ConnectionMatrices", "EnergyFunction", "build_matrices",
-                   "energy_sum", "explicit_field", "green_diagonal", "omega",
-                   "omega_field", "ones_field", "potential_and_curvature",
-                   "random_field", "roots_field", "super_trace"),
+    "connection": ("EnergyFunction", "explicit_field", "field_matrices",
+                   "omega", "omega_field", "ones_field", "random_field",
+                   "roots_field"),
     "determinants": ("bareiss_det", "det_formula_check", "dieudonne_det",
                      "exact_rank", "leibniz_det", "study_det"),
     "identities": ("IdentityReport", "energy_check", "gauss_bonnet_check",

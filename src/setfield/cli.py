@@ -276,13 +276,12 @@ def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
     summary = []
     for w in wheels:
         path = spectral.track_wheel(system, h, w, steps, cap)
-        perm = spectral.path_permutation(path)
-        winds = spectral.winding_numbers(path)
+        wp = spectral.wheel_permutation(path)
         summary.append({
             "wheel": w,
             "steps": path.steps,
-            "permutation": spectral.format_cycles(perm),
-            "windings": winds,
+            "permutation": wp.cycle_string(),
+            "windings": list(wp.windings),
         })
         if config.output_dir:
             os.makedirs(config.output_dir, exist_ok=True)

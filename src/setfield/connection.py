@@ -5,6 +5,10 @@ over a subset A of G, the matrix L(x,y) = H(core(x) & core(y)) couples cores,
 and g(x,y) = omega(x) omega(y) H(star(x) & star(y)) couples stars with a sign
 conjugation.  Entries are plain sums, so L and g are symmetric as arrays for
 every scalar kind, commutative or not.
+
+`field_matrices` builds L and g once per (system, field) pair as component
+arrays, and its `FieldMatrices` is the one form of them: the checks and the
+commands all read it, and kernel.from_array turns an array back into scalars.
 """
 
 from __future__ import annotations
@@ -56,36 +60,13 @@ def omega_vector(system: SetSystem) -> tuple:
     return tuple(omega(e) for e in system.elements)
 
 
-def energy_sum(system: SetSystem, h: EnergyFunction, members):
-    """H(A): sum of h over element indices A; the empty collection gives 0."""
-    total = h.kind.zero
-    for k in sorted(members):  # fixed accumulation order keeps float output reproducible
-        total = total + h.values[k]
-    return total
-
-
-@dataclass(frozen=True)
-class ConnectionMatrices:
-    """L, g and the diagonal sign matrix S, tied to the element order used."""
-
-    system: SetSystem
-    kind: ScalarKind
-    L: tuple
-    g: tuple
-    signs: tuple  # diagonal of S, i.e. omega(x_k)
-
-    @property
-    def n(self):
-        return len(self.signs)
-
-
 class FieldMatrices(NamedTuple):
     """A field's values, L and g as component arrays, and the signs.
 
     Matrices are (d, n, n) arrays and `values` is (d, n), in the form
     kernel.py gives the kind; Gaussian entries are `scale` times the
     field's, where `scale` is the lcm of its denominators.  Every sum over
-    entries starts from `zero`.
+    entries starts from `zero`, H(G) included: the running sum of `values`.
     """
 
     kind: ScalarKind
@@ -115,8 +96,8 @@ def field_matrices(system: SetSystem, h: EnergyFunction) -> FieldMatrices:
 
     Row k of Z is the star of x_k, so h(x_k) enters L on the block
     star(x_k) x star(x_k), and g on core(x_k) x core(x_k) (column k).  Each
-    entry receives its values in increasing k from zero, the order in which
-    energy_sum adds H over core(x) & core(y) and star(x) & star(y).
+    entry receives its values in increasing k from zero: H sums a set of
+    indices in increasing order, here core(x) & core(y) and star(x) & star(y).
 
     The result for the most recent pair is kept, and returned again while
     both arguments are the same objects (`is`, not ==: equal fields can
@@ -167,43 +148,6 @@ def _block_sums(values, blocks, zero):
     for k in range(n):
         S += np.where(inside[k], values[:, k, None, None], zero)
     return S
-
-
-def build_matrices(system: SetSystem, h: EnergyFunction) -> ConnectionMatrices:
-    """Construct L, g, S for a system and a field, in the system's order."""
-    fm = field_matrices(system, h)
-    L, g = (tuple(map(tuple, kernel.from_array(M, h.kind, fm.scale)))
-            for M in (fm.L, fm.g))
-    return ConnectionMatrices(system, h.kind, L, g, fm.signs)
-
-
-def super_trace(M, signs):
-    """Signed trace sum_x omega(x) M(x,x)."""
-    total = None
-    for k, s in enumerate(signs):
-        term = M[k][k] if s == 1 else -M[k][k]
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("empty matrix has no super trace")
-    return total
-
-
-def potential_and_curvature(system: SetSystem, h: EnergyFunction):
-    """Row sums V(x) of g and the signed diagonal K(x) = omega(x) g(x,x).
-
-    For simplicial complexes the two vectors agree entrywise; for general set
-    systems both are still defined and reported separately.
-    """
-    fm = field_matrices(system, h)
-    return tuple(kernel.from_array(X[:, None], h.kind, fm.scale)[0]
-                 for X in fm.potential_and_curvature())
-
-
-def green_diagonal(system: SetSystem, h: EnergyFunction):
-    """The map from field values to the diagonal Green entries (g(x,x))_x,
-    each H(star(x)) since omega(x)^2 = 1."""
-    g = build_matrices(system, h).g
-    return [row[k] for k, row in enumerate(g)]
 
 
 # ---------------------------------------------------------------------------

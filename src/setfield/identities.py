@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, scalars
-from .connection import (EnergyFunction, energy_sum, field_matrices,
-                         omega_field, omega_vector)
+from .connection import (EnergyFunction, field_matrices, omega_field,
+                         omega_vector)
 from .determinants import bareiss_det
 from .setsystem import SetSystem
 
@@ -32,12 +32,6 @@ class IdentityReport:
     witnesses: list = field(default_factory=list)
     applicability: str | None = None
     details: dict = field(default_factory=dict)
-
-    def __str__(self):
-        state = "holds" if self.holds else "FAILS"
-        extra = " (%s)" % self.applicability if self.applicability else ""
-        return "%s: %s, max deviation %.3g%s" % (self.name, state,
-                                                 self.max_abs_deviation, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +52,12 @@ def _minus_identity(X, one):
     diag = np.arange(X.shape[1])
     Y[0, diag, diag] -= one
     return Y
+
+
+def _total_energy(fm):
+    """H(G): the field values added in element order from zero."""
+    return kernel.scalar(kernel.running_sum(fm.values, fm.zero), fm.kind,
+                         fm.scale)
 
 
 def _scaled_tol(h: EnergyFunction, tol):
@@ -146,7 +146,7 @@ def energy_check(system: SetSystem, h: EnergyFunction,
     total = kernel.scalar(
         kernel.running_sum(fm.g.reshape(len(fm.g), -1), fm.zero),
         h.kind, fm.scale)
-    target = energy_sum(system, h, range(len(system)))
+    target = _total_energy(fm)
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
     applicability = None
@@ -168,7 +168,7 @@ def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
         raise ValueError("empty matrix has no super trace")
     # the super trace is the sum of the curvatures, from the first one on
     st = kernel.scalar(kernel.running_sum(K), h.kind, fm.scale)
-    target = energy_sum(system, h, range(len(system)))
+    target = _total_energy(fm)
     dev = float(scalars.norm_sq(st - target)) ** 0.5
     witnesses = []
     for i, v in enumerate(kernel.norms(V - K, h.kind, fm.scale).tolist()):

@@ -341,21 +341,22 @@ def product_right(factors, kind=None):
 # literal parsing / formatting (CLI surface)
 
 _TERM = re.compile(r"([+-]?(?:\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+|))([ijk]?)")
-_RAT_TERM = re.compile(r"([+-]?\d+(?:/\d+)?|[+-])(i?)")
+_RAT_TERM = re.compile(r"([+-]?(?:\d+(?:/\d+)?)?)(i?)")
 
 
 def _terms(text, pattern, number, error):
     """Sums by unit of the signed terms of `text` that `pattern` reads as
     (coefficient, unit), e.g. '1+2i-3i' -> {'': 1, 'i': -1}, each from
-    number('0') in the order written; a bare sign or no coefficient is 1.
-    Text that no term matches raises ValueError(error)."""
+    number('0') in the order written; a unit with no coefficient is 1.
+    Empty text, or a term that is a bare sign or nothing, raises
+    ValueError(error)."""
     sums = {}
     pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(error)
+    while pos < len(text) or not sums:
+        m = pattern.match(text, pos)  # matches, if only the empty string
         coeff, unit = m.groups()
+        if not (coeff.strip("+-") or unit):
+            raise ValueError(error)
         value = number(coeff if coeff.strip("+-") else coeff + "1")
         sums[unit] = sums.get(unit, number("0")) + value
         pos = m.end()

@@ -114,15 +114,6 @@ class SetSystem:
         return (sum(row.bit_count() for row in self.star_rows)
                 == sum(2 ** len(e) - 1 for e in self.elements))
 
-    def core(self, x: int) -> list[int]:
-        """Indices of all y contained in element x (x itself included)."""
-        return [k for k, row in enumerate(self.star_rows) if row >> x & 1]
-
-    def star(self, x: int) -> list[int]:
-        """Indices of all y containing element x (x itself included)."""
-        row = self.star_rows[x]
-        return [k for k in range(len(self.elements)) if row >> k & 1]
-
 
 def _canonical_key(e):
     return (len(e), sorted(e))

@@ -322,6 +322,13 @@ def winding_numbers(path: SpectralPath) -> list[int]:
     and the other labels of the cycle report 0; per-cycle totals must land
     within WINDING_INT_TOL of an integer or tracking is declared failed.
     """
+    return list(wheel_permutation(path).windings)
+
+
+def wheel_permutation(path: SpectralPath) -> WheelPermutation:
+    """The permutation of a tracked wheel, with its order and the windings
+    of its labels (see winding_numbers); the end of the path is matched to
+    its start once."""
     raw = raw_winding_increments(path)
     perm = path_permutation(path)
     out = [0] * path.n
@@ -335,7 +342,7 @@ def winding_numbers(path: SpectralPath) -> list[int]:
                 "failure?)" % (cyc, total))
         carrier = max(cyc, key=lambda m: abs(raw[m]))
         out[carrier] = int(r)
-    return out
+    return WheelPermutation(path.wheel, perm, perm_order(perm), tuple(out))
 
 
 def path_permutation(path: SpectralPath) -> tuple:
@@ -352,14 +359,8 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
                        steps: int = DEFAULT_STEPS,
                        max_steps: int | None = None):
     """One WheelPermutation per element."""
-    perms = []
-    for wheel in range(len(system)):
-        path = track_wheel(system, h, wheel, steps, max_steps)
-        perm = path_permutation(path)
-        wind = winding_numbers(path)
-        perms.append(WheelPermutation(wheel, perm, perm_order(perm),
-                                      tuple(wind)))
-    return perms
+    return [wheel_permutation(track_wheel(system, h, wheel, steps, max_steps))
+            for wheel in range(len(system))]
 
 
 # ---------------------------------------------------------------------------

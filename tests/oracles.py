@@ -13,7 +13,8 @@ moved onto the inclusion matrix and component arrays: cores and stars found
 by frozenset inclusion and intersected one pair at a time, each sum taken in
 increasing element order from the kind's zero, with their own signs omega
 and their own closure test, `is_closed_by_enumeration`, which looks up
-every subset of every element.  `sequential_track_wheel` is
+every subset of every element; L and g come back in their own record,
+`Matrices`, as tuples of rows of scalars.  `sequential_track_wheel` is
 the eigenvalue tracker from before solves were stacked: one `eigvals` call
 and one match per step, and a retry that starts over.  `group_closure`
 lists a permutation group breadth first, the way group orders were found
@@ -24,11 +25,11 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from setfield import SetSystem, scalars
-from setfield.connection import ConnectionMatrices
 from setfield.determinants import (SINGULAR_PIVOT_RATIO, DetFormulaReport,
                                    Elimination)
 from setfield.identities import IdentityReport
@@ -327,7 +328,20 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
 # reference for the build on the inclusion matrix and the checks on
 # component arrays
 
-def _energy(h, members):
+class Matrices(NamedTuple):
+    """L and g as tuples of rows of scalars, and the signs omega(x)."""
+
+    kind: scalars.ScalarKind
+    L: tuple
+    g: tuple
+    signs: tuple
+
+    @property
+    def n(self):
+        return len(self.signs)
+
+
+def energy(h, members):
     """H(A): the sum of h over the indices A in increasing order, from the
     kind's zero."""
     total = h.kind.zero
@@ -350,15 +364,14 @@ def build_matrices_by_sets(system, h):
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lij = _energy(h, cores[i] & cores[j])
+            lij = energy(h, cores[i] & cores[j])
             L[i][j] = L[j][i] = lij
-            s = _energy(h, stars[i] & stars[j])
+            s = energy(h, stars[i] & stars[j])
             sgn = om[i] * om[j]
             gij = s if sgn == 1 else -s
             g[i][j] = g[j][i] = gij
-    return ConnectionMatrices(system, h.kind,
-                              tuple(tuple(r) for r in L),
-                              tuple(tuple(r) for r in g), om)
+    return Matrices(h.kind, tuple(tuple(r) for r in L),
+                    tuple(tuple(r) for r in g), om)
 
 
 def _identity_deviation(M, kind):
@@ -438,7 +451,7 @@ def energy_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     for row in cm.g:
         for v in row:
             total = total + v
-    target = _energy(h, range(len(system)))
+    target = energy(h, range(len(system)))
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
     applicability = None
@@ -459,7 +472,7 @@ def gauss_bonnet_by_entries(system, h, tol=scalars.DEFAULT_TOL):
         st = term if st is None else st + term
     if st is None:
         raise ValueError("empty matrix has no super trace")
-    target = _energy(h, range(len(system)))
+    target = energy(h, range(len(system)))
     dev = float(scalars.norm_sq(st - target)) ** 0.5
     witnesses = []
     for i in range(cm.n):

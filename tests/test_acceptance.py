@@ -8,9 +8,9 @@ import numpy as np
 
 from oracles import entrywise_conjugate, group_closure, mat_mul
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
-                      SetSystem, bareiss_det, build_matrices,
-                      det_formula_check, energy_check, gauss_bonnet_check,
-                      generate, green_star_check, leibniz_det,
+                      SetSystem, bareiss_det, det_formula_check,
+                      energy_check, field_matrices, gauss_bonnet_check,
+                      generate, green_star_check, kernel, leibniz_det,
                       spectral_signature_check, unimodularity_check,
                       wheel_permutations)
 from setfield import scalars
@@ -23,6 +23,12 @@ from setfield.spectral import (perm_cycles, path_permutation,
 NONCLOSED_GOLDEN = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])
 DESCENDING = SetSystem([[1, 2], [2, 3], [1], [2], [3]])
 LINEAR_GENERATORS = [[1, 2], [2, 3], [3, 4], [5, 6]]
+
+
+def _matrices(system, h):
+    """L and g of connection.field_matrices as lists of rows of scalars."""
+    fm = field_matrices(system, h)
+    return [kernel.from_array(M, h.kind, fm.scale) for M in (fm.L, fm.g)]
 
 
 def _report(number, text, ok):
@@ -54,30 +60,30 @@ def test_criterion_02_golden_matrix_values():
     rng = random.Random(1002)
     # Leibniz value -24 X on the non-closed five-element system
     for X in [rng.uniform(-5, 5) for _ in range(5)]:
-        cm = build_matrices(NONCLOSED_GOLDEN, explicit_field([2, 4, 3, -1, X]))
-        det = leibniz_det(cm.L)
+        L, _ = _matrices(NONCLOSED_GOLDEN, explicit_field([2, 4, 3, -1, X]))
+        det = leibniz_det(L)
         ok &= abs(det - (-24 * X)) <= 1e-12 * max(1.0, abs(24 * X))
 
     # edge complex: displayed L, g and conjugate(g) L entrywise
     K2 = generate([[1, 2]])
     for _ in range(5):
         U, V, W = (scalars.random_nonzero(COMPLEX, rng) for _ in range(3))
-        cm = build_matrices(K2, explicit_field([U, V, W]))
+        L, g = _matrices(K2, explicit_field([U, V, W]))
         wantL = [[U, 0, U], [0, V, V], [U, V, U + V + W]]
         wantg = [[U + W, W, -W], [W, V + W, -W], [-W, -W, W]]
         nU, nV, nW = (scalars.norm_sq(v) for v in (U, V, W))
         wantgL = [[nU, 0, nU - nW], [0, nV, nV - nW], [0, 0, nW]]
-        gotgL = mat_mul(entrywise_conjugate(cm.g), cm.L, COMPLEX)
+        gotgL = mat_mul(entrywise_conjugate(g), L, COMPLEX)
         for i in range(3):
             for j in range(3):
-                ok &= abs(cm.L[i][j] - wantL[i][j]) <= 1e-12
-                ok &= abs(cm.g[i][j] - wantg[i][j]) <= 1e-12
+                ok &= abs(L[i][j] - wantL[i][j]) <= 1e-12
+                ok &= abs(g[i][j] - wantg[i][j]) <= 1e-12
                 ok &= abs(gotgL[i][j] - wantgL[i][j]) <= 1e-12
 
     # descending order: lower triangular g L with frozen last row
     for X in (2, 5, -3):
-        cm = build_matrices(DESCENDING, explicit_field([1, 1, 1, 1, X]))
-        gL = mat_mul(cm.g, cm.L, REAL)
+        L, g = _matrices(DESCENDING, explicit_field([1, 1, 1, 1, X]))
+        gL = mat_mul(g, L, REAL)
         ok &= gL[4] == [0, X * X - 1, 0, 0, X * X]
         ok &= all(gL[i][j] == 0 for i in range(5) for j in range(i + 1, 5))
     _report(2, "golden matrix and determinant values", ok)
@@ -160,8 +166,8 @@ def test_criterion_06_spectral_signature():
         values = tuple(rng.choice([-1, 1]) * rng.uniform(0.1, 2.0)
                        for _ in system.elements)
         h = explicit_field(values)
-        cm = build_matrices(system, h)
-        eig = np.linalg.eigvalsh(np.array(cm.L, dtype=float))
+        L = field_matrices(system, h).L[0]
+        eig = np.linalg.eigvalsh(L.astype(float))
         if np.abs(eig).min() <= 1e-6:
             continue  # rejected draw per the criterion
         done += 1

@@ -265,6 +265,24 @@ def test_values_field_of_mixed_kinds_reports_one_line(capsys):
                            "mixed scalar kinds")
 
 
+@pytest.mark.parametrize("literal", ["1+", "+", "-", "1+-2", "1++2", "2i+",
+                                     "q(1+)", "q(+)", "q()"])
+def test_literal_term_with_a_bare_sign_or_nothing_reports_one_line(capsys,
+                                                                   literal):
+    _assert_one_error_line(capsys, ["matrices", "--inline", "{{1}}", "--field",
+                                    "values:" + literal],
+                           "literal: %r" % literal)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "values:q(i)"],
+    ["--kind", "gaussian", "--field", "values:i"],
+], ids=["q(i)", "gaussian-kind-i"])
+def test_gaussian_unit_without_coefficient_reads_as_i(capsys, argv):
+    code, data = run_json(capsys, "matrices", "--inline", "{{1}}", *argv)
+    assert code == 0 and data["field"] == ["q(0+1i)"]
+
+
 def test_bad_input_is_reported(capsys):
     code = main(["gen", "--inline", "not a complex"])
     assert code == 2
@@ -431,19 +449,18 @@ def test_cold_path_is_numpy_free():
 
 def test_package_names_resolve():
     from setfield import (  # noqa: F401  the names the package exported
-        COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL, ConnectionMatrices,
-        EnergyFunction, GaussianRational, GroupReport, IdentityReport,
-        KaehlerReport, Octonion, Quaternion, SetSystem, SpectralPath,
+        COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL, EnergyFunction,
+        GaussianRational, GroupReport, IdentityReport, KaehlerReport,
+        Octonion, Quaternion, SetSystem, SpectralPath,
         TrackingAmbiguityError, WheelPermutation, abelianize, bareiss_det,
-        build_matrices, complete_complex, conjugate, det_formula_check,
-        dieudonne_det, divisibility_scan, eigenvalues, energy_check,
-        energy_sum, exact_rank, explicit_field, gauss_bonnet_check, generate,
-        green_diagonal, green_star_check, group_order, invert, is_unit,
-        kaehler_form, kaehler_report, leibniz_det, monodromy_report,
-        norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
-        potential_and_curvature, presentations, product_right, random_field,
-        roots_field, spectral_signature_check, study_det, super_trace,
-        track_wheel, unimodularity_check, wheel_permutations,
+        complete_complex, conjugate, det_formula_check, dieudonne_det,
+        divisibility_scan, eigenvalues, energy_check, exact_rank,
+        explicit_field, field_matrices, gauss_bonnet_check, generate,
+        green_star_check, group_order, invert, is_unit, kaehler_form,
+        kaehler_report, leibniz_det, monodromy_report, norm_sq, omega,
+        omega_field, ones_field, parse_scalar, parse_system, presentations,
+        product_right, random_field, roots_field, spectral_signature_check,
+        study_det, track_wheel, unimodularity_check, wheel_permutations,
         winding_numbers)
     from setfield import connection, kaehler, spectral
 
@@ -451,6 +468,7 @@ def test_package_names_resolve():
     assert kaehler_form is kaehler.kaehler_form
     assert TrackingAmbiguityError is spectral.TrackingAmbiguityError
     assert omega is connection.omega
+    assert field_matrices is connection.field_matrices
     assert setfield.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         setfield.no_such_name

@@ -3,14 +3,28 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import entrywise_conjugate, mat_mul
-from setfield import (COMPLEX, GAUSSIAN, SetSystem, build_matrices,
-                      energy_sum, generate, green_diagonal, omega,
-                      omega_field, potential_and_curvature, super_trace)
-from setfield import scalars
+from setfield import (COMPLEX, GAUSSIAN, SetSystem, energy_check,
+                      field_matrices, gauss_bonnet_check, generate, omega,
+                      omega_field)
+from setfield import kernel, scalars
 from setfield.connection import (explicit_field, ones_field, random_field,
                                  roots_field)
 from setfield.setsystem import random_complex
+
+
+def _matrices(system, h):
+    """L and g of connection.field_matrices as lists of rows of scalars."""
+    fm = field_matrices(system, h)
+    return [kernel.from_array(M, h.kind, fm.scale) for M in (fm.L, fm.g)]
+
+
+def _potential_and_curvature(system, h):
+    """FieldMatrices.potential_and_curvature as two lists of scalars."""
+    fm = field_matrices(system, h)
+    return tuple(kernel.from_array(X[:, None], h.kind, fm.scale)[0]
+                 for X in fm.potential_and_curvature())
 
 
 def expected_K2_matrices(U, V, W):
@@ -27,64 +41,71 @@ def test_omega_signs():
 
 def test_energy_sum_basics(K3, K2):
     h = omega_field(K3)
-    assert energy_sum(K3, h, []) == 0
-    assert energy_sum(K3, h, range(7)) == 1  # Euler characteristic of a simplex
+    L, _ = _matrices(K3, h)
+    assert L[0][1] == 0  # H of core({1}) & core({2}), which is empty
+    # H(G), the energy check's right-hand side
+    assert energy_check(K3, h).details["rhs"] == 1  # Euler characteristic of a simplex
     hv = explicit_field([2 + 1j, 3 - 1j, 0.5j])
-    assert energy_sum(K2, hv, range(3)) == (2 + 1j) + (3 - 1j) + 0.5j
+    assert energy_check(K2, hv).details["rhs"] == scalars.to_jsonable(
+        (2 + 1j) + (3 - 1j) + 0.5j)
 
 
 def test_edge_matrices_match_symbolic_form(K2):
     rng = random.Random(17)
     for _ in range(5):
         U, V, W = (scalars.random_nonzero(COMPLEX, rng) for _ in range(3))
-        cm = build_matrices(K2, explicit_field([U, V, W]))
+        h = explicit_field([U, V, W])
+        gotL, gotg = _matrices(K2, h)
         L, g = expected_K2_matrices(U, V, W)
         for i in range(3):
             for j in range(3):
-                assert abs(cm.L[i][j] - L[i][j]) < 1e-12
-                assert abs(cm.g[i][j] - g[i][j]) < 1e-12
-    assert cm.signs == (1, 1, -1)
+                assert abs(gotL[i][j] - L[i][j]) < 1e-12
+                assert abs(gotg[i][j] - g[i][j]) < 1e-12
+    assert field_matrices(K2, h).signs == (1, 1, -1)
 
 
 def test_nonclosed_pair_matrices(nonclosed_pair):
     X = 5
-    cm = build_matrices(nonclosed_pair, explicit_field([1, X]))
-    assert cm.L == ((X + 1, X), (X, X))
-    assert cm.g == ((1, 1), (1, X + 1))
+    L, g = _matrices(nonclosed_pair, explicit_field([1, X]))
+    assert L == [[X + 1, X], [X, X]]
+    assert g == [[1, 1], [1, X + 1]]
 
 
 def test_zero_dimensional_matrices_are_diagonal():
     system = SetSystem([[1], [2]])
-    cm = build_matrices(system, explicit_field([2.5, -4.0]))
-    assert cm.L == ((2.5, 0), (0, -4.0))
-    assert cm.g == ((2.5, 0), (0, -4.0))
+    L, g = _matrices(system, explicit_field([2.5, -4.0]))
+    assert L == [[2.5, 0], [0, -4.0]]
+    assert g == [[2.5, 0], [0, -4.0]]
 
 
 def test_field_length_mismatch(K2):
     with pytest.raises(ValueError):
-        build_matrices(K2, explicit_field([1.0]))
+        field_matrices(K2, explicit_field([1.0]))
 
 
 def test_super_trace_cases(K2, K3):
-    n = len(K2)
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert super_trace(ident, (1, 1, -1)) == 1
-    cm = build_matrices(K3, omega_field(K3))
-    assert super_trace(cm.g, cm.signs) == 1  # equals chi(K3)
-    zero = [[0] * n for _ in range(n)]
-    assert super_trace(zero, (1, 1, -1)) == 0
+    def super_trace(system, values):
+        h = explicit_field(values)
+        return gauss_bonnet_check(system, h).details["super_trace"]
+
+    # h = (0, 0, 1) gives g on K2 the diagonal (1, 1, 1); signs (1, 1, -1)
+    _, g = _matrices(K2, explicit_field([0, 0, 1]))
+    assert [row[k] for k, row in enumerate(g)] == [1, 1, 1]
+    assert super_trace(K2, [0, 0, 1]) == 1
+    assert super_trace(K3, omega_field(K3).values) == 1  # equals chi(K3)
+    assert super_trace(K2, [0, 0, 0]) == 0
 
 
 def test_potential_equals_curvature_on_complexes(K2):
-    V, K = potential_and_curvature(K2, omega_field(K2))
+    V, K = _potential_and_curvature(K2, omega_field(K2))
     assert V == K
     system = SetSystem([[1], [2]])
-    V, K = potential_and_curvature(system, explicit_field([3.0, -1.0]))
+    V, K = _potential_and_curvature(system, explicit_field([3.0, -1.0]))
     assert V == K == [3.0, -1.0]
 
 
 def test_potential_and_curvature_reported_separately_off_complex(nonclosed_pair):
-    V, K = potential_and_curvature(nonclosed_pair, explicit_field([1, 1]))
+    V, K = _potential_and_curvature(nonclosed_pair, explicit_field([1, 1]))
     # brute force: g = [[1,1],[1,2]], row sums (2,3); signed diagonal (1,2)
     assert V == [2, 3]
     assert K == [1, 2]
@@ -98,23 +119,25 @@ def test_matrices_symmetric_for_noncommutative_field(K3):
 
     rng = random.Random(29)
     h = random_field(K3, QUATERNION, rng)
-    cm = build_matrices(K3, h)
+    L, g = _matrices(K3, h)
+    sets = K3.elements
+    core = [{k for k, y in enumerate(sets) if y <= x} for x in sets]
+    star = [{k for k, y in enumerate(sets) if x <= y} for x in sets]
     n = len(K3)
     for i in range(n):
         for j in range(n):
-            core_sum = energy_sum(K3, h, set(K3.core(i)) & set(K3.core(j)))
-            assert cm.L[i][j] == cm.L[j][i] == core_sum
-            star_sum = energy_sum(K3, h, set(K3.star(i)) & set(K3.star(j)))
-            sgn = omega(K3.elements[i]) * omega(K3.elements[j])
-            assert cm.g[i][j] == cm.g[j][i] == sgn * star_sum
+            core_sum = oracles.energy(h, core[i] & core[j])
+            assert L[i][j] == L[j][i] == core_sum
+            star_sum = oracles.energy(h, star[i] & star[j])
+            sgn = omega(sets[i]) * omega(sets[j])
+            assert g[i][j] == g[j][i] == sgn * star_sum
 
 
 def test_green_diagonal_is_g_diagonal(K2):
     rng = random.Random(3)
     h = random_field(K2, COMPLEX, rng)
-    diag = green_diagonal(K2, h)
-    cm = build_matrices(K2, h)
-    assert all(abs(diag[k] - cm.g[k][k]) < 1e-12 for k in range(3))
+    _, g = _matrices(K2, h)
+    diag = [row[k] for k, row in enumerate(g)]
     U, V, W = h.values
     assert abs(diag[0] - (U + W)) < 1e-12
     assert abs(diag[1] - (V + W)) < 1e-12
@@ -124,7 +147,8 @@ def test_green_diagonal_is_g_diagonal(K2):
 def test_green_diagonal_identity_on_zero_dimensional():
     system = SetSystem([[1], [2], [3]])
     h = explicit_field([1.5, -2.0, 7.0])
-    assert green_diagonal(system, h) == [1.5, -2.0, 7.0]
+    _, g = _matrices(system, h)
+    assert [row[k] for k, row in enumerate(g)] == [1.5, -2.0, 7.0]
 
 
 def _link_characteristic(system, k):
@@ -140,10 +164,10 @@ def test_green_diagonal_link_formula_for_omega():
              generate([[1, 2], [2, 3], [3, 4], [5, 6]])]
     cases += [random_complex(rng) for _ in range(10)]
     for system in cases:
-        diag = green_diagonal(system, omega_field(system))
+        _, g = _matrices(system, omega_field(system))
         for k in range(len(system)):
             pred = omega(system.elements[k]) * (1 - _link_characteristic(system, k))
-            assert diag[k] == pred, (system, k)
+            assert g[k][k] == pred, (system, k)
 
 
 def test_entries_are_affine_in_each_field_value():
@@ -156,10 +180,8 @@ def test_entries_are_affine_in_each_field_value():
         for t in (0.0, 1.0, 2.0):
             vals = list(base)
             vals[k] = vals[k] + t
-            cm = build_matrices(system, explicit_field(vals))
-            mats.append(cm)
-        for M0, M1, M2 in ((mats[0].L, mats[1].L, mats[2].L),
-                           (mats[0].g, mats[1].g, mats[2].g)):
+            mats.append(_matrices(system, explicit_field(vals)))
+        for M0, M1, M2 in zip(*mats):  # L, then g
             for i in range(n):
                 for j in range(n):
                     d1 = M1[i][j] - M0[i][j]
@@ -173,8 +195,8 @@ def test_trace_of_conjugate_g_L_is_total_norm():
         for _ in range(5):
             system = random_complex(rng)
             h = random_field(system, kind, rng)
-            cm = build_matrices(system, h)
-            prod = mat_mul(entrywise_conjugate(cm.g), cm.L, kind)
+            L, g = _matrices(system, h)
+            prod = mat_mul(entrywise_conjugate(g), L, kind)
             tr = kind.zero
             for k in range(len(system)):
                 tr = tr + prod[k][k]

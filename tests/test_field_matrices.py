@@ -16,9 +16,8 @@ import oracles
 import pytest
 
 from setfield import connection, determinants, identities, kernel, scalars
-from setfield.connection import (EnergyFunction, build_matrices, energy_sum,
-                                 green_diagonal, omega_field, ones_field,
-                                 potential_and_curvature, random_field)
+from setfield.connection import (EnergyFunction, field_matrices, omega_field,
+                                 ones_field, random_field)
 from setfield.determinants import MatrixSizeError, det_formula_check, leibniz_det
 from setfield.scalars import (COMPLEX, GAUSSIAN, KINDS, OCTONION, QUATERNION,
                               REAL, GaussianRational, Octonion, Quaternion)
@@ -86,21 +85,29 @@ def _cases(count, seed):
             yield system, ones_field(system, GAUSSIAN)
 
 
+def _matrices(system, h):
+    """L and g of field_matrices as tuples of rows of scalars."""
+    fm = field_matrices(system, h)
+    return [tuple(map(tuple, kernel.from_array(M, h.kind, fm.scale)))
+            for M in (fm.L, fm.g)]
+
+
 def test_build_matches_set_intersections():
     seen = set()
     for system, h in _cases(160, 11):
-        got = build_matrices(system, h)
+        fm = field_matrices(system, h)
+        L, g = _matrices(system, h)
         want = oracles.build_matrices_by_sets(system, h)
-        assert repr(got.L) == repr(want.L), (system, h)
-        assert repr(got.g) == repr(want.g), (system, h)
-        assert got.signs == want.signs and got.kind is h.kind
+        assert repr(L) == repr(want.L), (system, h)
+        assert repr(g) == repr(want.g), (system, h)
+        assert fm.signs == want.signs and fm.kind is h.kind
         seen.add(h.kind.name)
         if h.kind is GAUSSIAN:
             seen.add("gaussian-denominators" if any(
                 v.re.denominator > 1 or v.im.denominator > 1
                 for v in h.values) else "gaussian-integers")
         if h.kind is REAL and all(type(v) is int for v in h.values):
-            assert all(type(v) is int for row in got.L for v in row)
+            assert all(type(v) is int for row in L for v in row)
             seen.add("int-valued")
     assert seen >= set(KIND_CYCLE) | {"gaussian-denominators",
                                       "gaussian-integers", "int-valued"}
@@ -135,8 +142,9 @@ def test_running_sum_adds_one_term_at_a_time():
 def test_build_of_empty_system():
     system = SetSystem([])
     for kind in KINDS.values():
-        cm = build_matrices(system, random_field(system, kind, random.Random(0)))
-        assert cm.L == cm.g == cm.signs == ()
+        h = random_field(system, kind, random.Random(0))
+        assert _matrices(system, h) == [(), ()]
+        assert field_matrices(system, h).signs == ()
 
 
 def test_checks_match_per_entry_reports():
@@ -254,9 +262,15 @@ def test_potential_curvature_and_green_diagonal_unchanged():
                 total = total + v
             V.append(total)
             K.append(cm.g[i][i] if cm.signs[i] == 1 else -cm.g[i][i])
-        assert repr(potential_and_curvature(system, h)) == repr((V, K))
-        diag = [energy_sum(system, h, system.star(k)) for k in range(cm.n)]
-        assert repr(green_diagonal(system, h)) == repr(diag)
+        fm = field_matrices(system, h)
+        got = tuple(kernel.from_array(X[:, None], h.kind, fm.scale)[0]
+                    for X in fm.potential_and_curvature())
+        assert repr(got) == repr((V, K))
+        sets = system.elements
+        diag = [oracles.energy(h, {k for k, y in enumerate(sets) if x <= y})
+                for x in sets]
+        _, g = _matrices(system, h)
+        assert repr([row[k] for k, row in enumerate(g)]) == repr(diag)
 
 
 def _gaussian_matrices(rng):

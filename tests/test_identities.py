@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from oracles import entrywise_conjugate, mat_mul
+from oracles import build_matrices_by_sets, entrywise_conjugate, mat_mul
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
-                      SetSystem, build_matrices, energy_check,
+                      SetSystem, energy_check, field_matrices,
                       gauss_bonnet_check, generate, green_star_check,
                       spectral_signature_check, unimodularity_check)
 from setfield import scalars
@@ -39,7 +39,7 @@ def test_green_star_holds_for_unit_octonions(K2):
 
 def test_green_star_fails_off_complex(nonclosed_pair):
     h = explicit_field([1, 1])
-    cm = build_matrices(nonclosed_pair, h)
+    cm = build_matrices_by_sets(nonclosed_pair, h)
     gL = mat_mul(entrywise_conjugate(cm.g), cm.L, h.kind)
     assert gL == [[3, 2], [4, 3]]
     report = green_star_check(nonclosed_pair, h)
@@ -51,7 +51,7 @@ def test_green_star_fails_off_complex(nonclosed_pair):
 def test_green_star_descending_order_golden():
     for X in (3, -2, 7):
         h = explicit_field([1, 1, 1, 1, X])
-        cm = build_matrices(DESCENDING, h)
+        cm = build_matrices_by_sets(DESCENDING, h)
         gL = mat_mul(cm.g, cm.L, h.kind)  # real field: conjugation trivial
         assert gL[4] == [0, X * X - 1, 0, 0, X * X]
         for i in range(5):
@@ -172,9 +172,9 @@ def test_inverse_pair_is_isospectral_under_inversion():
     rng = random.Random(17)
     for _ in range(5):
         system = random_complex(rng)
-        cm = build_matrices(system, omega_field(system))
-        L = np.array(cm.L, dtype=float)
-        g = np.array(cm.g, dtype=float)
+        fm = field_matrices(system, omega_field(system))
+        L = fm.L[0].astype(float)
+        g = fm.g[0].astype(float)
         eg = np.sort(np.linalg.eigvalsh(g))
         el_inv = np.sort(1.0 / np.linalg.eigvalsh(L))
         assert np.max(np.abs(eg - el_inv)) < 1e-8

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import jacobian_by_sets, laplace_det, random_set_system
-from setfield import SetSystem, build_matrices, generate
+from setfield import SetSystem, field_matrices, generate
 from setfield.connection import explicit_field
 from setfield.determinants import bareiss_det, exact_rank
 from setfield import kaehler
@@ -36,8 +36,8 @@ def test_jacobian_matches_symbolic_edge_matrix(K2):
     for k in range(n):
         basis = [0.0] * n
         basis[k] = 1.0
-        cm = build_matrices(K2, explicit_field(basis))
-        flat = [cm.L[i][j] for i in range(n) for j in range(n)]
+        L = field_matrices(K2, explicit_field(basis)).L[0]
+        flat = L.ravel().tolist()
         assert list(J[:, k]) == flat
 
 
@@ -71,7 +71,7 @@ def test_form_symmetry_and_diagonal():
         assert form == [list(column) for column in zip(*form)]
         assert all(v >= 0 for row in form for v in row)
         for k in range(len(system)):
-            assert form[k][k] == len(system.star(k)) ** 2
+            assert form[k][k] == system.star_rows[k].bit_count() ** 2
 
 
 def test_full_rank_on_generated_complexes():

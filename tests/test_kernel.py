@@ -16,8 +16,7 @@ import oracles
 import pytest
 
 from setfield import kernel, scalars
-from setfield.connection import (build_matrices, omega_field, ones_field,
-                                 random_field)
+from setfield.connection import omega_field, ones_field, random_field
 from setfield.determinants import dieudonne_det, leibniz_det, row_reduce
 from setfield.scalars import GAUSSIAN, KINDS, GaussianRational
 from setfield.setsystem import random_complex
@@ -53,7 +52,8 @@ def _cases(count=200, seed=2024):
     rng = random.Random(seed)
     for t, system in enumerate(_systems(count, seed)):
         kind = KINDS[KIND_CYCLE[t % 5]]
-        yield kind, build_matrices(system, _field(system, kind, rng, t % 3))
+        yield kind, oracles.build_matrices_by_sets(
+            system, _field(system, kind, rng, t % 3))
 
 
 def _product(A, B, kind):
@@ -116,7 +116,7 @@ def test_mat_mul_is_bit_identical_to_per_entry():
 def test_integer_products_stay_integers():
     for system in _systems(20, 11):
         for h in (omega_field(system), ones_field(system)):
-            cm = build_matrices(system, h)
+            cm = oracles.build_matrices_by_sets(system, h)
             got = _product(cm.g, cm.L, h.kind)
             assert repr(got) == repr(oracles.mat_mul(cm.g, cm.L, h.kind))
             assert all(type(v) is int for row in got for v in row)

@@ -9,7 +9,7 @@ import pytest
 from oracles import (ClosureOverflowError, greedy_eigen_tracking,
                      group_closure, jacobian_by_sets, random_set_system,
                      sequential_track_wheel)
-from setfield import (SetSystem, build_matrices, eigenvalues, generate,
+from setfield import (SetSystem, eigenvalues, field_matrices, generate,
                       group_order, monodromy_report, presentations, spectral,
                       track_wheel, wheel_permutations, winding_numbers)
 from setfield.connection import explicit_field, random_field, roots_field
@@ -34,8 +34,8 @@ def test_eigenvalues_of_diagonal():
 def test_eigenvalues_of_counting_edge(K2):
     # frozen roots of (q - 1)(q^2 - 4q + 1), the characteristic polynomial
     # of L for the constant field 1 on a single edge complex
-    cm = build_matrices(K2, explicit_field([1 + 0j] * 3))
-    got = np.sort(eigenvalues([[complex(v) for v in row] for row in cm.L]).real)
+    fm = field_matrices(K2, explicit_field([1 + 0j] * 3))
+    got = np.sort(eigenvalues(fm.L[0].astype(complex)).real)
     want = np.sort([1.0, 2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)])
     assert np.allclose(got, want, atol=1e-9)
 
@@ -160,6 +160,26 @@ def test_ambiguous_end_match_takes_the_minimum_cost_permutation(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_wheel_matches_its_end_to_its_start_once(K3, monkeypatch,
+                                                      capsys):
+    from setfield.cli import main
+
+    calls = []
+    match = spectral.path_permutation
+
+    def counting(path):
+        calls.append(path.wheel)
+        return match(path)
+
+    monkeypatch.setattr(spectral, "path_permutation", counting)
+    wheel_permutations(K3, roots_field(K3, 7), steps=500)
+    assert calls == list(range(7))
+    calls.clear()
+    assert main(["phase", "--inline", "{{1,2,3}}", "--closure", "--field",
+                 "roots:7", "--steps", "500"]) == 0
+    assert calls == list(range(7))
+
+
 def test_wheel_matrices_match_built_L():
     rng = random.Random(23)
     for n in [1] + [rng.randint(2, 16) for _ in range(10)]:
@@ -169,7 +189,7 @@ def test_wheel_matrices_match_built_L():
         L_at = wheel_matrices(system, np.array(h.values), wheel)
         for t in (0.0, 1.3, 4.0):
             turned = h.replace_value(wheel, h[wheel] * cmath.exp(1j * t))
-            want = np.array(build_matrices(system, turned).L)
+            want = field_matrices(system, turned).L[0].astype(complex)
             assert np.abs(L_at(t) - want).max() <= 1e-12
 
 
