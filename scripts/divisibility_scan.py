@@ -13,7 +13,7 @@ and how many are divisible.
 import argparse
 import sys
 
-from setfield.kaehler import divisibility_scan
+from setfield.kaehler import kaehler_report
 from setfield.setsystem import random_complex
 
 import random
@@ -26,14 +26,16 @@ def main():
     args = parser.parse_args()
     rng = random.Random(args.seed)
     systems = [random_complex(rng, min_dimension=1) for _ in range(args.count)]
-    rows = divisibility_scan(systems)
     print("%-5s %-5s %-10s %s" % ("n", "dim", "3 | det", "det"))
-    for row in rows:
-        flag = "yes" if row["divisible_by_3"] else "no"
-        print("%-5d %-5d %-10s %d"
-              % (row["elements"], row["dimension"], flag, row["det"]))
+    divisible = 0
+    for system in systems:
+        det = kaehler_report(system).det
+        flag = det % 3 == 0
+        divisible += flag
+        print("%-5d %-5d %-10s %d" % (len(system), system.dimension,
+                                      "yes" if flag else "no", det))
     print("%d of %d positive-dimensional determinants divisible by 3"
-          % (sum(row["divisible_by_3"] for row in rows), len(rows)))
+          % (divisible, len(systems)))
     return 0
 
 

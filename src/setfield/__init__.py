@@ -18,12 +18,11 @@ _EXPORTS = {
                    "omega", "omega_field", "ones_field", "random_field",
                    "roots_field"),
     "determinants": ("bareiss_det", "det_formula_check", "dieudonne_det",
-                     "exact_rank", "leibniz_det", "study_det"),
+                     "leibniz_det", "study_det"),
     "identities": ("IdentityReport", "energy_check", "gauss_bonnet_check",
                    "green_star_check", "spectral_signature_check",
                    "unimodularity_check"),
-    "kaehler": ("KaehlerReport", "divisibility_scan", "kaehler_form",
-                "kaehler_report"),
+    "kaehler": ("KaehlerReport", "kaehler_form", "kaehler_report"),
     "kernel": (),
     "scalars": ("COMPLEX", "GAUSSIAN", "OCTONION", "QUATERNION", "REAL",
                 "GaussianRational", "Octonion", "Quaternion", "abelianize",
@@ -33,7 +32,7 @@ _EXPORTS = {
     "spectral": ("GroupReport", "SpectralPath", "TrackingAmbiguityError",
                  "WheelPermutation", "eigenvalues", "group_order",
                  "monodromy_report", "presentations", "track_wheel",
-                 "wheel_permutations", "winding_numbers"),
+                 "wheel_permutations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

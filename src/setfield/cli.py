@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 " | values:a,b,c")
             p.add_argument("--kind", dest="kind_name", choices=sorted(KINDS),
                            help="scalar kind for ones/values presets")
-        p.add_argument("--tolerance", type=float)
 
     p = sub.add_parser("gen", help="parse / close a complex and describe it")
     common(p, with_field=False)
@@ -448,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default="all",
                    choices=["greenstar", "energy", "gaussbonnet", "unimodular",
                             "signature", "all"])
+    p.add_argument("--tolerance", type=float)
 
     p = sub.add_parser("phase", help="eigenvalue paths for turned wheels")
     common(p)
@@ -480,7 +480,8 @@ def main(argv=None) -> int:
     command = COMMANDS[config.command]
     errors = (ValueError, OSError)
     try:
-        config.tolerance = _tolerance(config.tolerance)
+        if config.command == "check":
+            config.tolerance = _tolerance(config.tolerance)
         system = load_system(config)
         if config.command in ("gen", "kaehler"):  # integers only: no numpy
             return command(config, system)

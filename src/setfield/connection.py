@@ -39,11 +39,6 @@ class EnergyFunction:
     def __getitem__(self, k):
         return self.values[k]
 
-    def replace_value(self, k, value) -> "EnergyFunction":
-        vals = list(self.values)
-        vals[k] = value
-        return EnergyFunction(self.kind, tuple(vals))
-
     def all_units(self, tol=scalars.DEFAULT_TOL) -> bool:
         return all(scalars.is_unit(v, tol) for v in self.values)
 

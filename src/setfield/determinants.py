@@ -9,7 +9,9 @@ array, float components for quaternions and octonions and the numbers
 themselves (d = 1) for reals and complexes, bit-identical to a per-entry
 loop.  Over the Gaussian rationals every step of it is read off one
 fraction-free elimination over the Gaussian integers, the same Bareiss loop
-that serves integer forms.  Q(i) commutes, so there the Dieudonne value of
+that gives the exact determinants of integer forms.  That loop eliminates
+square matrices only and stops at the first column with no nonzero entry,
+where the determinant is 0.  Q(i) commutes, so there the Dieudonne value of
 that elimination is the exact determinant, which is also the permutation
 sum.  numpy and the kernel are imported by the functions that need them, so
 that the Bareiss loop imports without either.
@@ -284,25 +286,24 @@ GAUSSIAN_INTEGERS = Ring((1, 0), any, _eliminate_gaussian_int)
 
 
 def _bareiss_steps(rows, ring=INTEGERS):
-    """Fraction-free row echelon form (Bareiss 1968) over the integers or
-    the Gaussian integers; `rows` is a list of row lists, consumed.
+    """Fraction-free elimination (Bareiss 1968) of a square matrix over the
+    integers or the Gaussian integers; `rows` is a list of row lists,
+    consumed.
 
-    Only the rows and columns still to be eliminated are kept.  A column
-    without a nonzero entry there is skipped (yields None), so the matrix
-    may be rectangular or rank deficient.  Otherwise the first row with a
-    nonzero leading entry, at p, is swapped to the top, and (p, rows) is
-    yielded before the step.  After r pivots every kept entry is an
-    (r+1)-minor of the input, so each division by the previous pivot is
-    exact.
+    Only the rows and columns still to be eliminated are kept.  The first
+    row with a nonzero leading entry, at p, is swapped to the top, and
+    (p, rows) is yielded before the step; a column without one yields None
+    and ends the loop, the matrix being singular.  After r pivots every kept
+    entry is an (r+1)-minor of the input, so each division by the previous
+    pivot is exact.
     """
     prev = ring.one
-    while rows and rows[0]:
+    while rows:
         p = next((k for k, row in enumerate(rows) if ring.nonzero(row[0])),
                  None)
         if p is None:
-            rows = [row[1:] for row in rows]
             yield None
-            continue
+            return
         rows[0], rows[p] = rows[p], rows[0]
         yield p, rows
         pivot = rows[0][0]
@@ -310,13 +311,16 @@ def _bareiss_steps(rows, ring=INTEGERS):
         prev = pivot
 
 
-def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object, int]:
-    """(sign of the row swaps, last pivot, rank) of the Bareiss loop; for a
-    square matrix of full rank the determinant is sign * last pivot."""
-    sign, last, rank = 1, ring.one, 0
-    for p, rows in filter(None, _bareiss_steps(rows, ring)):
-        sign, last, rank = -sign if p else sign, rows[0][0], rank + 1
-    return sign, last, rank
+def _bareiss_echelon(rows, ring=INTEGERS) -> tuple[int, object] | None:
+    """(sign of the row swaps, last pivot) of the Bareiss loop, whose
+    product is the determinant, or None for a singular matrix."""
+    sign, last = 1, ring.one
+    for step in _bareiss_steps(rows, ring):
+        if step is None:
+            return None
+        p, rows = step
+        sign, last = -sign if p else sign, rows[0][0]
+    return sign, last
 
 
 def _int_rows(M):
@@ -333,28 +337,21 @@ def _gaussian_rows(X):
 def _gaussian_integer_det(X, D) -> GaussianRational:
     """det(X / D) for a (2, n, n) array X of Gaussian integers and an int D,
     the kernel.to_array pair."""
-    n = X.shape[1]
-    sign, (dr, di), rank = _bareiss_echelon(_gaussian_rows(X),
-                                            GAUSSIAN_INTEGERS)
-    if rank < n:
+    echelon = _bareiss_echelon(_gaussian_rows(X), GAUSSIAN_INTEGERS)
+    if echelon is None:
         return GaussianRational()
-    scale = D ** n
+    sign, (dr, di) = echelon
+    scale = D ** X.shape[1]
     return GaussianRational(Fraction(sign * dr, scale),
                             Fraction(sign * di, scale))
 
 
 def bareiss_det(M) -> int:
     """Exact integer determinant by fraction-free elimination (big integers)."""
-    n = len(M)
-    if any(len(row) != n for row in M):
+    if any(len(row) != len(M) for row in M):
         raise ValueError("matrix must be square")
-    sign, last_pivot, rank = _bareiss_echelon(_int_rows(M))
-    return sign * last_pivot if rank == n else 0
-
-
-def exact_rank(M) -> int:
-    """Rank over the rationals of an integer matrix (same elimination)."""
-    return _bareiss_echelon(_int_rows(M))[2]
+    echelon = _bareiss_echelon(_int_rows(M))
+    return 0 if echelon is None else echelon[0] * echelon[1]
 
 
 @dataclass

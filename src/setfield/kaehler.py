@@ -6,9 +6,11 @@ with Z the inclusion matrix of the system, so its Jacobian is a constant
 n^2 x n matrix of zeros and ones whose column k is z_k (x) z_k, z_k the k-th
 row of Z.  Hence J^T J = (Z Z^T) * (Z Z^T) entrywise: entry (k, l) is the
 squared size of star(x_k) & star(x_l), one AND of two star bit rows and a
-popcount.  The form is built without the Jacobian or numpy.  Determinants
-of the form grow like 10^60 already for medium complexes, so everything
-here is exact integer arithmetic on Python ints.
+popcount.  The form is built without the Jacobian or numpy.  It is
+positive definite, so its rank is n and its determinant, read off one
+Bareiss elimination of a square matrix, is positive.  Determinants of the
+form grow like 10^60 already for medium complexes, so everything here is
+exact integer arithmetic on Python ints.
 """
 
 from __future__ import annotations
@@ -69,17 +71,15 @@ class CompositeCofactorError(ValueError):
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial division up to 10^6, then a strong-pseudoprime check on the rest.
+    """Prime factors (p, e) of an integer n >= 1: trial division up to 10^6,
+    then a strong-pseudoprime check on the rest.
 
-    The determinants seen in practice factor into tiny primes; a composite
-    leftover would be surprising and raises CompositeCofactorError.
+    The forms are positive definite, so their determinants are n >= 1 (the
+    empty form's is 1).  They factor into tiny primes in practice; a
+    composite leftover would be surprising and raises
+    CompositeCofactorError.
     """
-    if n == 0:
-        return [(0, 1)]
     out = []
-    if n < 0:
-        out.append((-1, 1))
-        n = -n
     for p in range(2, TRIAL_DIVISION_BOUND + 1):
         if p * p > n:
             break
@@ -125,28 +125,6 @@ def kaehler_report(system: SetSystem) -> KaehlerReport:
         factors, unfactored = exc.factors, exc.cofactor
     return KaehlerReport(len(system), form, det, factors, len(system),
                          unfactored)
-
-
-def divisibility_scan(systems) -> list[dict]:
-    """Dimension, determinant and 3-divisibility for each complex in a family.
-
-    Most positive-dimensional complexes have a determinant divisible by 3,
-    but not all: every cycle graph gives a power of 7 (the triangle boundary
-    gives 343).  Zero-dimensional systems are flagged exempt; their form is
-    the identity, with determinant 1.
-    """
-    out = []
-    for system in systems:
-        det = bareiss_det(kaehler_form(system))
-        dim = system.dimension
-        out.append({
-            "elements": len(system),
-            "dimension": dim,
-            "det": det,
-            "divisible_by_3": det % 3 == 0,
-            "exempt": dim <= 0,
-        })
-    return out
 
 
 def complete_complex_exponent(n: int) -> int:

@@ -348,14 +348,20 @@ def _terms(text, pattern, number, error):
     """Sums by unit of the signed terms of `text` that `pattern` reads as
     (coefficient, unit), e.g. '1+2i-3i' -> {'': 1, 'i': -1}, each from
     number('0') in the order written; a unit with no coefficient is 1.
-    Empty text, or a term that is a bare sign or nothing, raises
-    ValueError(error)."""
+    Every term after the first starts with a sign, and spaces stand only at
+    the ends or next to a sign ('1 + 2i', not '1 2i').  Empty text, a term
+    that is a bare sign or nothing, or terms written next to each other
+    ('2i3', 'ii') raise ValueError(error)."""
+    text = text.strip()
+    if re.search(r"[^+-] +[^ +-]", text):
+        raise ValueError(error)
+    text = text.replace(" ", "")
     sums = {}
     pos = 0
     while pos < len(text) or not sums:
         m = pattern.match(text, pos)  # matches, if only the empty string
         coeff, unit = m.groups()
-        if not (coeff.strip("+-") or unit):
+        if not (coeff.strip("+-") or unit) or pos and text[pos] not in "+-":
             raise ValueError(error)
         value = number(coeff if coeff.strip("+-") else coeff + "1")
         sums[unit] = sums.get(unit, number("0")) + value
@@ -389,10 +395,9 @@ def _parse_literal(text, kind):
     if text.startswith("o(") and text.endswith(")"):
         return Octonion([float(p) for p in text[2:-1].split(",")])
     if text.startswith("q(") and text.endswith(")"):
-        terms = _terms(text[2:-1].replace(" ", ""), _RAT_TERM, _fraction,
+        terms = _terms(text[2:-1], _RAT_TERM, _fraction,
                        "bad Gaussian rational literal: %r" % text)
         return GaussianRational(terms.get("", 0), terms.get("i", 0))
-    text = text.replace(" ", "")
     terms = _terms(text, _TERM, float, "bad scalar literal: %r" % text)
     a, i, j, k = (terms.get(unit, 0.0) for unit in ("", "i", "j", "k"))
     if kind is QUATERNION or j or k:
@@ -408,10 +413,12 @@ def format_scalar(a) -> str:
     k = kind_of(a)
     if k is REAL:
         return repr(float(a)) if isinstance(a, float) else repr(a)
-    if k is COMPLEX:
-        return "%r%+ri" % (a.real, a.imag)
-    if k is QUATERNION:
-        return "%r%+ri%+rj%+rk" % a.components()
+    if k in (COMPLEX, QUATERNION):
+        first, *rest = map(repr, (a.real, a.imag) if k is COMPLEX
+                           else a.components())
+        # '%+r' ignores the '+', so each later component gets its sign here
+        return first + "".join(("" if r[0] == "-" else "+") + r + unit
+                               for r, unit in zip(rest, "ijk"))
     if k is OCTONION:
         return "o(%s)" % ",".join(repr(c) for c in a.components())
     sign = "+" if a.im >= 0 else "-"

@@ -313,8 +313,10 @@ def raw_winding_increments(path: SpectralPath) -> np.ndarray:
     return increments.sum(axis=0) / (2.0 * math.pi)
 
 
-def winding_numbers(path: SpectralPath) -> list[int]:
-    """Integer winding per label around 0.
+def wheel_permutation(path: SpectralPath) -> WheelPermutation:
+    """The permutation of a tracked wheel, with its order and the integer
+    winding of each label around 0; the end of the path is matched to its
+    start once.
 
     Fixed labels report the winding of their own closed path.  For a
     permutation cycle the arcs close up only jointly, so the cycle loop's
@@ -322,13 +324,6 @@ def winding_numbers(path: SpectralPath) -> list[int]:
     and the other labels of the cycle report 0; per-cycle totals must land
     within WINDING_INT_TOL of an integer or tracking is declared failed.
     """
-    return list(wheel_permutation(path).windings)
-
-
-def wheel_permutation(path: SpectralPath) -> WheelPermutation:
-    """The permutation of a tracked wheel, with its order and the windings
-    of its labels (see winding_numbers); the end of the path is matched to
-    its start once."""
     raw = raw_winding_increments(path)
     perm = path_permutation(path)
     out = [0] * path.n

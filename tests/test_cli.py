@@ -274,6 +274,17 @@ def test_literal_term_with_a_bare_sign_or_nothing_reports_one_line(capsys,
                            "literal: %r" % literal)
 
 
+@pytest.mark.parametrize("literal", ["2i3", "1i2", "ii", "q(ii)", "2k3j", "3 4",
+                                     "1 2i", "q(1 2)"])
+def test_literal_terms_without_a_sign_between_report_one_line(capsys,
+                                                             literal):
+    # a term after the first starts with a sign; spaces stand only at the
+    # ends or next to a sign
+    _assert_one_error_line(capsys, ["matrices", "--inline", "{{1}}", "--field",
+                                    "values:" + literal],
+                           "literal: %r" % literal)
+
+
 @pytest.mark.parametrize("argv", [
     ["--field", "values:q(i)"],
     ["--kind", "gaussian", "--field", "values:i"],
@@ -349,9 +360,15 @@ def test_step_cap_errors_name_the_variable(capsys, monkeypatch, command, cap,
 
 @pytest.mark.parametrize("command", ["det", "check", "gen"])
 def test_tolerance_errors_name_the_variable(capsys, monkeypatch, command):
-    # read in main, so a bad value is an input error for every command
+    # only check reads a tolerance: the other commands ignore the variable
+    # and take no --tolerance
     argv = [command, "--inline", "{{1,2}}", "--closure"]
     monkeypatch.setenv("SETFIELD_TOLERANCE", "x")
+    if command != "check":
+        assert run_cli(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit):
+            main(argv + ["--tolerance=0"])
+        return
     _assert_one_error_line(capsys, argv,
                            "SETFIELD_TOLERANCE='x' is not a number")
     # inf would let every check hold, nan fail every one
@@ -454,14 +471,13 @@ def test_package_names_resolve():
         Octonion, Quaternion, SetSystem, SpectralPath,
         TrackingAmbiguityError, WheelPermutation, abelianize, bareiss_det,
         complete_complex, conjugate, det_formula_check, dieudonne_det,
-        divisibility_scan, eigenvalues, energy_check, exact_rank,
-        explicit_field, field_matrices, gauss_bonnet_check, generate,
-        green_star_check, group_order, invert, is_unit, kaehler_form,
-        kaehler_report, leibniz_det, monodromy_report, norm_sq, omega,
-        omega_field, ones_field, parse_scalar, parse_system, presentations,
-        product_right, random_field, roots_field, spectral_signature_check,
-        study_det, track_wheel, unimodularity_check, wheel_permutations,
-        winding_numbers)
+        eigenvalues, energy_check, explicit_field, field_matrices,
+        gauss_bonnet_check, generate, green_star_check, group_order, invert,
+        is_unit, kaehler_form, kaehler_report, leibniz_det, monodromy_report,
+        norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
+        presentations, product_right, random_field, roots_field,
+        spectral_signature_check, study_det, track_wheel, unimodularity_check,
+        wheel_permutations)
     from setfield import connection, kaehler, spectral
 
     assert SetSystem is setfield.setsystem.SetSystem

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -222,7 +223,8 @@ def test_ones_and_replace():
     system = SetSystem([[1], [2]])
     h = ones_field(system, GAUSSIAN)
     assert h.values[0] == scalars.GaussianRational(1)
-    h2 = h.replace_value(1, scalars.GaussianRational(Fraction(1, 3)))
+    h2 = dataclasses.replace(
+        h, values=(h[0], scalars.GaussianRational(Fraction(1, 3))))
     assert h2.values[1] == scalars.GaussianRational(Fraction(1, 3))
     assert h.values[1] == scalars.GaussianRational(1)
 

@@ -8,8 +8,8 @@ from oracles import build_matrices_by_sets, fraction_det_rank, laplace_det
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION,
                       GaussianRational, Quaternion, SetSystem, abelianize,
                       bareiss_det, det_formula_check, dieudonne_det,
-                      exact_rank, invert, leibniz_det, norm_sq, study_det)
-from setfield import scalars
+                      invert, leibniz_det, norm_sq, study_det)
+from setfield import determinants, scalars
 from setfield.connection import explicit_field, random_field
 from setfield.determinants import MatrixSizeError, row_reduce
 from setfield.setsystem import random_complex
@@ -104,10 +104,10 @@ def test_bareiss_matches_laplace_oracle():
 
 
 def test_bareiss_det_and_rank_match_fraction_elimination():
-    # products B C of random integer factors plant a rank deficit; zero
-    # columns make the elimination skip columns
+    # products B C of random integer factors plant a rank deficit, and zero
+    # columns end the elimination; the square cuts are the cases
     rng = random.Random(17)
-    cases = [[[0] * 3] * 3, [[0] * 4] * 2, [[7]], [[0]], [[-3]]]
+    cases = [[[0] * 3] * 3, [[7]], [[0]], [[-3]]]
     for _ in range(300):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         k = rng.randint(0, min(rows, cols))
@@ -119,15 +119,23 @@ def test_bareiss_det_and_rank_match_fraction_elimination():
         for j in rng.sample(range(cols), zeroed):
             for row in M:
                 row[j] = 0
-        cases.append(M)
         if cols >= rows:
             cases.append([row[:rows] for row in M])
     for M in cases:
-        det, rank = fraction_det_rank(M)
-        assert exact_rank(M) == rank
-        if det is not None:
-            assert bareiss_det(M) == det
-    assert exact_rank([]) == 0 and bareiss_det([]) == 1
+        assert bareiss_det(M) == fraction_det_rank(M)[0]
+    assert bareiss_det([]) == 1
+
+
+@pytest.mark.parametrize("M, zero_column", [
+    ([[1, 0, 2], [3, 0, 4], [5, 0, 6]], 1),
+    ([[2, 1, 0, 5], [4, 3, 0, 1], [1, 1, 0, 2], [0, 7, 0, 3]], 2),
+    ([[0, 1], [0, 2]], 0),
+])
+def test_bareiss_stops_at_a_zero_column(M, zero_column):
+    # a square matrix with a zero column is singular: the loop ends there
+    steps = list(determinants._bareiss_steps([list(row) for row in M]))
+    assert len(steps) == zero_column + 1 and steps[-1] is None
+    assert bareiss_det(M) == 0 == fraction_det_rank(M)[0]
 
 
 def test_cauchy_binet_for_study_and_dieudonne_quaternions():
@@ -281,8 +289,6 @@ def test_determinants_of_one_matrix_agree(K2):
 def test_det_formula_check_eliminates_each_matrix_once(kind, monkeypatch):
     # row_reduce serves the float kinds, the Z[i] Bareiss loop the Gaussian
     # rationals; both determinants of L and of g come from one pass each
-    from setfield import determinants
-
     calls = []
     for name in ("row_reduce", "_bareiss_echelon"):
         original = getattr(determinants, name)

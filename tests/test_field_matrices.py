@@ -8,6 +8,7 @@ signed zeros and Python number types included.  The checks on one
 (system, field) pair share one build of L and g.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -49,12 +50,13 @@ def _signed_zero(kind, rng):
 
 def _field(system, kind, rng, variant):
     h = random_field(system, kind, rng, unit=variant == "unit")
+    values = list(h.values)
     if variant == "one-zero":
-        h = h.replace_value(rng.randrange(len(h)), kind.zero)
+        values[rng.randrange(len(h))] = kind.zero
     elif variant == "signed-zeros":
         for k in rng.sample(range(len(h)), (len(h) + 1) // 2):
-            h = h.replace_value(k, _signed_zero(kind, rng))
-    return h
+            values[k] = _signed_zero(kind, rng)
+    return dataclasses.replace(h, values=values)
 
 
 def _systems(count, seed, max_elements=16):

@@ -16,6 +16,10 @@ tracker, before eigenvalue solves and matching were batched; the batched
 tracker promises the same paths bit for bit.  The `gen` and `kaehler`
 reports and the edge's `kaehler --heatmap` SVG were written while the
 Kaehler form was still an int64 array (Z Z^T)*(Z Z^T) built with numpy.
+The twelve complex and quaternion `det --pivot-log` reports were written
+again when literals gained an explicit '+' before every later component
+that is >= 0: '0.49+0.96i' had been written '0.490.96i', which reads back
+as another number.  Only their `pivot_log` lines changed.
 Regenerate (only for an intended format change) with
 `PYTHONPATH=src python tests/test_golden.py --write`.
 """

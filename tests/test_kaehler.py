@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from oracles import jacobian_by_sets, laplace_det, random_set_system
+from oracles import (fraction_det_rank, jacobian_by_sets, laplace_det,
+                     random_set_system)
 from setfield import SetSystem, field_matrices, generate
 from setfield.connection import explicit_field
-from setfield.determinants import bareiss_det, exact_rank
+from setfield.determinants import bareiss_det
 from setfield import kaehler
 from setfield.kaehler import (CompositeCofactorError,
-                              complete_complex_exponent, divisibility_scan,
-                              factorize, kaehler_form, kaehler_report)
+                              complete_complex_exponent, factorize,
+                              kaehler_form, kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
 
 
@@ -85,7 +86,7 @@ def test_full_rank_on_generated_complexes():
 
 def test_form_is_positive_definite_on_every_set_system():
     # Z is unitriangular up to order, so J has full column rank: the report
-    # never needs an exact rank
+    # never needs an exact rank, and an elimination over Fractions agrees
     rng = random.Random(53)
     systems = [random_complex(rng, max_generators=3, max_vertices=5)
                for _ in range(100)]
@@ -93,7 +94,7 @@ def test_form_is_positive_definite_on_every_set_system():
     for system in systems:
         report = kaehler_report(system)
         assert report.det > 0
-        assert report.rank == len(system) == exact_rank(report.form)
+        assert report.rank == len(system) == fraction_det_rank(report.form)[1]
 
 
 def test_triangle_boundary_det_is_not_divisible_by_3():
@@ -102,12 +103,6 @@ def test_triangle_boundary_det_is_not_divisible_by_3():
     report = kaehler_report(cycle)
     assert report.det == 343 == 7 ** 3
     assert report.factorization == [(7, 3)]
-    assert divisibility_scan([cycle])[0]["divisible_by_3"] is False
-
-
-def test_rank_detects_degeneracy():
-    assert exact_rank([[1, 1], [1, 1]]) == 1
-    assert exact_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_det_multiplies_over_disjoint_union():
@@ -126,7 +121,7 @@ def test_det_multiplies_over_disjoint_union():
 def test_factorize_basics():
     assert factorize(1) == []
     assert factorize(9) == [(3, 2)]
-    assert factorize(-12) == [(-1, 1), (2, 2), (3, 1)]
+    assert factorize(12) == [(2, 2), (3, 1)]
     big = 3 ** 40 * 5 ** 3
     assert factorize(big) == [(3, 40), (5, 3)]
     p = 1000003  # prime just past the trial-division bound
@@ -137,8 +132,8 @@ def test_composite_cofactor_keeps_the_exact_determinant(K2, monkeypatch):
     # both primes exceed the trial-division bound, so their product is left
     cofactor = 1000003 * 1000033
     with pytest.raises(CompositeCofactorError) as info:
-        factorize(-4 * cofactor)
-    assert info.value.factors == [(-1, 1), (2, 2)]
+        factorize(4 * cofactor)
+    assert info.value.factors == [(2, 2)]
     assert info.value.cofactor == cofactor
     assert "composite cofactor %d" % cofactor in str(info.value)
 
@@ -149,14 +144,6 @@ def test_composite_cofactor_keeps_the_exact_determinant(K2, monkeypatch):
     assert report.unfactored == cofactor
     monkeypatch.undo()
     assert kaehler_report(K2).unfactored is None
-
-
-def test_divisibility_scan_flags_and_exemptions(K2):
-    zero_dim = SetSystem([[1], [2], [3]])
-    rows = divisibility_scan([zero_dim, K2])
-    assert rows[0]["det"] == 1 and rows[0]["exempt"]
-    assert rows[1]["divisible_by_3"] and not rows[1]["exempt"]
-    assert rows[1]["det"] == 9
 
 
 def test_complete_complex_formula_small():

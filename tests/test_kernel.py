@@ -6,6 +6,7 @@ the per-entry loops kept in oracles.py; Gaussian results are exact and must
 be equal.
 """
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -44,7 +45,9 @@ def _field(system, kind, rng, variant):
     """variant 0: unit field, 1: nonunit field, 2: nonunit with one zero."""
     h = random_field(system, kind, rng, unit=variant == 0)
     if variant == 2:
-        h = h.replace_value(rng.randrange(len(h)), kind.zero)
+        values = list(h.values)
+        values[rng.randrange(len(h))] = kind.zero
+        h = dataclasses.replace(h, values=values)
     return h
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setfield import scalars
-from setfield.scalars import (GAUSSIAN, KINDS, OCTONION, QUATERNION,
+from setfield.scalars import (COMPLEX, GAUSSIAN, KINDS, OCTONION, QUATERNION,
                               GaussianRational, Octonion, Quaternion,
                               abelianize, conjugate, format_scalar, invert,
                               is_unit, norm_sq, parse_scalar, product_right)
@@ -240,6 +240,11 @@ def test_parse_scalar_literals():
     assert parse_scalar("q(3/4+1/4i)") == GaussianRational(Fraction(3, 4),
                                                            Fraction(1, 4))
     assert parse_scalar("q(-1/2i)") == GaussianRational(0, Fraction(-1, 2))
+    # spaces at the ends or next to a sign
+    assert parse_scalar("1 + 2i") == 1 + 2j
+    assert parse_scalar(" 2 ") == 2.0
+    assert parse_scalar("q(1/2 + i)") == GaussianRational(Fraction(1, 2), 1)
+    assert parse_scalar("+i-j") == Quaternion(0, 1, -1, 0)
 
 
 def test_parse_with_forced_kind():
@@ -254,6 +259,19 @@ def test_format_round_trips():
               GaussianRational(Fraction(3, 4), Fraction(-1, 4))]
     for v in values:
         assert parse_scalar(format_scalar(v)) == v
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, QUATERNION, OCTONION, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_format_round_trips_components_of_both_signs(kind):
+    # every component after the first is written with its sign, '+' included
+    rng = random.Random(31)
+    values = [scalars.random_scalar(kind, rng) for _ in range(200)]
+    later = [c for v in values for c in (
+        (v.imag,) if kind is COMPLEX else v.components()[1:])]
+    assert min(later) < 0 < max(later)
+    for v in values:
+        assert parse_scalar(format_scalar(v), kind) == v, format_scalar(v)
 
 
 def test_random_unit_is_unit():

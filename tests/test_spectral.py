@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -11,14 +12,14 @@ from oracles import (ClosureOverflowError, greedy_eigen_tracking,
                      sequential_track_wheel)
 from setfield import (SetSystem, eigenvalues, field_matrices, generate,
                       group_order, monodromy_report, presentations, spectral,
-                      track_wheel, wheel_permutations, winding_numbers)
+                      track_wheel, wheel_permutations)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.setsystem import random_complex
 from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
                                format_cycles, path_permutation, perm_compose,
                                perm_cycles, perm_order, raw_winding_increments,
-                               wheel_matrices)
+                               wheel_matrices, wheel_permutation)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -71,8 +72,8 @@ def test_track_wheel_diagonal_case():
     path = track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=200)
     perm = path_permutation(path)
     assert perm == (0, 1)
-    winds = winding_numbers(path)
-    assert winds == [1, 0]
+    winds = wheel_permutation(path).windings
+    assert winds == (1, 0)
     radii = np.abs(path.values[:, 0])
     assert np.allclose(radii, 1.0, atol=1e-9)  # unit circle
     assert np.allclose(path.values[:, 1], 2.0, atol=1e-9)  # frozen eigenvalue
@@ -123,8 +124,7 @@ def test_raw_windings_sum_to_one_per_wheel(K3):
         path = track_wheel(K3, h, wheel, steps=500)
         raw = raw_winding_increments(path)
         assert abs(raw.sum() - 1.0) < 1e-3
-        winds = winding_numbers(path)
-        assert sum(winds) == 1
+        assert sum(wheel_permutation(path).windings) == 1
 
 
 def test_winding_rejects_fractional_loop():
@@ -133,14 +133,14 @@ def test_winding_rejects_fractional_loop():
     vals = np.exp(0.5j * ts)[:, None]
     path = SpectralPath(0, ts, vals, 50)
     with pytest.raises(ValueError, match="not an integer"):
-        winding_numbers(path)
+        wheel_permutation(path)
 
 
 def test_constant_path_winds_zero():
     ts = np.linspace(0.0, 2 * math.pi, 11)
     vals = np.full((11, 1), 2.0 + 1.0j)
     path = SpectralPath(0, ts, vals, 10)
-    assert winding_numbers(path) == [0]
+    assert wheel_permutation(path).windings == (0,)
 
 
 def test_ambiguous_end_match_takes_the_minimum_cost_permutation(monkeypatch):
@@ -188,7 +188,9 @@ def test_wheel_matrices_match_built_L():
         wheel = rng.randrange(n)
         L_at = wheel_matrices(system, np.array(h.values), wheel)
         for t in (0.0, 1.3, 4.0):
-            turned = h.replace_value(wheel, h[wheel] * cmath.exp(1j * t))
+            values = list(h.values)
+            values[wheel] *= cmath.exp(1j * t)
+            turned = dataclasses.replace(h, values=values)
             want = field_matrices(system, turned).L[0].astype(complex)
             assert np.abs(L_at(t) - want).max() <= 1e-12
 
