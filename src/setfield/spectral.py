@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import EnergyFunction
-from .scalars import COMPLEX
+from .scalars import COMPLEX, format_scalar
 from .setsystem import SetSystem
 
 DEFAULT_STEPS = 500
 ADAPTIVE_DOUBLINGS = 4  # step cap = 2**4 * requested steps
-AMBIGUITY_MARGIN = 2.0  # second-nearest within this factor -> full assignment
 WINDING_INT_TOL = 1e-3
 # Steps solved by one stacked eigenvalue call and matched together; also the
 # most work an attempt does past the step that fails it.
@@ -28,14 +27,8 @@ TRACK_CHUNK = 32
 
 
 class TrackingAmbiguityError(RuntimeError):
-    """Eigenvalue paths could not be separated even at the step-count cap."""
-
-    def __init__(self, wheel, steps):
-        self.wheel = wheel
-        self.steps = steps
-        super().__init__(
-            "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; "
-            "rerun with a higher step count" % (wheel, steps))
+    """Eigenvalue labels could not be told apart: a repeated t=0 eigenvalue,
+    a step that stayed ambiguous up to the step cap, or an end collision."""
 
 
 @dataclass
@@ -99,96 +92,16 @@ def _complex_field_array(h: EnergyFunction) -> np.ndarray:
 
 def _greedy_match(prev, new):
     """Greedy nearest matching of stacked steps (..., n): label i of prev goes
-    to new[..., cols[..., i]], a distance best[..., i] away.  A step is
-    ambiguous, and needs _assign instead, when two labels pick one
-    eigenvalue or some second-nearest lies within AMBIGUITY_MARGIN times the
-    nearest.  Returns (cols, best, ambiguous)."""
+    to new[..., cols[..., i]], a distance best[..., i] away; collided is set
+    where two labels pick one eigenvalue.  Without a collision cols is a
+    minimum-cost matching, as each label is at its nearest.  Returns
+    (cols, best, collided)."""
     D = np.abs(prev[..., :, None] - new[..., None, :])
     cols = D.argmin(axis=-1)
     best = np.take_along_axis(D, cols[..., None], axis=-1)[..., 0]
-    np.put_along_axis(D, cols[..., None], np.inf, axis=-1)
-    second = D.min(axis=-1)
     sorted_cols = np.sort(cols, axis=-1)
-    ambiguous = ((sorted_cols[..., 1:] == sorted_cols[..., :-1]).any(axis=-1)
-                 | (second < AMBIGUITY_MARGIN * best).any(axis=-1))
-    return cols, best, ambiguous
-
-
-def _assign(prev, new):
-    """Minimum-cost matching of the labels prev to the eigenvalues new."""
-    return min_cost_assignment(np.abs(prev[:, None] - new[None, :]))
-
-
-def min_cost_assignment(cost) -> np.ndarray:
-    """Columns of a minimum-cost perfect matching of a square cost matrix:
-    row i goes to column cols[i].
-
-    Shortest augmenting paths with dual potentials, one row at a time
-    (Jonker-Volgenant, as laid out by Crouse 2016), O(n^3).  Columns are
-    scanned from the last one down and, among equally short paths, a path
-    ending on a free column is taken, so that ties resolve as in the
-    rectangular_lsap solver of scipy.optimize.linear_sum_assignment.
-    """
-    C = np.asarray(cost, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("cost matrix must be square")
-    if np.isnan(C).any() or (C == -np.inf).any():
-        raise ValueError("cost matrix has NaN or -inf entries")
-    C = C.tolist()
-    n = len(C)
-    u = [0.0] * n
-    v = [0.0] * n
-    path = [-1] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    for cur in range(n):
-        shortest = [math.inf] * n
-        seen_rows = [False] * n
-        seen_cols = [False] * n
-        remaining = list(range(n - 1, -1, -1))
-        min_val = 0.0
-        i = cur
-        sink = -1
-        while sink == -1:
-            seen_rows[i] = True
-            index = -1
-            lowest = math.inf
-            Ci, ui = C[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + Ci[j] - ui - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                if shortest[j] < lowest or (shortest[j] == lowest
-                                            and row4col[j] == -1):
-                    lowest = shortest[j]
-                    index = it
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for r in range(n):
-            if seen_rows[r] and r != cur:
-                u[r] += min_val - shortest[col4row[r]]
-        for j in range(n):
-            if seen_cols[j]:
-                v[j] -= min_val - shortest[j]
-        j = sink
-        while True:  # augment along the path back to the current row
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return np.array(col4row, dtype=np.intp)
+    collided = (sorted_cols[..., 1:] == sorted_cols[..., :-1]).any(axis=-1)
+    return cols, best, collided
 
 
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
@@ -197,12 +110,14 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
     Labels are fixed by sorting the t=0 eigenvalues; each subsequent step is
-    matched to the previous one.  If some matched move exceeds half the local
-    eigenvalue gap the tracking is ambiguous at this resolution and the whole
-    path is recomputed with twice the steps, up to 2^4 times the request (or
-    `max_steps`).  The doubled grid contains the failed one (its even points
-    are the same times, bit for bit), so a retry solves only the new points.
-    Independent wheels share no state and may run in parallel.
+    matched to the previous one by the greedy nearest match.  If two labels
+    pick one eigenvalue, or a matched move exceeds half the gap around its
+    target, the tracking is ambiguous at this resolution and the whole path
+    is recomputed with twice the steps, up to 2^4 times the request (or
+    `max_steps`).  A repeated t=0 eigenvalue collides in every attempt, so
+    it raises TrackingAmbiguityError at once.  The doubled grid contains the
+    failed one (its even points are the same times, bit for bit), so a retry
+    solves only the new points.  Wheels share no state and may run in parallel.
     """
     if not (0 <= wheel < len(system)):
         raise ValueError("wheel index out of range")
@@ -217,6 +132,11 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     if max_steps is None:
         max_steps = steps * 2 ** ADAPTIVE_DOUBLINGS
     base = np.sort_complex(eigenvalues(L_at(0.0)))
+    twins = np.flatnonzero(base[1:] == base[:-1])
+    if len(twins):
+        raise TrackingAmbiguityError(
+            "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
+            % (wheel, format_scalar(complex(base[twins[0]]))))
     ts = raw = solved = None
     attempt_steps = steps
     while attempt_steps <= max_steps:
@@ -231,7 +151,9 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
         if values is not None:
             return SpectralPath(wheel, ts, values, attempt_steps)
         attempt_steps *= 2
-    raise TrackingAmbiguityError(wheel, attempt_steps // 2)
+    raise TrackingAmbiguityError(
+        "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; "
+        "rerun with a higher step count" % (wheel, attempt_steps // 2))
 
 
 def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
@@ -254,16 +176,19 @@ def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
 
 
 def _track_once(L_at, ts, raw, solved):
-    """Labelled eigenvalues at the times ts, or None if a step is ambiguous.
+    """Labelled eigenvalues at the times ts, or None if a step is ambiguous:
+    two labels pick one eigenvalue, or a label moves more than half the gap
+    from its target to the nearest other eigenvalue.  Each target of a step
+    that passes is nearest its label (any other eigenvalue lies a gap from
+    the target, so half a gap from the label); so where the greedy match
+    collides, no matching passes, and no assignment is needed.
 
     raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
     sorted start, which fixes the labels) where solved[s] is set; the rest
     are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
-    a retry.  _greedy_match and the "move > half the local gap" test do
-    not depend on the order of the previous eigenvalues, so they run on
-    raw-to-raw distances for a whole chunk at once; a loop then composes the
-    label permutation.  Steps flagged ambiguous are matched by _assign on
-    the labelled previous step, one at a time.
+    a retry.  _greedy_match and the half-gap test do not depend on the order
+    of the previous eigenvalues, so they run on raw-to-raw distances for a
+    whole chunk at once; a loop then composes the label permutation.
     """
     steps = len(ts) - 1
     n = raw.shape[1]
@@ -278,23 +203,16 @@ def _track_once(L_at, ts, raw, solved):
             raw[todo] = eigenvalues(L_at(ts[todo]))
             solved[todo] = True
         new = raw[a:b]
-        cols, best, ambiguous = _greedy_match(raw[a - 1:b - 1], new)
+        cols, best, collided = _greedy_match(raw[a - 1:b - 1], new)
         G = np.abs(new[:, :, None] - new[:, None, :])
         G[:, diagonal, diagonal] = np.inf
         gaps = G.min(axis=1)  # nearest other eigenvalue, per raw index
-        moved_too_far = (best > 0.5 * np.take_along_axis(gaps, cols, axis=1)
-                         ).any(axis=1)
-        if (moved_too_far & ~ambiguous).any():
+        too_far = best > 0.5 * np.take_along_axis(gaps, cols, axis=1)
+        if collided.any() or too_far.any():
             return None
-        for k, s in enumerate(range(a, b)):
-            if ambiguous[k]:
-                prev = values[s - 1]
-                perm = _assign(prev, new[k])
-                if (np.abs(new[k][perm] - prev) > 0.5 * gaps[k][perm]).any():
-                    return None
-            else:
-                perm = cols[k][perm]
-            values[s] = new[k][perm]
+        for k in range(b - a):
+            perm = cols[k][perm]
+            values[a + k] = new[k][perm]
     return values
 
 
@@ -341,12 +259,14 @@ def wheel_permutation(path: SpectralPath) -> WheelPermutation:
 
 
 def path_permutation(path: SpectralPath) -> tuple:
-    """Match the end of the path back to the t=0 labels."""
-    start = path.values[0]
-    end = path.values[-1]
-    cols, _, ambiguous = _greedy_match(end, start)
-    if ambiguous:
-        cols = _assign(end, start)
+    """Match the end of the path back to the t=0 labels by the greedy
+    nearest match, which is the minimum-cost matching when no two labels
+    collide; a collision raises TrackingAmbiguityError."""
+    cols, _, collided = _greedy_match(path.values[-1], path.values[0])
+    if collided:
+        raise TrackingAmbiguityError(
+            "eigenvalue tracking for wheel %d ended with two labels nearest "
+            "one start value at %d steps" % (path.wheel, path.steps))
     return tuple(int(c) for c in cols)
 
 
