@@ -1,9 +1,10 @@
 """Command line surface: gen / matrices / det / check / phase / group / kaehler.
 
 Every number in a report comes straight from the library; the CLI only
-parses, dispatches and serializes.  Reports are deterministic for a fixed
-(input, seed): JSON is emitted with sorted keys, the random field preset uses
-Python's seeded Mersenne Twister, and SVG plots are assembled by hand.
+parses, dispatches and serializes.  Every setting of a run is a flag of the
+command that reads it.  Reports are deterministic for a fixed (input, seed):
+JSON is emitted with sorted keys, the random field preset uses Python's
+seeded Mersenne Twister, and SVG plots are assembled by hand.
 
 `gen` and `kaehler` are integer combinatorics, and malformed input fails
 before a field is built, so this module imports nothing that imports numpy.
@@ -23,10 +24,6 @@ import sys
 from . import __version__, kaehler, scalars
 from .scalars import KINDS
 from .setsystem import SetSystem, parse_system, system_to_json
-
-ENV_TOLERANCE = "SETFIELD_TOLERANCE"
-ENV_STEP_CAP = "SETFIELD_STEP_CAP"
-ENV_LEIBNIZ_CAP = "SETFIELD_LEIBNIZ_CAP"
 
 
 def load_system(config: argparse.Namespace) -> SetSystem:
@@ -76,31 +73,36 @@ def make_field(system: SetSystem, config: argparse.Namespace):
     preset = config.preset
     kind = KINDS[config.kind_name] if config.kind_name else None
     if preset == "omega":
-        return omega_field(system)
-    if preset == "ones":
-        return ones_field(system, kind or scalars.REAL)
-    if preset.startswith("roots:"):
+        h = omega_field(system)
+    elif preset == "ones":
+        h = ones_field(system, kind or scalars.REAL)
+    elif preset.startswith("roots:"):
         order = int(preset.split(":", 1)[1])
         if order < 1:
             raise ValueError("roots:N needs N >= 1, got %d" % order)
-        if kind not in (None, scalars.COMPLEX):
-            raise ValueError("preset roots:n needs the complex kind")
-        return roots_field(system, order)
-    if preset.startswith("random:"):
+        h = roots_field(system, order)
+    elif preset.startswith("random:"):
         parts = preset.split(":")
-        seed = int(parts[1])
+        if parts[3:] not in ([], ["unit"]):
+            raise ValueError("expected random:SEED, random:SEED:KIND or "
+                             "random:SEED:KIND:unit, got %r" % preset)
         rkind = (parse_kind(parts[2]) if len(parts) > 2
                  else kind or scalars.COMPLEX)
-        unit = len(parts) > 3 and parts[3] == "unit"
-        return random_field(system, rkind, random.Random(seed), unit=unit)
-    if preset.startswith("values:"):
+        h = random_field(system, rkind, random.Random(int(parts[1])),
+                         unit=len(parts) == 4)
+    elif preset.startswith("values:"):
         lits = split_literals(preset.split(":", 1)[1])
         values = [scalars.parse_scalar(t, kind) for t in lits]
         if len(values) != len(system):
             raise ValueError("field has %d values for %d elements"
                              % (len(values), len(system)))
-        return explicit_field(values, kind)
-    raise ValueError("unknown field preset %r" % preset)
+        h = explicit_field(values, kind)
+    else:
+        raise ValueError("unknown field preset %r" % preset)
+    if kind not in (None, h.kind):
+        raise ValueError("--field %s is a %s field, not --kind %s"
+                         % (preset, h.kind.name, kind.name))
+    return h
 
 
 def matrix_to_json(M):
@@ -171,14 +173,13 @@ def cmd_det(config: argparse.Namespace, system: SetSystem) -> int:
 
     h = make_field(system, config)
     fm = field_matrices(system, h)
-    leib_cap = _env_number(ENV_LEIBNIZ_CAP, determinants.DEFAULT_LEIBNIZ_CAP)
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
                  and h.kind is not scalars.OCTONION)
     leibniz, skipped = config.method in ("leibniz", "all"), None
     if leibniz:
         try:
-            determinants.check_leibniz_cap(len(system), leib_cap)
+            determinants.check_leibniz_cap(len(system))
         except determinants.MatrixSizeError as exc:
             leibniz, skipped = False, str(exc)
     # Q(i) commutes: there the permutation sum is the determinant, which the
@@ -200,7 +201,7 @@ def cmd_det(config: argparse.Namespace, system: SetSystem) -> int:
                 determinants.dieudonne_value(elim, h.kind))
         elif leibniz:
             entry["leibniz"] = scalars.to_jsonable(determinants.leibniz_det(
-                kernel.from_array(X, h.kind, fm.scale), h.kind, leib_cap))
+                kernel.from_array(X, h.kind, fm.scale), h.kind))
         elif skipped:
             entry["leibniz_skipped"] = skipped
         if config.pivot_log:
@@ -232,50 +233,16 @@ def cmd_check(config: argparse.Namespace, system: SetSystem) -> int:
     return 1 if failed else 0
 
 
-def _env_number(name, default=None, parse=int):
-    """An environment override; unset or empty means `default`."""
-    text = os.environ.get(name)
-    try:
-        return parse(text) if text else default
-    except ValueError:
-        what = "an integer" if parse is int else "a number"
-        raise ValueError("%s=%r is not %s" % (name, text, what)) from None
-
-
-def _tolerance(flag: float | None) -> float:
-    """--tolerance, else SETFIELD_TOLERANCE, else DEFAULT_TOL: a finite
-    number >= 0 (inf would let every check hold, nan fail every one)."""
-    if flag is None:
-        value = _env_number(ENV_TOLERANCE, scalars.DEFAULT_TOL, float)
-        source = "%s=%r" % (ENV_TOLERANCE, os.environ.get(ENV_TOLERANCE))
-    else:
-        value, source = flag, "--tolerance %r" % flag
-    if not 0 <= value < math.inf:
-        raise ValueError("%s is not a finite number >= 0" % source)
-    return value
-
-
-def _steps(config: argparse.Namespace) -> tuple[int, int | None]:
-    """--steps (spectral.DEFAULT_STEPS if not given) and the step cap."""
-    from . import spectral
-
-    steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
-    cap = _env_number(ENV_STEP_CAP)
-    if cap is not None and cap < steps:
-        raise ValueError("%s=%d is below --steps %d" % (ENV_STEP_CAP, cap, steps))
-    return steps, cap
-
-
 def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
     from . import spectral
 
     h = make_field(system, config)
     wheels = ([config.wheel] if config.wheel is not None
               else list(range(len(system))))
-    steps, cap = _steps(config)
+    steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
     summary = []
     for w in wheels:
-        path = spectral.track_wheel(system, h, w, steps, cap)
+        path = spectral.track_wheel(system, h, w, steps)
         wp = spectral.wheel_permutation(path)
         summary.append({
             "wheel": w,
@@ -296,8 +263,8 @@ def cmd_group(config: argparse.Namespace, system: SetSystem) -> int:
     from . import spectral
 
     h = make_field(system, config)
-    steps, cap = _steps(config)
-    report = spectral.monodromy_report(system, h, steps, max_steps=cap)
+    steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
+    report = spectral.monodromy_report(system, h, steps)
     emit({
         "n": len(system),
         "steps": steps,
@@ -447,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default="all",
                    choices=["greenstar", "energy", "gaussbonnet", "unimodular",
                             "signature", "all"])
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=float, default=scalars.DEFAULT_TOL)
 
     p = sub.add_parser("phase", help="eigenvalue paths for turned wheels")
     common(p)
@@ -480,8 +447,10 @@ def main(argv=None) -> int:
     command = COMMANDS[config.command]
     errors = (ValueError, OSError)
     try:
-        if config.command == "check":
-            config.tolerance = _tolerance(config.tolerance)
+        # inf would let every check hold, nan fail every one
+        if config.command == "check" and not 0 <= config.tolerance < math.inf:
+            raise ValueError("--tolerance %r is not a finite number >= 0"
+                             % config.tolerance)
         system = load_system(config)
         if config.command in ("gen", "kaehler"):  # integers only: no numpy
             return command(config, system)

@@ -36,7 +36,7 @@ class MatrixSizeError(ValueError):
     """Raised when the permutation-sum determinant is asked for too large a matrix."""
 
 
-def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
+def leibniz_det(M, kind=None):
     """Permutation sum with right-bracketed products; factorial cost, capped.
 
     Exact whenever the entries are exact (ints, Gaussian rationals).  Over
@@ -46,7 +46,7 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    check_leibniz_cap(n, cap)
+    check_leibniz_cap(n)
     kind = kind or kind_of(M[0][0])
     if kind is GAUSSIAN:
         from . import kernel
@@ -59,10 +59,11 @@ def leibniz_det(M, kind=None, cap=DEFAULT_LEIBNIZ_CAP):
     return total
 
 
-def check_leibniz_cap(n, cap):
-    """Raise MatrixSizeError if an n x n permutation sum is over `cap`."""
-    if n > cap:
-        raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d" % (n, cap))
+def check_leibniz_cap(n):
+    """Raise MatrixSizeError if an n x n permutation sum is over the cap."""
+    if n > DEFAULT_LEIBNIZ_CAP:
+        raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d"
+                              % (n, DEFAULT_LEIBNIZ_CAP))
 
 
 def _perm_parity(perm):

@@ -159,7 +159,11 @@ def random_complex(rng, max_generators=5, max_vertices=8, max_cardinality=4,
 # ---------------------------------------------------------------------------
 # text ingestion: JSON arrays of arrays, or brace notation {{1,2},{2,3}}
 
+# sets {a,b,...} separated by a comma, whitespace or both, optionally
+# wrapped in one more pair of braces; {} is the empty set
 _BRACE_SET = re.compile(r"\{([^{}]*)\}")
+_BRACE_LIST = re.compile(r"\s*\{[^{}]*\}(\s*(,\s*)?\{[^{}]*\})*\s*")
+_BRACE_WRAPPED = re.compile(r"\{\s*\{.*\}\s*\}", re.DOTALL)
 
 
 def parse_system(text: str, closure: bool = False) -> SetSystem:
@@ -173,13 +177,13 @@ def parse_system(text: str, closure: bool = False) -> SetSystem:
                 for s in sets):
             raise ValueError("JSON input must be an array of arrays of integers")
     elif text.startswith("{"):
-        inner = text
-        if text.startswith("{{") and text.endswith("}}"):
-            inner = text[1:-1]
-        sets = [[int(v) for v in m.group(1).split(",") if v.strip()]
-                for m in _BRACE_SET.finditer(inner)]
-        if not sets:
-            raise ValueError("no sets found in brace notation: %r" % text)
+        body = text[1:-1] if _BRACE_WRAPPED.fullmatch(text) else text
+        sets = [[v.strip() for v in s.split(",")]
+                for s in _BRACE_SET.findall(body)]
+        if (not _BRACE_LIST.fullmatch(body)
+                or any("" in s and s != [""] for s in sets)):
+            raise ValueError("malformed brace notation: %r" % text)
+        sets = [[int(v) for v in s if v] for s in sets]
     else:
         raise ValueError("expected JSON array or brace notation, got %r" % text[:40])
     sets = _relabel(sets)

@@ -105,16 +105,15 @@ def _greedy_match(prev, new):
 
 
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
-                steps: int = DEFAULT_STEPS,
-                max_steps: int | None = None) -> SpectralPath:
+                steps: int = DEFAULT_STEPS) -> SpectralPath:
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
     Labels are fixed by sorting the t=0 eigenvalues; each subsequent step is
     matched to the previous one by the greedy nearest match.  If two labels
     pick one eigenvalue, or a matched move exceeds half the gap around its
     target, the tracking is ambiguous at this resolution and the whole path
-    is recomputed with twice the steps, up to 2^4 times the request (or
-    `max_steps`).  A repeated t=0 eigenvalue collides in every attempt, so
+    is recomputed with twice the steps, up to 2^ADAPTIVE_DOUBLINGS times
+    the request.  A repeated t=0 eigenvalue collides in every attempt, so
     it raises TrackingAmbiguityError at once.  The doubled grid contains the
     failed one (its even points are the same times, bit for bit), so a retry
     solves only the new points.  Wheels share no state and may run in parallel.
@@ -123,14 +122,10 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
         raise ValueError("wheel index out of range")
     if steps < 1:
         raise ValueError("steps must be at least 1, got %d" % steps)
-    if max_steps is not None and max_steps < steps:
-        raise ValueError("max_steps %d is below steps %d" % (max_steps, steps))
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")
     L_at = wheel_matrices(system, h0, wheel)
-    if max_steps is None:
-        max_steps = steps * 2 ** ADAPTIVE_DOUBLINGS
     base = np.sort_complex(eigenvalues(L_at(0.0)))
     twins = np.flatnonzero(base[1:] == base[:-1])
     if len(twins):
@@ -139,7 +134,7 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
             % (wheel, format_scalar(complex(base[twins[0]]))))
     ts = raw = solved = None
     attempt_steps = steps
-    while attempt_steps <= max_steps:
+    while attempt_steps <= steps * 2 ** ADAPTIVE_DOUBLINGS:
         grid = np.linspace(0.0, 2.0 * math.pi, attempt_steps + 1)
         samples = np.empty((attempt_steps + 1, len(base)), dtype=complex)
         have = np.zeros(attempt_steps + 1, dtype=bool)
@@ -271,10 +266,9 @@ def path_permutation(path: SpectralPath) -> tuple:
 
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
-                       steps: int = DEFAULT_STEPS,
-                       max_steps: int | None = None):
+                       steps: int = DEFAULT_STEPS):
     """One WheelPermutation per element."""
-    return [wheel_permutation(track_wheel(system, h, wheel, steps, max_steps))
+    return [wheel_permutation(track_wheel(system, h, wheel, steps))
             for wheel in range(len(system))]
 
 
@@ -450,14 +444,13 @@ def presentations(perms: list) -> tuple[str, str]:
 
 
 def monodromy_report(system: SetSystem, h: EnergyFunction,
-                     steps: int = DEFAULT_STEPS, cap=10 ** 6,
-                     max_steps: int | None = None) -> GroupReport:
+                     steps: int = DEFAULT_STEPS, cap=10 ** 6) -> GroupReport:
     """Full pipeline: track every wheel, order the group, emit presentations.
 
     The order comes from group_order (Schreier-Sims), which lists no group
     elements; `cap` is accepted for existing callers and bounds nothing.
     """
-    perms = wheel_permutations(system, h, steps, max_steps=max_steps)
+    perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])
     big, small = presentations(perms)
 

@@ -619,10 +619,10 @@ def track_once(L_at, steps, base):
     return ts, values
 
 
-def sequential_track_wheel(system, h0, wheel, steps, max_steps=None):
+def sequential_track_wheel(system, h0, wheel, steps, max_steps):
     """(ts, labelled values, steps used) for one wheel: labels from the
     sorted t=0 spectrum, the whole path redone at twice the steps while an
-    attempt fails, up to 16 times the request; None if all fail."""
+    attempt fails, up to max_steps; None if all fail."""
     h0 = np.asarray(h0, dtype=complex)
     Z = system.zeta
     L0 = (Z.T * h0) @ Z
@@ -631,8 +631,6 @@ def sequential_track_wheel(system, h0, wheel, steps, max_steps=None):
     def L_at(t):
         return L0 + (np.exp(1j * t) - 1.0) * turn
 
-    if max_steps is None:
-        max_steps = 16 * steps
     base = np.sort_complex(np.linalg.eigvals(L_at(0.0)))
     while steps <= max_steps:
         path = track_once(L_at, steps, base)

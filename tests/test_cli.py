@@ -325,10 +325,33 @@ def test_bad_input_is_reported(capsys):
       "--field", "values:1e200,1e200,1e200"], "not finite"),
     (["check", "--inline", "{{1,2}}", "--closure", "--kind", "octonion",
       "--field", "values:o(1e200),1,1"], "not finite"),
+    (["gen", "--inline", "{{1,2}"], "malformed brace notation: '{{1,2}'"),
+    (["gen", "--inline", "{1,2}}"], "malformed brace notation: '{1,2}}'"),
+    (["gen", "--inline", "{{1,2}x{3}}"],
+     "malformed brace notation: '{{1,2}x{3}}'"),
+    (["gen", "--inline", "{{1,2}}{{3}}"],
+     "malformed brace notation: '{{1,2}}{{3}}'"),
+    (["gen", "--inline", "{{1,2},{2,3}}junk"],
+     "malformed brace notation: '{{1,2},{2,3}}junk'"),
+    (["gen", "--inline", "{{1,,2}}"], "malformed brace notation: '{{1,,2}}'"),
+    (["check", "--inline", "{{1,2}}", "--closure",
+      "--field", "random:1:real:unti"], "got 'random:1:real:unti'"),
+    (["check", "--inline", "{{1,2}}", "--closure",
+      "--field", "random:1:real:unit:x"], "got 'random:1:real:unit:x'"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--field", "omega",
+      "--kind", "quaternion"],
+     "--field omega is a real field, not --kind quaternion"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--field", "random:1:real",
+      "--kind", "octonion"],
+     "--field random:1:real is a real field, not --kind octonion"),
 ], ids=["random-kind", "roots-0", "gaussian-literal-zero-denominator",
         "gaussian-kind-zero-denominator", "literal-of-other-kind",
         "steps-0", "steps-negative", "phase-ambiguous", "literal-overflow",
-        "literal-nan", "report-overflow-real", "report-overflow-octonion"])
+        "literal-nan", "report-overflow-real", "report-overflow-octonion",
+        "braces-unclosed", "braces-unopened", "braces-text-between",
+        "braces-second-list", "braces-text-after", "braces-empty-item",
+        "random-fourth-part", "random-fifth-part", "omega-other-kind",
+        "random-other-kind"])
 def test_malformed_input_exits_two_with_one_line(capsys, argv, message):
     _assert_one_error_line(capsys, argv, message)
 
@@ -345,58 +368,22 @@ def _assert_one_error_line(capsys, argv, message):
     assert message in lines[0]
 
 
-@pytest.mark.parametrize("cap, message", [
-    ("4", "SETFIELD_STEP_CAP=4 is below --steps 10"),
-    ("abc", "SETFIELD_STEP_CAP='abc' is not an integer"),
-])
-@pytest.mark.parametrize("command", ["phase", "group"])
-def test_step_cap_errors_name_the_variable(capsys, monkeypatch, command, cap,
-                                           message):
-    monkeypatch.setenv("SETFIELD_STEP_CAP", cap)
-    _assert_one_error_line(capsys, [command, "--inline", "{{1,2}}",
-                                    "--closure", "--field", "roots:7",
-                                    "--steps", "10"], message)
-
-
 @pytest.mark.parametrize("command", ["det", "check", "gen"])
-def test_tolerance_errors_name_the_variable(capsys, monkeypatch, command):
-    # only check reads a tolerance: the other commands ignore the variable
-    # and take no --tolerance
+def test_tolerance_errors_name_the_flag(capsys, monkeypatch, command):
+    # only check takes --tolerance, and no command reads a tolerance from
+    # the environment
     argv = [command, "--inline", "{{1,2}}", "--closure"]
     monkeypatch.setenv("SETFIELD_TOLERANCE", "x")
+    assert run_cli(capsys, *argv)[0] == 0
     if command != "check":
-        assert run_cli(capsys, *argv)[0] == 0
         with pytest.raises(SystemExit):
             main(argv + ["--tolerance=0"])
         return
-    _assert_one_error_line(capsys, argv,
-                           "SETFIELD_TOLERANCE='x' is not a number")
     # inf would let every check hold, nan fail every one
     for text in ("inf", "-inf", "nan", "-1", "1e400"):
-        monkeypatch.setenv("SETFIELD_TOLERANCE", text)
-        _assert_one_error_line(
-            capsys, argv,
-            "SETFIELD_TOLERANCE=%r is not a finite number >= 0" % text)
         _assert_one_error_line(
             capsys, argv + ["--tolerance=" + text],
             "--tolerance %r is not a finite number >= 0" % float(text))
-
-
-def test_tolerance_override_and_empty_overrides(capsys, monkeypatch):
-    # a zero tolerance fails on the roundoff of this energy sum
-    energy = ["check", "--inline", "{{1,2},{2,3}}", "--closure",
-              "--field", "roots:5", "--identity", "energy"]
-    monkeypatch.setenv("SETFIELD_TOLERANCE", "0")
-    assert run_cli(capsys, *energy)[0] == 1
-    assert run_cli(capsys, *energy, "--tolerance", "1e-9")[0] == 0
-    # an empty value means unset, for the tolerance and both caps
-    for name in ("SETFIELD_TOLERANCE", "SETFIELD_STEP_CAP",
-                 "SETFIELD_LEIBNIZ_CAP"):
-        monkeypatch.setenv(name, "")
-    assert run_cli(capsys, *energy)[0] == 0
-    assert run_cli(capsys, "det", "--inline", "{{1,2}}", "--closure")[0] == 0
-    assert run_cli(capsys, "phase", "--inline", "{{1,2}}", "--closure",
-                   "--field", "roots:7", "--steps", "10")[0] == 0
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -37,15 +37,17 @@ def test_leibniz_golden_minus_24X():
         assert abs(laplace_det(cm.L) - det) < 1e-9
 
 
-def test_leibniz_cap():
+def test_leibniz_cap(monkeypatch):
     n = 11
     M = [[float(i == j) for j in range(n)] for i in range(n)]
     with pytest.raises(MatrixSizeError):
         leibniz_det(M)
     small = [[float(i == j) for j in range(5)] for i in range(5)]
+    monkeypatch.setattr(determinants, "DEFAULT_LEIBNIZ_CAP", 4)
     with pytest.raises(MatrixSizeError):
-        leibniz_det(small, cap=4)
-    assert leibniz_det(small, cap=5) == 1.0
+        leibniz_det(small)
+    monkeypatch.setattr(determinants, "DEFAULT_LEIBNIZ_CAP", 5)
+    assert leibniz_det(small) == 1.0
 
 
 def test_dieudonne_two_by_two_formulas():

@@ -307,10 +307,11 @@ def test_gaussian_leibniz_is_the_exact_determinant():
     assert leibniz_det([], GAUSSIAN) == GaussianRational(1)
 
 
-def test_gaussian_leibniz_keeps_its_cap():
+def test_gaussian_leibniz_keeps_its_cap(monkeypatch):
     M = [[GaussianRational(int(i == j)) for j in range(5)] for i in range(5)]
+    monkeypatch.setattr(determinants, "DEFAULT_LEIBNIZ_CAP", 4)
     with pytest.raises(MatrixSizeError, match="exceeds the permutation-sum cap 4"):
-        leibniz_det(M, GAUSSIAN, cap=4)
+        leibniz_det(M, GAUSSIAN)
     with pytest.raises(ValueError, match="square"):
         leibniz_det([[GaussianRational(1), GaussianRational(2)]], GAUSSIAN)
 

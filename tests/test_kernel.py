@@ -16,7 +16,7 @@ import numpy as np
 import oracles
 import pytest
 
-from setfield import kernel, scalars
+from setfield import determinants, kernel, scalars
 from setfield.connection import omega_field, ones_field, random_field
 from setfield.determinants import dieudonne_det, leibniz_det, row_reduce
 from setfield.scalars import GAUSSIAN, KINDS, GaussianRational
@@ -200,14 +200,15 @@ def _old_gaussian_dets(M):
     return sq, (-det if elim.swaps % 2 else det)
 
 
-def test_gaussian_integer_det_matches_fraction_elimination():
+def test_gaussian_integer_det_matches_fraction_elimination(monkeypatch):
     count = 0
     for kind, cm in _cases(count=200, seed=99):
         if kind is not GAUSSIAN:
             continue
         for M in (cm.L, cm.g):
             sq, det = _old_gaussian_dets(M)
-            assert leibniz_det(M, GAUSSIAN, len(M)).norm_sq() == sq
+            monkeypatch.setattr(determinants, "DEFAULT_LEIBNIZ_CAP", len(M))
+            assert leibniz_det(M, GAUSSIAN).norm_sq() == sq
             got = dieudonne_det(M, GAUSSIAN)
             assert got == det and repr(got) == repr(det)
             count += 1

@@ -90,14 +90,6 @@ def test_track_wheel_rejects_zero_field():
         track_wheel(ZERO_DIM, explicit_field([0j, 1 + 0j]), 0)
 
 
-def test_track_wheel_rejects_a_cap_below_the_steps():
-    # a cap below the request used to skip tracking and report ambiguity
-    with pytest.raises(ValueError, match="max_steps 4 is below steps 50"):
-        track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=50, max_steps=4)
-    path = track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=50, max_steps=50)
-    assert path.steps == 50
-
-
 def test_matrix_returns_after_full_turn(K3):
     h = roots_field(K3, 7)
     path = track_wheel(K3, h, 3, steps=500)
@@ -313,15 +305,16 @@ def _count_matches(monkeypatch):
     return used
 
 
-def _assert_path_matches_oracle(system, h, wheel, steps, max_steps=None):
-    """Same bits as the one-solve-per-step tracker, or the same failure;
-    returns the steps used (None on failure)."""
-    want = sequential_track_wheel(system, h.values, wheel, steps, max_steps)
+def _assert_path_matches_oracle(system, h, wheel, steps):
+    """Same bits as the one-solve-per-step tracker, or the same failure, at
+    the tracker's step cap; returns the steps used (None on failure)."""
+    want = sequential_track_wheel(system, h.values, wheel, steps,
+                                  steps * 2 ** spectral.ADAPTIVE_DOUBLINGS)
     if want is None:
         with pytest.raises(TrackingAmbiguityError):
-            track_wheel(system, h, wheel, steps, max_steps)
+            track_wheel(system, h, wheel, steps)
         return None
-    path = track_wheel(system, h, wheel, steps, max_steps)
+    path = track_wheel(system, h, wheel, steps)
     assert path.steps == want[2]
     assert path.ts.tobytes() == want[0].tobytes()
     assert path.values.tobytes() == want[1].tobytes()
@@ -345,6 +338,7 @@ def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
 
 def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
     matches = _count_matches(monkeypatch)
+    monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
     rng = random.Random(29)
     used = []
     for draw in range(48):
@@ -354,7 +348,7 @@ def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
             system = random_complex(rng, max_generators=3, max_vertices=5,
                                     max_cardinality=3)
         h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
-        used += [_assert_path_matches_oracle(system, h, w, 40, 160)
+        used += [_assert_path_matches_oracle(system, h, w, 40)
                  for w in range(len(system))]
     assert any(u is not None and u > 40 for u in used)
     assert None in used  # some wheels fail at every step count
