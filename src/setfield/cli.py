@@ -34,7 +34,12 @@ def load_system(config: argparse.Namespace) -> SetSystem:
         text = config.inline
     else:
         raise ValueError("need --input FILE or --inline TEXT")
-    system = parse_system(text, closure=config.closure)
+    try:
+        system = parse_system(text, closure=config.closure)
+    except ValueError as exc:
+        flag = ("--input %s" % config.input_path if config.input_path
+                else "--inline")
+        raise ValueError("%s: %s" % (flag, exc)) from None
     if not len(system) and config.command in ("matrices", "check"):
         # their matrix products need an element
         raise ValueError("%s needs a nonempty set system" % config.command)
@@ -66,6 +71,14 @@ def parse_kind(name: str) -> scalars.ScalarKind:
     return KINDS[name]
 
 
+def _preset_int(part: str, preset: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError("--field %s: %r is not an integer"
+                         % (preset, part)) from None
+
+
 def make_field(system: SetSystem, config: argparse.Namespace):
     from .connection import (explicit_field, omega_field, ones_field,
                              random_field, roots_field)
@@ -77,7 +90,7 @@ def make_field(system: SetSystem, config: argparse.Namespace):
     elif preset == "ones":
         h = ones_field(system, kind or scalars.REAL)
     elif preset.startswith("roots:"):
-        order = int(preset.split(":", 1)[1])
+        order = _preset_int(preset.split(":", 1)[1], preset)
         if order < 1:
             raise ValueError("roots:N needs N >= 1, got %d" % order)
         h = roots_field(system, order)
@@ -88,7 +101,8 @@ def make_field(system: SetSystem, config: argparse.Namespace):
                              "random:SEED:KIND:unit, got %r" % preset)
         rkind = (parse_kind(parts[2]) if len(parts) > 2
                  else kind or scalars.COMPLEX)
-        h = random_field(system, rkind, random.Random(int(parts[1])),
+        seed = _preset_int(parts[1], preset)
+        h = random_field(system, rkind, random.Random(seed),
                          unit=len(parts) == 4)
     elif preset.startswith("values:"):
         lits = split_literals(preset.split(":", 1)[1])

@@ -183,7 +183,11 @@ def parse_system(text: str, closure: bool = False) -> SetSystem:
         if (not _BRACE_LIST.fullmatch(body)
                 or any("" in s and s != [""] for s in sets)):
             raise ValueError("malformed brace notation: %r" % text)
-        sets = [[int(v) for v in s if v] for s in sets]
+        try:
+            sets = [[int(v) for v in s if v] for s in sets]
+        except ValueError:
+            raise ValueError("brace notation takes integer vertices: %r"
+                             % text) from None
     else:
         raise ValueError("expected JSON array or brace notation, got %r" % text[:40])
     sets = _relabel(sets)

@@ -33,7 +33,12 @@ class TrackingAmbiguityError(RuntimeError):
 
 @dataclass
 class SpectralPath:
-    """Labeled eigenvalue samples along t in [0, 2pi] for one turned wheel."""
+    """Labeled eigenvalue samples along t in [0, 2pi] for one turned wheel.
+
+    steps is the number of intervals sampled, len(ts) - 1.  The samples are
+    evenly spaced on a path of track_wheel(..., uniform=True); on one with
+    uniform=False, the ambiguous steps hold extra midpoints.
+    """
 
     wheel: int
     ts: np.ndarray
@@ -105,18 +110,33 @@ def _greedy_match(prev, new):
 
 
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
-                steps: int = DEFAULT_STEPS) -> SpectralPath:
+                steps: int = DEFAULT_STEPS, *,
+                uniform: bool = True) -> SpectralPath:
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
-    Labels are fixed by sorting the t=0 eigenvalues; each subsequent step is
-    matched to the previous one by the greedy nearest match.  If two labels
-    pick one eigenvalue, or a matched move exceeds half the gap around its
-    target, the tracking is ambiguous at this resolution and the whole path
-    is recomputed with twice the steps, up to 2^ADAPTIVE_DOUBLINGS times
-    the request.  A repeated t=0 eigenvalue collides in every attempt, so
-    it raises TrackingAmbiguityError at once.  The doubled grid contains the
-    failed one (its even points are the same times, bit for bit), so a retry
-    solves only the new points.  Wheels share no state and may run in parallel.
+    Labels are fixed by sorting the t=0 eigenvalues; each later sample is
+    matched to the one before by the greedy nearest match.  A step is
+    ambiguous when two labels pick one eigenvalue or a matched move exceeds
+    half the gap around its target (_step_passes).  Every time sampled is a
+    point of linspace(0, 2pi, steps * 2**ADAPTIVE_DOUBLINGS + 1), the grid
+    at the step cap, whose coarse points are bit-equal to
+    linspace(0, 2pi, steps + 1).  A repeated t=0 eigenvalue is ambiguous at
+    every step count, so it raises TrackingAmbiguityError at once.
+
+    uniform=True (`phase`, whose CSV rows are the grid): an ambiguous step
+    fails the attempt, and the whole path is recomputed with twice the
+    steps, up to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid
+    contains the failed one (its even points are the same times, bit for
+    bit), so a retry solves only the new points.
+
+    uniform=False (`group`, which needs only the permutation and windings):
+    an ambiguous step is split at its midpoint, and each half that fails is
+    split again, down to one spacing of the grid at the step cap
+    (_track_local).  That last interval is a step of the uniform path's
+    last attempt, on the same bits, so this path fails only where the
+    uniform one fails; with no ambiguous step both return the same bits.
+
+    Wheels share no state and may run in parallel.
     """
     if not (0 <= wheel < len(system)):
         raise ValueError("wheel index out of range")
@@ -132,6 +152,8 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
         raise TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
             % (wheel, format_scalar(complex(base[twins[0]]))))
+    if not uniform:
+        return _track_local(L_at, base, wheel, steps)
     ts = raw = solved = None
     attempt_steps = steps
     while attempt_steps <= steps * 2 ** ADAPTIVE_DOUBLINGS:
@@ -147,8 +169,14 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
             return SpectralPath(wheel, ts, values, attempt_steps)
         attempt_steps *= 2
     raise TrackingAmbiguityError(
-        "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; "
-        "rerun with a higher step count" % (wheel, attempt_steps // 2))
+        "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; %s"
+        % (wheel, attempt_steps // 2, _MEETING % "on the circle"))
+
+
+# why a higher --steps may not help: an exact meeting is ambiguous at any
+# resolution
+_MEETING = ("two eigenvalues meet or nearly meet %s, and a higher step "
+            "count resolves only a near meeting")
 
 
 def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
@@ -170,45 +198,107 @@ def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
     return L_at
 
 
+def _step_passes(prev, new):
+    """Whether each step of a stack (..., n) of eigenvalue rows passes, and
+    its greedy match: label i of prev goes to new[..., cols[..., i]].  A
+    step fails where two labels pick one eigenvalue, or a label moves more
+    than half the gap from its target to the nearest other eigenvalue.
+
+    Each target of a step that passes is nearest its label (any other
+    eigenvalue lies a gap from the target, so half a gap from the label);
+    so where the greedy match collides, no matching passes, and no
+    assignment is needed.  The verdict does not depend on the order of
+    either row, so raw LAPACK rows can be tested before they are labelled.
+    Returns (ok, cols).
+    """
+    cols, best, collided = _greedy_match(prev, new)
+    G = np.abs(new[..., :, None] - new[..., None, :])
+    diagonal = np.arange(new.shape[-1])
+    G[..., diagonal, diagonal] = np.inf
+    gaps = G.min(axis=-2)  # nearest other eigenvalue, per raw index
+    too_far = best > 0.5 * np.take_along_axis(gaps, cols, axis=-1)
+    return ~(collided | too_far.any(axis=-1)), cols
+
+
 def _track_once(L_at, ts, raw, solved):
-    """Labelled eigenvalues at the times ts, or None if a step is ambiguous:
-    two labels pick one eigenvalue, or a label moves more than half the gap
-    from its target to the nearest other eigenvalue.  Each target of a step
-    that passes is nearest its label (any other eigenvalue lies a gap from
-    the target, so half a gap from the label); so where the greedy match
-    collides, no matching passes, and no assignment is needed.
+    """Labelled eigenvalues at the times ts, or None if a step is ambiguous
+    (_step_passes).
 
     raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
     sorted start, which fixes the labels) where solved[s] is set; the rest
     are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
-    a retry.  _greedy_match and the half-gap test do not depend on the order
-    of the previous eigenvalues, so they run on raw-to-raw distances for a
-    whole chunk at once; a loop then composes the label permutation.
+    a retry.  A whole chunk is tested raw to raw at once; a loop then
+    composes the label permutation.
     """
     steps = len(ts) - 1
-    n = raw.shape[1]
     values = np.empty_like(raw)
     values[0] = raw[0]
-    perm = np.arange(n)  # label -> index into the current raw row
-    diagonal = np.arange(n)
+    perm = np.arange(raw.shape[1])  # label -> index into the current raw row
     for a in range(1, steps + 1, TRACK_CHUNK):
         b = min(a + TRACK_CHUNK, steps + 1)
         todo = a + np.flatnonzero(~solved[a:b])
         if len(todo):
             raw[todo] = eigenvalues(L_at(ts[todo]))
             solved[todo] = True
-        new = raw[a:b]
-        cols, best, collided = _greedy_match(raw[a - 1:b - 1], new)
-        G = np.abs(new[:, :, None] - new[:, None, :])
-        G[:, diagonal, diagonal] = np.inf
-        gaps = G.min(axis=1)  # nearest other eigenvalue, per raw index
-        too_far = best > 0.5 * np.take_along_axis(gaps, cols, axis=1)
-        if collided.any() or too_far.any():
+        ok, cols = _step_passes(raw[a - 1:b - 1], raw[a:b])
+        if not ok.all():
             return None
         for k in range(b - a):
             perm = cols[k][perm]
-            values[a + k] = new[k][perm]
+            values[a + k] = raw[a + k][perm]
     return values
+
+
+def _track_local(L_at, base, wheel, steps):
+    """The path of track_wheel(..., uniform=False): labelled eigenvalues at
+    the coarse times plus the midpoints that ambiguous steps needed.
+
+    Times are indices into fine, the grid at the step cap; the coarse points
+    are every stride-th.  TRACK_CHUNK coarse points are solved per stacked
+    call and their steps tested at once.  The failing intervals of a chunk
+    are pending: all of them are split at their midpoints (one stacked
+    solve), and the halves are tested together, until none fails.  All
+    pending intervals have the same width, a power of two, so the error,
+    raised when intervals of width one fail, names the earliest of them.
+    A list, not a recursive closure, holds the pending intervals: a closure
+    that calls itself is a reference cycle, which keeps fine alive until
+    the cyclic collector runs.
+    """
+    stride = 2 ** ADAPTIVE_DOUBLINGS
+    fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
+    times, rows = [0], [base]
+    perm = np.arange(len(base))  # label -> index into the current raw row
+    last = base  # raw eigenvalues at the last coarse point of a chunk
+    for a in range(1, steps + 1, TRACK_CHUNK):
+        b = min(a + TRACK_CHUNK, steps + 1)
+        coarse = list(range((a - 1) * stride, b * stride, stride))
+        raw = dict(zip(coarse[1:], eigenvalues(L_at(fine[coarse[1:]]))))
+        raw[coarse[0]] = last
+        pending = list(zip(coarse[:-1], coarse[1:]))
+        passed = []
+        while pending:
+            ok, cols = _step_passes(np.array([raw[i] for i, _ in pending]),
+                                    np.array([raw[j] for _, j in pending]))
+            passed += [(j, c) for (_, j), c, good in zip(pending, cols, ok)
+                       if good]
+            failed = [step for step, good in zip(pending, ok) if not good]
+            if failed and failed[0][1] - failed[0][0] == 1:
+                raise TrackingAmbiguityError(
+                    "eigenvalue tracking for wheel %d stayed ambiguous near "
+                    "t = %.4f at %d steps; %s"
+                    % (wheel, fine[failed[0][0]], steps * stride,
+                       _MEETING % "there"))
+            mids = [(i + j) // 2 for i, j in failed]
+            if mids:
+                raw.update(zip(mids, eigenvalues(L_at(fine[mids]))))
+            pending = [half for (i, j), m in zip(failed, mids)
+                       for half in ((i, m), (m, j))]
+        for j, c in sorted(passed, key=lambda p: p[0]):
+            perm = c[perm]
+            times.append(j)
+            rows.append(raw[j][perm])
+        last = raw[coarse[-1]]
+    return SpectralPath(wheel, fine[times], np.array(rows), len(times) - 1)
 
 
 def raw_winding_increments(path: SpectralPath) -> np.ndarray:
@@ -267,8 +357,10 @@ def path_permutation(path: SpectralPath) -> tuple:
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
                        steps: int = DEFAULT_STEPS):
-    """One WheelPermutation per element."""
-    return [wheel_permutation(track_wheel(system, h, wheel, steps))
+    """One WheelPermutation per element, from paths that bisect only their
+    ambiguous steps (track_wheel with uniform=False)."""
+    return [wheel_permutation(track_wheel(system, h, wheel, steps,
+                                          uniform=False))
             for wheel in range(len(system))]
 
 

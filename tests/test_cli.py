@@ -344,6 +344,15 @@ def test_bad_input_is_reported(capsys):
     (["check", "--inline", "{{1,2}}", "--closure", "--field", "random:1:real",
       "--kind", "octonion"],
      "--field random:1:real is a real field, not --kind octonion"),
+    (["gen", "--inline", "{a}"],
+     "--inline: brace notation takes integer vertices: '{a}'"),
+    (["gen", "--inline", "{{1,b},{2}}"],
+     "--inline: brace notation takes integer vertices: '{{1,b},{2}}'"),
+    (["check", "--inline", "{{1,2}}", "--closure", "--field", "roots:x"],
+     "--field roots:x: 'x' is not an integer"),
+    (["check", "--inline", "{{1,2}}", "--closure",
+      "--field", "random:x:complex"],
+     "--field random:x:complex: 'x' is not an integer"),
 ], ids=["random-kind", "roots-0", "gaussian-literal-zero-denominator",
         "gaussian-kind-zero-denominator", "literal-of-other-kind",
         "steps-0", "steps-negative", "phase-ambiguous", "literal-overflow",
@@ -351,7 +360,9 @@ def test_bad_input_is_reported(capsys):
         "braces-unclosed", "braces-unopened", "braces-text-between",
         "braces-second-list", "braces-text-after", "braces-empty-item",
         "random-fourth-part", "random-fifth-part", "omega-other-kind",
-        "random-other-kind"])
+        "random-other-kind", "braces-vertex-not-integer",
+        "braces-second-vertex-not-integer", "roots-not-integer",
+        "random-seed-not-integer"])
 def test_malformed_input_exits_two_with_one_line(capsys, argv, message):
     _assert_one_error_line(capsys, argv, message)
 
@@ -528,7 +539,9 @@ def test_group_closure_overflow_reports_one_line(capsys):
     assert code == 2 and not captured.out
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "stayed ambiguous" in lines[0]
+    # the first interval of 1/16 step that stays ambiguous, before the
+    # eigenvalues meet at t = 2pi/3
+    assert "wheel 0 stayed ambiguous near t = 2.0735 at 800 steps" in lines[0]
 
 
 @pytest.mark.parametrize("command, wheel", [(["phase", "--wheel", "2"], 2),
@@ -539,8 +552,8 @@ def test_repeated_start_eigenvalue_fails_at_once(capsys, monkeypatch,
     # no step count can label, so no tracking attempt is made
     from setfield import spectral
 
-    monkeypatch.setattr(spectral, "_track_once",
-                        lambda *a: pytest.fail("a tracking attempt ran"))
+    monkeypatch.setattr(spectral, "_step_passes",
+                        lambda *a: pytest.fail("a tracking step was tested"))
     argv = command[:1] + ["--inline", "{{1},{2},{3}}", "--field",
                           "values:1+0.5i,1+0.5i,2+0i"] + command[1:]
     _assert_one_error_line(capsys, argv, "eigenvalue tracking for wheel %d: "

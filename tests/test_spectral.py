@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -259,11 +260,59 @@ def test_zero_dimensional_wheels_are_trivial():
     assert [w.windings for w in perms] == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
 
 
-def test_tracking_ambiguity_error_on_exact_collisions():
-    # roots of unity on a diagonal matrix force true eigenvalue collisions
+def _count_solves(monkeypatch):
+    """A list that grows by the number of matrices each eigenvalue call of
+    the tracker solves."""
+    solved = []
+    solve = spectral.eigenvalues
+    monkeypatch.setattr(spectral, "eigenvalues", lambda M: solved.append(
+        math.prod(np.shape(M)[:-2])) or solve(M))
+    return solved
+
+
+def test_tracking_ambiguity_error_on_exact_collisions(monkeypatch):
+    # roots of unity on a diagonal matrix force true eigenvalue collisions;
+    # the eigenvalue turned by wheel 0 meets another at t = 2pi/3
     system = SetSystem([[1], [2], [3]])
-    with pytest.raises(TrackingAmbiguityError):
-        track_wheel(system, roots_field(system, 3), 0, steps=50)
+    h = roots_field(system, 3)
+    solved = _count_solves(monkeypatch)
+    with pytest.raises(TrackingAmbiguityError, match="at 8000 steps"):
+        track_wheel(system, h, 0, steps=500)
+    # each of the five attempts solves the circle up to the chunk that fails
+    assert sum(solved) > 2000
+    solved.clear()
+    with pytest.raises(TrackingAmbiguityError, match="wheel 0 stayed "
+                       "ambiguous near t = 2.0923 at 8000 steps; two "
+                       "eigenvalues meet or nearly meet there"):
+        track_wheel(system, h, 0, steps=500, uniform=False)
+    # the coarse points up to the chunk that holds 2pi/3, and the midpoints
+    # of its failing steps
+    assert sum(solved) < 300
+
+
+def test_bisecting_path_solves_only_near_its_ambiguous_steps(monkeypatch):
+    system = generate([[1, 2, 3, 4]])
+    h = roots_field(system, 15)
+    solved = _count_solves(monkeypatch)
+    uniform = track_wheel(system, h, 7, steps=500)
+    assert uniform.steps == 4000 and sum(solved) > 4000
+    solved.clear()
+    local = track_wheel(system, h, 7, steps=500, uniform=False)
+    assert sum(solved) < 600 and local.steps == len(local.ts) - 1 < 600
+    assert _outcome(local) == _outcome(uniform)
+
+
+def test_wheel_permutations_leave_no_reference_cycles():
+    # a cycle would hold its arrays until the cyclic collector runs
+    system = generate([[1, 2, 3, 4]])
+    h = roots_field(system, 15)
+    gc.collect()
+    gc.disable()
+    try:
+        wheel_permutations(system, h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
@@ -305,20 +354,46 @@ def _count_matches(monkeypatch):
     return used
 
 
-def _assert_path_matches_oracle(system, h, wheel, steps):
+def _assert_path_matches_oracle(system, h, wheel, steps, oracle=True):
     """Same bits as the one-solve-per-step tracker, or the same failure, at
-    the tracker's step cap; returns the steps used (None on failure)."""
-    want = sequential_track_wheel(system, h.values, wheel, steps,
-                                  steps * 2 ** spectral.ADAPTIVE_DOUBLINGS)
-    if want is None:
-        with pytest.raises(TrackingAmbiguityError):
-            track_wheel(system, h, wheel, steps)
+    the tracker's step cap; returns the steps used (None on failure).
+    `oracle=False` skips that tracker, the slow part of the check.
+
+    The bisecting path (uniform=False) fails only where the uniform one
+    fails, and where that succeeds it gives the same permutation and
+    windings; with no ambiguous step, the same bits."""
+    paths = []
+    for uniform in (True, False):
+        try:
+            paths.append(track_wheel(system, h, wheel, steps, uniform=uniform))
+        except TrackingAmbiguityError:
+            paths.append(None)
+    path, local = paths
+    if oracle:
+        want = sequential_track_wheel(system, h.values, wheel, steps,
+                                      steps * 2 ** spectral.ADAPTIVE_DOUBLINGS)
+        assert (path is None) == (want is None)
+        if want is not None:
+            assert path.steps == want[2]
+            assert path.ts.tobytes() == want[0].tobytes()
+            assert path.values.tobytes() == want[1].tobytes()
+    if path is None:
         return None
-    path = track_wheel(system, h, wheel, steps)
-    assert path.steps == want[2]
-    assert path.ts.tobytes() == want[0].tobytes()
-    assert path.values.tobytes() == want[1].tobytes()
+    assert local is not None
+    assert _outcome(local) == _outcome(path)
+    if path.steps == steps:
+        assert local.ts.tobytes() == path.ts.tobytes()
+        assert local.values.tobytes() == path.values.tobytes()
     return path.steps
+
+
+def _outcome(path):
+    """(permutation, windings) of a path, or the type of its error."""
+    try:
+        wp = wheel_permutation(path)
+    except (TrackingAmbiguityError, ValueError) as exc:
+        return type(exc)
+    return wp.perm, wp.windings
 
 
 def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
@@ -332,6 +407,7 @@ def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
         h = roots_field(system, order)
         used += [_assert_path_matches_oracle(system, h, w, 500) for w in wheels]
     assert max(used) == 4000 and sum(u > 500 for u in used) >= 5
+    assert 500 in used  # a wheel with no ambiguous step
     # the oracle's assignment ran here, in attempts that fail both ways
     assert any(count for _, count in matches)
 
@@ -341,14 +417,15 @@ def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
     monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
     rng = random.Random(29)
     used = []
-    for draw in range(48):
+    for draw in range(200):
         if draw % 3 == 2:  # in general not closed under subsets
             system = random_set_system(rng, rng.randint(1, 10))
         else:
             system = random_complex(rng, max_generators=3, max_vertices=5,
                                     max_cardinality=3)
         h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
-        used += [_assert_path_matches_oracle(system, h, w, 40)
+        used += [_assert_path_matches_oracle(system, h, w, 40,
+                                             oracle=draw < 48)
                  for w in range(len(system))]
     assert any(u is not None and u > 40 for u in used)
     assert None in used  # some wheels fail at every step count
