@@ -9,7 +9,11 @@ seeded Mersenne Twister, and SVG plots are assembled by hand.
 `gen` and `kaehler` are integer combinatorics, and malformed input fails
 before a field is built, so this module imports nothing that imports numpy.
 The float commands (matrices, det, check, phase, group) import numpy and
-the modules built on it only once their system has been parsed.
+the modules built on it only once their system has been parsed.  Each
+command imports only the modules it runs (`kaehler` and its exact
+determinants only for `kaehler`, `spectral` only for `phase` and `group`),
+since a cold process compiles every module it imports when no bytecode
+cache is written.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import os
 import random
 import sys
 
-from . import __version__, kaehler, scalars
+from . import __version__, scalars
 from .scalars import KINDS
 from .setsystem import SetSystem, parse_system, system_to_json
 
@@ -300,6 +304,8 @@ def cmd_group(config: argparse.Namespace, system: SetSystem) -> int:
 
 
 def cmd_kaehler(config: argparse.Namespace, system: SetSystem) -> int:
+    from . import kaehler
+
     report = kaehler.kaehler_report(system)
     if config.heatmap:
         _write_form_svg(config.heatmap, report.form)
@@ -470,9 +476,10 @@ def main(argv=None) -> int:
             return command(config, system)
         import numpy as np
 
-        from .spectral import TrackingAmbiguityError
+        if config.command in ("phase", "group"):
+            from .spectral import TrackingAmbiguityError
 
-        errors += (TrackingAmbiguityError,)
+            errors += (TrackingAmbiguityError,)
         # an overflow shows as inf or nan in the report, which emit rejects
         with np.errstate(all="ignore"):
             return command(config, system)

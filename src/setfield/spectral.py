@@ -5,6 +5,14 @@ returns the matrix L to itself but in general permutes its eigenvalues.  The
 tracked eigenvalue paths, their winding numbers around the origin, the
 per-wheel permutations and the group they generate are computed here; only
 complex fields are supported (quaternion spectra lack canonical labels).
+
+Two solvers follow the labels, on one time grid and with one step test
+(_step_passes).  track_wheel solves the eigenvalues of every sample with
+LAPACK; `phase` reads its paths.  wheel_permutations (`group`,
+monodromy_report) needs only each wheel's permutation and windings: turning
+one value is a rank-one update of L(0), so after one eigendecomposition of
+L(0) it follows all wheels together by Newton on the secular equation, and
+hands a wheel it cannot certify to track_wheel.
 """
 
 from __future__ import annotations
@@ -24,6 +32,19 @@ WINDING_INT_TOL = 1e-3
 # Steps solved by one stacked eigenvalue call and matched together; also the
 # most work an attempt does past the step that fails it.
 TRACK_CHUNK = 32
+# The secular path of wheel_permutations.  A step whose labels have not
+# converged after SECULAR_ITERATIONS Newton steps fails; a label has
+# converged when its Newton step is at most SECULAR_TOL times the largest
+# t=0 eigenvalue modulus (about 3 steps are needed at 500 steps).
+SECULAR_ITERATIONS = 12
+SECULAR_TOL = 1e-9
+# Above this condition number (Frobenius) of L(0)'s eigenvectors every wheel
+# falls back: the weights divide by v_j^T v_j, with a relative error near
+# 1e-16 * cond(V), 1e-10 at the cap (the worked cases have cond(V) < 25).
+SECULAR_COND_CAP = 1e6
+# Complex entries of one (wheels, n, n) temporary, which bound the wheels
+# followed together.
+SECULAR_BLOCK = 2 ** 14
 
 
 class TrackingAmbiguityError(RuntimeError):
@@ -129,29 +150,17 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     contains the failed one (its even points are the same times, bit for
     bit), so a retry solves only the new points.
 
-    uniform=False (`group`, which needs only the permutation and windings):
-    an ambiguous step is split at its midpoint, and each half that fails is
-    split again, down to one spacing of the grid at the step cap
-    (_track_local).  That last interval is a step of the uniform path's
-    last attempt, on the same bits, so this path fails only where the
-    uniform one fails; with no ambiguous step both return the same bits.
+    uniform=False (a wheel that `group`'s secular path cannot certify,
+    where only the permutation and windings are needed): an ambiguous step
+    is split at its midpoint, and each half that fails is split again, down
+    to one spacing of the grid at the step cap (_track_local).  That last
+    interval is a step of the uniform path's last attempt, on the same
+    bits, so this path fails only where the uniform one fails; with no
+    ambiguous step both return the same bits.
 
     Wheels share no state and may run in parallel.
     """
-    if not (0 <= wheel < len(system)):
-        raise ValueError("wheel index out of range")
-    if steps < 1:
-        raise ValueError("steps must be at least 1, got %d" % steps)
-    h0 = _complex_field_array(h)
-    if not h.all_nonzero():
-        raise ValueError("all field values must be nonzero for tracking")
-    L_at = wheel_matrices(system, h0, wheel)
-    base = np.sort_complex(eigenvalues(L_at(0.0)))
-    twins = np.flatnonzero(base[1:] == base[:-1])
-    if len(twins):
-        raise TrackingAmbiguityError(
-            "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
-            % (wheel, format_scalar(complex(base[twins[0]]))))
+    L_at, base = _start(system, h, wheel, steps)
     if not uniform:
         return _track_local(L_at, base, wheel, steps)
     ts = raw = solved = None
@@ -171,6 +180,27 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
     raise TrackingAmbiguityError(
         "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; %s"
         % (wheel, attempt_steps // 2, _MEETING % "on the circle"))
+
+
+def _start(system: SetSystem, h: EnergyFunction, wheel: int, steps: int):
+    """The checks every tracked wheel needs, then its t -> L(t) and the
+    sorted t=0 eigenvalues, which fix the labels.  L(0) does not depend on
+    the wheel, so neither do the labels."""
+    if not (0 <= wheel < len(system)):
+        raise ValueError("wheel index out of range")
+    if steps < 1:
+        raise ValueError("steps must be at least 1, got %d" % steps)
+    h0 = _complex_field_array(h)
+    if not h.all_nonzero():
+        raise ValueError("all field values must be nonzero for tracking")
+    L_at = wheel_matrices(system, h0, wheel)
+    base = np.sort_complex(eigenvalues(L_at(0.0)))
+    twins = np.flatnonzero(base[1:] == base[:-1])
+    if len(twins):
+        raise TrackingAmbiguityError(
+            "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
+            % (wheel, format_scalar(complex(base[twins[0]]))))
+    return L_at, base
 
 
 # why a higher --steps may not help: an exact meeting is ambiguous at any
@@ -301,6 +331,151 @@ def _track_local(L_at, base, wheel, steps):
     return SpectralPath(wheel, fine[times], np.array(rows), len(times) - 1)
 
 
+def _secular_permutations(system: SetSystem, h0, L0, base, steps):
+    """The WheelPermutation of each wheel followed on the secular equation,
+    or None for a wheel that must fall back to the eigenvalue tracker.
+
+    L0 = V diag(mu) V^-1, and turning wheel w to the time t adds
+    s z_w z_w^T with s = (e^{it} - 1) h0[w].  So the eigenvalues of L(t) are
+    the roots of 1 + s sum_j C[w, j] / (mu_j - lam) = 0, with the weights
+    C[w, j] = (V^-1 z_w)_j (V^T z_w)_j (Golub 1973; Bunch, Nielsen and
+    Sorensen 1978), plus the poles of zero weight.  L0 = Z^T D_h Z is
+    complex symmetric, so with distinct eigenvalues V^T V is diagonal and
+    V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
+    and no inverse is formed.  Every wheel falls back when cond(V), in the
+    Frobenius norm, passes SECULAR_COND_CAP, which would make the weights
+    inexact.  Wheels are followed in groups of at most SECULAR_BLOCK / n^2,
+    all steps of a group together.
+    """
+    n = len(base)
+    found = [None] * n
+    mu, V = np.linalg.eig(L0)
+    cols, _, collided = _greedy_match(base, mu)
+    mu, V = mu[cols], V[:, cols]  # pole j is the t=0 position of label j
+    # a zero v_j^T v_j makes cond infinite; a diverging Newton step fails
+    with np.errstate(all="ignore"):
+        norms = (V * V).sum(axis=0)  # v_j^T v_j
+        cond = np.linalg.norm(V) * np.linalg.norm(V.T / norms[:, None])
+        if collided or not cond <= SECULAR_COND_CAP:
+            return found
+        C = (system.zeta @ V) ** 2 / norms
+        stride = 2 ** ADAPTIVE_DOUBLINGS
+        fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
+        tol = SECULAR_TOL * np.abs(base).max()
+        size = max(1, SECULAR_BLOCK // n ** 2)
+        ends = fine[[0, -1]]
+        for first in range(0, n, size):
+            wheels = range(first, min(first + size, n))
+            followed = _follow_wheels(mu, C[first:wheels.stop],
+                                      h0[first:wheels.stop], base, fine,
+                                      stride, tol)
+            for wheel, got in zip(wheels, followed):
+                if got is None:
+                    continue
+                last, turned = got
+                try:
+                    found[wheel] = _attribute_windings(
+                        SpectralPath(wheel, ends, np.array([base, last]), 1),
+                        turned / (2.0 * math.pi))
+                except (TrackingAmbiguityError, ValueError):
+                    pass
+    return found
+
+
+def _follow_wheels(mu, C, h, base, fine, stride, tol):
+    """For the wheels with weights C (W, n) and field values h (W,): the
+    labels at t = 2pi and each label's total angle increment in radians, or
+    None for a wheel with a step that fails at one spacing of fine.
+
+    All wheels take each coarse step (every stride-th point of fine) as one
+    (W, n) Newton solve, started from the linear extrapolation of the last
+    two coarse points.  A wheel whose step fails is split by _secular_refine
+    on fine; a wheel that fails there is dropped.  Only the current rows and
+    the running angle sums are kept.
+    """
+    turns = np.exp(1j * fine[::stride]) - 1.0
+    rows = np.arange(len(C))  # the wheel of each live row
+    out = [None] * len(C)
+    lam = prev = np.tile(base, (len(C), 1))
+    turned = np.zeros(lam.shape)
+    for k in range(1, len(turns)):
+        new, ok = _secular_step(mu, C, turns[k] * h, lam, 2.0 * lam - prev,
+                                tol)
+        moved = np.angle(new / lam)
+        for r in np.flatnonzero(~ok):
+            got = _secular_refine(mu, C[r], h[r], fine, (k - 1) * stride,
+                                  k * stride, lam[r], tol)
+            if got is None:
+                rows[r] = -1
+            else:
+                new[r], moved[r] = got
+        if (rows < 0).any():
+            keep = rows >= 0
+            if not keep.any():
+                break
+            rows, C, h, lam, new, moved, turned = (
+                x[keep] for x in (rows, C, h, lam, new, moved, turned))
+        turned += moved
+        prev, lam = lam, new
+    for r, wheel in enumerate(rows):
+        out[wheel] = lam[r], turned[r]
+    return out
+
+
+def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
+    """One wheel's labels at fine[stop] from lam at fine[start], and their
+    angle increments: a step that fails is split at its midpoint on fine
+    and its first half is tried next, as _track_local splits a step.  None
+    when a step of one spacing of fine fails.  A list, not a recursive
+    closure, holds the pending targets."""
+    at, targets = start, [stop]
+    moved = np.zeros(len(lam))
+    while targets:
+        j = targets[-1]
+        s = np.array([(np.exp(1j * fine[j]) - 1.0) * h])
+        new, ok = _secular_step(mu, c[None], s, lam[None], lam[None], tol)
+        if ok[0]:
+            moved += np.angle(new[0] / lam)
+            lam, at = new[0], targets.pop()
+        elif j - at == 1:
+            return None
+        else:
+            targets.append((at + j) // 2)
+    return lam, moved
+
+
+def _secular_step(mu, C, s, lam, guess, tol):
+    """The labels (W, n) at the turns s (W,) by Newton from guess, and
+    whether each wheel's step from lam passes: every label converged, and
+    _step_passes holds with each label matched to itself.
+
+    Each label is anchored at the pole mu_a nearest its guess for the whole
+    step and solves s c_a - d (1 + s sum_{k != a} c_k / (mu_k - lam)) = 0
+    for d = lam - mu_a, whose roots are the secular roots and which stays
+    regular as c_a -> 0.  The anchor is chosen again each step: a label
+    whose path ends on another pole (a permuted label) changes poles.
+    """
+    anchor = np.abs(mu - guess[..., None]).argmin(axis=-1)
+    pole = mu[anchor]
+    # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
+    offsets = np.where(anchor[..., None] == np.arange(len(mu)), np.inf,
+                       mu - pole[..., None])
+    weights = (s[:, None] * C)[..., None]
+    pull = weights[np.arange(len(C))[:, None], anchor, 0]  # s c_a
+    d = guess - pole
+    for _ in range(SECULAR_ITERATIONS):
+        inv = 1.0 / (offsets - d[..., None])
+        q = 1.0 + (inv @ weights)[..., 0]
+        step = (pull - d * q) / (q + d * ((inv * inv) @ weights)[..., 0])
+        d += step
+        converged = np.abs(step) <= tol
+        if converged.all():
+            break
+    new = pole + d
+    ok, cols = _step_passes(lam, new)
+    return new, ok & (converged & (cols == np.arange(len(mu)))).all(axis=-1)
+
+
 def raw_winding_increments(path: SpectralPath) -> np.ndarray:
     """Total argument increment of each label path, in turns (may be fractional).
 
@@ -327,7 +502,12 @@ def wheel_permutation(path: SpectralPath) -> WheelPermutation:
     and the other labels of the cycle report 0; per-cycle totals must land
     within WINDING_INT_TOL of an integer or tracking is declared failed.
     """
-    raw = raw_winding_increments(path)
+    return _attribute_windings(path, raw_winding_increments(path))
+
+
+def _attribute_windings(path: SpectralPath, raw) -> WheelPermutation:
+    """wheel_permutation from the path's wheel and end rows (path_permutation)
+    and the raw winding increments of its labels, in turns."""
     perm = path_permutation(path)
     out = [0] * path.n
     for cyc in perm_cycles(perm) + [(k,) for k in range(path.n)
@@ -357,11 +537,24 @@ def path_permutation(path: SpectralPath) -> tuple:
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
                        steps: int = DEFAULT_STEPS):
-    """One WheelPermutation per element, from paths that bisect only their
-    ambiguous steps (track_wheel with uniform=False)."""
-    return [wheel_permutation(track_wheel(system, h, wheel, steps,
-                                          uniform=False))
-            for wheel in range(len(system))]
+    """One WheelPermutation per element.
+
+    All wheels are followed together on the rank-one secular equation
+    (_secular_permutations), on the grid and with the step test of
+    track_wheel(..., uniform=False): the same coarse times, a failing step
+    split at midpoints down to 1/16 of a step, and _step_passes.  A wheel
+    that fails there, or whose end match or windings fail, is tracked again
+    by track_wheel(..., uniform=False), whose result or error it reports.
+    """
+    if not len(system):
+        return []
+    L_at, base = _start(system, h, 0, steps)
+    found = _secular_permutations(system, _complex_field_array(h),
+                                  L_at(0.0), base, steps)
+    return [wp if wp is not None
+            else wheel_permutation(track_wheel(system, h, wheel, steps,
+                                               uniform=False))
+            for wheel, wp in enumerate(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +732,11 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
                      steps: int = DEFAULT_STEPS, cap=10 ** 6) -> GroupReport:
     """Full pipeline: track every wheel, order the group, emit presentations.
 
-    The order comes from group_order (Schreier-Sims), which lists no group
-    elements; `cap` is accepted for existing callers and bounds nothing.
+    The wheels come from wheel_permutations: all of them on the secular
+    equation at once, and a wheel that cannot be certified there by the
+    eigenvalue tracker.  The order comes from group_order (Schreier-Sims),
+    which lists no group elements; `cap` is accepted for existing callers
+    and bounds nothing.
     """
     perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])

@@ -462,6 +462,36 @@ def test_cold_path_is_numpy_free():
     assert _cold_main(NUMPY_FREE_RUNS, block_numpy=True) == (False, normal)
 
 
+# a command, its exit code and a module it must not import
+UNUSED_MODULES = [
+    (["gen", "--inline", "{{1,2,3},{3,4,5}}", "--closure"], 0,
+     "setfield.determinants"),
+    (["det", "--inline", "{{1,2"], 2, "setfield.determinants"),
+    (["matrices", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral"),
+    (["det", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral"),
+    (["check", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral")]
+
+
+@pytest.mark.parametrize("argv, code, module", UNUSED_MODULES)
+def test_a_command_imports_only_the_modules_it_runs(argv, code, module):
+    # a cold process compiles every module it imports when no bytecode
+    # cache is written
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import setfield.cli",
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):",
+        "    code = setfield.cli.main(%r)" % (argv,),
+        "print(repr((code, %r in sys.modules)))" % module])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert ast.literal_eval(proc.stdout) == (code, False)
+
+
 def test_package_names_resolve():
     from setfield import (  # noqa: F401  the names the package exported
         COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL, EnergyFunction,
@@ -542,6 +572,18 @@ def test_group_closure_overflow_reports_one_line(capsys):
     # the first interval of 1/16 step that stays ambiguous, before the
     # eigenvalues meet at t = 2pi/3
     assert "wheel 0 stayed ambiguous near t = 2.0735 at 800 steps" in lines[0]
+
+
+def test_group_error_is_the_eigenvalue_trackers_word_for_word(capsys):
+    # each wheel fails on the secular equation near the meeting and falls
+    # back to track_wheel(..., uniform=False), whose error group reports
+    code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (
+        "error: eigenvalue tracking for wheel 0 stayed ambiguous near "
+        "t = 2.0923 at 8000 steps; two eigenvalues meet or nearly meet "
+        "there, and a higher step count resolves only a near meeting\n")
 
 
 @pytest.mark.parametrize("command, wheel", [(["phase", "--wheel", "2"], 2),

@@ -135,6 +135,20 @@ def test_cli_report_bytes_match_golden(cmd, sysname, fname):
     assert _stdout(_argv(cmd, sysname, fname)) == want
 
 
+@pytest.mark.parametrize("sysname,fname,wheels", [("triangle", "roots7", 7),
+                                                  ("path-edge", "roots10", 10)])
+def test_group_bytes_match_golden_when_every_wheel_falls_back(
+        monkeypatch, tracked_wheels, sysname, fname, wheels):
+    # no eigenvector matrix passes a condition cap of 0, so every wheel is
+    # tracked by the eigenvalue tracker instead of the secular equation
+    from setfield import spectral
+
+    monkeypatch.setattr(spectral, "SECULAR_COND_CAP", 0.0)
+    want = _path("group", sysname, fname).read_text()
+    assert _stdout(_argv("group", sysname, fname)) == want
+    assert tracked_wheels == list(range(wheels))
+
+
 def test_phase_csv_bytes_match_golden():
     got = _phase_csvs()
     for wheel in range(CSV_WHEELS):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,82 @@ def test_wheel_permutations_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_secular_path_solves_one_spectrum_per_system(monkeypatch,
+                                                     tracked_wheels):
+    # every wheel of the worked cases is followed on the secular equation;
+    # tracked by eigenvalues they take 3508, 5019 and 7523 matrices
+    solved = _count_solves(monkeypatch)
+    for gens, order in (([[1, 2, 3]], 7), ([[1, 2], [2, 3], [3, 4], [5, 6]], 10),
+                        ([[1, 2, 3, 4]], 15)):
+        system = generate(gens)
+        solved.clear()
+        wheel_permutations(system, roots_field(system, order), 500)
+        assert solved == [1] and tracked_wheels == []
+
+
+def test_wheel_permutations_peak_memory_on_full_4():
+    # each wheel keeps its current labels and running angle sums, never a
+    # (steps + 1) x n path
+    system = generate([[1, 2, 3, 4]])
+    h = roots_field(system, 15)
+    wheel_permutations(system, h, 500)  # imports and caches, unmeasured
+    tracemalloc.start()
+    try:
+        wheel_permutations(system, h, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _tracked_outcome(system, h, wheel, steps):
+    """(permutation, windings) of track_wheel(..., uniform=False), or the
+    type and message of its error."""
+    try:
+        wp = wheel_permutation(track_wheel(system, h, wheel, steps,
+                                           uniform=False))
+    except (TrackingAmbiguityError, ValueError) as exc:
+        return type(exc), str(exc)
+    return wp.perm, wp.windings
+
+
+def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
+        monkeypatch):
+    monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
+    followed = []
+    follow = spectral._secular_permutations
+    monkeypatch.setattr(spectral, "_secular_permutations", lambda *a: (
+        followed.append(follow(*a)) or followed[-1]))
+    rng = random.Random(31)
+    certified = failed = 0
+    for draw in range(210):
+        if draw % 3 == 2:  # in general not closed under subsets
+            system = random_set_system(rng, rng.randint(1, 10))
+        else:
+            system = random_complex(rng, max_generators=3, max_vertices=5,
+                                    max_cardinality=3)
+        if draw % 5 == 4:
+            h = roots_field(system, 2 * len(system) + 1)
+        else:
+            h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
+        want = [_tracked_outcome(system, h, w, 40) for w in range(len(system))]
+        errors = [w for w in want if isinstance(w[0], type)]
+        followed.clear()
+        try:
+            got = [(wp.perm, wp.windings)
+                   for wp in wheel_permutations(system, h, 40)]
+        except (TrackingAmbiguityError, ValueError) as exc:
+            got = (type(exc), str(exc))
+        # the first wheel that fails decides the error, word for word
+        assert got == (errors[0] if errors else want)
+        for wp, tracked in zip(followed[0] if followed else [], want):
+            if wp is not None:
+                certified += 1
+                assert (wp.perm, wp.windings) == tracked
+        failed += len(errors)
+    assert certified > 900 and failed > 200
 
 
 def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
