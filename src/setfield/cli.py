@@ -258,7 +258,7 @@ def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
     wheels = ([config.wheel] if config.wheel is not None
               else list(range(len(system))))
     steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
-    summary = []
+    summary, paths = [], []
     for w in wheels:
         path = spectral.track_wheel(system, h, w, steps)
         wp = spectral.wheel_permutation(path)
@@ -269,10 +269,13 @@ def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
             "windings": list(wp.windings),
         })
         if config.output_dir:
-            os.makedirs(config.output_dir, exist_ok=True)
-            base = os.path.join(config.output_dir, "wheel_%02d" % w)
-            _write_path_csv(base + ".csv", path)
-            _write_path_svg(base + ".svg", path)
+            paths.append(path)
+    # no file is written until every wheel has tracked
+    for path in paths:
+        os.makedirs(config.output_dir, exist_ok=True)
+        base = os.path.join(config.output_dir, "wheel_%02d" % path.wheel)
+        _write_path_csv(base + ".csv", path)
+        _write_path_svg(base + ".svg", path)
     emit({"wheels": summary, "kind": h.kind.name}, config, "phase")
     return 0
 

@@ -12,7 +12,8 @@ LAPACK; `phase` reads its paths.  wheel_permutations (`group`,
 monodromy_report) needs only each wheel's permutation and windings: turning
 one value is a rank-one update of L(0), so after one eigendecomposition of
 L(0) it follows all wheels together by Newton on the secular equation, and
-hands a wheel it cannot certify to track_wheel.
+hands a wheel it cannot certify to track_wheel, whose result or error it
+reports.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ class TrackingAmbiguityError(RuntimeError):
 class SpectralPath:
     """Labeled eigenvalue samples along t in [0, 2pi] for one turned wheel.
 
-    steps is the number of intervals sampled, len(ts) - 1.  The samples are
-    evenly spaced on a path of track_wheel(..., uniform=True); on one with
-    uniform=False, the ambiguous steps hold extra midpoints.
+    steps is the number of intervals sampled, len(ts) - 1, and the samples
+    are evenly spaced.
     """
 
     wheel: int
@@ -131,38 +131,24 @@ def _greedy_match(prev, new):
 
 
 def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
-                steps: int = DEFAULT_STEPS, *,
-                uniform: bool = True) -> SpectralPath:
+                steps: int = DEFAULT_STEPS) -> SpectralPath:
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
     Labels are fixed by sorting the t=0 eigenvalues; each later sample is
     matched to the one before by the greedy nearest match.  A step is
     ambiguous when two labels pick one eigenvalue or a matched move exceeds
-    half the gap around its target (_step_passes).  Every time sampled is a
-    point of linspace(0, 2pi, steps * 2**ADAPTIVE_DOUBLINGS + 1), the grid
-    at the step cap, whose coarse points are bit-equal to
-    linspace(0, 2pi, steps + 1).  A repeated t=0 eigenvalue is ambiguous at
-    every step count, so it raises TrackingAmbiguityError at once.
-
-    uniform=True (`phase`, whose CSV rows are the grid): an ambiguous step
-    fails the attempt, and the whole path is recomputed with twice the
-    steps, up to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid
-    contains the failed one (its even points are the same times, bit for
-    bit), so a retry solves only the new points.
-
-    uniform=False (a wheel that `group`'s secular path cannot certify,
-    where only the permutation and windings are needed): an ambiguous step
-    is split at its midpoint, and each half that fails is split again, down
-    to one spacing of the grid at the step cap (_track_local).  That last
-    interval is a step of the uniform path's last attempt, on the same
-    bits, so this path fails only where the uniform one fails; with no
-    ambiguous step both return the same bits.
+    half the gap around its target (_step_passes).  An ambiguous step fails
+    the attempt, and the whole path is recomputed with twice the steps, up
+    to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
+    the failed one (its even points are the same times, bit for bit), so a
+    retry solves only the new points.  If the last attempt fails too, the
+    error names the start of its first ambiguous step.  A repeated t=0
+    eigenvalue is ambiguous at every step count, so it raises
+    TrackingAmbiguityError at once.
 
     Wheels share no state and may run in parallel.
     """
     L_at, base = _start(system, h, wheel, steps)
-    if not uniform:
-        return _track_local(L_at, base, wheel, steps)
     ts = raw = solved = None
     attempt_steps = steps
     while attempt_steps <= steps * 2 ** ADAPTIVE_DOUBLINGS:
@@ -173,13 +159,17 @@ def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
         if ts is not None and np.array_equal(grid[::2], ts):
             samples[::2], have[::2] = raw, solved
         ts, raw, solved = grid, samples, have
-        values = _track_once(L_at, ts, raw, solved)
-        if values is not None:
+        values, failed = _track_once(L_at, ts, raw, solved)
+        if failed is None:
             return SpectralPath(wheel, ts, values, attempt_steps)
         attempt_steps *= 2
+    # why a higher --steps may not help: an exact meeting is ambiguous at
+    # any resolution
     raise TrackingAmbiguityError(
-        "eigenvalue tracking for wheel %d stayed ambiguous at %d steps; %s"
-        % (wheel, attempt_steps // 2, _MEETING % "on the circle"))
+        "eigenvalue tracking for wheel %d stayed ambiguous near t = %.4f at "
+        "%d steps; two eigenvalues meet or nearly meet there, and a higher "
+        "step count resolves only a near meeting"
+        % (wheel, ts[failed], attempt_steps // 2))
 
 
 def _start(system: SetSystem, h: EnergyFunction, wheel: int, steps: int):
@@ -201,12 +191,6 @@ def _start(system: SetSystem, h: EnergyFunction, wheel: int, steps: int):
             "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
             % (wheel, format_scalar(complex(base[twins[0]]))))
     return L_at, base
-
-
-# why a higher --steps may not help: an exact meeting is ambiguous at any
-# resolution
-_MEETING = ("two eigenvalues meet or nearly meet %s, and a higher step "
-            "count resolves only a near meeting")
 
 
 def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
@@ -251,7 +235,8 @@ def _step_passes(prev, new):
 
 
 def _track_once(L_at, ts, raw, solved):
-    """Labelled eigenvalues at the times ts, or None if a step is ambiguous
+    """The labelled eigenvalues at the times ts and None, or None and the
+    index s of the first ambiguous step, from ts[s] to ts[s + 1]
     (_step_passes).
 
     raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
@@ -272,63 +257,11 @@ def _track_once(L_at, ts, raw, solved):
             solved[todo] = True
         ok, cols = _step_passes(raw[a - 1:b - 1], raw[a:b])
         if not ok.all():
-            return None
+            return None, a - 1 + int(ok.argmin())
         for k in range(b - a):
             perm = cols[k][perm]
             values[a + k] = raw[a + k][perm]
-    return values
-
-
-def _track_local(L_at, base, wheel, steps):
-    """The path of track_wheel(..., uniform=False): labelled eigenvalues at
-    the coarse times plus the midpoints that ambiguous steps needed.
-
-    Times are indices into fine, the grid at the step cap; the coarse points
-    are every stride-th.  TRACK_CHUNK coarse points are solved per stacked
-    call and their steps tested at once.  The failing intervals of a chunk
-    are pending: all of them are split at their midpoints (one stacked
-    solve), and the halves are tested together, until none fails.  All
-    pending intervals have the same width, a power of two, so the error,
-    raised when intervals of width one fail, names the earliest of them.
-    A list, not a recursive closure, holds the pending intervals: a closure
-    that calls itself is a reference cycle, which keeps fine alive until
-    the cyclic collector runs.
-    """
-    stride = 2 ** ADAPTIVE_DOUBLINGS
-    fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
-    times, rows = [0], [base]
-    perm = np.arange(len(base))  # label -> index into the current raw row
-    last = base  # raw eigenvalues at the last coarse point of a chunk
-    for a in range(1, steps + 1, TRACK_CHUNK):
-        b = min(a + TRACK_CHUNK, steps + 1)
-        coarse = list(range((a - 1) * stride, b * stride, stride))
-        raw = dict(zip(coarse[1:], eigenvalues(L_at(fine[coarse[1:]]))))
-        raw[coarse[0]] = last
-        pending = list(zip(coarse[:-1], coarse[1:]))
-        passed = []
-        while pending:
-            ok, cols = _step_passes(np.array([raw[i] for i, _ in pending]),
-                                    np.array([raw[j] for _, j in pending]))
-            passed += [(j, c) for (_, j), c, good in zip(pending, cols, ok)
-                       if good]
-            failed = [step for step, good in zip(pending, ok) if not good]
-            if failed and failed[0][1] - failed[0][0] == 1:
-                raise TrackingAmbiguityError(
-                    "eigenvalue tracking for wheel %d stayed ambiguous near "
-                    "t = %.4f at %d steps; %s"
-                    % (wheel, fine[failed[0][0]], steps * stride,
-                       _MEETING % "there"))
-            mids = [(i + j) // 2 for i, j in failed]
-            if mids:
-                raw.update(zip(mids, eigenvalues(L_at(fine[mids]))))
-            pending = [half for (i, j), m in zip(failed, mids)
-                       for half in ((i, m), (m, j))]
-        for j, c in sorted(passed, key=lambda p: p[0]):
-            perm = c[perm]
-            times.append(j)
-            rows.append(raw[j][perm])
-        last = raw[coarse[-1]]
-    return SpectralPath(wheel, fine[times], np.array(rows), len(times) - 1)
+    return values, None
 
 
 def _secular_permutations(system: SetSystem, h0, L0, base, steps):
@@ -425,9 +358,9 @@ def _follow_wheels(mu, C, h, base, fine, stride, tol):
 def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
     """One wheel's labels at fine[stop] from lam at fine[start], and their
     angle increments: a step that fails is split at its midpoint on fine
-    and its first half is tried next, as _track_local splits a step.  None
-    when a step of one spacing of fine fails.  A list, not a recursive
-    closure, holds the pending targets."""
+    and its first half is tried next.  None when a step of one spacing of
+    fine fails.  A list, not a recursive closure, holds the pending
+    targets."""
     at, targets = start, [stop]
     moved = np.zeros(len(lam))
     while targets:
@@ -540,11 +473,11 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     """One WheelPermutation per element.
 
     All wheels are followed together on the rank-one secular equation
-    (_secular_permutations), on the grid and with the step test of
-    track_wheel(..., uniform=False): the same coarse times, a failing step
-    split at midpoints down to 1/16 of a step, and _step_passes.  A wheel
-    that fails there, or whose end match or windings fail, is tracked again
-    by track_wheel(..., uniform=False), whose result or error it reports.
+    (_secular_permutations), at track_wheel's coarse times and with its
+    step test (_step_passes); a failing step is split at midpoints down to
+    one spacing of track_wheel's grid at the step cap.  A wheel that fails
+    there, or whose end match or windings fail, is tracked again by
+    track_wheel, the tracker `phase` runs, whose result or error it reports.
     """
     if not len(system):
         return []
@@ -552,8 +485,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     found = _secular_permutations(system, _complex_field_array(h),
                                   L_at(0.0), base, steps)
     return [wp if wp is not None
-            else wheel_permutation(track_wheel(system, h, wheel, steps,
-                                               uniform=False))
+            else wheel_permutation(track_wheel(system, h, wheel, steps))
             for wheel, wp in enumerate(found)]
 
 

@@ -576,7 +576,7 @@ def test_group_closure_overflow_reports_one_line(capsys):
 
 def test_group_error_is_the_eigenvalue_trackers_word_for_word(capsys):
     # each wheel fails on the secular equation near the meeting and falls
-    # back to track_wheel(..., uniform=False), whose error group reports
+    # back to track_wheel, the tracker phase runs, whose error group reports
     code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
@@ -584,6 +584,32 @@ def test_group_error_is_the_eigenvalue_trackers_word_for_word(capsys):
         "error: eigenvalue tracking for wheel 0 stayed ambiguous near "
         "t = 2.0923 at 8000 steps; two eigenvalues meet or nearly meet "
         "there, and a higher step count resolves only a near meeting\n")
+
+
+# wheel 1's eigenvalue 2 meets 2i near t = pi/2 (|2 e^{it} - 2i| = 0 there)
+MEETING = ["--inline", "{{1},{2},{3}}", "--field", "values:1+0i,2+0i,0+2i"]
+
+
+def test_phase_and_group_report_one_tracking_error(capsys):
+    errors = []
+    for command in ("phase", "group"):
+        code = main([command] + MEETING)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        errors.append(captured.err)
+    assert errors == [
+        "error: eigenvalue tracking for wheel 1 stayed ambiguous near "
+        "t = 1.5684 at 8000 steps; two eigenvalues meet or nearly meet "
+        "there, and a higher step count resolves only a near meeting\n"] * 2
+
+
+def test_failing_phase_writes_no_wheel_file(tmp_path, capsys):
+    # wheel 0 tracks, wheel 1 fails: nothing of wheel 0 is written
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert main(["phase"] + MEETING + ["--output", str(out)]) == 2
+    assert not capsys.readouterr().out
+    assert not list(out.glob("wheel_*"))
 
 
 @pytest.mark.parametrize("command, wheel", [(["phase", "--wheel", "2"], 2),

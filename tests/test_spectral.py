@@ -277,30 +277,13 @@ def test_tracking_ambiguity_error_on_exact_collisions(monkeypatch):
     system = SetSystem([[1], [2], [3]])
     h = roots_field(system, 3)
     solved = _count_solves(monkeypatch)
-    with pytest.raises(TrackingAmbiguityError, match="at 8000 steps"):
-        track_wheel(system, h, 0, steps=500)
-    # each of the five attempts solves the circle up to the chunk that fails
-    assert sum(solved) > 2000
-    solved.clear()
+    # the last attempt names the start of its first ambiguous step
     with pytest.raises(TrackingAmbiguityError, match="wheel 0 stayed "
                        "ambiguous near t = 2.0923 at 8000 steps; two "
                        "eigenvalues meet or nearly meet there"):
-        track_wheel(system, h, 0, steps=500, uniform=False)
-    # the coarse points up to the chunk that holds 2pi/3, and the midpoints
-    # of its failing steps
-    assert sum(solved) < 300
-
-
-def test_bisecting_path_solves_only_near_its_ambiguous_steps(monkeypatch):
-    system = generate([[1, 2, 3, 4]])
-    h = roots_field(system, 15)
-    solved = _count_solves(monkeypatch)
-    uniform = track_wheel(system, h, 7, steps=500)
-    assert uniform.steps == 4000 and sum(solved) > 4000
-    solved.clear()
-    local = track_wheel(system, h, 7, steps=500, uniform=False)
-    assert sum(solved) < 600 and local.steps == len(local.ts) - 1 < 600
-    assert _outcome(local) == _outcome(uniform)
+        track_wheel(system, h, 0, steps=500)
+    # each of the five attempts solves the circle up to the chunk that fails
+    assert sum(solved) > 2000
 
 
 def test_wheel_permutations_leave_no_reference_cycles():
@@ -345,11 +328,10 @@ def test_wheel_permutations_peak_memory_on_full_4():
 
 
 def _tracked_outcome(system, h, wheel, steps):
-    """(permutation, windings) of track_wheel(..., uniform=False), or the
-    type and message of its error."""
+    """(permutation, windings) of track_wheel, or the type and message of
+    its error."""
     try:
-        wp = wheel_permutation(track_wheel(system, h, wheel, steps,
-                                           uniform=False))
+        wp = wheel_permutation(track_wheel(system, h, wheel, steps))
     except (TrackingAmbiguityError, ValueError) as exc:
         return type(exc), str(exc)
     return wp.perm, wp.windings
@@ -402,9 +384,10 @@ def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
         pytest.fail("every step is already solved")
 
     raw = np.array([[0, 1e-3, 5], [5e-4, 5, -5]], dtype=complex)
-    assert spectral._track_once(no_solve, ts, raw, solved) is None
+    assert spectral._track_once(no_solve, ts, raw, solved) == (None, 0)
     raw = np.array([[0, 1e-3, 5], [5, 1.1e-3, 1e-4]], dtype=complex)
-    values = spectral._track_once(no_solve, ts, raw, solved)
+    values, failed = spectral._track_once(no_solve, ts, raw, solved)
+    assert failed is None
     assert values.tolist() == [[0, 1e-3, 5], [1e-4, 1.1e-3, 5]]
 
 
@@ -434,18 +417,11 @@ def _count_matches(monkeypatch):
 def _assert_path_matches_oracle(system, h, wheel, steps, oracle=True):
     """Same bits as the one-solve-per-step tracker, or the same failure, at
     the tracker's step cap; returns the steps used (None on failure).
-    `oracle=False` skips that tracker, the slow part of the check.
-
-    The bisecting path (uniform=False) fails only where the uniform one
-    fails, and where that succeeds it gives the same permutation and
-    windings; with no ambiguous step, the same bits."""
-    paths = []
-    for uniform in (True, False):
-        try:
-            paths.append(track_wheel(system, h, wheel, steps, uniform=uniform))
-        except TrackingAmbiguityError:
-            paths.append(None)
-    path, local = paths
+    `oracle=False` skips that tracker, the slow part of the check."""
+    try:
+        path = track_wheel(system, h, wheel, steps)
+    except TrackingAmbiguityError:
+        path = None
     if oracle:
         want = sequential_track_wheel(system, h.values, wheel, steps,
                                       steps * 2 ** spectral.ADAPTIVE_DOUBLINGS)
@@ -454,23 +430,7 @@ def _assert_path_matches_oracle(system, h, wheel, steps, oracle=True):
             assert path.steps == want[2]
             assert path.ts.tobytes() == want[0].tobytes()
             assert path.values.tobytes() == want[1].tobytes()
-    if path is None:
-        return None
-    assert local is not None
-    assert _outcome(local) == _outcome(path)
-    if path.steps == steps:
-        assert local.ts.tobytes() == path.ts.tobytes()
-        assert local.values.tobytes() == path.values.tobytes()
-    return path.steps
-
-
-def _outcome(path):
-    """(permutation, windings) of a path, or the type of its error."""
-    try:
-        wp = wheel_permutation(path)
-    except (TrackingAmbiguityError, ValueError) as exc:
-        return type(exc)
-    return wp.perm, wp.windings
+    return None if path is None else path.steps
 
 
 def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
