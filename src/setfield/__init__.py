@@ -31,8 +31,7 @@ _EXPORTS = {
     "setsystem": ("SetSystem", "complete_complex", "generate", "parse_system"),
     "spectral": ("GroupReport", "SpectralPath", "TrackingAmbiguityError",
                  "WheelPermutation", "eigenvalues", "group_order",
-                 "monodromy_report", "presentations", "track_wheel",
-                 "wheel_permutations"),
+                 "monodromy_report", "presentations", "wheel_permutations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -255,27 +255,23 @@ def cmd_phase(config: argparse.Namespace, system: SetSystem) -> int:
     from . import spectral
 
     h = make_field(system, config)
-    wheels = ([config.wheel] if config.wheel is not None
-              else list(range(len(system))))
+    wheels = None if config.wheel is None else [config.wheel]
     steps = spectral.DEFAULT_STEPS if config.steps is None else config.steps
-    summary, paths = [], []
-    for w in wheels:
-        path = spectral.track_wheel(system, h, w, steps)
-        wp = spectral.wheel_permutation(path)
-        summary.append({
-            "wheel": w,
-            "steps": path.steps,
-            "permutation": wp.cycle_string(),
-            "windings": list(wp.windings),
-        })
-        if config.output_dir:
-            paths.append(path)
-    # no file is written until every wheel has tracked
-    for path in paths:
+    found = spectral.wheel_permutations(system, h, steps, wheels,
+                                        paths=bool(config.output_dir))
+    summary = [{
+        "wheel": wp.wheel,
+        "steps": steps,
+        "permutation": wp.cycle_string(),
+        "windings": list(wp.windings),
+    } for wp in found]
+    # no file is written until every wheel has been followed
+    if config.output_dir:
         os.makedirs(config.output_dir, exist_ok=True)
-        base = os.path.join(config.output_dir, "wheel_%02d" % path.wheel)
-        _write_path_csv(base + ".csv", path)
-        _write_path_svg(base + ".svg", path)
+        for wp in found:
+            base = os.path.join(config.output_dir, "wheel_%02d" % wp.wheel)
+            _write_path_csv(base + ".csv", wp.path)
+            _write_path_svg(base + ".svg", wp.path)
     emit({"wheels": summary, "kind": h.kind.name}, config, "phase")
     return 0
 

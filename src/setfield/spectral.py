@@ -6,14 +6,11 @@ tracked eigenvalue paths, their winding numbers around the origin, the
 per-wheel permutations and the group they generate are computed here; only
 complex fields are supported (quaternion spectra lack canonical labels).
 
-Two solvers follow the labels, on one time grid and with one step test
-(_step_passes).  track_wheel solves the eigenvalues of every sample with
-LAPACK; `phase` reads its paths.  wheel_permutations (`group`,
-monodromy_report) needs only each wheel's permutation and windings: turning
-one value is a rank-one update of L(0), so after one eigendecomposition of
-L(0) it follows all wheels together by Newton on the secular equation, and
-hands a wheel it cannot certify to track_wheel, whose result or error it
-reports.
+One solver follows the labels, wheel_permutations: turning one value is a
+rank-one update of L(0), so after one eigendecomposition of L(0) it follows
+all wheels together by Newton on the secular equation, with one step test
+(_step_passes).  `group` (monodromy_report) reads each wheel's permutation
+and windings; `phase` reads the same, and the labels on the requested grid.
 """
 
 from __future__ import annotations
@@ -28,19 +25,16 @@ from .scalars import COMPLEX, format_scalar
 from .setsystem import SetSystem
 
 DEFAULT_STEPS = 500
-ADAPTIVE_DOUBLINGS = 4  # step cap = 2**4 * requested steps
+ADAPTIVE_DOUBLINGS = 4  # a failing step is split down to 2**-4 of a step
 WINDING_INT_TOL = 1e-3
-# Steps solved by one stacked eigenvalue call and matched together; also the
-# most work an attempt does past the step that fails it.
-TRACK_CHUNK = 32
-# The secular path of wheel_permutations.  A step whose labels have not
-# converged after SECULAR_ITERATIONS Newton steps fails; a label has
-# converged when its Newton step is at most SECULAR_TOL times the largest
-# t=0 eigenvalue modulus (about 3 steps are needed at 500 steps).
+# A step whose labels have not converged after SECULAR_ITERATIONS Newton
+# steps fails; a label has converged when its Newton step is at most
+# SECULAR_TOL times the largest t=0 eigenvalue modulus (about 3 steps are
+# needed at 500 steps).
 SECULAR_ITERATIONS = 12
 SECULAR_TOL = 1e-9
-# Above this condition number (Frobenius) of L(0)'s eigenvectors every wheel
-# falls back: the weights divide by v_j^T v_j, with a relative error near
+# Above this condition number (Frobenius) of L(0)'s eigenvectors tracking
+# fails: the weights divide by v_j^T v_j, with a relative error near
 # 1e-16 * cond(V), 1e-10 at the cap (the worked cases have cond(V) < 25).
 SECULAR_COND_CAP = 1e6
 # Complex entries of one (wheels, n, n) temporary, which bound the wheels
@@ -50,20 +44,23 @@ SECULAR_BLOCK = 2 ** 14
 
 class TrackingAmbiguityError(RuntimeError):
     """Eigenvalue labels could not be told apart: a repeated t=0 eigenvalue,
-    a step that stayed ambiguous up to the step cap, or an end collision."""
+    eigenvectors of L(0) too ill-conditioned to weight the secular equation,
+    a step that stayed ambiguous at the finest spacing, or an end
+    collision."""
 
 
 @dataclass
 class SpectralPath:
     """Labeled eigenvalue samples along t in [0, 2pi] for one turned wheel.
 
-    steps is the number of intervals sampled, len(ts) - 1, and the samples
-    are evenly spaced.
+    steps is the number of even intervals of the grid the wheel was followed
+    on.  values holds a row for each of its steps + 1 times ts, or only the
+    rows at t = 0 and t = 2pi.
     """
 
     wheel: int
     ts: np.ndarray
-    values: np.ndarray  # (steps+1, n) complex, column = one label
+    values: np.ndarray  # (len(ts), n) complex, column = one label
     steps: int
 
     @property
@@ -77,6 +74,9 @@ class WheelPermutation:
     perm: tuple
     order: int
     windings: tuple
+    # the labels on the requested grid, when wheel_permutations keeps them
+    path: SpectralPath | None = field(default=None, compare=False,
+                                      repr=False)
 
     def cycle_string(self):
         return format_cycles(self.perm)
@@ -130,86 +130,27 @@ def _greedy_match(prev, new):
     return cols, best, collided
 
 
-def track_wheel(system: SetSystem, h: EnergyFunction, wheel: int,
-                steps: int = DEFAULT_STEPS) -> SpectralPath:
-    """Follow all eigenvalue labels while h(wheel) turns once around the circle.
-
-    Labels are fixed by sorting the t=0 eigenvalues; each later sample is
-    matched to the one before by the greedy nearest match.  A step is
-    ambiguous when two labels pick one eigenvalue or a matched move exceeds
-    half the gap around its target (_step_passes).  An ambiguous step fails
-    the attempt, and the whole path is recomputed with twice the steps, up
-    to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
-    the failed one (its even points are the same times, bit for bit), so a
-    retry solves only the new points.  If the last attempt fails too, the
-    error names the start of its first ambiguous step.  A repeated t=0
-    eigenvalue is ambiguous at every step count, so it raises
-    TrackingAmbiguityError at once.
-
-    Wheels share no state and may run in parallel.
-    """
-    L_at, base = _start(system, h, wheel, steps)
-    ts = raw = solved = None
-    attempt_steps = steps
-    while attempt_steps <= steps * 2 ** ADAPTIVE_DOUBLINGS:
-        grid = np.linspace(0.0, 2.0 * math.pi, attempt_steps + 1)
-        samples = np.empty((attempt_steps + 1, len(base)), dtype=complex)
-        have = np.zeros(attempt_steps + 1, dtype=bool)
-        samples[0], have[0] = base, True
-        if ts is not None and np.array_equal(grid[::2], ts):
-            samples[::2], have[::2] = raw, solved
-        ts, raw, solved = grid, samples, have
-        values, failed = _track_once(L_at, ts, raw, solved)
-        if failed is None:
-            return SpectralPath(wheel, ts, values, attempt_steps)
-        attempt_steps *= 2
-    # why a higher --steps may not help: an exact meeting is ambiguous at
-    # any resolution
-    raise TrackingAmbiguityError(
-        "eigenvalue tracking for wheel %d stayed ambiguous near t = %.4f at "
-        "%d steps; two eigenvalues meet or nearly meet there, and a higher "
-        "step count resolves only a near meeting"
-        % (wheel, ts[failed], attempt_steps // 2))
-
-
-def _start(system: SetSystem, h: EnergyFunction, wheel: int, steps: int):
-    """The checks every tracked wheel needs, then its t -> L(t) and the
-    sorted t=0 eigenvalues, which fix the labels.  L(0) does not depend on
-    the wheel, so neither do the labels."""
-    if not (0 <= wheel < len(system)):
+def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
+    """The checks every followed wheel needs, then the field values h0,
+    L(0) = Z^T D_h Z and its sorted eigenvalues, which fix the labels.  L(0)
+    does not depend on the wheel, so neither do the labels; a repeated one
+    is reported for the first of the wheels."""
+    if not all(0 <= wheel < len(system) for wheel in wheels):
         raise ValueError("wheel index out of range")
     if steps < 1:
         raise ValueError("steps must be at least 1, got %d" % steps)
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")
-    L_at = wheel_matrices(system, h0, wheel)
-    base = np.sort_complex(eigenvalues(L_at(0.0)))
+    Z = system.zeta
+    L0 = (Z.T * h0) @ Z
+    base = np.sort_complex(eigenvalues(L0))
     twins = np.flatnonzero(base[1:] == base[:-1])
     if len(twins):
         raise TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
-            % (wheel, format_scalar(complex(base[twins[0]]))))
-    return L_at, base
-
-
-def wheel_matrices(system: SetSystem, h0: np.ndarray, wheel: int):
-    """t -> L(t) for the field h0 with h0[wheel] turned to e^{it} h0[wheel].
-
-    L = Z^T D_h Z, so turning one value is a rank-one update:
-    L(t) = L(0) + (e^{it} - 1) h0[wheel] z z^T with z the wheel's row of Z.
-    For an array of times the result is the stack of matrices, one per time.
-    """
-    Z = system.zeta
-    L0 = (Z.T * h0) @ Z
-    z = Z[wheel]
-    turn = h0[wheel] * np.outer(z, z)
-
-    def L_at(t):
-        phase = np.exp(1j * np.asarray(t)) - 1.0
-        return L0 + phase[..., None, None] * turn
-
-    return L_at
+            % (wheels[0], format_scalar(complex(base[twins[0]]))))
+    return h0, L0, base
 
 
 def _step_passes(prev, new):
@@ -222,8 +163,7 @@ def _step_passes(prev, new):
     eigenvalue lies a gap from the target, so half a gap from the label);
     so where the greedy match collides, no matching passes, and no
     assignment is needed.  The verdict does not depend on the order of
-    either row, so raw LAPACK rows can be tested before they are labelled.
-    Returns (ok, cols).
+    either row.  Returns (ok, cols).
     """
     cols, best, collided = _greedy_match(prev, new)
     G = np.abs(new[..., :, None] - new[..., None, :])
@@ -234,39 +174,12 @@ def _step_passes(prev, new):
     return ~(collided | too_far.any(axis=-1)), cols
 
 
-def _track_once(L_at, ts, raw, solved):
-    """The labelled eigenvalues at the times ts and None, or None and the
-    index s of the first ambiguous step, from ts[s] to ts[s + 1]
-    (_step_passes).
-
-    raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
-    sorted start, which fixes the labels) where solved[s] is set; the rest
-    are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
-    a retry.  A whole chunk is tested raw to raw at once; a loop then
-    composes the label permutation.
-    """
-    steps = len(ts) - 1
-    values = np.empty_like(raw)
-    values[0] = raw[0]
-    perm = np.arange(raw.shape[1])  # label -> index into the current raw row
-    for a in range(1, steps + 1, TRACK_CHUNK):
-        b = min(a + TRACK_CHUNK, steps + 1)
-        todo = a + np.flatnonzero(~solved[a:b])
-        if len(todo):
-            raw[todo] = eigenvalues(L_at(ts[todo]))
-            solved[todo] = True
-        ok, cols = _step_passes(raw[a - 1:b - 1], raw[a:b])
-        if not ok.all():
-            return None, a - 1 + int(ok.argmin())
-        for k in range(b - a):
-            perm = cols[k][perm]
-            values[a + k] = raw[a + k][perm]
-    return values, None
-
-
-def _secular_permutations(system: SetSystem, h0, L0, base, steps):
-    """The WheelPermutation of each wheel followed on the secular equation,
-    or None for a wheel that must fall back to the eigenvalue tracker.
+def wheel_permutations(system: SetSystem, h: EnergyFunction,
+                       steps: int = DEFAULT_STEPS, wheels=None,
+                       paths: bool = False):
+    """One WheelPermutation for each of the wheels (by default every
+    element), in order; with paths, each carries its SpectralPath on the
+    grid of `steps` intervals.
 
     L0 = V diag(mu) V^-1, and turning wheel w to the time t adds
     s z_w z_w^T with s = (e^{it} - 1) h0[w].  So the eigenvalues of L(t) are
@@ -275,92 +188,127 @@ def _secular_permutations(system: SetSystem, h0, L0, base, steps):
     Sorensen 1978), plus the poles of zero weight.  L0 = Z^T D_h Z is
     complex symmetric, so with distinct eigenvalues V^T V is diagonal and
     V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
-    and no inverse is formed.  Every wheel falls back when cond(V), in the
-    Frobenius norm, passes SECULAR_COND_CAP, which would make the weights
-    inexact.  Wheels are followed in groups of at most SECULAR_BLOCK / n^2,
-    all steps of a group together.
+    and no inverse is formed.  Wheels are followed in groups of at most
+    SECULAR_BLOCK / n^2, all steps of a group together (_follow_wheels),
+    and a failing step is split at midpoints down to one spacing of the
+    grid of steps * 2^ADAPTIVE_DOUBLINGS intervals.
+
+    Before any wheel is followed, a cond(V) (Frobenius norm) above
+    SECULAR_COND_CAP, which would make the weights inexact, raises
+    TrackingAmbiguityError.  After that the first wheel in order that fails
+    raises: TrackingAmbiguityError for a step that fails at the finest
+    spacing (naming its start) or a failed end match, ValueError for
+    windings that are not integers.
     """
+    wheels = list(range(len(system)) if wheels is None else wheels)
+    if not wheels:
+        return []
+    h0, L0, base = _start(system, h, wheels, steps)
     n = len(base)
-    found = [None] * n
     mu, V = np.linalg.eig(L0)
     cols, _, collided = _greedy_match(base, mu)
     mu, V = mu[cols], V[:, cols]  # pole j is the t=0 position of label j
+    found = []
     # a zero v_j^T v_j makes cond infinite; a diverging Newton step fails
     with np.errstate(all="ignore"):
         norms = (V * V).sum(axis=0)  # v_j^T v_j
         cond = np.linalg.norm(V) * np.linalg.norm(V.T / norms[:, None])
         if collided or not cond <= SECULAR_COND_CAP:
-            return found
+            # two eigenvalues of L(0) matched to one label leave no weights
+            raise TrackingAmbiguityError(
+                "eigenvalue tracking: the eigenvectors V of L(0) have "
+                "cond(V) = %.4g, above the cap %.4g, so the secular weights "
+                "are inexact"
+                % (math.inf if collided else cond, SECULAR_COND_CAP))
         C = (system.zeta @ V) ** 2 / norms
         stride = 2 ** ADAPTIVE_DOUBLINGS
         fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
         tol = SECULAR_TOL * np.abs(base).max()
         size = max(1, SECULAR_BLOCK // n ** 2)
         ends = fine[[0, -1]]
-        for first in range(0, n, size):
-            wheels = range(first, min(first + size, n))
-            followed = _follow_wheels(mu, C[first:wheels.stop],
-                                      h0[first:wheels.stop], base, fine,
-                                      stride, tol)
-            for wheel, got in zip(wheels, followed):
-                if got is None:
-                    continue
-                last, turned = got
-                try:
-                    found[wheel] = _attribute_windings(
-                        SpectralPath(wheel, ends, np.array([base, last]), 1),
-                        turned / (2.0 * math.pi))
-                except (TrackingAmbiguityError, ValueError):
-                    pass
+        for first in range(0, len(wheels), size):
+            block = wheels[first:first + size]
+            followed, rows = _follow_wheels(mu, C[block], h0[block], base,
+                                            fine, stride, tol, paths)
+            for r, (wheel, (at, last, turned)) in enumerate(
+                    zip(block, followed)):
+                if at is not None:
+                    # why a higher --steps may not help: an exact meeting is
+                    # ambiguous at any resolution
+                    raise TrackingAmbiguityError(
+                        "eigenvalue tracking for wheel %d stayed ambiguous "
+                        "near t = %.4f at %d steps; two eigenvalues meet or "
+                        "nearly meet there, and a higher step count "
+                        "resolves only a near meeting"
+                        % (wheel, fine[at], steps * stride))
+                wp = _attribute_windings(
+                    SpectralPath(wheel, ends, np.array([base, last]), steps),
+                    turned / (2.0 * math.pi))
+                if paths:
+                    wp.path = SpectralPath(wheel, fine[::stride], rows[:, r],
+                                           steps)
+                found.append(wp)
     return found
 
 
-def _follow_wheels(mu, C, h, base, fine, stride, tol):
-    """For the wheels with weights C (W, n) and field values h (W,): the
-    labels at t = 2pi and each label's total angle increment in radians, or
-    None for a wheel with a step that fails at one spacing of fine.
+def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
+    """For the wheels with weights C (W, n) and field values h (W,): one
+    (at, last, turned) per wheel, with at the index into fine of the start
+    of a step that fails at one spacing of fine, or else at None, the labels
+    last at t = 2pi and each label's total angle increment turned in
+    radians; and with paths, the labels at every coarse time (every
+    stride-th point of fine), (steps + 1, W, n), else None.
 
-    All wheels take each coarse step (every stride-th point of fine) as one
-    (W, n) Newton solve, started from the linear extrapolation of the last
-    two coarse points.  A wheel whose step fails is split by _secular_refine
-    on fine; a wheel that fails there is dropped.  Only the current rows and
-    the running angle sums are kept.
+    All wheels take each coarse step as one (W, n) Newton solve, started
+    from the linear extrapolation of the last two coarse points.  A wheel
+    whose step fails is split by _secular_refine on fine; a wheel that fails
+    there is dropped.  Besides the kept rows, only the current rows and the
+    running angle sums are kept.  A kept row is polished by further Newton
+    iterations on a copy, which the stepping never reads.
     """
     turns = np.exp(1j * fine[::stride]) - 1.0
-    rows = np.arange(len(C))  # the wheel of each live row
+    live = np.arange(len(C))  # the wheel of each live row
     out = [None] * len(C)
     lam = prev = np.tile(base, (len(C), 1))
     turned = np.zeros(lam.shape)
+    rows = None
+    if paths:
+        rows = np.empty((len(turns),) + lam.shape, dtype=complex)
+        rows[0] = base
     for k in range(1, len(turns)):
         new, ok = _secular_step(mu, C, turns[k] * h, lam, 2.0 * lam - prev,
                                 tol)
         moved = np.angle(new / lam)
         for r in np.flatnonzero(~ok):
-            got = _secular_refine(mu, C[r], h[r], fine, (k - 1) * stride,
-                                  k * stride, lam[r], tol)
-            if got is None:
-                rows[r] = -1
-            else:
-                new[r], moved[r] = got
-        if (rows < 0).any():
-            keep = rows >= 0
-            if not keep.any():
+            at, new[r], moved[r] = _secular_refine(
+                mu, C[r], h[r], fine, (k - 1) * stride, k * stride, lam[r],
+                tol)
+            if at < k * stride:
+                out[live[r]] = at, None, None
+                live[r] = -1
+        if (live < 0).any():
+            keep = live >= 0
+            live, C, h, lam, new, moved, turned = (
+                x[keep] for x in (live, C, h, lam, new, moved, turned))
+            if not len(live):
                 break
-            rows, C, h, lam, new, moved, turned = (
-                x[keep] for x in (rows, C, h, lam, new, moved, turned))
+        if paths:
+            rows[k, live] = _secular_step(mu, C, turns[k] * h, new, new,
+                                          0.0)[0]
         turned += moved
         prev, lam = lam, new
-    for r, wheel in enumerate(rows):
-        out[wheel] = lam[r], turned[r]
-    return out
+    for r, wheel in enumerate(live):
+        out[wheel] = None, lam[r], turned[r]
+    return out, rows
 
 
 def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
-    """One wheel's labels at fine[stop] from lam at fine[start], and their
-    angle increments: a step that fails is split at its midpoint on fine
-    and its first half is tried next.  None when a step of one spacing of
-    fine fails.  A list, not a recursive closure, holds the pending
-    targets."""
+    """One wheel's step from lam at fine[start] toward fine[stop]: a step
+    that fails is split at its midpoint on fine and its first half is tried
+    next.  Returns the index into fine reached, the labels there and their
+    angle increments; the index is stop unless the step of one spacing of
+    fine that starts there fails.  A list, not a recursive closure, holds
+    the pending targets."""
     at, targets = start, [stop]
     moved = np.zeros(len(lam))
     while targets:
@@ -371,10 +319,10 @@ def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
             moved += np.angle(new[0] / lam)
             lam, at = new[0], targets.pop()
         elif j - at == 1:
-            return None
+            break
         else:
             targets.append((at + j) // 2)
-    return lam, moved
+    return at, lam, moved
 
 
 def _secular_step(mu, C, s, lam, guess, tol):
@@ -466,27 +414,6 @@ def path_permutation(path: SpectralPath) -> tuple:
             "eigenvalue tracking for wheel %d ended with two labels nearest "
             "one start value at %d steps" % (path.wheel, path.steps))
     return tuple(int(c) for c in cols)
-
-
-def wheel_permutations(system: SetSystem, h: EnergyFunction,
-                       steps: int = DEFAULT_STEPS):
-    """One WheelPermutation per element.
-
-    All wheels are followed together on the rank-one secular equation
-    (_secular_permutations), at track_wheel's coarse times and with its
-    step test (_step_passes); a failing step is split at midpoints down to
-    one spacing of track_wheel's grid at the step cap.  A wheel that fails
-    there, or whose end match or windings fail, is tracked again by
-    track_wheel, the tracker `phase` runs, whose result or error it reports.
-    """
-    if not len(system):
-        return []
-    L_at, base = _start(system, h, 0, steps)
-    found = _secular_permutations(system, _complex_field_array(h),
-                                  L_at(0.0), base, steps)
-    return [wp if wp is not None
-            else wheel_permutation(track_wheel(system, h, wheel, steps))
-            for wheel, wp in enumerate(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +591,10 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
                      steps: int = DEFAULT_STEPS, cap=10 ** 6) -> GroupReport:
     """Full pipeline: track every wheel, order the group, emit presentations.
 
-    The wheels come from wheel_permutations: all of them on the secular
-    equation at once, and a wheel that cannot be certified there by the
-    eigenvalue tracker.  The order comes from group_order (Schreier-Sims),
-    which lists no group elements; `cap` is accepted for existing callers
-    and bounds nothing.
+    The wheels come from wheel_permutations, all of them on the secular
+    equation at once, and its errors pass through.  The order comes from
+    group_order (Schreier-Sims), which lists no group elements; `cap` is
+    accepted for existing callers and bounds nothing.
     """
     perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])

@@ -14,11 +14,13 @@ by frozenset inclusion and intersected one pair at a time, each sum taken in
 increasing element order from the kind's zero, with their own signs omega
 and their own closure test, `is_closed_by_enumeration`, which looks up
 every subset of every element; L and g come back in their own record,
-`Matrices`, as tuples of rows of scalars.  `sequential_track_wheel` is
-the eigenvalue tracker from before solves were stacked: one `eigvals` call
-and one match per step, and a retry that starts over.  `group_closure`
-lists a permutation group breadth first, the way group orders were found
-before Schreier-Sims.
+`Matrices`, as tuples of rows of scalars.  `track_wheel` is the
+eigenvalue tracker the library ran before it followed wheels on the secular
+equation: LAPACK solves the eigenvalues of every sample, and the whole
+circle is redone at twice the steps while a step stays ambiguous; it shares
+only the start checks and the step test (`_start`, `_step_passes`) with the
+library.  `group_closure` lists a permutation group breadth first, the way
+group orders were found before Schreier-Sims.
 """
 
 import cmath
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from setfield import SetSystem, scalars
+from setfield import SetSystem, scalars, spectral
 from setfield.determinants import (SINGULAR_PIVOT_RATIO, DetFormulaReport,
                                    Elimination)
 from setfield.identities import IdentityReport
@@ -566,75 +568,95 @@ def leibniz_sum(M, kind):
 
 
 # ---------------------------------------------------------------------------
-# one-matrix-at-a-time eigenvalue tracking, kept as the bit-identity
-# reference for the stacked solves and chunk-wise matching in spectral.py
+# the eigenvalue tracker: one LAPACK solve per sample
 
-def match_step(prev, new):
-    """Greedy nearest matching of labelled eigenvalues, with a full
-    assignment when two labels pick one eigenvalue or a second-nearest one
-    lies within twice the nearest distance."""
-    D = np.abs(prev[:, None] - new[None, :])
-    cols = D.argmin(axis=1)
-    ambiguous = len(set(cols.tolist())) != len(cols)
-    if not ambiguous:
-        n = D.shape[0]
-        best = D[np.arange(n), cols]
-        D2 = D.copy()
-        D2[np.arange(n), cols] = np.inf
-        second = D2.min(axis=1)
-        ambiguous = bool((second < 2.0 * best).any())
-    if ambiguous:
-        from scipy.optimize import linear_sum_assignment
-
-        _, cols = linear_sum_assignment(D)
-    return cols
+# Steps solved by one stacked eigenvalue call and matched together; also the
+# most work an attempt does past the step that fails it.
+TRACK_CHUNK = 32
 
 
-def local_gaps(new):
-    """Distance from each eigenvalue to the nearest other one."""
-    D = np.abs(new[:, None] - new[None, :])
-    np.fill_diagonal(D, np.inf)
-    return D.min(axis=0)
+def wheel_matrices(system, h0, wheel):
+    """t -> L(t) for the field h0 with h0[wheel] turned to e^{it} h0[wheel].
 
-
-def track_once(L_at, steps, base):
-    """One tracking attempt at `steps` steps: a fresh eigenvalue solve per
-    step, matched to the previous step; None if some label moves more than
-    half the local gap."""
-    n = len(base)
-    ts = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-    values = np.empty((steps + 1, n), dtype=complex)
-    values[0] = base
-    prev = base
-    for s in range(1, steps + 1):
-        new = np.linalg.eigvals(L_at(ts[s]))
-        cols = match_step(prev, new)
-        matched = new[cols]
-        moves = np.abs(matched - prev)
-        gaps = local_gaps(new)[cols]
-        if (moves > 0.5 * gaps).any():
-            return None
-        values[s] = matched
-        prev = matched
-    return ts, values
-
-
-def sequential_track_wheel(system, h0, wheel, steps, max_steps):
-    """(ts, labelled values, steps used) for one wheel: labels from the
-    sorted t=0 spectrum, the whole path redone at twice the steps while an
-    attempt fails, up to max_steps; None if all fail."""
-    h0 = np.asarray(h0, dtype=complex)
+    L = Z^T D_h Z, so turning one value is a rank-one update:
+    L(t) = L(0) + (e^{it} - 1) h0[wheel] z z^T with z the wheel's row of Z.
+    For an array of times the result is the stack of matrices, one per time.
+    """
     Z = system.zeta
     L0 = (Z.T * h0) @ Z
-    turn = h0[wheel] * np.outer(Z[wheel], Z[wheel])
+    z = Z[wheel]
+    turn = h0[wheel] * np.outer(z, z)
 
     def L_at(t):
-        return L0 + (np.exp(1j * t) - 1.0) * turn
+        phase = np.exp(1j * np.asarray(t)) - 1.0
+        return L0 + phase[..., None, None] * turn
 
-    base = np.sort_complex(np.linalg.eigvals(L_at(0.0)))
-    while steps <= max_steps:
-        path = track_once(L_at, steps, base)
-        if path is not None:
-            return path[0], path[1], steps
-        steps *= 2
-    return None
+    return L_at
+
+
+def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
+    """Follow all eigenvalue labels while h(wheel) turns once around the circle.
+
+    Labels are fixed by sorting the t=0 eigenvalues; each later sample is
+    matched to the one before by the greedy nearest match.  A step is
+    ambiguous when two labels pick one eigenvalue or a matched move exceeds
+    half the gap around its target (_step_passes).  An ambiguous step fails
+    the attempt, and the whole path is recomputed with twice the steps, up
+    to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
+    the failed one (its even points are the same times, bit for bit), so a
+    retry solves only the new points.  If the last attempt fails too, the
+    error names the start of its first ambiguous step.  A repeated t=0
+    eigenvalue is ambiguous at every step count, so it raises
+    TrackingAmbiguityError at once.
+    """
+    h0, _, base = spectral._start(system, h, [wheel], steps)
+    L_at = wheel_matrices(system, h0, wheel)
+    ts = raw = solved = None
+    attempt_steps = steps
+    while attempt_steps <= steps * 2 ** spectral.ADAPTIVE_DOUBLINGS:
+        grid = np.linspace(0.0, 2.0 * math.pi, attempt_steps + 1)
+        samples = np.empty((attempt_steps + 1, len(base)), dtype=complex)
+        have = np.zeros(attempt_steps + 1, dtype=bool)
+        samples[0], have[0] = base, True
+        if ts is not None and np.array_equal(grid[::2], ts):
+            samples[::2], have[::2] = raw, solved
+        ts, raw, solved = grid, samples, have
+        values, failed = _track_once(L_at, ts, raw, solved)
+        if failed is None:
+            return spectral.SpectralPath(wheel, ts, values, attempt_steps)
+        attempt_steps *= 2
+    raise spectral.TrackingAmbiguityError(
+        "eigenvalue tracking for wheel %d stayed ambiguous near t = %.4f at "
+        "%d steps; two eigenvalues meet or nearly meet there, and a higher "
+        "step count resolves only a near meeting"
+        % (wheel, ts[failed], attempt_steps // 2))
+
+
+def _track_once(L_at, ts, raw, solved):
+    """The labelled eigenvalues at the times ts and None, or None and the
+    index s of the first ambiguous step, from ts[s] to ts[s + 1]
+    (_step_passes).
+
+    raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
+    sorted start, which fixes the labels) where solved[s] is set; the rest
+    are solved here, TRACK_CHUNK steps per stacked call, and kept in raw for
+    a retry.  A whole chunk is tested raw to raw at once; a loop then
+    composes the label permutation.
+    """
+    steps = len(ts) - 1
+    values = np.empty_like(raw)
+    values[0] = raw[0]
+    perm = np.arange(raw.shape[1])  # label -> index into the current raw row
+    for a in range(1, steps + 1, TRACK_CHUNK):
+        b = min(a + TRACK_CHUNK, steps + 1)
+        todo = a + np.flatnonzero(~solved[a:b])
+        if len(todo):
+            raw[todo] = spectral.eigenvalues(L_at(ts[todo]))
+            solved[todo] = True
+        ok, cols = spectral._step_passes(raw[a - 1:b - 1], raw[a:b])
+        if not ok.all():
+            return None, a - 1 + int(ok.argmin())
+        for k in range(b - a):
+            perm = cols[k][perm]
+            values[a + k] = raw[a + k][perm]
+    return values, None

@@ -1,6 +1,8 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import contextlib
+import io
 import random
 import time
 
@@ -17,8 +19,9 @@ from setfield import scalars
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.kaehler import complete_complex_exponent, kaehler_form
 from setfield.setsystem import complete_complex, random_complex
-from setfield.spectral import (perm_cycles, path_permutation,
-                               raw_winding_increments, track_wheel)
+from setfield.cli import main
+from setfield.spectral import (SpectralPath, perm_cycles, path_permutation,
+                               raw_winding_increments)
 
 NONCLOSED_GOLDEN = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])
 DESCENDING = SetSystem([[1, 2], [2, 3], [1], [2], [3]])
@@ -203,13 +206,26 @@ def test_criterion_07_monodromy_group_orders():
                "(%.1fs, %.1fs)" % (t_k3, t_lin), ok)
 
 
-def test_criterion_08_winding_consistency():
+def _phase_paths(inline, field, out):
+    """The paths `phase --output` writes as CSV, read back, by wheel."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["phase", "--inline", inline, "--closure", "--field",
+                     field, "--steps", "500", "--output", str(out)]) == 0
+    paths = []
+    for csv in sorted(out.glob("wheel_*.csv")):
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+        values = rows[:, 1::2] + 1j * rows[:, 2::2]
+        paths.append(SpectralPath(len(paths), rows[:, 0], values, 500))
+    return paths
+
+
+def test_criterion_08_winding_consistency(tmp_path):
     ok = True
-    for gens, order in (([[1, 2, 3]], 7), (LINEAR_GENERATORS, 10)):
-        system = generate(gens)
-        h = roots_field(system, order)
-        for wheel in range(len(system)):
-            path = track_wheel(system, h, wheel, steps=500)
+    for inline, field, n in (("{{1,2,3}}", "roots:7", 7),
+                             ("{{1,2},{2,3},{3,4},{5,6}}", "roots:10", 10)):
+        paths = _phase_paths(inline, field, tmp_path / field)
+        ok &= len(paths) == n
+        for path in paths:
             raw = raw_winding_increments(path)
             perm = path_permutation(path)
             fixed = [(k,) for k in range(path.n) if perm[k] == k]

@@ -504,7 +504,7 @@ def test_package_names_resolve():
         is_unit, kaehler_form, kaehler_report, leibniz_det, monodromy_report,
         norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
         presentations, product_right, random_field, roots_field,
-        spectral_signature_check, study_det, track_wheel, unimodularity_check,
+        spectral_signature_check, study_det, unimodularity_check,
         wheel_permutations)
     from setfield import connection, kaehler, spectral
 
@@ -575,8 +575,8 @@ def test_group_closure_overflow_reports_one_line(capsys):
 
 
 def test_group_error_is_the_eigenvalue_trackers_word_for_word(capsys):
-    # each wheel fails on the secular equation near the meeting and falls
-    # back to track_wheel, the tracker phase runs, whose error group reports
+    # wheel 0 fails on the secular equation near the meeting, at the angle
+    # where the eigenvalue tracker (tests/oracles.py) fails too
     code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out

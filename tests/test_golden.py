@@ -10,10 +10,14 @@ reports were written while L and g were still built by intersecting stars
 and cores one pair at a time, before the build moved onto the inclusion
 matrix Z.  The real and complex `det --pivot-log` reports were written by
 the array elimination; they pin the int-versus-float bytes of pivots,
-Dieudonne and Leibniz values.  The `group` and `phase` reports and the
-triangle's `phase --output` CSVs were written by the one-matrix-at-a-time
-tracker, before eigenvalue solves and matching were batched; the batched
-tracker promises the same paths bit for bit.  The `gen` and `kaehler`
+Dieudonne and Leibniz values.  The `group` reports were written by the
+one-matrix-at-a-time tracker, before eigenvalue solves and matching were
+batched, and the secular equation gives the same bytes.  The `phase`
+reports and the triangle's `phase --output` CSVs were written again when
+`phase` moved onto the secular equation: each `steps` field became the
+requested 500 (the tracker had doubled some wheels' steps), and a CSV value
+changed only in its last printed digits, on 89 of 49098 values, within
+1e-13 of the largest eigenvalue modulus at its time.  The `gen` and `kaehler`
 reports and the edge's `kaehler --heatmap` SVG were written while the
 Kaehler form was still an int64 array (Z Z^T)*(Z Z^T) built with numpy.
 The twelve complex and quaternion `det --pivot-log` reports were written
@@ -26,6 +30,7 @@ Regenerate (only for an intended format change) with
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -135,18 +140,36 @@ def test_cli_report_bytes_match_golden(cmd, sysname, fname):
     assert _stdout(_argv(cmd, sysname, fname)) == want
 
 
-@pytest.mark.parametrize("sysname,fname,wheels", [("triangle", "roots7", 7),
-                                                  ("path-edge", "roots10", 10)])
-def test_group_bytes_match_golden_when_every_wheel_falls_back(
-        monkeypatch, tracked_wheels, sysname, fname, wheels):
-    # no eigenvector matrix passes a condition cap of 0, so every wheel is
-    # tracked by the eigenvalue tracker instead of the secular equation
+@pytest.mark.parametrize("cmd", ["group", "phase"])
+def test_condition_cap_exits_2_naming_cond_v(monkeypatch, capsys, cmd):
+    # no eigenvector matrix passes a condition cap of 0
     from setfield import spectral
 
     monkeypatch.setattr(spectral, "SECULAR_COND_CAP", 0.0)
-    want = _path("group", sysname, fname).read_text()
-    assert _stdout(_argv("group", sysname, fname)) == want
-    assert tracked_wheels == list(range(wheels))
+    assert main(_argv(cmd, "triangle", "roots7")) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cond(V) = " in lines[0] and "above the cap 0" in lines[0]
+
+
+@pytest.mark.parametrize("sysname,fname", [("triangle", "roots7"),
+                                           ("path-edge", "roots10")])
+def test_oracle_tracker_gives_the_golden_group_generators(sysname, fname):
+    # LAPACK on every sample, not the secular equation
+    from oracles import track_wheel
+    from setfield import parse_system, roots_field
+    from setfield.spectral import wheel_permutation
+
+    system = parse_system(SYSTEMS[sysname], closure=True)
+    h = roots_field(system, int(FIELDS[fname].split(":")[1]))
+    golden = json.loads(_path("group", sysname, fname).read_text())
+    tracked = [wheel_permutation(track_wheel(system, h, wheel))
+               for wheel in range(len(system))]
+    assert [{"wheel": wp.wheel, "cycles": wp.cycle_string(),
+             "order": wp.order, "windings": list(wp.windings)}
+            for wp in tracked] == golden["generators"]
 
 
 def test_phase_csv_bytes_match_golden():

@@ -11,18 +11,17 @@ import pytest
 
 import oracles
 from oracles import (ClosureOverflowError, greedy_eigen_tracking,
-                     group_closure, jacobian_by_sets, random_set_system,
-                     sequential_track_wheel)
+                     group_closure, jacobian_by_sets, random_set_system)
 from setfield import (SetSystem, eigenvalues, field_matrices, generate,
                       group_order, monodromy_report, presentations, spectral,
-                      track_wheel, wheel_permutations)
+                      wheel_permutations)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.setsystem import random_complex
 from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
                                format_cycles, path_permutation, perm_compose,
                                perm_cycles, perm_order, raw_winding_increments,
-                               wheel_matrices, wheel_permutation)
+                               wheel_permutation)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -71,8 +70,14 @@ def test_eigenvalues_rejects_nonfinite():
         eigenvalues([[1, 2, 3], [4, 5, 6]])
 
 
+def _path(system, h, wheel, steps):
+    """The labels of one wheel on the grid of `steps` intervals, as `phase`
+    writes them."""
+    return wheel_permutations(system, h, steps, [wheel], paths=True)[0].path
+
+
 def test_track_wheel_diagonal_case():
-    path = track_wheel(ZERO_DIM, DIAG_FIELD, 0, steps=200)
+    path = _path(ZERO_DIM, DIAG_FIELD, 0, 200)
     perm = path_permutation(path)
     assert perm == (0, 1)
     winds = wheel_permutation(path).windings
@@ -84,17 +89,17 @@ def test_track_wheel_diagonal_case():
 
 def test_track_wheel_requires_complex(K2):
     with pytest.raises(ValueError):
-        track_wheel(K2, explicit_field([1.0, 1.0, 1.0]), 0)
+        wheel_permutations(K2, explicit_field([1.0, 1.0, 1.0]), wheels=[0])
 
 
 def test_track_wheel_rejects_zero_field():
     with pytest.raises(ValueError):
-        track_wheel(ZERO_DIM, explicit_field([0j, 1 + 0j]), 0)
+        wheel_permutations(ZERO_DIM, explicit_field([0j, 1 + 0j]), wheels=[0])
 
 
 def test_matrix_returns_after_full_turn(K3):
     h = roots_field(K3, 7)
-    path = track_wheel(K3, h, 3, steps=500)
+    path = _path(K3, h, 3, 500)
     start = np.sort_complex(path.values[0])
     end = np.sort_complex(path.values[-1])
     assert np.allclose(start, end, atol=1e-8)
@@ -104,7 +109,7 @@ def test_eigenvalue_product_tracks_determinant(K3):
     # along the deformation the product of eigenvalues is e^{it} prod(h)
     h = roots_field(K3, 7)
     wheel = 2
-    path = track_wheel(K3, h, wheel, steps=500)
+    path = _path(K3, h, wheel, 500)
     prod_h = np.prod(np.asarray(h.values))
     for idx in (0, 125, 250, 400, path.steps):
         t = path.ts[idx]
@@ -116,7 +121,7 @@ def test_eigenvalue_product_tracks_determinant(K3):
 def test_raw_windings_sum_to_one_per_wheel(K3):
     h = roots_field(K3, 7)
     for wheel in range(3):
-        path = track_wheel(K3, h, wheel, steps=500)
+        path = _path(K3, h, wheel, 500)
         raw = raw_winding_increments(path)
         assert abs(raw.sum() - 1.0) < 1e-3
         assert sum(wheel_permutation(path).windings) == 1
@@ -221,7 +226,7 @@ def test_wheel_matrices_match_built_L():
         system = random_set_system(rng, n)
         h = random_field(system, COMPLEX, rng)
         wheel = rng.randrange(n)
-        L_at = wheel_matrices(system, np.array(h.values), wheel)
+        L_at = oracles.wheel_matrices(system, np.array(h.values), wheel)
         for t in (0.0, 1.3, 4.0):
             values = list(h.values)
             values[wheel] *= cmath.exp(1j * t)
@@ -277,11 +282,17 @@ def test_tracking_ambiguity_error_on_exact_collisions(monkeypatch):
     system = SetSystem([[1], [2], [3]])
     h = roots_field(system, 3)
     solved = _count_solves(monkeypatch)
-    # the last attempt names the start of its first ambiguous step
-    with pytest.raises(TrackingAmbiguityError, match="wheel 0 stayed "
-                       "ambiguous near t = 2.0923 at 8000 steps; two "
-                       "eigenvalues meet or nearly meet there"):
-        track_wheel(system, h, 0, steps=500)
+    meeting = ("wheel 0 stayed ambiguous near t = 2.0923 at 8000 steps; two "
+               "eigenvalues meet or nearly meet there")
+    # the step of 1/16 of a step that fails is named by its start
+    with pytest.raises(TrackingAmbiguityError, match=meeting):
+        wheel_permutations(system, h, 500)
+    assert solved == [1]
+    # the oracle tracker's last attempt names its first ambiguous step, the
+    # same one
+    solved.clear()
+    with pytest.raises(TrackingAmbiguityError, match=meeting):
+        oracles.track_wheel(system, h, 0, steps=500)
     # each of the five attempts solves the circle up to the chunk that fails
     assert sum(solved) > 2000
 
@@ -299,17 +310,26 @@ def test_wheel_permutations_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_secular_path_solves_one_spectrum_per_system(monkeypatch,
-                                                     tracked_wheels):
+def test_secular_path_solves_one_spectrum_per_system(monkeypatch, tmp_path,
+                                                     capsys):
     # every wheel of the worked cases is followed on the secular equation;
     # tracked by eigenvalues they take 3508, 5019 and 7523 matrices
+    from setfield.cli import main
+
     solved = _count_solves(monkeypatch)
     for gens, order in (([[1, 2, 3]], 7), ([[1, 2], [2, 3], [3, 4], [5, 6]], 10),
                         ([[1, 2, 3, 4]], 15)):
         system = generate(gens)
         solved.clear()
         wheel_permutations(system, roots_field(system, order), 500)
-        assert solved == [1] and tracked_wheels == []
+        assert solved == [1]
+        solved.clear()
+        inline = "{%s}" % ",".join("{%s}" % ",".join(map(str, g))
+                                   for g in gens)
+        assert main(["phase", "--inline", inline, "--closure", "--field",
+                     "roots:%d" % order, "--output", str(tmp_path)]) == 0
+        assert solved == [1]
+    capsys.readouterr()
 
 
 def test_wheel_permutations_peak_memory_on_full_4():
@@ -328,10 +348,10 @@ def test_wheel_permutations_peak_memory_on_full_4():
 
 
 def _tracked_outcome(system, h, wheel, steps):
-    """(permutation, windings) of track_wheel, or the type and message of
-    its error."""
+    """(permutation, windings) of the oracle tracker, or the type and
+    message of its error."""
     try:
-        wp = wheel_permutation(track_wheel(system, h, wheel, steps))
+        wp = wheel_permutation(oracles.track_wheel(system, h, wheel, steps))
     except (TrackingAmbiguityError, ValueError) as exc:
         return type(exc), str(exc)
     return wp.perm, wp.windings
@@ -340,10 +360,10 @@ def _tracked_outcome(system, h, wheel, steps):
 def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
         monkeypatch):
     monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
-    followed = []
-    follow = spectral._secular_permutations
-    monkeypatch.setattr(spectral, "_secular_permutations", lambda *a: (
-        followed.append(follow(*a)) or followed[-1]))
+    certified_wps = []  # each wheel of a run that passes its end match
+    attribute = spectral._attribute_windings
+    monkeypatch.setattr(spectral, "_attribute_windings", lambda *a: (
+        certified_wps.append(attribute(*a)) or certified_wps[-1]))
     rng = random.Random(31)
     certified = failed = 0
     for draw in range(210):
@@ -358,18 +378,22 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
             h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
         want = [_tracked_outcome(system, h, w, 40) for w in range(len(system))]
         errors = [w for w in want if isinstance(w[0], type)]
-        followed.clear()
-        try:
-            got = [(wp.perm, wp.windings)
-                   for wp in wheel_permutations(system, h, 40)]
-        except (TrackingAmbiguityError, ValueError) as exc:
-            got = (type(exc), str(exc))
-        # the first wheel that fails decides the error, word for word
-        assert got == (errors[0] if errors else want)
-        for wp, tracked in zip(followed[0] if followed else [], want):
-            if wp is not None:
-                certified += 1
-                assert (wp.perm, wp.windings) == tracked
+        # all wheels, then again from the wheel after each that fails
+        rest = list(range(len(system)))
+        while rest:
+            certified_wps.clear()
+            try:
+                got = [(wp.perm, wp.windings)
+                       for wp in wheel_permutations(system, h, 40, rest)]
+            except (TrackingAmbiguityError, ValueError) as exc:
+                got = (type(exc), str(exc))
+            if len(rest) == len(system):
+                # the first wheel that fails decides the error, word for word
+                assert got == (errors[0] if errors else want)
+            for wp in certified_wps:
+                assert (wp.perm, wp.windings) == want[wp.wheel]
+            certified += len(certified_wps)
+            rest = rest[len(certified_wps) + 1:]
         failed += len(errors)
     assert certified > 900 and failed > 200
 
@@ -377,105 +401,37 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
 def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
     # labels 0 and 1 start 1e-3 apart and both land nearest 5e-4, each move
     # well within half the target's gap: only the collision fails the step
-    ts = np.array([0.0, 1.0])
-    solved = np.ones(2, dtype=bool)
-
-    def no_solve(t):
-        pytest.fail("every step is already solved")
-
-    raw = np.array([[0, 1e-3, 5], [5e-4, 5, -5]], dtype=complex)
-    assert spectral._track_once(no_solve, ts, raw, solved) == (None, 0)
-    raw = np.array([[0, 1e-3, 5], [5, 1.1e-3, 1e-4]], dtype=complex)
-    values, failed = spectral._track_once(no_solve, ts, raw, solved)
-    assert failed is None
-    assert values.tolist() == [[0, 1e-3, 5], [1e-4, 1.1e-3, 5]]
+    prev = np.array([0, 1e-3, 5], dtype=complex)
+    ok, _ = spectral._step_passes(prev, np.array([5e-4, 5, -5], dtype=complex))
+    assert not ok
+    new = np.array([5, 1.1e-3, 1e-4], dtype=complex)
+    ok, cols = spectral._step_passes(prev, new)
+    assert ok
+    assert new[cols].tolist() == [1e-4, 1.1e-3, 5]
 
 
-def _count_matches(monkeypatch):
-    """A list that grows by one pair per attempt of the sequential oracle:
-    whether it succeeded, and the number of its steps that
-    oracles.match_step resolved by a full assignment (scipy's
-    linear_sum_assignment)."""
-    from scipy import optimize
+def test_end_collision_names_the_requested_steps(monkeypatch):
+    # two labels that end nearest one start value leave no permutation
+    follow = spectral._follow_wheels
 
-    calls, used = [], []
-    solve = optimize.linear_sum_assignment
-    monkeypatch.setattr(optimize, "linear_sum_assignment",
-                        lambda D: calls.append(1) or solve(D))
-    track = oracles.track_once
+    def colliding(*args):
+        followed, rows = follow(*args)
+        at, last, turned = followed[0]
+        followed[0] = at, np.concatenate([last[:1], last[:-1]]), turned
+        return followed, rows
 
-    def counting(L_at, steps, base):
-        before = len(calls)
-        path = track(L_at, steps, base)
-        used.append((path is not None, len(calls) - before))
-        return path
-
-    monkeypatch.setattr(oracles, "track_once", counting)
-    return used
-
-
-def _assert_path_matches_oracle(system, h, wheel, steps, oracle=True):
-    """Same bits as the one-solve-per-step tracker, or the same failure, at
-    the tracker's step cap; returns the steps used (None on failure).
-    `oracle=False` skips that tracker, the slow part of the check."""
-    try:
-        path = track_wheel(system, h, wheel, steps)
-    except TrackingAmbiguityError:
-        path = None
-    if oracle:
-        want = sequential_track_wheel(system, h.values, wheel, steps,
-                                      steps * 2 ** spectral.ADAPTIVE_DOUBLINGS)
-        assert (path is None) == (want is None)
-        if want is not None:
-            assert path.steps == want[2]
-            assert path.ts.tobytes() == want[0].tobytes()
-            assert path.values.tobytes() == want[1].tobytes()
-    return None if path is None else path.steps
-
-
-def test_tracking_matches_sequential_oracle_on_worked_cases(monkeypatch):
-    matches = _count_matches(monkeypatch)
-    cases = [(generate([[1, 2, 3]]), 7, range(7)),
-             (generate([[1, 2], [2, 3], [3, 4], [5, 6]]), 10, range(10)),
-             # these full-4 wheels fail at 500 steps and retry up to 4000
-             (generate([[1, 2, 3, 4]]), 15, (1, 5, 7))]
-    used = []
-    for system, order, wheels in cases:
-        h = roots_field(system, order)
-        used += [_assert_path_matches_oracle(system, h, w, 500) for w in wheels]
-    assert max(used) == 4000 and sum(u > 500 for u in used) >= 5
-    assert 500 in used  # a wheel with no ambiguous step
-    # the oracle's assignment ran here, in attempts that fail both ways
-    assert any(count for _, count in matches)
-
-
-def test_tracking_matches_sequential_oracle_on_random_systems(monkeypatch):
-    matches = _count_matches(monkeypatch)
-    monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
-    rng = random.Random(29)
-    used = []
-    for draw in range(200):
-        if draw % 3 == 2:  # in general not closed under subsets
-            system = random_set_system(rng, rng.randint(1, 10))
-        else:
-            system = random_complex(rng, max_generators=3, max_vertices=5,
-                                    max_cardinality=3)
-        h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
-        used += [_assert_path_matches_oracle(system, h, w, 40,
-                                             oracle=draw < 48)
-                 for w in range(len(system))]
-    assert any(u is not None and u > 40 for u in used)
-    assert None in used  # some wheels fail at every step count
-    # the oracle's full assignment decided steps of successful attempts, and
-    # the greedy-only tracker still gave the same bits there
-    assert any(count for succeeded, count in matches if succeeded)
+    monkeypatch.setattr(spectral, "_follow_wheels", colliding)
+    K3 = generate([[1, 2, 3]])
+    with pytest.raises(TrackingAmbiguityError, match="wheel 0 ended with two "
+                       "labels nearest one start value at 40 steps$"):
+        wheel_permutations(K3, roots_field(K3, 7), 40)
 
 
 def test_track_wheel_rejects_steps_below_one(K3):
     h = roots_field(K3, 7)
     for steps in (0, -5):
         with pytest.raises(ValueError, match="steps must be at least 1"):
-            track_wheel(K3, h, 0, steps)
+            wheel_permutations(K3, h, steps, [0])
 
 
 def test_group_closure_basics():
