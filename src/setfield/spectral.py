@@ -8,8 +8,8 @@ complex fields are supported (quaternion spectra lack canonical labels).
 
 One solver follows the labels, wheel_permutations: turning one value is a
 rank-one update of L(0), so after one eigendecomposition of L(0) it follows
-all wheels together by Newton on the secular equation, with one step test
-(_step_passes).  `group` (monodromy_report) reads each wheel's permutation
+all wheels together by Newton on the secular equation, with a one-pass
+step test (_step_holds).  `group` (monodromy_report) reads each wheel's permutation
 and windings; `phase` reads the same, and the labels on the requested grid.
 """
 
@@ -153,27 +153,6 @@ def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
     return h0, L0, base
 
 
-def _step_passes(prev, new):
-    """Whether each step of a stack (..., n) of eigenvalue rows passes, and
-    its greedy match: label i of prev goes to new[..., cols[..., i]].  A
-    step fails where two labels pick one eigenvalue, or a label moves more
-    than half the gap from its target to the nearest other eigenvalue.
-
-    Each target of a step that passes is nearest its label (any other
-    eigenvalue lies a gap from the target, so half a gap from the label);
-    so where the greedy match collides, no matching passes, and no
-    assignment is needed.  The verdict does not depend on the order of
-    either row.  Returns (ok, cols).
-    """
-    cols, best, collided = _greedy_match(prev, new)
-    G = np.abs(new[..., :, None] - new[..., None, :])
-    diagonal = np.arange(new.shape[-1])
-    G[..., diagonal, diagonal] = np.inf
-    gaps = G.min(axis=-2)  # nearest other eigenvalue, per raw index
-    too_far = best > 0.5 * np.take_along_axis(gaps, cols, axis=-1)
-    return ~(collided | too_far.any(axis=-1)), cols
-
-
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
                        steps: int = DEFAULT_STEPS, wheels=None,
                        paths: bool = False):
@@ -190,8 +169,9 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
     and no inverse is formed.  Wheels are followed in groups of at most
     SECULAR_BLOCK / n^2, all steps of a group together (_follow_wheels),
-    and a failing step is split at midpoints down to one spacing of the
-    grid of steps * 2^ADAPTIVE_DOUBLINGS intervals.
+    each reading one table of the pole offsets mu_k - mu_a; a failing step
+    is split at midpoints down to one spacing of the grid of
+    steps * 2^ADAPTIVE_DOUBLINGS intervals.
 
     Before any wheel is followed, a cond(V) (Frobenius norm) above
     SECULAR_COND_CAP, which would make the weights inexact, raises
@@ -224,12 +204,15 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
         stride = 2 ** ADAPTIVE_DOUBLINGS
         fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
         tol = SECULAR_TOL * np.abs(base).max()
+        # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
+        off = mu - mu[:, None]
+        np.fill_diagonal(off, np.inf)
         size = max(1, SECULAR_BLOCK // n ** 2)
         ends = fine[[0, -1]]
         for first in range(0, len(wheels), size):
             block = wheels[first:first + size]
-            followed, rows = _follow_wheels(mu, C[block], h0[block], base,
-                                            fine, stride, tol, paths)
+            followed, rows = _follow_wheels(mu, off, C[block], h0[block],
+                                            base, fine, stride, tol, paths)
             for r, (wheel, (at, last, turned)) in enumerate(
                     zip(block, followed)):
                 if at is not None:
@@ -251,7 +234,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     return found
 
 
-def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
+def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
     """For the wheels with weights C (W, n) and field values h (W,): one
     (at, last, turned) per wheel, with at the index into fine of the start
     of a step that fails at one spacing of fine, or else at None, the labels
@@ -264,7 +247,8 @@ def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
     whose step fails is split by _secular_refine on fine; a wheel that fails
     there is dropped.  Besides the kept rows, only the current rows and the
     running angle sums are kept.  A kept row is polished by further Newton
-    iterations on a copy, which the stepping never reads.
+    iterations on a copy, which the stepping never reads and which is not
+    tested.  off is the table of pole offsets (_secular_step).
     """
     turns = np.exp(1j * fine[::stride]) - 1.0
     live = np.arange(len(C))  # the wheel of each live row
@@ -276,13 +260,13 @@ def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
         rows = np.empty((len(turns),) + lam.shape, dtype=complex)
         rows[0] = base
     for k in range(1, len(turns)):
-        new, ok = _secular_step(mu, C, turns[k] * h, lam, 2.0 * lam - prev,
-                                tol)
+        new, ok = _secular_step(mu, off, C, turns[k] * h, lam,
+                                2.0 * lam - prev, tol)
         moved = np.angle(new / lam)
         for r in np.flatnonzero(~ok):
             at, new[r], moved[r] = _secular_refine(
-                mu, C[r], h[r], fine, (k - 1) * stride, k * stride, lam[r],
-                tol)
+                mu, off, C[r], h[r], fine, (k - 1) * stride, k * stride,
+                lam[r], tol)
             if at < k * stride:
                 out[live[r]] = at, None, None
                 live[r] = -1
@@ -293,8 +277,8 @@ def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
             if not len(live):
                 break
         if paths:
-            rows[k, live] = _secular_step(mu, C, turns[k] * h, new, new,
-                                          0.0)[0]
+            rows[k, live] = _secular_step(mu, off, C, turns[k] * h, None,
+                                          new, 0.0)[0]
         turned += moved
         prev, lam = lam, new
     for r, wheel in enumerate(live):
@@ -302,7 +286,7 @@ def _follow_wheels(mu, C, h, base, fine, stride, tol, paths):
     return out, rows
 
 
-def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
+def _secular_refine(mu, off, c, h, fine, start, stop, lam, tol):
     """One wheel's step from lam at fine[start] toward fine[stop]: a step
     that fails is split at its midpoint on fine and its first half is tried
     next.  Returns the index into fine reached, the labels there and their
@@ -314,7 +298,8 @@ def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
     while targets:
         j = targets[-1]
         s = np.array([(np.exp(1j * fine[j]) - 1.0) * h])
-        new, ok = _secular_step(mu, c[None], s, lam[None], lam[None], tol)
+        new, ok = _secular_step(mu, off, c[None], s, lam[None], lam[None],
+                                tol)
         if ok[0]:
             moved += np.angle(new[0] / lam)
             lam, at = new[0], targets.pop()
@@ -325,36 +310,51 @@ def _secular_refine(mu, c, h, fine, start, stop, lam, tol):
     return at, lam, moved
 
 
-def _secular_step(mu, C, s, lam, guess, tol):
+def _secular_step(mu, off, C, s, lam, guess, tol):
     """The labels (W, n) at the turns s (W,) by Newton from guess, and
-    whether each wheel's step from lam passes: every label converged, and
-    _step_passes holds with each label matched to itself.
+    whether each wheel's step from lam passes: every label converged and
+    _step_holds.  A polish passes lam None and gets no verdict (None).
 
     Each label is anchored at the pole mu_a nearest its guess for the whole
     step and solves s c_a - d (1 + s sum_{k != a} c_k / (mu_k - lam)) = 0
     for d = lam - mu_a, whose roots are the secular roots and which stays
     regular as c_a -> 0.  The anchor is chosen again each step: a label
-    whose path ends on another pole (a permuted label) changes poles.
+    whose path ends on another pole (a permuted label) changes poles.  Its
+    offsets mu_k - mu_a are row a of the table off; the Newton iterations
+    write 1 / (mu_k - lam) and its square into two buffers.
     """
     anchor = np.abs(mu - guess[..., None]).argmin(axis=-1)
     pole = mu[anchor]
-    # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
-    offsets = np.where(anchor[..., None] == np.arange(len(mu)), np.inf,
-                       mu - pole[..., None])
+    offsets = off[anchor]
     weights = (s[:, None] * C)[..., None]
     pull = weights[np.arange(len(C))[:, None], anchor, 0]  # s c_a
     d = guess - pole
+    inv, sq = np.empty_like(offsets), np.empty_like(offsets)
     for _ in range(SECULAR_ITERATIONS):
-        inv = 1.0 / (offsets - d[..., None])
+        np.divide(1.0, np.subtract(offsets, d[..., None], out=inv), out=inv)
         q = 1.0 + (inv @ weights)[..., 0]
-        step = (pull - d * q) / (q + d * ((inv * inv) @ weights)[..., 0])
+        np.multiply(inv, inv, out=sq)
+        step = (pull - d * q) / (q + d * (sq @ weights)[..., 0])
         d += step
         converged = np.abs(step) <= tol
         if converged.all():
             break
     new = pole + d
-    ok, cols = _step_passes(lam, new)
-    return new, ok & (converged & (cols == np.arange(len(mu)))).all(axis=-1)
+    if lam is None:
+        return new, None
+    return new, converged.all(axis=-1) & _step_holds(lam, new)
+
+
+def _step_holds(lam, new):
+    """Whether each step of a stack (..., n) of label rows passes: every
+    label i moves at most half the gap from new_i to the nearest other
+    new_j.  Then no new value is nearer lam_i than new_i (any other new_j
+    lies a gap from new_i, so at least half a gap from lam_i): each label
+    keeps its own value, and no matching or collision test is needed."""
+    G = np.abs(new[..., :, None] - new[..., None, :])
+    diagonal = np.arange(new.shape[-1])
+    G[..., diagonal, diagonal] = np.inf
+    return (np.abs(lam - new) <= 0.5 * G.min(axis=-2)).all(axis=-1)
 
 
 def raw_winding_increments(path: SpectralPath) -> np.ndarray:
@@ -602,16 +602,10 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
 
     # every listed relation must hold in the concrete permutation group
     ident = tuple(range(len(system)))
-    verified = True
-    for w in perms:
-        if _power(w.perm, w.order) != ident:
-            verified = False
-    for i in range(len(perms)):
-        pi = _power(perms[i].perm, perms[i].order)
-        for j in range(i + 1, len(perms)):
-            pj = _power(perms[j].perm, perms[j].order)
-            if perm_compose(pi, pj) != perm_compose(pj, pi):
-                verified = False
+    powers = [_power(w.perm, w.order) for w in perms]
+    verified = all(p == ident for p in powers) and all(
+        perm_compose(p, q) == perm_compose(q, p)
+        for i, p in enumerate(powers) for q in powers[i + 1:])
 
     commuting = [(i, j) for i in range(len(perms))
                  for j in range(i + 1, len(perms))

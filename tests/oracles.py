@@ -18,8 +18,9 @@ every subset of every element; L and g come back in their own record,
 eigenvalue tracker the library ran before it followed wheels on the secular
 equation: LAPACK solves the eigenvalues of every sample, and the whole
 circle is redone at twice the steps while a step stays ambiguous; it shares
-only the start checks and the step test (`_start`, `_step_passes`) with the
-library.  `group_closure` lists a permutation group breadth first, the way
+only the start checks and the greedy match (`_start`, `_greedy_match`) with
+the library; its step test, `step_passes`, is the library's from before the
+secular path tested each label against itself in one pass.  `group_closure` lists a permutation group breadth first, the way
 group orders were found before Schreier-Sims.
 """
 
@@ -600,7 +601,7 @@ def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
     Labels are fixed by sorting the t=0 eigenvalues; each later sample is
     matched to the one before by the greedy nearest match.  A step is
     ambiguous when two labels pick one eigenvalue or a matched move exceeds
-    half the gap around its target (_step_passes).  An ambiguous step fails
+    half the gap around its target (step_passes).  An ambiguous step fails
     the attempt, and the whole path is recomputed with twice the steps, up
     to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
     the failed one (its even points are the same times, bit for bit), so a
@@ -632,10 +633,31 @@ def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
         % (wheel, ts[failed], attempt_steps // 2))
 
 
+def step_passes(prev, new):
+    """Whether each step of a stack (..., n) of eigenvalue rows passes, and
+    its greedy match: label i of prev goes to new[..., cols[..., i]].  A
+    step fails where two labels pick one eigenvalue, or a label moves more
+    than half the gap from its target to the nearest other eigenvalue.
+
+    Each target of a step that passes is nearest its label (any other
+    eigenvalue lies a gap from the target, so half a gap from the label);
+    so where the greedy match collides, no matching passes, and no
+    assignment is needed.  The verdict does not depend on the order of
+    either row.  Returns (ok, cols).
+    """
+    cols, best, collided = spectral._greedy_match(prev, new)
+    G = np.abs(new[..., :, None] - new[..., None, :])
+    diagonal = np.arange(new.shape[-1])
+    G[..., diagonal, diagonal] = np.inf
+    gaps = G.min(axis=-2)  # nearest other eigenvalue, per raw index
+    too_far = best > 0.5 * np.take_along_axis(gaps, cols, axis=-1)
+    return ~(collided | too_far.any(axis=-1)), cols
+
+
 def _track_once(L_at, ts, raw, solved):
     """The labelled eigenvalues at the times ts and None, or None and the
     index s of the first ambiguous step, from ts[s] to ts[s + 1]
-    (_step_passes).
+    (step_passes).
 
     raw[s] holds the eigenvalues at ts[s] in LAPACK's order (raw[0] is the
     sorted start, which fixes the labels) where solved[s] is set; the rest
@@ -653,7 +675,7 @@ def _track_once(L_at, ts, raw, solved):
         if len(todo):
             raw[todo] = spectral.eigenvalues(L_at(ts[todo]))
             solved[todo] = True
-        ok, cols = spectral._step_passes(raw[a - 1:b - 1], raw[a:b])
+        ok, cols = step_passes(raw[a - 1:b - 1], raw[a:b])
         if not ok.all():
             return None, a - 1 + int(ok.argmin())
         for k in range(b - a):

@@ -620,7 +620,7 @@ def test_repeated_start_eigenvalue_fails_at_once(capsys, monkeypatch,
     # no step count can label, so no tracking attempt is made
     from setfield import spectral
 
-    monkeypatch.setattr(spectral, "_step_passes",
+    monkeypatch.setattr(spectral, "_step_holds",
                         lambda *a: pytest.fail("a tracking step was tested"))
     argv = command[:1] + ["--inline", "{{1},{2},{3}}", "--field",
                           "values:1+0.5i,1+0.5i,2+0i"] + command[1:]

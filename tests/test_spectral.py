@@ -400,14 +400,64 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
 
 def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
     # labels 0 and 1 start 1e-3 apart and both land nearest 5e-4, each move
-    # well within half the target's gap: only the collision fails the step
+    # well within half the target's gap: only the collision fails the step,
+    # whichever of the two labels is given 5e-4
     prev = np.array([0, 1e-3, 5], dtype=complex)
-    ok, _ = spectral._step_passes(prev, np.array([5e-4, 5, -5], dtype=complex))
-    assert not ok
-    new = np.array([5, 1.1e-3, 1e-4], dtype=complex)
-    ok, cols = spectral._step_passes(prev, new)
-    assert ok
-    assert new[cols].tolist() == [1e-4, 1.1e-3, 5]
+    for new in ([5e-4, 5, -5], [5, 5e-4, -5]):
+        assert not spectral._step_holds(prev, np.array(new, dtype=complex))
+    assert spectral._step_holds(prev, np.array([1e-4, 1.1e-3, 5],
+                                               dtype=complex))
+
+
+def test_one_pass_step_test_gives_the_greedy_self_match_verdict():
+    # the step test of the secular path (every label within half its gap)
+    # against the greedy match's test and each label matched to itself.  They
+    # differ only on an exact tie: lam = [0, 2], new = [1, 3] passes here,
+    # while the greedy match sends lam_1 to the lower index and collides
+    rng = np.random.default_rng(47)
+    passed = failed = 0
+    for draw in range(1200):
+        W, n = rng.integers(1, 6), rng.integers(1, 8)
+        lam = rng.normal(size=(W, n)) + 1j * rng.normal(size=(W, n))
+        scale = 10.0 ** rng.uniform(-4, 0)
+        new = lam + scale * (rng.normal(size=(W, n))
+                             + 1j * rng.normal(size=(W, n)))
+        if draw % 3 == 1 and n > 1:  # two values nearly equal
+            i, j = rng.choice(n, 2, replace=False)
+            new[:, j] = new[:, i] + 10.0 ** rng.uniform(-16, -6) * (
+                rng.normal(size=W) + 1j * rng.normal(size=W))
+        elif draw % 3 == 2 and n > 1:  # two labels swap their values
+            i, j = rng.choice(n, 2, replace=False)
+            new[:, [i, j]] = new[:, [j, i]]
+        ok, cols = oracles.step_passes(lam, new)
+        want = ok & (cols == np.arange(n)).all(axis=-1)
+        got = spectral._step_holds(lam, new)
+        assert got.tolist() == want.tolist()
+        passed += int(want.sum())
+        failed += int((~want).sum())
+    assert passed > 1000 and failed > 1000
+
+
+def test_wheel_groups_of_one_give_the_outcomes_of_one_group(monkeypatch,
+                                                            linear10):
+    # with one wheel per group every group reads the one offset table, so
+    # each wheel's rows are the bits of following it alone.  A group's Newton
+    # iterations stop when all of its labels converged, so the rows of one
+    # group of all wheels differ from those only in the last bits
+    h = roots_field(linear10, 10)
+    one_group = wheel_permutations(linear10, h, paths=True)
+    monkeypatch.setattr(spectral, "SECULAR_BLOCK", 1)
+    grouped = wheel_permutations(linear10, h, paths=True)
+    for wheel, (wp, together, single) in enumerate(zip(grouped, one_group, (
+            wheel_permutations(linear10, h, wheels=[w], paths=True)[0]
+            for w in range(len(linear10))))):
+        assert wp.wheel == single.wheel == wheel
+        assert (wp.perm, wp.windings) == (together.perm, together.windings)
+        assert (wp.perm, wp.windings) == (single.perm, single.windings)
+        assert wp.path.values.tobytes() == single.path.values.tobytes()
+        scale = np.abs(together.path.values).max()
+        assert (np.abs(wp.path.values - together.path.values).max()
+                < 1e-14 * scale)
 
 
 def test_end_collision_names_the_requested_steps(monkeypatch):
