@@ -8,9 +8,12 @@ complex fields are supported (quaternion spectra lack canonical labels).
 
 One solver follows the labels, wheel_permutations: turning one value is a
 rank-one update of L(0), so after one eigendecomposition of L(0) it follows
-all wheels together by Newton on the secular equation, with a one-pass
-step test (_step_holds).  `group` (monodromy_report) reads each wheel's permutation
-and windings; `phase` reads the same, and the labels on the requested grid.
+all wheels together by Newton on the secular equation, each step started
+from a cubic predictor and checked by a one-pass step test (_step_holds).
+`group` (monodromy_report) reads each wheel's permutation and windings;
+`phase` reads the same, and the labels on the requested grid.  The order of
+the wheel group comes from a certificate of transpositions when it applies,
+else from Schreier-Sims (group_order).
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ ADAPTIVE_DOUBLINGS = 4  # a failing step is split down to 2**-4 of a step
 WINDING_INT_TOL = 1e-3
 # A step whose labels have not converged after SECULAR_ITERATIONS Newton
 # steps fails; a label has converged when its Newton step is at most
-# SECULAR_TOL times the largest t=0 eigenvalue modulus (about 3 steps are
-# needed at 500 steps).
+# SECULAR_TOL times the largest t=0 eigenvalue modulus (2.1-2.7 steps on
+# average on the worked cases at 500 steps).
 SECULAR_ITERATIONS = 12
 SECULAR_TOL = 1e-9
 # Above this condition number (Frobenius) of L(0)'s eigenvectors tracking
@@ -40,6 +43,14 @@ SECULAR_COND_CAP = 1e6
 # Complex entries of one (wheels, n, n) temporary, which bound the wheels
 # followed together.
 SECULAR_BLOCK = 2 ** 14
+# Each coarse step's Newton solve starts from the cubic through the last
+# four coarse rows.  Row m of PREDICTORS weights the last rows, newest
+# first, by (-1)^j binom(m + 1, j + 1): the polynomial of degree m through
+# the last m + 1 rows, at the next step (the weights of older rows are 0).
+PREDICTOR_ORDER = 3
+PREDICTORS = np.array([[(-1) ** j * math.comb(m + 1, j + 1)
+                        for j in range(PREDICTOR_ORDER + 1)]
+                       for m in range(PREDICTOR_ORDER + 1)], dtype=complex)
 
 
 class TrackingAmbiguityError(RuntimeError):
@@ -243,25 +254,32 @@ def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
     stride-th point of fine), (steps + 1, W, n), else None.
 
     All wheels take each coarse step as one (W, n) Newton solve, started
-    from the linear extrapolation of the last two coarse points.  A wheel
-    whose step fails is split by _secular_refine on fine; a wheel that fails
-    there is dropped.  Besides the kept rows, only the current rows and the
-    running angle sums are kept.  A kept row is polished by further Newton
-    iterations on a copy, which the stepping never reads and which is not
-    tested.  off is the table of pole offsets (_secular_step).
+    from the extrapolation of the last PREDICTOR_ORDER + 1 coarse rows by
+    the polynomial through them, 4 lam_k - 6 lam_{k-1} + 4 lam_{k-2} -
+    lam_{k-3} (the first steps, with fewer rows, use the lower orders).  A
+    wheel whose step fails is split by _secular_refine on fine; a wheel that
+    fails there is dropped, with its rows of the history.  Besides the kept
+    rows, only those last coarse rows and the running angle sums are kept.
+    A kept row is polished by further Newton iterations on a copy, until
+    every Newton step is at most 4 eps max |mu|; the stepping never reads it
+    and it is not tested.  off is the table of pole offsets (_secular_step).
     """
     turns = np.exp(1j * fine[::stride]) - 1.0
     live = np.arange(len(C))  # the wheel of each live row
     out = [None] * len(C)
-    lam = prev = np.tile(base, (len(C), 1))
+    lam = np.tile(base, (len(C), 1))
+    # the last coarse rows, newest first
+    history = np.repeat(lam[None], PREDICTOR_ORDER + 1, axis=0)
     turned = np.zeros(lam.shape)
     rows = None
     if paths:
         rows = np.empty((len(turns),) + lam.shape, dtype=complex)
         rows[0] = base
+        polish = 4.0 * np.finfo(float).eps * np.abs(mu).max()
     for k in range(1, len(turns)):
-        new, ok = _secular_step(mu, off, C, turns[k] * h, lam,
-                                2.0 * lam - prev, tol)
+        guess = (PREDICTORS[min(k - 1, PREDICTOR_ORDER)]
+                 @ history.reshape(len(history), -1)).reshape(lam.shape)
+        new, ok = _secular_step(mu, off, C, turns[k] * h, lam, guess, tol)
         moved = np.angle(new / lam)
         for r in np.flatnonzero(~ok):
             at, new[r], moved[r] = _secular_refine(
@@ -274,13 +292,16 @@ def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
             keep = live >= 0
             live, C, h, lam, new, moved, turned = (
                 x[keep] for x in (live, C, h, lam, new, moved, turned))
+            history = history[:, keep]
             if not len(live):
                 break
         if paths:
             rows[k, live] = _secular_step(mu, off, C, turns[k] * h, None,
-                                          new, 0.0)[0]
+                                          new, polish)[0]
         turned += moved
-        prev, lam = lam, new
+        lam = new
+        history[1:] = history[:-1]
+        history[0] = new
     for r, wheel in enumerate(live):
         out[wheel] = None, lam[r], turned[r]
     return out, rows
@@ -464,7 +485,75 @@ def _inverse(p):
 
 
 def group_order(perms) -> int:
-    """Order of the group the permutations generate, by Schreier-Sims.
+    """Order of the group G the permutations generate: by a certificate of
+    transpositions when it applies, else by Schreier-Sims.
+
+    G lies in the product of the symmetric groups S(O) of its orbits O.  A
+    generator whose only even cycle is a 2-cycle (a b) has the power
+    p^(ord p / 2) = (a b), so (a b) is in G, and so is each conjugate
+    (g(a) g(b)) by a generator.  When the transpositions found so, closed
+    under conjugation, connect each orbit, they generate every S(O): G is
+    the whole product and its order is the product of the |O|!.  Otherwise
+    (e.g. on the bowtie roots:13, or on D4 = <(0 1 2 3), (0 2)>, whose
+    transpositions (0 2), (1 3) leave the orbit in two pieces) the order
+    comes from _schreier_sims_order.
+    """
+    if not perms:
+        raise ValueError("need at least one permutation")
+    degree = len(perms[0])
+    if any(len(p) != degree for p in perms):
+        raise ValueError("permutations must share one degree")
+    order = _transposition_certificate(perms)
+    return _schreier_sims_order(perms) if order is None else order
+
+
+def _transposition_certificate(perms):
+    """The product of |O|! over the orbits O of the group the permutations
+    generate, if its transpositions found from the generators' 2-cycles
+    connect every orbit (group_order), else None."""
+    degree = len(perms[0])
+    found = set()
+    for p in perms:
+        even = [cyc for cyc in perm_cycles(p) if len(cyc) % 2 == 0]
+        if len(even) == 1 and len(even[0]) == 2:
+            found.add(tuple(sorted(even[0])))
+    pending = list(found)
+    while pending:  # close under conjugation by the generators
+        a, b = pending.pop()
+        for p in perms:
+            t = (p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
+            if t not in found:
+                found.add(t)
+                pending.append(t)
+    orbits = _components(degree, [(i, p[i]) for p in perms
+                                  for i in range(degree)])
+    if len(_components(degree, found)) != len(orbits):
+        return None
+    return math.prod(map(math.factorial, orbits))
+
+
+def _components(degree, edges):
+    """The sizes of the connected components of the graph on range(degree)
+    with the given edges, by union-find."""
+    root = list(range(degree))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    sizes = [0] * degree
+    for i in range(degree):
+        sizes[find(i)] += 1
+    return [size for size in sizes if size]
+
+
+def _schreier_sims_order(perms) -> int:
+    """Order of the group the permutations (at least one, of one degree)
+    generate, by Schreier-Sims.
 
     Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
     Algorithms, 2003, ch. 4) with base 0, 1, ..., n-1.  Level i keeps the
@@ -477,11 +566,7 @@ def group_order(perms) -> int:
     complete the order is the product of the orbit lengths.  Nothing close
     to the group's size is ever stored, unlike a breadth-first closure.
     """
-    if not perms:
-        raise ValueError("need at least one permutation")
     degree = len(perms[0])
-    if any(len(p) != degree for p in perms):
-        raise ValueError("permutations must share one degree")
     ident = tuple(range(degree))
     strong = [[] for _ in range(degree)]  # by first moved point
     trans = [{i: (ident, ident)} for i in range(degree)]
@@ -593,8 +678,9 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
 
     The wheels come from wheel_permutations, all of them on the secular
     equation at once, and its errors pass through.  The order comes from
-    group_order (Schreier-Sims), which lists no group elements; `cap` is
-    accepted for existing callers and bounds nothing.
+    group_order (a certificate of transpositions, else Schreier-Sims), which
+    lists no group elements; `cap` is accepted for existing callers and
+    bounds nothing.
     """
     perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])

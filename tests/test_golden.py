@@ -17,7 +17,10 @@ reports and the triangle's `phase --output` CSVs were written again when
 `phase` moved onto the secular equation: each `steps` field became the
 requested 500 (the tracker had doubled some wheels' steps), and a CSV value
 changed only in its last printed digits, on 89 of 49098 values, within
-1e-13 of the largest eigenvalue modulus at its time.  The `gen` and `kaehler`
+1e-13 of the largest eigenvalue modulus at its time.  The CSVs were written
+once more when each Newton solve started from a cubic predictor and the
+polish of the kept rows stopped at a step of 4 eps max |mu|: 5 of 52605
+printed values changed, each by one in its last digit.  The `gen` and `kaehler`
 reports and the edge's `kaehler --heatmap` SVG were written while the
 Kaehler form was still an int64 array (Z Z^T)*(Z Z^T) built with numpy.
 The twelve complex and quaternion `det --pivot-log` reports were written

@@ -460,6 +460,23 @@ def test_wheel_groups_of_one_give_the_outcomes_of_one_group(monkeypatch,
                 < 1e-14 * scale)
 
 
+def test_polished_rows_lie_near_the_eigenvalue_tracker(linear10):
+    # the rows phase --output writes, polished until a Newton step is at most
+    # 4 eps max |mu|, against the oracle's LAPACK eigenvalues at the same
+    # times: within 5e-14 of the largest modulus at that time (1.0e-14,
+    # 9.9e-15 and 2.2e-14 measured on the three cases)
+    for system, order in ((generate([[1, 2, 3]]), 7), (linear10, 10),
+                          (generate([[1, 2, 3, 4]]), 15)):
+        h = roots_field(system, order)
+        for wp in wheel_permutations(system, h, 500, paths=True):
+            want = oracles.track_wheel(system, h, wp.wheel, 500)
+            every = want.steps // wp.path.steps  # the oracle may double
+            assert np.array_equal(want.ts[::every], wp.path.ts)
+            values = want.values[::every]
+            scale = np.abs(values).max(axis=1, keepdims=True)
+            assert (np.abs(wp.path.values - values) <= 5e-14 * scale).all()
+
+
 def test_end_collision_names_the_requested_steps(monkeypatch):
     # two labels that end nearest one start value leave no permutation
     follow = spectral._follow_wheels
@@ -566,6 +583,87 @@ def test_group_order_matches_sympy():
         want = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g)) for g in gens]).order()
         assert group_order(gens) == want, gens
+
+
+def _generators_with_a_2_cycle(rng, degree):
+    """One to four permutations; about half are one 2-cycle and odd cycles
+    on random points, whose power of half their order is that 2-cycle."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        points = rng.sample(range(degree), degree)
+        if rng.random() < 0.5 and degree > 1:
+            p, points = _cycle(degree, points[:2]), points[2:]
+            while points:
+                size = rng.choice([k for k in (1, 3, 5) if k <= len(points)])
+                p = perm_compose(_cycle(degree, points[:size]), p)
+                points = points[size:]
+            gens.append(p)
+        else:
+            gens.append(tuple(points))
+    return gens
+
+
+def _seeded_generator_sets(seed, count):
+    rng = random.Random(seed)
+    for draw in range(count):
+        make = _generators_with_a_2_cycle if draw % 2 else _random_generators
+        yield make(rng, rng.randint(1, 12))
+
+
+def test_transposition_certificate_agrees_with_schreier_sims():
+    certified = fell_back = 0
+    for gens in _seeded_generator_sets(53, 600):
+        want = spectral._schreier_sims_order(gens)
+        got = spectral._transposition_certificate(gens)
+        if got is None:
+            fell_back += 1
+        else:
+            assert got == want, gens
+            certified += 1
+        assert group_order(gens) == want, gens
+    assert certified > 150 and fell_back > 150
+
+
+def test_transposition_certificate_and_fallback_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    certified = fell_back = 0
+    for gens in _seeded_generator_sets(59, 300):
+        want = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in gens]).order()
+        got = spectral._transposition_certificate(gens)
+        certified += got is not None
+        fell_back += got is None
+        assert got in (None, want), gens
+        assert spectral._schreier_sims_order(gens) == want, gens
+    assert certified > 100 and fell_back > 100
+
+
+def test_worked_wheel_groups_certified_or_by_fallback():
+    # the full 4- and 5-simplex wheel groups are the whole products, 14! and
+    # 29!; the bowtie's transpositions leave an orbit in pieces, so its
+    # order comes from Schreier-Sims
+    for gens, order, want, certified in (
+            ([[1, 2, 3, 4]], 15, math.factorial(14), True),
+            ([[1, 2, 3], [3, 4, 5]], 13, 172800, False),
+            ([[1, 2, 3, 4, 5]], 63, math.factorial(29), True)):
+        system = generate(gens)
+        perms = [wp.perm for wp in wheel_permutations(
+            system, roots_field(system, order))]
+        assert spectral._transposition_certificate(perms) == (
+            want if certified else None)
+        assert spectral._schreier_sims_order(perms) == want
+        assert group_order(perms) == want
+
+
+def test_transposition_certificate_falls_back():
+    # <(0 1 2)> has no transposition; D4 = <(0 1 2 3), (0 2)> has (0 2) and
+    # its conjugate (1 3), which do not connect its orbit; A4 = <(0 1 2),
+    # (1 2 3)> has none
+    for gens, want in (([(1, 2, 0)], 3),
+                       ([(1, 2, 3, 0), (2, 1, 0, 3)], 8),
+                       ([(1, 2, 0, 3), (0, 2, 3, 1)], 12)):
+        assert spectral._transposition_certificate(gens) is None
+        assert group_order(gens) == want
 
 
 def test_group_order_rejects_bad_input():
