@@ -8,8 +8,11 @@ complex fields are supported (quaternion spectra lack canonical labels).
 
 One solver follows the labels, wheel_permutations: turning one value is a
 rank-one update of L(0), so after one eigendecomposition of L(0) it follows
-all wheels together by Newton on the secular equation, each step started
-from a cubic predictor and checked by a one-pass step test (_step_holds).
+all wheels together by Newton on the secular equation.  One Newton call
+solves a run of coarse steps, each started from the polynomial through the
+last four coarse rows, and the run's longest prefix of steps that pass a
+one-pass step test (_step_holds) is taken; the run length follows the
+Newton iterations the solves take.
 `group` (monodromy_report) reads each wheel's permutation and windings;
 `phase` reads the same, and the labels on the requested grid.  The order of
 the wheel group comes from a certificate of transpositions when it applies,
@@ -32,8 +35,9 @@ ADAPTIVE_DOUBLINGS = 4  # a failing step is split down to 2**-4 of a step
 WINDING_INT_TOL = 1e-3
 # A step whose labels have not converged after SECULAR_ITERATIONS Newton
 # steps fails; a label has converged when its Newton step is at most
-# SECULAR_TOL times the largest t=0 eigenvalue modulus (2.1-2.7 steps on
-# average on the worked cases at 500 steps).
+# SECULAR_TOL times the largest t=0 eigenvalue modulus (a Newton call of a
+# run of coarse steps takes 3.4-4.2 on average on the worked cases at 500
+# steps).
 SECULAR_ITERATIONS = 12
 SECULAR_TOL = 1e-9
 # Above this condition number (Frobenius) of L(0)'s eigenvectors tracking
@@ -41,16 +45,31 @@ SECULAR_TOL = 1e-9
 # 1e-16 * cond(V), 1e-10 at the cap (the worked cases have cond(V) < 25).
 SECULAR_COND_CAP = 1e6
 # Complex entries of one (wheels, n, n) temporary, which bound the wheels
-# followed together.
+# followed together.  A run of several coarse steps holds two (run, wheels,
+# n, n) temporaries, together at most this many entries.
 SECULAR_BLOCK = 2 ** 14
-# Each coarse step's Newton solve starts from the cubic through the last
-# four coarse rows.  Row m of PREDICTORS weights the last rows, newest
-# first, by (-1)^j binom(m + 1, j + 1): the polynomial of degree m through
-# the last m + 1 rows, at the next step (the weights of older rows are 0).
+# A run of coarse steps is solved together, row j of it (j steps ahead)
+# started from the polynomial through the last PREDICTOR_ORDER + 1 coarse
+# rows (_predictors).
 PREDICTOR_ORDER = 3
-PREDICTORS = np.array([[(-1) ** j * math.comb(m + 1, j + 1)
-                        for j in range(PREDICTOR_ORDER + 1)]
-                       for m in range(PREDICTOR_ORDER + 1)], dtype=complex)
+
+
+def _predictors(horizon):
+    """Weights (PREDICTOR_ORDER + 1, horizon, PREDICTOR_ORDER + 1) of the
+    guesses: entry [m, j - 1, i] weights the i-th newest of the last m + 1
+    coarse rows in the polynomial of degree m through them, j steps ahead,
+    prod_{l != i} (j + l) / (l - i) over l <= m (0 for i > m).  The weights
+    are integers; for j = 1 they are (-1)^i binom(m + 1, i + 1), the cubic's
+    4, -6, 4, -1."""
+    ahead = np.arange(1, horizon + 1)
+    table = np.zeros((PREDICTOR_ORDER + 1, horizon, PREDICTOR_ORDER + 1),
+                     dtype=complex)
+    for m in range(PREDICTOR_ORDER + 1):
+        for i in range(m + 1):
+            others = [l for l in range(m + 1) if l != i]
+            table[m, :, i] = (np.prod([ahead + l for l in others], axis=0)
+                              // math.prod(l - i for l in others))
+    return table
 
 
 class TrackingAmbiguityError(RuntimeError):
@@ -180,8 +199,10 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
     and no inverse is formed.  Wheels are followed in groups of at most
     SECULAR_BLOCK / n^2, all steps of a group together (_follow_wheels),
-    each reading one table of the pole offsets mu_k - mu_a; a failing step
-    is split at midpoints down to one spacing of the grid of
+    each reading one table of the pole offsets mu_k - mu_a.  A group takes
+    its coarse steps in runs, one Newton call per run, whose length follows
+    the Newton iterations the solves take; a failing step is split at
+    midpoints down to one spacing of the grid of
     steps * 2^ADAPTIVE_DOUBLINGS intervals.
 
     Before any wheel is followed, a cond(V) (Frobenius norm) above
@@ -253,18 +274,28 @@ def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
     radians; and with paths, the labels at every coarse time (every
     stride-th point of fine), (steps + 1, W, n), else None.
 
-    All wheels take each coarse step as one (W, n) Newton solve, started
-    from the extrapolation of the last PREDICTOR_ORDER + 1 coarse rows by
-    the polynomial through them, 4 lam_k - 6 lam_{k-1} + 4 lam_{k-2} -
-    lam_{k-3} (the first steps, with fewer rows, use the lower orders).  A
-    wheel whose step fails is split by _secular_refine on fine; a wheel that
-    fails there is dropped, with its rows of the history.  Besides the kept
-    rows, only those last coarse rows and the running angle sums are kept.
-    A kept row is polished by further Newton iterations on a copy, until
-    every Newton step is at most 4 eps max |mu|; the stepping never reads it
-    and it is not tested.  off is the table of pole offsets (_secular_step).
+    All wheels take a run of coarse steps as one (run, W, n) Newton solve.
+    Row j of a run starts from the polynomial through the last
+    PREDICTOR_ORDER + 1 coarse rows, j steps ahead (_predictors; the first
+    steps, with fewer rows, use the lower degrees), and holds when it
+    converged and passes _step_holds against the row before it.  The
+    longest prefix of rows that hold for every wheel is taken.  When the
+    first row fails for some wheels, the others take it, and the step of
+    each of those is split by _secular_refine on fine; a wheel that fails
+    there is dropped, with its rows of the history.  The run length starts
+    at 1 and follows the solver: it doubles after a run taken whole in at
+    most 3 Newton iterations, halves after one that took more than 4, and
+    falls to the prefix taken when a row fails.  A run of more than one
+    step holds at most SECULAR_BLOCK / 2 entries in each of its two
+    (run, W, n, n) Newton temporaries, and its step test runs after they
+    are freed.  Besides the kept rows, only the last coarse rows and the
+    running angle sums are kept.  The rows a run takes are kept polished by
+    further Newton iterations on a copy, in one call, until every Newton
+    step is at most 4 eps max |mu|; the stepping never reads them and they
+    are not tested.  off is the table of pole offsets (_secular_step).
     """
     turns = np.exp(1j * fine[::stride]) - 1.0
+    steps, n = len(turns) - 1, len(base)
     live = np.arange(len(C))  # the wheel of each live row
     out = [None] * len(C)
     lam = np.tile(base, (len(C), 1))
@@ -276,32 +307,53 @@ def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
         rows = np.empty((len(turns),) + lam.shape, dtype=complex)
         rows[0] = base
         polish = 4.0 * np.finfo(float).eps * np.abs(mu).max()
-    for k in range(1, len(turns)):
-        guess = (PREDICTORS[min(k - 1, PREDICTOR_ORDER)]
-                 @ history.reshape(len(history), -1)).reshape(lam.shape)
-        new, ok = _secular_step(mu, off, C, turns[k] * h, lam, guess, tol)
-        moved = np.angle(new / lam)
-        for r in np.flatnonzero(~ok):
-            at, new[r], moved[r] = _secular_refine(
-                mu, off, C[r], h[r], fine, (k - 1) * stride, k * stride,
-                lam[r], tol)
-            if at < k * stride:
-                out[live[r]] = at, None, None
-                live[r] = -1
-        if (live < 0).any():
-            keep = live >= 0
-            live, C, h, lam, new, moved, turned = (
-                x[keep] for x in (live, C, h, lam, new, moved, turned))
-            history = history[:, keep]
-            if not len(live):
-                break
+    weights = _predictors(1)
+    k, horizon = 0, 1  # coarse steps taken, length of the next run
+    while k < steps:
+        run = min(horizon, steps - k,
+                  max(1, SECULAR_BLOCK // (2 * len(live) * n * n)))
+        if run > weights.shape[1]:
+            weights = _predictors(run)
+        guess = (weights[min(k, PREDICTOR_ORDER), :run]
+                 @ history.reshape(len(history), -1)).reshape(
+                     (run,) + lam.shape)
+        new, converged, iterations = _secular_step(
+            mu, off, C, turns[k + 1:k + run + 1, None] * h, guess, tol)
+        prev = np.concatenate((lam[None], new[:-1]))
+        holds = converged & _step_holds(prev, new)
+        moved = np.angle(new / prev)
+        whole = holds.all(axis=1)
+        taken = run if whole.all() else int(whole.argmin())
+        if taken == run:
+            horizon = (2 * run if iterations <= 3
+                       else max(1, run // 2) if iterations > 4 else run)
+        elif taken:
+            horizon = taken
+        else:
+            taken = horizon = 1
+            for r in np.flatnonzero(~holds[0]):
+                at, new[0, r], moved[0, r] = _secular_refine(
+                    mu, off, C[r], h[r], fine, k * stride, (k + 1) * stride,
+                    lam[r], tol)
+                if at < (k + 1) * stride:
+                    out[live[r]] = at, None, None
+                    live[r] = -1
+            if (live < 0).any():
+                keep = live >= 0
+                live, C, h, turned = (x[keep] for x in (live, C, h, turned))
+                new, moved, history = (x[:, keep]
+                                       for x in (new, moved, history))
+                if not len(live):
+                    break
+        new, moved = new[:taken], moved[:taken]
         if paths:
-            rows[k, live] = _secular_step(mu, off, C, turns[k] * h, None,
-                                          new, polish)[0]
-        turned += moved
-        lam = new
-        history[1:] = history[:-1]
-        history[0] = new
+            rows[k + 1:k + taken + 1, live] = _secular_step(
+                mu, off, C, turns[k + 1:k + taken + 1, None] * h, new,
+                polish)[0]
+        turned += moved.sum(axis=0)
+        lam = new[-1]
+        history = np.concatenate((new[::-1], history))[:len(history)]
+        k += taken
     for r, wheel in enumerate(live):
         out[wheel] = None, lam[r], turned[r]
     return out, rows
@@ -319,9 +371,9 @@ def _secular_refine(mu, off, c, h, fine, start, stop, lam, tol):
     while targets:
         j = targets[-1]
         s = np.array([(np.exp(1j * fine[j]) - 1.0) * h])
-        new, ok = _secular_step(mu, off, c[None], s, lam[None], lam[None],
-                                tol)
-        if ok[0]:
+        new, converged, _ = _secular_step(mu, off, c[None], s, lam[None],
+                                          tol)
+        if converged[0] and _step_holds(lam, new[0]):
             moved += np.angle(new[0] / lam)
             lam, at = new[0], targets.pop()
         elif j - at == 1:
@@ -331,39 +383,38 @@ def _secular_refine(mu, off, c, h, fine, start, stop, lam, tol):
     return at, lam, moved
 
 
-def _secular_step(mu, off, C, s, lam, guess, tol):
-    """The labels (W, n) at the turns s (W,) by Newton from guess, and
-    whether each wheel's step from lam passes: every label converged and
-    _step_holds.  A polish passes lam None and gets no verdict (None).
+def _secular_step(mu, off, C, s, guess, tol):
+    """The labels (..., W, n) at the turns s (..., W) by Newton from guess,
+    for the wheels of weights C (W, n), a stack of any number of times;
+    whether each row converged (every label's last Newton step is at most
+    tol), and the Newton iterations taken.
 
     Each label is anchored at the pole mu_a nearest its guess for the whole
     step and solves s c_a - d (1 + s sum_{k != a} c_k / (mu_k - lam)) = 0
     for d = lam - mu_a, whose roots are the secular roots and which stays
     regular as c_a -> 0.  The anchor is chosen again each step: a label
     whose path ends on another pole (a permuted label) changes poles.  Its
-    offsets mu_k - mu_a are row a of the table off; the Newton iterations
-    write 1 / (mu_k - lam) and its square into two buffers.
+    offsets mu_k - mu_a are row a of the table off; each Newton iteration
+    writes 1 / (mu_k - lam), then its square, into one buffer.  The
+    iterations stop when every label of the stack converged.
     """
     anchor = np.abs(mu - guess[..., None]).argmin(axis=-1)
     pole = mu[anchor]
     offsets = off[anchor]
-    weights = (s[:, None] * C)[..., None]
-    pull = weights[np.arange(len(C))[:, None], anchor, 0]  # s c_a
+    weights = (s[..., None] * C)[..., None]
+    pull = np.take_along_axis(weights[..., 0], anchor, axis=-1)  # s c_a
     d = guess - pole
-    inv, sq = np.empty_like(offsets), np.empty_like(offsets)
-    for _ in range(SECULAR_ITERATIONS):
+    inv = np.empty_like(offsets)
+    for iterations in range(1, SECULAR_ITERATIONS + 1):
         np.divide(1.0, np.subtract(offsets, d[..., None], out=inv), out=inv)
         q = 1.0 + (inv @ weights)[..., 0]
-        np.multiply(inv, inv, out=sq)
-        step = (pull - d * q) / (q + d * (sq @ weights)[..., 0])
+        np.multiply(inv, inv, out=inv)
+        step = (pull - d * q) / (q + d * (inv @ weights)[..., 0])
         d += step
         converged = np.abs(step) <= tol
         if converged.all():
             break
-    new = pole + d
-    if lam is None:
-        return new, None
-    return new, converged.all(axis=-1) & _step_holds(lam, new)
+    return pole + d, converged.all(axis=-1), iterations
 
 
 def _step_holds(lam, new):

@@ -20,7 +20,9 @@ changed only in its last printed digits, on 89 of 49098 values, within
 1e-13 of the largest eigenvalue modulus at its time.  The CSVs were written
 once more when each Newton solve started from a cubic predictor and the
 polish of the kept rows stopped at a step of 4 eps max |mu|: 5 of 52605
-printed values changed, each by one in its last digit.  The `gen` and `kaehler`
+printed values changed, each by one in its last digit.  They were written
+again when one Newton call came to solve a run of coarse steps: 2 of 52605
+values changed, each by one in its last digit.  The `gen` and `kaehler`
 reports and the edge's `kaehler --heatmap` SVG were written while the
 Kaehler form was still an int64 array (Z Z^T)*(Z Z^T) built with numpy.
 The twelve complex and quaternion `det --pivot-log` reports were written

@@ -332,19 +332,100 @@ def test_secular_path_solves_one_spectrum_per_system(monkeypatch, tmp_path,
     capsys.readouterr()
 
 
-def test_wheel_permutations_peak_memory_on_full_4():
+def test_wheel_permutations_peak_memory_on_the_worked_cases():
     # each wheel keeps its current labels and running angle sums, never a
-    # (steps + 1) x n path
-    system = generate([[1, 2, 3, 4]])
-    h = roots_field(system, 15)
-    wheel_permutations(system, h, 500)  # imports and caches, unmeasured
-    tracemalloc.start()
+    # (steps + 1) x n path; a run of coarse steps holds at most
+    # SECULAR_BLOCK entries in its two (run, wheels, n, n) Newton temporaries
+    # together
+    for gens, order in (([[1, 2, 3]], 7),
+                        ([[1, 2], [2, 3], [3, 4], [5, 6]], 10),
+                        ([[1, 2, 3, 4]], 15)):
+        system = generate(gens)
+        h = roots_field(system, order)
+        wheel_permutations(system, h, 500)  # imports and caches, unmeasured
+        tracemalloc.start()
+        try:
+            wheel_permutations(system, h, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_predictors_extrapolate_polynomials_exactly():
+    # row j - 1 of order m takes the polynomial of degree m through the last
+    # m + 1 rows (newest first) to its value j steps ahead; for j = 1 the
+    # cubic's weights are 4, -6, 4, -1
+    table = spectral._predictors(40)
+    assert table[3, 0].tolist() == [4, -6, 4, -1]
+    rng = np.random.default_rng(3)
+    for m in range(spectral.PREDICTOR_ORDER + 1):
+        coeffs = rng.integers(-5, 6, size=m + 1)
+        rows = np.polyval(coeffs, -np.arange(spectral.PREDICTOR_ORDER + 1))
+        assert (table[m] @ rows).tolist() == np.polyval(
+            coeffs, np.arange(1, 41)).tolist()
+
+
+def _count_secular_solves(monkeypatch):
+    """A list that grows by one for each _secular_step call."""
+    solves = []
+    step = spectral._secular_step
+    monkeypatch.setattr(spectral, "_secular_step", lambda *a: (
+        solves.append(1) or step(*a)))
+    return solves
+
+
+def test_runs_of_coarse_steps_amortize_the_secular_solves(monkeypatch):
+    # one Newton call solves a run of coarse steps of all wheels: 500 steps
+    # take 9 calls on {{1}} and 42 on the triangle (one per step before)
+    solves = _count_secular_solves(monkeypatch)
+    for gens, order, most in (([[1]], 3, 25), ([[1, 2, 3]], 7, 100)):
+        system = generate(gens)
+        solves.clear()
+        wheel_permutations(system, roots_field(system, order), 500)
+        assert 0 < len(solves) <= most
+
+
+def _wheel_outcomes(system, h, steps):
+    """Each wheel's (permutation, windings), or the type and message of the
+    error wheel_permutations raises."""
     try:
-        wheel_permutations(system, h, 500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+        return [(wp.perm, wp.windings)
+                for wp in wheel_permutations(system, h, steps)]
+    except (TrackingAmbiguityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_runs_of_coarse_steps_give_the_outcomes_of_one_step_per_solve(
+        monkeypatch):
+    # a SECULAR_BLOCK of 1 follows each wheel alone, one coarse step per
+    # Newton call; runs of steps of all wheels must give the same
+    # permutations, windings and errors, word for word
+    solves = _count_secular_solves(monkeypatch)
+    rng = random.Random(5)
+    failed = run_solves = single_solves = 0
+    for draw in range(200):
+        if draw % 3 == 2:  # in general not closed under subsets
+            system = random_set_system(rng, rng.randint(1, 10))
+        else:
+            system = random_complex(rng, max_generators=3, max_vertices=5,
+                                    max_cardinality=3)
+        if draw % 5 == 4:
+            h = roots_field(system, 2 * len(system) + 1)
+        else:
+            h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
+        for steps in (40, 500):
+            solves.clear()
+            got = _wheel_outcomes(system, h, steps)
+            run_solves += len(solves)
+            solves.clear()
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "SECULAR_BLOCK", 1)
+                want = _wheel_outcomes(system, h, steps)
+            single_solves += len(solves)
+            assert got == want
+            failed += isinstance(want[0], type)
+    assert failed > 30 and run_solves * 5 < single_solves
 
 
 def _tracked_outcome(system, h, wheel, steps):
@@ -440,10 +521,12 @@ def test_one_pass_step_test_gives_the_greedy_self_match_verdict():
 
 def test_wheel_groups_of_one_give_the_outcomes_of_one_group(monkeypatch,
                                                             linear10):
-    # with one wheel per group every group reads the one offset table, so
-    # each wheel's rows are the bits of following it alone.  A group's Newton
-    # iterations stop when all of its labels converged, so the rows of one
-    # group of all wheels differ from those only in the last bits
+    # a SECULAR_BLOCK of 1 puts one wheel in each group and one coarse step
+    # in each Newton call, and every group reads the one offset table, so
+    # each wheel's rows are the bits of following it alone.  One group of
+    # all wheels solves runs of coarse steps, from other guesses, and a
+    # call's Newton iterations stop when all of its labels converged, so its
+    # rows differ from those only in the last bits
     h = roots_field(linear10, 10)
     one_group = wheel_permutations(linear10, h, paths=True)
     monkeypatch.setattr(spectral, "SECULAR_BLOCK", 1)
