@@ -30,7 +30,7 @@ _EXPORTS = {
                 "product_right"),
     "setsystem": ("SetSystem", "complete_complex", "generate", "parse_system"),
     "spectral": ("GroupReport", "SpectralPath", "TrackingAmbiguityError",
-                 "WheelPermutation", "eigenvalues", "group_order",
+                 "WheelPermutation", "group_order",
                  "monodromy_report", "presentations", "wheel_permutations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -190,6 +190,9 @@ def cmd_det(config: argparse.Namespace, system: SetSystem) -> int:
     from .connection import field_matrices
 
     h = make_field(system, config)
+    if config.method == "dieudonne" and h.kind is scalars.OCTONION:
+        raise ValueError("--method dieudonne: no abelianized determinant "
+                         "over octonions; use --method study")
     fm = field_matrices(system, h)
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
@@ -464,7 +467,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     config = build_parser().parse_args(argv)
     command = COMMANDS[config.command]
-    errors = (ValueError, OSError)
+    # numpy refuses an array too large for memory (a huge --steps) with one
+    # line, before it allocates
+    errors = (ValueError, OSError, MemoryError)
     try:
         # inf would let every check hold, nan fail every one
         if config.command == "check" and not 0 <= config.tolerance < math.inf:

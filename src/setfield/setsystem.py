@@ -28,7 +28,8 @@ class SetSystem:
             f = frozenset(e)
             if not f:
                 raise ValueError("set systems cannot contain the empty set")
-            if any(not isinstance(v, int) or v <= 0 for v in f):
+            if any(not isinstance(v, int) or isinstance(v, bool) or v <= 0
+                   for v in f):
                 raise ValueError("vertices must be positive integers: %r" % sorted(f))
             if f in seen:
                 raise ValueError("duplicate element: %r" % sorted(f))
@@ -176,6 +177,10 @@ def parse_system(text: str, closure: bool = False) -> SetSystem:
                 and not any(isinstance(v, (list, dict)) for v in s)
                 for s in sets):
             raise ValueError("JSON input must be an array of arrays of integers")
+        # true and false equal 1 and 0, so they would pass as vertices
+        if any(isinstance(v, bool) for s in sets for v in s):
+            raise ValueError("JSON vertices cannot be true or false: %r"
+                             % text[:40])
     elif text.startswith("{"):
         body = text[1:-1] if _BRACE_WRAPPED.fullmatch(text) else text
         sets = [[v.strip() for v in s.split(",")]

@@ -7,12 +7,13 @@ per-wheel permutations and the group they generate are computed here; only
 complex fields are supported (quaternion spectra lack canonical labels).
 
 One solver follows the labels, wheel_permutations: turning one value is a
-rank-one update of L(0), so after one eigendecomposition of L(0) it follows
-all wheels together by Newton on the secular equation.  One Newton call
-solves a run of coarse steps, each started from the polynomial through the
-last four coarse rows, and the run's longest prefix of steps that pass a
-one-pass step test (_step_holds) is taken; the run length follows the
-Newton iterations the solves take.
+rank-one update of L(0), so after one eigendecomposition of L(0), read from
+connection.field_matrices (the labels are its eigenvalues in (re, im)
+order), it follows all wheels together by Newton on the secular equation.
+One Newton call solves a run of coarse steps, each started from the
+polynomial through the last four coarse rows, and the run's longest prefix
+of steps that pass a one-pass step test (_step_holds) is taken; the run
+length follows the Newton iterations the solves take.
 `group` (monodromy_report) reads each wheel's permutation and windings;
 `phase` reads the same, and the labels on the requested grid.  The order of
 the wheel group comes from a certificate of transpositions when it applies,
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import EnergyFunction
+from .connection import EnergyFunction, field_matrices
 from .scalars import COMPLEX, format_scalar
 from .setsystem import SetSystem
 
@@ -124,21 +125,6 @@ class GroupReport:
     multi_winding_wheels: list = field(default_factory=list)
 
 
-def eigenvalues(M) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix, or of each matrix in a
-    stack of shape (..., n, n) (no ordering contract).
-
-    LAPACK solves the matrices of a stack one at a time, so each row of the
-    result has the same bits as a call on that matrix alone.
-    """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.eigvals(A)
-
-
 def _complex_field_array(h: EnergyFunction) -> np.ndarray:
     if h.kind is not COMPLEX:
         raise ValueError("monodromy tracking needs a complex field, got %s"
@@ -161,10 +147,11 @@ def _greedy_match(prev, new):
 
 
 def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
-    """The checks every followed wheel needs, then the field values h0,
-    L(0) = Z^T D_h Z and its sorted eigenvalues, which fix the labels.  L(0)
-    does not depend on the wheel, so neither do the labels; a repeated one
-    is reported for the first of the wheels."""
+    """The checks every followed wheel needs, then the field values h0 and
+    one eigendecomposition L(0) = V diag(mu) V^-1 of FieldMatrices' L: mu in
+    (re, im) order (np.sort_complex's) is the labels, and V's columns
+    follow.  L(0) does not depend on the wheel, so neither do the labels; a
+    repeated one is reported for the first of the wheels."""
     if not all(0 <= wheel < len(system) for wheel in wheels):
         raise ValueError("wheel index out of range")
     if steps < 1:
@@ -172,15 +159,18 @@ def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
     h0 = _complex_field_array(h)
     if not h.all_nonzero():
         raise ValueError("all field values must be nonzero for tracking")
-    Z = system.zeta
-    L0 = (Z.T * h0) @ Z
-    base = np.sort_complex(eigenvalues(L0))
-    twins = np.flatnonzero(base[1:] == base[:-1])
+    L0 = field_matrices(system, h).L[0].astype(complex)
+    if not np.isfinite(L0).all():
+        raise ValueError("matrix has non-finite entries")
+    mu, V = np.linalg.eig(L0)
+    order = np.argsort(mu, kind="stable")
+    mu, V = mu[order], V[:, order]
+    twins = np.flatnonzero(mu[1:] == mu[:-1])
     if len(twins):
         raise TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
-            % (wheels[0], format_scalar(complex(base[twins[0]]))))
-    return h0, L0, base
+            % (wheels[0], format_scalar(complex(mu[twins[0]]))))
+    return h0, mu, V
 
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
@@ -190,11 +180,13 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     element), in order; with paths, each carries its SpectralPath on the
     grid of `steps` intervals.
 
-    L0 = V diag(mu) V^-1, and turning wheel w to the time t adds
-    s z_w z_w^T with s = (e^{it} - 1) h0[w].  So the eigenvalues of L(t) are
-    the roots of 1 + s sum_j C[w, j] / (mu_j - lam) = 0, with the weights
-    C[w, j] = (V^-1 z_w)_j (V^T z_w)_j (Golub 1973; Bunch, Nielsen and
-    Sorensen 1978), plus the poles of zero weight.  L0 = Z^T D_h Z is
+    One LAPACK eig of FieldMatrices' L(0) gives L0 = V diag(mu) V^-1
+    (_start), and mu, in (re, im) order, is both the labels and the poles:
+    pole j is the t=0 position of label j.  Turning wheel w to the time t
+    adds s z_w z_w^T with s = (e^{it} - 1) h0[w].  So the eigenvalues of
+    L(t) are the roots of 1 + s sum_j C[w, j] / (mu_j - lam) = 0, with the
+    weights C[w, j] = (V^-1 z_w)_j (V^T z_w)_j (Golub 1973; Bunch, Nielsen
+    and Sorensen 1978), plus the poles of zero weight.  L0 = Z^T D_h Z is
     complex symmetric, so with distinct eigenvalues V^T V is diagonal and
     V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
     and no inverse is formed.  Wheels are followed in groups of at most
@@ -215,27 +207,22 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     wheels = list(range(len(system)) if wheels is None else wheels)
     if not wheels:
         return []
-    h0, L0, base = _start(system, h, wheels, steps)
-    n = len(base)
-    mu, V = np.linalg.eig(L0)
-    cols, _, collided = _greedy_match(base, mu)
-    mu, V = mu[cols], V[:, cols]  # pole j is the t=0 position of label j
+    h0, mu, V = _start(system, h, wheels, steps)
+    n = len(mu)
     found = []
     # a zero v_j^T v_j makes cond infinite; a diverging Newton step fails
     with np.errstate(all="ignore"):
         norms = (V * V).sum(axis=0)  # v_j^T v_j
         cond = np.linalg.norm(V) * np.linalg.norm(V.T / norms[:, None])
-        if collided or not cond <= SECULAR_COND_CAP:
-            # two eigenvalues of L(0) matched to one label leave no weights
+        if not cond <= SECULAR_COND_CAP:
             raise TrackingAmbiguityError(
                 "eigenvalue tracking: the eigenvectors V of L(0) have "
                 "cond(V) = %.4g, above the cap %.4g, so the secular weights "
-                "are inexact"
-                % (math.inf if collided else cond, SECULAR_COND_CAP))
+                "are inexact" % (cond, SECULAR_COND_CAP))
         C = (system.zeta @ V) ** 2 / norms
         stride = 2 ** ADAPTIVE_DOUBLINGS
         fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
-        tol = SECULAR_TOL * np.abs(base).max()
+        tol = SECULAR_TOL * np.abs(mu).max()
         # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
         off = mu - mu[:, None]
         np.fill_diagonal(off, np.inf)
@@ -244,7 +231,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
         for first in range(0, len(wheels), size):
             block = wheels[first:first + size]
             followed, rows = _follow_wheels(mu, off, C[block], h0[block],
-                                            base, fine, stride, tol, paths)
+                                            fine, stride, tol, paths)
             for r, (wheel, (at, last, turned)) in enumerate(
                     zip(block, followed)):
                 if at is not None:
@@ -257,7 +244,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
                         "resolves only a near meeting"
                         % (wheel, fine[at], steps * stride))
                 wp = _attribute_windings(
-                    SpectralPath(wheel, ends, np.array([base, last]), steps),
+                    SpectralPath(wheel, ends, np.array([mu, last]), steps),
                     turned / (2.0 * math.pi))
                 if paths:
                     wp.path = SpectralPath(wheel, fine[::stride], rows[:, r],
@@ -266,7 +253,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     return found
 
 
-def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
+def _follow_wheels(mu, off, C, h, fine, stride, tol, paths):
     """For the wheels with weights C (W, n) and field values h (W,): one
     (at, last, turned) per wheel, with at the index into fine of the start
     of a step that fails at one spacing of fine, or else at None, the labels
@@ -295,17 +282,17 @@ def _follow_wheels(mu, off, C, h, base, fine, stride, tol, paths):
     are not tested.  off is the table of pole offsets (_secular_step).
     """
     turns = np.exp(1j * fine[::stride]) - 1.0
-    steps, n = len(turns) - 1, len(base)
+    steps, n = len(turns) - 1, len(mu)
     live = np.arange(len(C))  # the wheel of each live row
     out = [None] * len(C)
-    lam = np.tile(base, (len(C), 1))
+    lam = np.tile(mu, (len(C), 1))
     # the last coarse rows, newest first
     history = np.repeat(lam[None], PREDICTOR_ORDER + 1, axis=0)
     turned = np.zeros(lam.shape)
     rows = None
     if paths:
         rows = np.empty((len(turns),) + lam.shape, dtype=complex)
-        rows[0] = base
+        rows[0] = mu
         polish = 4.0 * np.finfo(float).eps * np.abs(mu).max()
     weights = _predictors(1)
     k, horizon = 0, 1  # coarse steps taken, length of the next run
@@ -429,38 +416,13 @@ def _step_holds(lam, new):
     return (np.abs(lam - new) <= 0.5 * G.min(axis=-2)).all(axis=-1)
 
 
-def raw_winding_increments(path: SpectralPath) -> np.ndarray:
-    """Total argument increment of each label path, in turns (may be fractional).
-
-    A label whose path ends on a different eigenvalue traces an open arc; only
-    the closed loop obtained by concatenating the arcs of one permutation
-    cycle has an integer winding.  The sum over all labels equals the winding
-    of det(L(t)), which is exactly one turn per wheel.
-    """
-    vals = path.values
-    if np.any(np.abs(vals) == 0.0):
-        raise ValueError("path passes through zero; winding undefined")
-    increments = np.angle(vals[1:] / vals[:-1])
-    return increments.sum(axis=0) / (2.0 * math.pi)
-
-
-def wheel_permutation(path: SpectralPath) -> WheelPermutation:
-    """The permutation of a tracked wheel, with its order and the integer
-    winding of each label around 0; the end of the path is matched to its
-    start once.
-
-    Fixed labels report the winding of their own closed path.  For a
-    permutation cycle the arcs close up only jointly, so the cycle loop's
-    winding is attributed to the arc with the largest share of the turning
-    and the other labels of the cycle report 0; per-cycle totals must land
-    within WINDING_INT_TOL of an integer or tracking is declared failed.
-    """
-    return _attribute_windings(path, raw_winding_increments(path))
-
-
 def _attribute_windings(path: SpectralPath, raw) -> WheelPermutation:
-    """wheel_permutation from the path's wheel and end rows (path_permutation)
-    and the raw winding increments of its labels, in turns."""
+    """The wheel's permutation, from the path's end rows (path_permutation),
+    and the integer winding of each label around 0, from raw, the labels'
+    angle increments in turns.  A fixed label reports its own loop's
+    winding; a cycle's arcs close up only jointly, so its winding goes to
+    the arc that turned most and its other labels report 0.  A loop whose
+    total is not within WINDING_INT_TOL of an integer raises ValueError."""
     perm = path_permutation(path)
     out = [0] * path.n
     for cyc in perm_cycles(perm) + [(k,) for k in range(path.n)

@@ -16,12 +16,19 @@ and their own closure test, `is_closed_by_enumeration`, which looks up
 every subset of every element; L and g come back in their own record,
 `Matrices`, as tuples of rows of scalars.  `track_wheel` is the
 eigenvalue tracker the library ran before it followed wheels on the secular
-equation: LAPACK solves the eigenvalues of every sample, and the whole
-circle is redone at twice the steps while a step stays ambiguous; it shares
-only the start checks and the greedy match (`_start`, `_greedy_match`) with
-the library; its step test, `step_passes`, is the library's from before the
-secular path tested each label against itself in one pass.  `group_closure` lists a permutation group breadth first, the way
-group orders were found before Schreier-Sims.
+equation: LAPACK solves the eigenvalues of every sample (`eigenvalues`),
+and the whole circle is redone at twice the steps while a step stays
+ambiguous.  It shares only the start checks with their labels and the
+greedy match (`_start`, `_greedy_match`) with the library; it builds L(t)
+itself, as the BLAS product (Z^T h) Z plus the turned rank-one term
+(`wheel_matrices`), where the library reads L(0) from `field_matrices`.
+Its step test, `step_passes`, is the library's from before the secular
+path tested each label against itself in one pass.  `raw_winding_increments`
+and `wheel_permutation` read a full path, as the tracker gives one; the
+library sums each label's angle steps as it follows it, and shares with
+them only the attribution of windings to cycles (`_attribute_windings`).
+`group_closure` lists a permutation group breadth first, the way group
+orders were found before Schreier-Sims.
 """
 
 import cmath
@@ -576,6 +583,21 @@ def leibniz_sum(M, kind):
 TRACK_CHUNK = 32
 
 
+def eigenvalues(M) -> np.ndarray:
+    """All eigenvalues of a dense complex matrix, or of each matrix in a
+    stack of shape (..., n, n) (no ordering contract).
+
+    LAPACK solves the matrices of a stack one at a time, so each row of the
+    result has the same bits as a call on that matrix alone.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    return np.linalg.eigvals(A)
+
+
 def wheel_matrices(system, h0, wheel):
     """t -> L(t) for the field h0 with h0[wheel] turned to e^{it} h0[wheel].
 
@@ -598,19 +620,20 @@ def wheel_matrices(system, h0, wheel):
 def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
-    Labels are fixed by sorting the t=0 eigenvalues; each later sample is
-    matched to the one before by the greedy nearest match.  A step is
-    ambiguous when two labels pick one eigenvalue or a matched move exceeds
-    half the gap around its target (step_passes).  An ambiguous step fails
-    the attempt, and the whole path is recomputed with twice the steps, up
-    to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
+    Labels are the library's t=0 labels (spectral._start: the eigenvalues
+    of FieldMatrices' L(0) in (re, im) order); each later sample, of this
+    module's own L(t), is matched to the one before by the greedy nearest
+    match.  A step is ambiguous when two labels pick one eigenvalue or a
+    matched move exceeds half the gap around its target (step_passes).  An
+    ambiguous step fails the attempt, and the whole path is recomputed with
+    twice the steps, up to 2^ADAPTIVE_DOUBLINGS times the request.  The doubled grid contains
     the failed one (its even points are the same times, bit for bit), so a
     retry solves only the new points.  If the last attempt fails too, the
     error names the start of its first ambiguous step.  A repeated t=0
     eigenvalue is ambiguous at every step count, so it raises
     TrackingAmbiguityError at once.
     """
-    h0, _, base = spectral._start(system, h, [wheel], steps)
+    h0, base, _ = spectral._start(system, h, [wheel], steps)
     L_at = wheel_matrices(system, h0, wheel)
     ts = raw = solved = None
     attempt_steps = steps
@@ -673,7 +696,7 @@ def _track_once(L_at, ts, raw, solved):
         b = min(a + TRACK_CHUNK, steps + 1)
         todo = a + np.flatnonzero(~solved[a:b])
         if len(todo):
-            raw[todo] = spectral.eigenvalues(L_at(ts[todo]))
+            raw[todo] = eigenvalues(L_at(ts[todo]))
             solved[todo] = True
         ok, cols = step_passes(raw[a - 1:b - 1], raw[a:b])
         if not ok.all():
@@ -682,3 +705,27 @@ def _track_once(L_at, ts, raw, solved):
             perm = cols[k][perm]
             values[a + k] = raw[a + k][perm]
     return values, None
+
+
+def raw_winding_increments(path) -> np.ndarray:
+    """Total argument increment of each label path, in turns (may be fractional).
+
+    A label whose path ends on a different eigenvalue traces an open arc; only
+    the closed loop obtained by concatenating the arcs of one permutation
+    cycle has an integer winding.  The sum over all labels equals the winding
+    of det(L(t)), which is exactly one turn per wheel.
+    """
+    vals = path.values
+    if np.any(np.abs(vals) == 0.0):
+        raise ValueError("path passes through zero; winding undefined")
+    increments = np.angle(vals[1:] / vals[:-1])
+    return increments.sum(axis=0) / (2.0 * math.pi)
+
+
+def wheel_permutation(path) -> spectral.WheelPermutation:
+    """The permutation of a tracked wheel, with its order and the integer
+    winding of each label around 0, from the full path (track_wheel's, or
+    phase's rows); the end of the path is matched to its start once, and the
+    windings are attributed as the library attributes them
+    (spectral._attribute_windings)."""
+    return spectral._attribute_windings(path, raw_winding_increments(path))

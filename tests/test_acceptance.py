@@ -8,7 +8,8 @@ import time
 
 import numpy as np
 
-from oracles import entrywise_conjugate, group_closure, mat_mul
+from oracles import (entrywise_conjugate, group_closure, mat_mul,
+                     raw_winding_increments)
 from setfield import (COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL,
                       SetSystem, bareiss_det, det_formula_check,
                       energy_check, field_matrices, gauss_bonnet_check,
@@ -20,8 +21,7 @@ from setfield.connection import explicit_field, random_field, roots_field
 from setfield.kaehler import complete_complex_exponent, kaehler_form
 from setfield.setsystem import complete_complex, random_complex
 from setfield.cli import main
-from setfield.spectral import (SpectralPath, perm_cycles, path_permutation,
-                               raw_winding_increments)
+from setfield.spectral import SpectralPath, perm_cycles, path_permutation
 
 NONCLOSED_GOLDEN = SetSystem([[1], [1, 3, 4], [1, 4, 5], [4], [1, 4]])
 DESCENDING = SetSystem([[1, 2], [2, 3], [1], [2], [3]])

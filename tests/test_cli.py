@@ -499,8 +499,8 @@ def test_package_names_resolve():
         Octonion, Quaternion, SetSystem, SpectralPath,
         TrackingAmbiguityError, WheelPermutation, abelianize, bareiss_det,
         complete_complex, conjugate, det_formula_check, dieudonne_det,
-        eigenvalues, energy_check, explicit_field, field_matrices,
-        gauss_bonnet_check, generate, green_star_check, group_order, invert,
+        energy_check, explicit_field, field_matrices, gauss_bonnet_check,
+        generate, green_star_check, group_order, invert,
         is_unit, kaehler_form, kaehler_report, leibniz_det, monodromy_report,
         norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
         presentations, product_right, random_field, roots_field,
@@ -516,6 +516,9 @@ def test_package_names_resolve():
     assert setfield.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         setfield.no_such_name
+    # the full-path helpers live beside the tracker oracle in tests/
+    for name in ("eigenvalues", "raw_winding_increments", "wheel_permutation"):
+        assert not hasattr(setfield, name) and not hasattr(spectral, name)
 
 
 def test_subcommands_do_not_load_scipy():
@@ -641,3 +644,29 @@ def test_kaehler_reports_unfactored_cofactor(capsys, monkeypatch):
     assert data["det"] == str(9 * cofactor)
     assert data["factorization"] == [[3, 2]]
     assert data["unfactored"] == str(cofactor)
+
+
+def test_dieudonne_over_octonions_names_the_study_method(capsys):
+    # the library has no abelianized determinant over octonions; --method
+    # all leaves it out of the report, an explicit request fails
+    argv = ["det", "--inline", "{{1,2}}", "--closure", "--field",
+            "random:1:octonion"]
+    _assert_one_error_line(capsys, argv + ["--method", "dieudonne"],
+                           "over octonions; use --method study")
+    code, data = run_json(capsys, *argv, "--method", "all")
+    assert code == 0 and "dieudonne" not in data["L"]
+
+
+@pytest.mark.parametrize("command", ["group", "phase"])
+def test_steps_too_large_for_memory_report_one_line(capsys, command):
+    # numpy refuses the 114 PiB grid before it allocates anything
+    _assert_one_error_line(capsys, [command, "--inline", "{{1}}", "--field",
+                                    "roots:3", "--steps", "1000000000000000"],
+                           "Unable to allocate")
+
+
+@pytest.mark.parametrize("text", ["[[true],[1,2]]", "[[1,true]]"])
+def test_boolean_vertices_report_one_line(capsys, text):
+    # true would stand for vertex 1, and [1, true] would lose a vertex
+    _assert_one_error_line(capsys, ["gen", "--inline", text, "--closure"],
+                           "--inline: JSON vertices cannot be true or false")

@@ -163,9 +163,8 @@ def test_condition_cap_exits_2_naming_cond_v(monkeypatch, capsys, cmd):
                                            ("path-edge", "roots10")])
 def test_oracle_tracker_gives_the_golden_group_generators(sysname, fname):
     # LAPACK on every sample, not the secular equation
-    from oracles import track_wheel
+    from oracles import track_wheel, wheel_permutation
     from setfield import parse_system, roots_field
-    from setfield.spectral import wheel_permutation
 
     system = parse_system(SYSTEMS[sysname], closure=True)
     h = roots_field(system, int(FIELDS[fname].split(":")[1]))

@@ -132,6 +132,8 @@ def test_rejects_bad_elements():
         SetSystem([[1], [1]])
     with pytest.raises(ValueError):
         SetSystem([[0, 1]])
+    with pytest.raises(ValueError):  # True == 1, but it is no vertex
+        SetSystem([[True], [2]])
 
 
 def test_parse_json_and_braces():

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (ClosureOverflowError, greedy_eigen_tracking,
-                     group_closure, jacobian_by_sets, random_set_system)
-from setfield import (SetSystem, eigenvalues, field_matrices, generate,
-                      group_order, monodromy_report, presentations, spectral,
+from oracles import (ClosureOverflowError, eigenvalues, greedy_eigen_tracking,
+                     group_closure, jacobian_by_sets, random_set_system,
+                     raw_winding_increments, wheel_permutation)
+from setfield import (SetSystem, field_matrices, generate, group_order,
+                      monodromy_report, presentations, spectral,
                       wheel_permutations)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.setsystem import random_complex
 from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
                                format_cycles, path_permutation, perm_compose,
-                               perm_cycles, perm_order, raw_winding_increments,
-                               wheel_permutation)
+                               perm_cycles, perm_order)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -267,12 +267,14 @@ def test_zero_dimensional_wheels_are_trivial():
 
 
 def _count_solves(monkeypatch):
-    """A list that grows by the number of matrices each eigenvalue call of
-    the tracker solves."""
+    """A list that grows by the number of matrices each LAPACK eigen-solve
+    (np.linalg.eig or np.linalg.eigvals, from the library or the oracle)
+    solves."""
     solved = []
-    solve = spectral.eigenvalues
-    monkeypatch.setattr(spectral, "eigenvalues", lambda M: solved.append(
-        math.prod(np.shape(M)[:-2])) or solve(M))
+    for name in ("eig", "eigvals"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda M, solve=solve: (
+            solved.append(math.prod(np.shape(M)[:-2])) or solve(M)))
     return solved
 
 
@@ -295,6 +297,41 @@ def test_tracking_ambiguity_error_on_exact_collisions(monkeypatch):
         oracles.track_wheel(system, h, 0, steps=500)
     # each of the five attempts solves the circle up to the chunk that fails
     assert sum(solved) > 2000
+
+
+def test_labels_and_poles_are_one_eig_of_the_field_matrices_L():
+    # _start solves FieldMatrices' L(0) once: its eigenvalues in (re, im)
+    # order are both the labels and the poles, and V's columns follow them;
+    # on the worked cases they are the first row phase writes
+    rng = random.Random(7)
+    cases = [(system, roots_field(system, order)) for system, order in (
+        (generate([[1, 2, 3]]), 7), (generate([[1, 2, 3, 4]]), 15),
+        (generate([[1, 2], [2, 3], [3, 4], [5, 6]]), 10))]
+    for n in (1, 4, 9, 12):
+        system = random_set_system(rng, n)
+        cases.append((system, random_field(system, COMPLEX, rng)))
+    for system, h in cases:
+        h0, mu, V = spectral._start(system, h, [0], 500)
+        values, vectors = np.linalg.eig(
+            field_matrices(system, h).L[0].astype(complex))
+        order = np.argsort(values, kind="stable")
+        assert h0.tobytes() == np.asarray(h.values, dtype=complex).tobytes()
+        assert mu.tobytes() == values[order].tobytes()
+        assert mu.tobytes() == np.sort_complex(values).tobytes()
+        assert V.tobytes() == vectors[:, order].tobytes()
+    for system, h in cases[:3]:
+        path = wheel_permutations(system, h, 500, [0], paths=True)[0].path
+        assert path.values[0].tobytes() == spectral._start(
+            system, h, [0], 500)[1].tobytes()
+
+
+def test_non_finite_L_is_reported_before_any_solve(monkeypatch):
+    # the field values are finite, but the entries of L overflow
+    solved = _count_solves(monkeypatch)
+    system = generate([[1, 2]])
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        wheel_permutations(system, explicit_field([1e308 + 0j] * 3))
+    assert solved == []
 
 
 def test_wheel_permutations_leave_no_reference_cycles():
