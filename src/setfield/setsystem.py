@@ -202,11 +202,15 @@ def parse_system(text: str, closure: bool = False) -> SetSystem:
 
 
 def _relabel(sets):
-    """Map arbitrary vertex labels to positive integers (identity when already such)."""
+    """Map arbitrary vertex labels to positive integers (identity when already such).
+
+    Labels are numbered in (type name, text) order: by text alone 1 and "1"
+    would tie, and their order would follow the set's hash seed."""
     labels = set(itertools.chain.from_iterable(sets))
     if all(isinstance(v, int) and v > 0 for v in labels):
         return sets
-    mapping = {v: k + 1 for k, v in enumerate(sorted(labels, key=str))}
+    mapping = {v: k + 1 for k, v in enumerate(
+        sorted(labels, key=lambda v: (type(v).__name__, str(v))))}
     return [[mapping[v] for v in s] for s in sets]
 
 

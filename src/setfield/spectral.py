@@ -7,9 +7,11 @@ per-wheel permutations and the group they generate are computed here; only
 complex fields are supported (quaternion spectra lack canonical labels).
 
 One solver follows the labels, wheel_permutations: turning one value is a
-rank-one update of L(0), so after one eigendecomposition of L(0), read from
-connection.field_matrices (the labels are its eigenvalues in (re, im)
-order), it follows all wheels together by Newton on the secular equation.
+rank-one update of L(0) that moves only the eigenvalues of the value's
+comparability block, so after one eigendecomposition of each block of L(0),
+read from connection.field_matrices (the labels are all their eigenvalues
+in (re, im) order), it follows the wheels of a block together by Newton on
+the block's secular equation.
 One Newton call solves a run of coarse steps, each started from the
 polynomial through the last four coarse rows, and the run's longest prefix
 of steps that pass a one-pass step test (_step_holds) is taken; the run
@@ -45,9 +47,10 @@ SECULAR_TOL = 1e-9
 # fails: the weights divide by v_j^T v_j, with a relative error near
 # 1e-16 * cond(V), 1e-10 at the cap (the worked cases have cond(V) < 25).
 SECULAR_COND_CAP = 1e6
-# Complex entries of one (wheels, n, n) temporary, which bound the wheels
-# followed together.  A run of several coarse steps holds two (run, wheels,
-# n, n) temporaries, together at most this many entries.
+# Complex entries of one (wheels, n_c, n_c) temporary, n_c the size of the
+# comparability block, which bound the wheels followed together.  A run of
+# several coarse steps holds two (run, wheels, n_c, n_c) temporaries,
+# together at most this many entries.
 SECULAR_BLOCK = 2 ** 14
 # A run of coarse steps is solved together, row j of it (j steps ahead)
 # started from the polynomial through the last PREDICTOR_ORDER + 1 coarse
@@ -74,8 +77,9 @@ def _predictors(horizon):
 
 
 class TrackingAmbiguityError(RuntimeError):
-    """Eigenvalue labels could not be told apart: a repeated t=0 eigenvalue,
-    eigenvectors of L(0) too ill-conditioned to weight the secular equation,
+    """Eigenvalue labels could not be told apart: a repeated t=0 eigenvalue
+    in a comparability block, eigenvectors of a block of L(0) too
+    ill-conditioned to weight the secular equation,
     a step that stayed ambiguous at the finest spacing, or an end
     collision."""
 
@@ -86,13 +90,16 @@ class SpectralPath:
 
     steps is the number of even intervals of the grid the wheel was followed
     on.  values holds a row for each of its steps + 1 times ts, or only the
-    rows at t = 0 and t = 2pi.
+    rows at t = 0 and t = 2pi.  labels are the columns of the wheel's
+    comparability block, in increasing order (None: all of them); every
+    other column stays at its t=0 value.
     """
 
     wheel: int
     ts: np.ndarray
     values: np.ndarray  # (len(ts), n) complex, column = one label
     steps: int
+    labels: np.ndarray | None = None
 
     @property
     def n(self):
@@ -147,11 +154,16 @@ def _greedy_match(prev, new):
 
 
 def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
-    """The checks every followed wheel needs, then the field values h0 and
-    one eigendecomposition L(0) = V diag(mu) V^-1 of FieldMatrices' L: mu in
-    (re, im) order (np.sort_complex's) is the labels, and V's columns
-    follow.  L(0) does not depend on the wheel, so neither do the labels; a
-    repeated one is reported for the first of the wheels."""
+    """The checks every followed wheel needs, then the field values h0, the
+    labels mu and the comparability blocks.
+
+    Elements are comparable when one contains the other.  The blocks, the
+    components of that relation (_components on the pairs star_rows
+    lists), split FieldMatrices' L(0) block diagonally.  Each is (members,
+    labels, V): its elements, increasing; V from one eig of its part of
+    L(0), its columns in the (re, im) order (np.sort_complex's) of their
+    eigenvalues; and the indices of those in mu, all blocks' eigenvalues in
+    (re, im) order.  A system of one block makes one eig of L(0) itself."""
     if not all(0 <= wheel < len(system) for wheel in wheels):
         raise ValueError("wheel index out of range")
     if steps < 1:
@@ -162,15 +174,32 @@ def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
     L0 = field_matrices(system, h).L[0].astype(complex)
     if not np.isfinite(L0).all():
         raise ValueError("matrix has non-finite entries")
-    mu, V = np.linalg.eig(L0)
+    members = _components(len(system), [
+        (i, k) for i, row in enumerate(system.star_rows)
+        for k in range(row.bit_length()) if row >> k & 1])
+    values, vectors = [], []
+    for block in members:
+        mu, V = np.linalg.eig(L0[np.ix_(block, block)])
+        order = np.argsort(mu, kind="stable")
+        values.append(mu[order])
+        vectors.append(V[:, order])
+    mu = np.concatenate(values)
     order = np.argsort(mu, kind="stable")
-    mu, V = mu[order], V[:, order]
-    twins = np.flatnonzero(mu[1:] == mu[:-1])
+    bounds = np.cumsum(list(map(len, members)))[:-1]
+    labels = np.split(np.argsort(order), bounds)
+    return h0, mu[order], list(zip(members, labels, vectors))
+
+
+def _repeat_error(poles, wheel):
+    """The TrackingAmbiguityError, naming the wheel, when the t=0
+    eigenvalues poles of its block, in (re, im) order, repeat a value (no
+    step count can label them), else None."""
+    twins = np.flatnonzero(poles[1:] == poles[:-1])
     if len(twins):
-        raise TrackingAmbiguityError(
+        return TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d: the t=0 spectrum repeats %s"
-            % (wheels[0], format_scalar(complex(mu[twins[0]]))))
-    return h0, mu, V
+            % (wheel, format_scalar(complex(poles[twins[0]]))))
+    return None
 
 
 def wheel_permutations(system: SetSystem, h: EnergyFunction,
@@ -180,77 +209,113 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     element), in order; with paths, each carries its SpectralPath on the
     grid of `steps` intervals.
 
-    One LAPACK eig of FieldMatrices' L(0) gives L0 = V diag(mu) V^-1
-    (_start), and mu, in (re, im) order, is both the labels and the poles:
-    pole j is the t=0 position of label j.  Turning wheel w to the time t
-    adds s z_w z_w^T with s = (e^{it} - 1) h0[w].  So the eigenvalues of
-    L(t) are the roots of 1 + s sum_j C[w, j] / (mu_j - lam) = 0, with the
-    weights C[w, j] = (V^-1 z_w)_j (V^T z_w)_j (Golub 1973; Bunch, Nielsen
-    and Sorensen 1978), plus the poles of zero weight.  L0 = Z^T D_h Z is
-    complex symmetric, so with distinct eigenvalues V^T V is diagonal and
-    V^-1 = diag(1 / v_j^T v_j) V^T: C[w, j] = (v_j^T z_w)^2 / v_j^T v_j,
-    and no inverse is formed.  Wheels are followed in groups of at most
-    SECULAR_BLOCK / n^2, all steps of a group together (_follow_wheels),
-    each reading one table of the pole offsets mu_k - mu_a.  A group takes
-    its coarse steps in runs, one Newton call per run, whose length follows
-    the Newton iterations the solves take; a failing step is split at
-    midpoints down to one spacing of the grid of
-    steps * 2^ADAPTIVE_DOUBLINGS intervals.
+    z_w, row w of Z, lies in w's comparability block (_start), so turning
+    wheel w moves only that block's eigenvalues: each block is followed
+    alone (_follow_block), and a label of another block is a fixed point
+    of winding 0.  A crossing between blocks is no branch point.
 
-    Before any wheel is followed, a cond(V) (Frobenius norm) above
-    SECULAR_COND_CAP, which would make the weights inexact, raises
-    TrackingAmbiguityError.  After that the first wheel in order that fails
-    raises: TrackingAmbiguityError for a step that fails at the finest
-    spacing (naming its start) or a failed end match, ValueError for
-    windings that are not integers.
+    The first wheel in order that fails raises: TrackingAmbiguityError for
+    a repeated t=0 eigenvalue or a cond(V) above SECULAR_COND_CAP in its
+    block, a step that fails at the finest spacing (naming its start) or a
+    failed end match; ValueError for windings that are not integers.
+    Wheels after the first failure found so far are not followed.
     """
     wheels = list(range(len(system)) if wheels is None else wheels)
     if not wheels:
         return []
-    h0, mu, V = _start(system, h, wheels, steps)
-    n = len(mu)
-    found = []
+    h0, mu, blocks = _start(system, h, wheels, steps)
+    stride = 2 ** ADAPTIVE_DOUBLINGS
+    fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
+    tol = SECULAR_TOL * np.abs(mu).max()
+    found = [None] * len(wheels)
+    failed, error = len(wheels), None  # the first position that fails
     # a zero v_j^T v_j makes cond infinite; a diverging Newton step fails
     with np.errstate(all="ignore"):
-        norms = (V * V).sum(axis=0)  # v_j^T v_j
-        cond = np.linalg.norm(V) * np.linalg.norm(V.T / norms[:, None])
-        if not cond <= SECULAR_COND_CAP:
-            raise TrackingAmbiguityError(
-                "eigenvalue tracking: the eigenvectors V of L(0) have "
-                "cond(V) = %.4g, above the cap %.4g, so the secular weights "
-                "are inexact" % (cond, SECULAR_COND_CAP))
-        C = (system.zeta @ V) ** 2 / norms
-        stride = 2 ** ADAPTIVE_DOUBLINGS
-        fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
-        tol = SECULAR_TOL * np.abs(mu).max()
-        # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
-        off = mu - mu[:, None]
-        np.fill_diagonal(off, np.inf)
-        size = max(1, SECULAR_BLOCK // n ** 2)
-        ends = fine[[0, -1]]
-        for first in range(0, len(wheels), size):
-            block = wheels[first:first + size]
-            followed, rows = _follow_wheels(mu, off, C[block], h0[block],
-                                            fine, stride, tol, paths)
-            for r, (wheel, (at, last, turned)) in enumerate(
-                    zip(block, followed)):
-                if at is not None:
-                    # why a higher --steps may not help: an exact meeting is
-                    # ambiguous at any resolution
-                    raise TrackingAmbiguityError(
-                        "eigenvalue tracking for wheel %d stayed ambiguous "
-                        "near t = %.4f at %d steps; two eigenvalues meet or "
-                        "nearly meet there, and a higher step count "
-                        "resolves only a near meeting"
-                        % (wheel, fine[at], steps * stride))
-                wp = _attribute_windings(
-                    SpectralPath(wheel, ends, np.array([mu, last]), steps),
-                    turned / (2.0 * math.pi))
-                if paths:
-                    wp.path = SpectralPath(wheel, fine[::stride], rows[:, r],
-                                           steps)
-                found.append(wp)
+        for members, labels, V in blocks:
+            mine = [p for p in range(failed) if wheels[p] in members]
+            if not mine:
+                continue
+            done, exc = _follow_block([wheels[p] for p in mine], members,
+                                      labels, V, mu, h0, system.zeta, fine,
+                                      steps, tol, paths)
+            for p, wp in zip(mine, done):
+                found[p] = wp
+            if exc is not None:
+                failed, error = mine[len(done)], exc
+    if error is not None:
+        raise error
     return found
+
+
+def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
+                  paths):
+    """The WheelPermutation of each of the wheels of one block (members,
+    labels, V of _start), in order up to the first that fails, and that
+    one's error, else None.
+
+    The poles are the block's t=0 eigenvalues mu[labels].  Turning wheel w
+    adds s z_w z_w^T with s = (e^{it} - 1) h0[w], so the block's
+    eigenvalues are the roots of 1 + s sum_j C[w, j] / (mu_j - lam) = 0,
+    with C[w, j] = (V^-1 z_w)_j (V^T z_w)_j (Golub 1973; Bunch, Nielsen and
+    Sorensen 1978), plus the poles of zero weight.  L0 is complex
+    symmetric, so with distinct eigenvalues V^-1 = diag(1 / v_j^T v_j) V^T
+    and C[w, j] = (v_j^T z_w)^2 / v_j^T v_j.  A repeated pole or a cond(V)
+    (Frobenius norm) above SECULAR_COND_CAP, which would make the weights
+    inexact, fails the first wheel before any is followed.  Wheels are
+    followed in groups of at most SECULAR_BLOCK / n_c^2, n_c the block's
+    size, each group on one table of the pole offsets (_follow_wheels); a
+    failing step is split down to one spacing of fine, the grid of
+    steps * 2^ADAPTIVE_DOUBLINGS intervals.
+    """
+    found = []
+    poles = mu[labels]
+    error = _repeat_error(poles, wheels[0])
+    if error is not None:
+        return found, error
+    norms = (V * V).sum(axis=0)  # v_j^T v_j
+    cond = np.linalg.norm(V) * np.linalg.norm(V.T / norms[:, None])
+    if not cond <= SECULAR_COND_CAP:
+        return found, TrackingAmbiguityError(
+            "eigenvalue tracking: the eigenvectors V of L(0) have "
+            "cond(V) = %.4g, above the cap %.4g, so the secular weights "
+            "are inexact" % (cond, SECULAR_COND_CAP))
+    C = (Z[np.ix_(members, members)] @ V) ** 2 / norms
+    # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
+    off = poles - poles[:, None]
+    np.fill_diagonal(off, np.inf)
+    stride = 2 ** ADAPTIVE_DOUBLINGS
+    ends = fine[[0, -1]]
+    size = max(1, SECULAR_BLOCK // len(poles) ** 2)
+    for first in range(0, len(wheels), size):
+        group = wheels[first:first + size]
+        followed, rows = _follow_wheels(
+            poles, off, C[np.searchsorted(members, group)], h0[group], fine,
+            stride, tol, paths)
+        for r, (wheel, (at, last, turned)) in enumerate(zip(group, followed)):
+            if at is not None:
+                # why a higher --steps may not help: an exact meeting is
+                # ambiguous at any resolution
+                return found, TrackingAmbiguityError(
+                    "eigenvalue tracking for wheel %d stayed ambiguous near "
+                    "t = %.4f at %d steps; two eigenvalues meet or nearly "
+                    "meet there, and a higher step count resolves only a "
+                    "near meeting" % (wheel, fine[at], steps * stride))
+            end = mu.copy()
+            end[labels] = last
+            raw = np.zeros(len(mu))
+            raw[labels] = turned / (2.0 * math.pi)
+            try:
+                wp = _attribute_windings(SpectralPath(
+                    wheel, ends, np.array([mu, end]), steps, labels), raw)
+            except (TrackingAmbiguityError, ValueError) as exc:
+                return found, exc
+            if paths:
+                values = np.tile(mu, (len(rows), 1))
+                values[:, labels] = rows[:, r]
+                wp.path = SpectralPath(wheel, fine[::stride], values, steps,
+                                       labels)
+            found.append(wp)
+    return found, None
 
 
 def _follow_wheels(mu, off, C, h, fine, stride, tol, paths):
@@ -441,13 +506,19 @@ def _attribute_windings(path: SpectralPath, raw) -> WheelPermutation:
 def path_permutation(path: SpectralPath) -> tuple:
     """Match the end of the path back to the t=0 labels by the greedy
     nearest match, which is the minimum-cost matching when no two labels
-    collide; a collision raises TrackingAmbiguityError."""
-    cols, _, collided = _greedy_match(path.values[-1], path.values[0])
+    collide; a collision raises TrackingAmbiguityError.  Only the labels of
+    the path's block are matched, among themselves; the others are fixed."""
+    labels = np.arange(path.n) if path.labels is None else path.labels
+    start, end = path.values[[0, -1]][:, labels]
+    cols, _, collided = _greedy_match(end, start)
     if collided:
         raise TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d ended with two labels nearest "
             "one start value at %d steps" % (path.wheel, path.steps))
-    return tuple(int(c) for c in cols)
+    perm = list(range(path.n))
+    for label, col in zip(labels, cols):
+        perm[label] = int(labels[col])
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +613,13 @@ def _transposition_certificate(perms):
                                   for i in range(degree)])
     if len(_components(degree, found)) != len(orbits):
         return None
-    return math.prod(map(math.factorial, orbits))
+    return math.prod(math.factorial(len(orbit)) for orbit in orbits)
 
 
 def _components(degree, edges):
-    """The sizes of the connected components of the graph on range(degree)
-    with the given edges, by union-find."""
+    """The connected components of the graph on range(degree) with the
+    given edges, by union-find: lists of vertices in increasing order, in
+    the order of their least vertex."""
     root = list(range(degree))
 
     def find(i):
@@ -558,10 +630,10 @@ def _components(degree, edges):
 
     for a, b in edges:
         root[find(a)] = find(b)
-    sizes = [0] * degree
+    members = {}
     for i in range(degree):
-        sizes[find(i)] += 1
-    return [size for size in sizes if size]
+        members.setdefault(find(i), []).append(i)
+    return list(members.values())
 
 
 def _schreier_sims_order(perms) -> int:

@@ -19,11 +19,14 @@ eigenvalue tracker the library ran before it followed wheels on the secular
 equation: LAPACK solves the eigenvalues of every sample (`eigenvalues`),
 and the whole circle is redone at twice the steps while a step stays
 ambiguous.  It shares only the start checks with their labels and the
-greedy match (`_start`, `_greedy_match`) with the library; it builds L(t)
-itself, as the BLAS product (Z^T h) Z plus the turned rank-one term
-(`wheel_matrices`), where the library reads L(0) from `field_matrices`.
-Its step test, `step_passes`, is the library's from before the secular
-path tested each label against itself in one pass.  `raw_winding_increments`
+greedy match (`_start`, `_repeat_error`, `_greedy_match`) with the
+library; it builds L(t) itself, as the BLAS product (Z^T h) Z plus the
+turned rank-one term (`wheel_matrices`), where the library reads L(0) from
+`field_matrices`.  It tracks the whole L(t), or, in its per-block mode,
+the rows and columns of the wheel's comparability block, found by its own
+search (`comparability_block`).  Its step test, `step_passes`, is the
+library's from before the secular path tested each label against itself
+in one pass.  `raw_winding_increments`
 and `wheel_permutation` read a full path, as the tracker gives one; the
 library sums each label's angle steps as it follows it, and shares with
 them only the attribution of windings to cycles (`_attribute_windings`).
@@ -617,7 +620,22 @@ def wheel_matrices(system, h0, wheel):
     return L_at
 
 
-def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
+def comparability_block(system, wheel):
+    """The elements joined to the wheel by a chain of comparable elements
+    (one containing the other), in increasing order: a breadth first search
+    on the 0/1 matrix Z | Z^T."""
+    Z = system.zeta.astype(bool)
+    near = Z | Z.T
+    reached = near[wheel]
+    while True:
+        grown = near[reached].any(axis=0)
+        if (grown == reached).all():
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS,
+                in_block=False):
     """Follow all eigenvalue labels while h(wheel) turns once around the circle.
 
     Labels are the library's t=0 labels (spectral._start: the eigenvalues
@@ -632,22 +650,46 @@ def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS):
     error names the start of its first ambiguous step.  A repeated t=0
     eigenvalue is ambiguous at every step count, so it raises
     TrackingAmbiguityError at once.
+
+    With in_block, only the wheel's comparability block
+    (comparability_block) is tracked, by the eigenvalues of its rows and
+    columns of L(t): the labels of _start's block of the same elements.
+    Every other label keeps its t=0 value, and the path names the block's
+    labels, so that its end match pairs only those.
     """
-    h0, base, _ = spectral._start(system, h, [wheel], steps)
+    h0, base, blocks = spectral._start(system, h, [wheel], steps)
     L_at = wheel_matrices(system, h0, wheel)
+    labels = None
+    if in_block:
+        members = comparability_block(system, wheel)
+        labels = next(lab for elements, lab, _ in blocks
+                      if elements == members.tolist())
+        whole_at = L_at
+
+        def L_at(t):
+            return whole_at(t)[..., members[:, None], members]
+
+    start = base if labels is None else base[labels]
+    error = spectral._repeat_error(start, wheel)
+    if error is not None:
+        raise error
     ts = raw = solved = None
     attempt_steps = steps
     while attempt_steps <= steps * 2 ** spectral.ADAPTIVE_DOUBLINGS:
         grid = np.linspace(0.0, 2.0 * math.pi, attempt_steps + 1)
-        samples = np.empty((attempt_steps + 1, len(base)), dtype=complex)
+        samples = np.empty((attempt_steps + 1, len(start)), dtype=complex)
         have = np.zeros(attempt_steps + 1, dtype=bool)
-        samples[0], have[0] = base, True
+        samples[0], have[0] = start, True
         if ts is not None and np.array_equal(grid[::2], ts):
             samples[::2], have[::2] = raw, solved
         ts, raw, solved = grid, samples, have
         values, failed = _track_once(L_at, ts, raw, solved)
         if failed is None:
-            return spectral.SpectralPath(wheel, ts, values, attempt_steps)
+            if labels is not None:
+                values, tracked = np.tile(base, (len(ts), 1)), values
+                values[:, labels] = tracked
+            return spectral.SpectralPath(wheel, ts, values, attempt_steps,
+                                         labels)
         attempt_steps *= 2
     raise spectral.TrackingAmbiguityError(
         "eigenvalue tracking for wheel %d stayed ambiguous near t = %.4f at "

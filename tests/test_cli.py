@@ -314,8 +314,9 @@ def test_bad_input_is_reported(capsys):
       "--steps", "0"], "steps must be at least 1, got 0"),
     (["group", "--inline", "{{1,2,3}}", "--closure", "--field", "roots:7",
       "--steps", "-5"], "steps must be at least 1, got -5"),
-    (["phase", "--inline", "{{1},{2}}", "--field", "roots:1", "--wheel", "0",
-      "--steps", "1"], "stayed ambiguous"),
+    (["phase", "--inline", "{{1},{1,2}}", "--field", "values:1+0i,2+0i",
+      "--kind", "complex", "--wheel", "0", "--steps", "2"],
+     "stayed ambiguous"),
     (["matrices", "--inline", "{{1}}", "--field", "values:1e400"],
      "'1e400' is not a finite number"),
     (["matrices", "--inline", "{{1}}", "--field",
@@ -562,35 +563,36 @@ def test_output_dir_written(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "gen.json"))
 
 
+# wheel 0 meets an eigenvalue of its own block at t = pi/2: on {1}, {1,2}
+# two eigenvalues of L coincide where 4 h(1)^2 + h(2)^2 = 0, h(1) = i here
+MEETING = ["--inline", "{{1},{1,2}}", "--field", "values:1+0i,2+0i",
+           "--kind", "complex"]
+
+
 def test_group_closure_overflow_reports_one_line(capsys):
     # `group` no longer lists the group, so a closure cannot overflow; its
-    # exit-2 path is reached by tracking that stays ambiguous: roots of
-    # unity on a diagonal matrix collide at every step count
-    code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3",
-                 "--steps", "50"])
+    # exit-2 path is reached by tracking that stays ambiguous: two
+    # eigenvalues of one comparability block meet exactly
+    code = main(["group"] + MEETING + ["--steps", "50"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     # the first interval of 1/16 step that stays ambiguous, before the
-    # eigenvalues meet at t = 2pi/3
-    assert "wheel 0 stayed ambiguous near t = 2.0735 at 800 steps" in lines[0]
+    # eigenvalues meet at t = pi/2
+    assert "wheel 0 stayed ambiguous near t = 1.5629 at 800 steps" in lines[0]
 
 
 def test_group_error_is_the_eigenvalue_trackers_word_for_word(capsys):
     # wheel 0 fails on the secular equation near the meeting, at the angle
     # where the eigenvalue tracker (tests/oracles.py) fails too
-    code = main(["group", "--inline", "{{1},{2},{3}}", "--field", "roots:3"])
+    code = main(["group"] + MEETING)
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err == (
         "error: eigenvalue tracking for wheel 0 stayed ambiguous near "
-        "t = 2.0923 at 8000 steps; two eigenvalues meet or nearly meet "
+        "t = 1.5700 at 8000 steps; two eigenvalues meet or nearly meet "
         "there, and a higher step count resolves only a near meeting\n")
-
-
-# wheel 1's eigenvalue 2 meets 2i near t = pi/2 (|2 e^{it} - 2i| = 0 there)
-MEETING = ["--inline", "{{1},{2},{3}}", "--field", "values:1+0i,2+0i,0+2i"]
 
 
 def test_phase_and_group_report_one_tracking_error(capsys):
@@ -601,17 +603,21 @@ def test_phase_and_group_report_one_tracking_error(capsys):
         assert code == 2 and not captured.out
         errors.append(captured.err)
     assert errors == [
-        "error: eigenvalue tracking for wheel 1 stayed ambiguous near "
-        "t = 1.5684 at 8000 steps; two eigenvalues meet or nearly meet "
+        "error: eigenvalue tracking for wheel 0 stayed ambiguous near "
+        "t = 1.5700 at 8000 steps; two eigenvalues meet or nearly meet "
         "there, and a higher step count resolves only a near meeting\n"] * 2
 
 
 def test_failing_phase_writes_no_wheel_file(tmp_path, capsys):
-    # wheel 0 tracks, wheel 1 fails: nothing of wheel 0 is written
+    # wheel 0, {3}, is a block of its own and tracks; wheel 1 fails at the
+    # meeting of its block {1}, {1,2}: nothing of wheel 0 is written
     out = tmp_path / "reports"
     out.mkdir()
-    assert main(["phase"] + MEETING + ["--output", str(out)]) == 2
-    assert not capsys.readouterr().out
+    assert main(["phase", "--inline", "{{3},{1},{1,2}}", "--field",
+                 "values:3+0i,1+0i,2+0i", "--kind", "complex",
+                 "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "for wheel 1 stayed ambiguous" in captured.err
     assert not list(out.glob("wheel_*"))
 
 
@@ -619,16 +625,18 @@ def test_failing_phase_writes_no_wheel_file(tmp_path, capsys):
                                             (["group"], 0)])
 def test_repeated_start_eigenvalue_fails_at_once(capsys, monkeypatch,
                                                  command, wheel):
-    # equal values on disjoint singletons repeat an eigenvalue of L(0), which
+    # equal values on the three edges of a star repeat the eigenvalue 2 of
+    # L(0) in its one block (e_2 - e_3 and e_2 - e_4 are eigenvectors), which
     # no step count can label, so no tracking attempt is made
     from setfield import spectral
 
     monkeypatch.setattr(spectral, "_step_holds",
                         lambda *a: pytest.fail("a tracking step was tested"))
-    argv = command[:1] + ["--inline", "{{1},{2},{3}}", "--field",
-                          "values:1+0.5i,1+0.5i,2+0i"] + command[1:]
+    argv = command[:1] + ["--inline", "{{1},{1,2},{1,3},{1,4}}", "--field",
+                          "values:1+0i,2+0i,2+0i,2+0i", "--kind",
+                          "complex"] + command[1:]
     _assert_one_error_line(capsys, argv, "eigenvalue tracking for wheel %d: "
-                           "the t=0 spectrum repeats 1.0+0.5i" % wheel)
+                           "the t=0 spectrum repeats 2.0+0.0i" % wheel)
 
 
 def test_kaehler_reports_unfactored_cofactor(capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (closure_by_enumeration, is_closed_by_enumeration,
                      random_set_system)
+import setfield
 from setfield import SetSystem, generate
 from setfield.setsystem import (complete_complex, parse_system, random_complex,
                                 system_to_json)
@@ -148,6 +153,25 @@ def test_parse_json_and_braces():
 def test_parse_relabels_string_vertices():
     system = parse_system('[["a","b"],["b","c"]]')
     assert system_to_json(system) == [[1, 2], [2, 3]]
+
+
+def test_relabelling_does_not_depend_on_the_hash_seed():
+    # 1 and "1" have the same text; labels are numbered in (type name, text)
+    # order, so the order a set of them iterates in, which the hash seed of
+    # strings sets, cannot matter
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    code = ("from setfield.setsystem import parse_system, system_to_json; "
+            "print(system_to_json(parse_system('[[\"a\"],[1,\"b\"],[\"1\"]]')))")
+    printed = set()
+    for seed in range(7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        printed.add(proc.stdout)
+    assert printed == {"[[3], [1, 4], [2]]\n"}
 
 
 def test_complete_complex_sizes():

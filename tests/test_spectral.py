@@ -279,30 +279,56 @@ def _count_solves(monkeypatch):
 
 
 def test_tracking_ambiguity_error_on_exact_collisions(monkeypatch):
-    # roots of unity on a diagonal matrix force true eigenvalue collisions;
-    # the eigenvalue turned by wheel 0 meets another at t = 2pi/3
-    system = SetSystem([[1], [2], [3]])
-    h = roots_field(system, 3)
+    # on {1}, {1,2} two eigenvalues of L coincide where 4 h(1)^2 + h(2)^2 = 0:
+    # turning h(1) = 1 with h(2) = 2, at t = pi/2, inside the one block
+    system = SetSystem([[1], [1, 2]])
+    h = explicit_field([1 + 0j, 2 + 0j])
     solved = _count_solves(monkeypatch)
-    meeting = ("wheel 0 stayed ambiguous near t = 2.0923 at 8000 steps; two "
+    meeting = ("wheel 0 stayed ambiguous near t = 1.5700 at 8000 steps; two "
                "eigenvalues meet or nearly meet there")
     # the step of 1/16 of a step that fails is named by its start
     with pytest.raises(TrackingAmbiguityError, match=meeting):
         wheel_permutations(system, h, 500)
     assert solved == [1]
     # the oracle tracker's last attempt names its first ambiguous step, the
-    # same one
-    solved.clear()
-    with pytest.raises(TrackingAmbiguityError, match=meeting):
-        oracles.track_wheel(system, h, 0, steps=500)
-    # each of the five attempts solves the circle up to the chunk that fails
-    assert sum(solved) > 2000
+    # same one, tracking the whole L(t) or its block
+    for in_block in (False, True):
+        solved.clear()
+        with pytest.raises(TrackingAmbiguityError, match=meeting):
+            oracles.track_wheel(system, h, 0, 500, in_block)
+        # each of the five attempts solves the circle up to the chunk that
+        # fails
+        assert sum(solved) > 2000
+
+
+@pytest.mark.parametrize("values, crossing", [
+    ([cmath.exp(2j * math.pi * k / 3) for k in range(3)], 0),  # roots:3
+    ([1 + 0j, 2 + 0j, 2j], 1),
+    ([1 + 0.5j, 1 + 0.5j, 2 + 0j], 0)])
+def test_crossings_between_blocks_are_not_branch_points(values, crossing):
+    # each singleton of {1}, {2}, {3} is a comparability block, and L is
+    # diagonal: the turned value crosses (roots:3, and 2 e^{it} = 2i) or
+    # starts on (1 + 0.5i twice) another block's eigenvalue, which only the
+    # whole-matrix tracker sees.  Tracked inside their blocks, every wheel
+    # turns its own label once and permutes nothing
+    system = SetSystem([[1], [2], [3]])
+    h = explicit_field(values)
+    got = wheel_permutations(system, h, 500)
+    for wp in got:
+        want = wheel_permutation(oracles.track_wheel(system, h, wp.wheel, 500,
+                                                     in_block=True))
+        assert (wp.perm, wp.windings) == (want.perm, want.windings)
+        assert wp.perm == (0, 1, 2) and sorted(wp.windings) == [0, 0, 1]
+    with pytest.raises(TrackingAmbiguityError, match="wheel %d" % crossing):
+        oracles.track_wheel(system, h, crossing, 500)
 
 
 def test_labels_and_poles_are_one_eig_of_the_field_matrices_L():
-    # _start solves FieldMatrices' L(0) once: its eigenvalues in (re, im)
-    # order are both the labels and the poles, and V's columns follow them;
-    # on the worked cases they are the first row phase writes
+    # _start solves each comparability block's part of FieldMatrices' L(0)
+    # once: all the blocks' eigenvalues in (re, im) order are both the
+    # labels and the poles, and each block's V columns follow its labels.
+    # A system of one block solves L(0) itself; on the worked cases the
+    # labels are the first row phase writes
     rng = random.Random(7)
     cases = [(system, roots_field(system, order)) for system, order in (
         (generate([[1, 2, 3]]), 7), (generate([[1, 2, 3, 4]]), 15),
@@ -310,15 +336,32 @@ def test_labels_and_poles_are_one_eig_of_the_field_matrices_L():
     for n in (1, 4, 9, 12):
         system = random_set_system(rng, n)
         cases.append((system, random_field(system, COMPLEX, rng)))
+    system = SetSystem([[3], [1], [1, 2], [4, 5], [4]])
+    cases.append((system, random_field(system, COMPLEX, rng)))
+    split = 0
     for system, h in cases:
-        h0, mu, V = spectral._start(system, h, [0], 500)
-        values, vectors = np.linalg.eig(
-            field_matrices(system, h).L[0].astype(complex))
-        order = np.argsort(values, kind="stable")
+        h0, mu, blocks = spectral._start(system, h, [0], 500)
         assert h0.tobytes() == np.asarray(h.values, dtype=complex).tobytes()
-        assert mu.tobytes() == values[order].tobytes()
-        assert mu.tobytes() == np.sort_complex(values).tobytes()
-        assert V.tobytes() == vectors[:, order].tobytes()
+        L0 = field_matrices(system, h).L[0].astype(complex)
+        assert sorted(sum((m for m, _, _ in blocks), [])) == list(
+            range(len(system)))
+        assert mu.tobytes() == np.sort_complex(mu).tobytes()
+        assert sorted(np.concatenate([lab for _, lab, _ in blocks])) == list(
+            range(len(system)))
+        for members, labels, V in blocks:
+            assert members == oracles.comparability_block(
+                system, members[0]).tolist()
+            values, vectors = np.linalg.eig(L0[np.ix_(members, members)])
+            order = np.argsort(values, kind="stable")
+            assert mu[labels].tobytes() == values[order].tobytes()
+            assert V.tobytes() == vectors[:, order].tobytes()
+        if len(blocks) == 1:  # the eig of L(0) itself
+            values, vectors = np.linalg.eig(L0)
+            order = np.argsort(values, kind="stable")
+            assert mu.tobytes() == values[order].tobytes()
+            assert blocks[0][2].tobytes() == vectors[:, order].tobytes()
+        split += len(blocks) > 1
+    assert split >= 2
     for system, h in cases[:3]:
         path = wheel_permutations(system, h, 500, [0], paths=True)[0].path
         assert path.values[0].tobytes() == spectral._start(
@@ -349,23 +392,25 @@ def test_wheel_permutations_leave_no_reference_cycles():
 
 def test_secular_path_solves_one_spectrum_per_system(monkeypatch, tmp_path,
                                                      capsys):
-    # every wheel of the worked cases is followed on the secular equation;
-    # tracked by eigenvalues they take 3508, 5019 and 7523 matrices
+    # every wheel of the worked cases is followed on the secular equation,
+    # with one eig per comparability block (path+edge has blocks of 7 and
+    # 3); tracked by eigenvalues they take 3508, 5019 and 7523 matrices
     from setfield.cli import main
 
     solved = _count_solves(monkeypatch)
-    for gens, order in (([[1, 2, 3]], 7), ([[1, 2], [2, 3], [3, 4], [5, 6]], 10),
-                        ([[1, 2, 3, 4]], 15)):
+    for gens, order, blocks in (
+            ([[1, 2, 3]], 7, 1), ([[1, 2], [2, 3], [3, 4], [5, 6]], 10, 2),
+            ([[1, 2, 3, 4]], 15, 1)):
         system = generate(gens)
         solved.clear()
         wheel_permutations(system, roots_field(system, order), 500)
-        assert solved == [1]
+        assert solved == [1] * blocks
         solved.clear()
         inline = "{%s}" % ",".join("{%s}" % ",".join(map(str, g))
                                    for g in gens)
         assert main(["phase", "--inline", inline, "--closure", "--field",
                      "roots:%d" % order, "--output", str(tmp_path)]) == 0
-        assert solved == [1]
+        assert solved == [1] * blocks
     capsys.readouterr()
 
 
@@ -441,7 +486,7 @@ def test_runs_of_coarse_steps_give_the_outcomes_of_one_step_per_solve(
     solves = _count_secular_solves(monkeypatch)
     rng = random.Random(5)
     failed = run_solves = single_solves = 0
-    for draw in range(200):
+    for draw in range(280):
         if draw % 3 == 2:  # in general not closed under subsets
             system = random_set_system(rng, rng.randint(1, 10))
         else:
@@ -466,10 +511,11 @@ def test_runs_of_coarse_steps_give_the_outcomes_of_one_step_per_solve(
 
 
 def _tracked_outcome(system, h, wheel, steps):
-    """(permutation, windings) of the oracle tracker, or the type and
-    message of its error."""
+    """(permutation, windings) of the oracle tracker in its per-block mode,
+    or the type and message of its error."""
     try:
-        wp = wheel_permutation(oracles.track_wheel(system, h, wheel, steps))
+        wp = wheel_permutation(oracles.track_wheel(system, h, wheel, steps,
+                                                   in_block=True))
     except (TrackingAmbiguityError, ValueError) as exc:
         return type(exc), str(exc)
     return wp.perm, wp.windings
@@ -484,7 +530,7 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
         certified_wps.append(attribute(*a)) or certified_wps[-1]))
     rng = random.Random(31)
     certified = failed = 0
-    for draw in range(210):
+    for draw in range(250):
         if draw % 3 == 2:  # in general not closed under subsets
             system = random_set_system(rng, rng.randint(1, 10))
         else:
@@ -495,7 +541,8 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
         else:
             h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
         want = [_tracked_outcome(system, h, w, 40) for w in range(len(system))]
-        errors = [w for w in want if isinstance(w[0], type)]
+        errors = [w for w in range(len(system))
+                  if isinstance(want[w][0], type)]
         # all wheels, then again from the wheel after each that fails
         rest = list(range(len(system)))
         while rest:
@@ -507,11 +554,15 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
                 got = (type(exc), str(exc))
             if len(rest) == len(system):
                 # the first wheel that fails decides the error, word for word
-                assert got == (errors[0] if errors else want)
+                assert got == (want[errors[0]] if errors else want)
+            # blocks are followed one after another, so wheels past the one
+            # that fails can be certified too
             for wp in certified_wps:
                 assert (wp.perm, wp.windings) == want[wp.wheel]
             certified += len(certified_wps)
-            rest = rest[len(certified_wps) + 1:]
+            done = {wp.wheel for wp in certified_wps}
+            rest = [] if isinstance(got, list) else rest[1 + next(
+                i for i, w in enumerate(rest) if w not in done):]
         failed += len(errors)
     assert certified > 900 and failed > 200
 
