@@ -10,10 +10,11 @@ seeded Mersenne Twister, and SVG plots are assembled by hand.
 before a field is built, so this module imports nothing that imports numpy.
 The float commands (matrices, det, check, phase, group) import numpy and
 the modules built on it only once their system has been parsed.  Each
-command imports only the modules it runs (`kaehler` and its exact
-determinants only for `kaehler`, `spectral` only for `phase` and `group`),
-since a cold process compiles every module it imports when no bytecode
-cache is written.
+command imports only the modules it runs (`kaehler` only for `kaehler`,
+and its Bareiss determinants only for a system not closed under
+intersection; `spectral` only for `phase` and `group`), since a cold
+process compiles every module it imports when no bytecode cache is
+written.
 """
 
 from __future__ import annotations

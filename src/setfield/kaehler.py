@@ -7,10 +7,17 @@ n^2 x n matrix of zeros and ones whose column k is z_k (x) z_k, z_k the k-th
 row of Z.  Hence J^T J = (Z Z^T) * (Z Z^T) entrywise: entry (k, l) is the
 squared size of star(x_k) & star(x_l), one AND of two star bit rows and a
 popcount.  The form is built without the Jacobian or numpy.  It is
-positive definite, so its rank is n and its determinant, read off one
-Bareiss elimination of a square matrix, is positive.  Determinants of the
-form grow like 10^60 already for medium complexes, so everything here is
-exact integer arithmetic on Python ints.
+positive definite, so its rank is n and its determinant is positive.
+
+That squared size counts the ordered pairs (z, z') of elements with
+x_k | x_l <= z & z', so the form is the sum over the pairwise intersections
+w of c(w) y_w y_w^T, with c(w) the number of pairs meeting in exactly w and
+y_w[x] = [x <= w].  When every nonempty pairwise intersection is an element
+(simplicial complexes among them) that is Z D_c Z^T, Z unitriangular up to
+order, so the determinant is the product of the counts c(x).  Other systems
+take one Bareiss elimination of the form.  Determinants grow like 10^60
+already for medium complexes, so everything here is exact integer
+arithmetic on Python ints.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .determinants import bareiss_det
 from .setsystem import SetSystem
 
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -33,6 +39,24 @@ def kaehler_form(system: SetSystem) -> list[list[int]]:
     """
     stars = system.star_rows
     return [[(a & b).bit_count() ** 2 for b in stars] for a in stars]
+
+
+def intersection_counts(system: SetSystem) -> list[int] | None:
+    """c(x) for each element x: the number of ordered pairs (z, z') of
+    elements with z & z' = x; None when some nonempty pairwise intersection
+    is not an element, which the same loop tests."""
+    elements = system.elements
+    index = {x: k for k, x in enumerate(elements)}
+    counts = [0] * len(elements)
+    for z in elements:
+        for w in elements:
+            x = z & w
+            if x:
+                k = index.get(x)
+                if k is None:
+                    return None
+                counts[k] += 1
+    return counts
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -115,10 +139,18 @@ def kaehler_report(system: SetSystem) -> KaehlerReport:
     The elements are distinct, so Z is unitriangular once they are sorted
     by size.  Hence the columns z_k (x) z_k of the Jacobian are linearly
     independent, and the form J^T J is positive definite: det > 0 and
-    rank = n for every set system.
+    rank = n for every set system.  The determinant is the product of the
+    intersection counts, each at most n^2, when they exist, else one
+    Bareiss elimination of the form.
     """
     form = kaehler_form(system)
-    det = bareiss_det(form)
+    counts = intersection_counts(system)
+    if counts is None:
+        from .determinants import bareiss_det
+
+        det = bareiss_det(form)
+    else:
+        det = math.prod(counts)
     try:
         factors, unfactored = factorize(det), None
     except CompositeCofactorError as exc:
@@ -130,8 +162,11 @@ def kaehler_report(system: SetSystem) -> KaehlerReport:
 def complete_complex_exponent(n: int) -> int:
     """Exponent e with det = 3^e for the full simplex on n vertices.
 
-    A theorem: the form of a simplicial complex is Z D_gamma Z^T with
-    gamma(x) the Moebius inversion of |star|^2 over supersets (Lindstroem
-    1969; Wilf 1968), and on the full simplex gamma(x) = 3^(n - |x|).
+    A special case of kaehler_report's product of intersection counts: the
+    form of a simplicial complex is Z D_gamma Z^T with gamma(x) the Moebius
+    inversion of |star|^2 over supersets (Lindstroem 1969; Wilf 1968),
+    which is the count c(x); on the full simplex two subsets meet in x when
+    each of the n - |x| other vertices lies in at most one of them, so
+    c(x) = 3^(n - |x|).
     """
     return sum(math.comb(n, k) * (n - k) for k in range(1, n))

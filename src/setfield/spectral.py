@@ -217,7 +217,8 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     The first wheel in order that fails raises: TrackingAmbiguityError for
     a repeated t=0 eigenvalue or a cond(V) above SECULAR_COND_CAP in its
     block, a step that fails at the finest spacing (naming its start) or a
-    failed end match; ValueError for windings that are not integers.
+    failed end match; ValueError for windings that are not integers or do
+    not sum to 1.
     Wheels after the first failure found so far are not followed.
     """
     wheels = list(range(len(system)) if wheels is None else wheels)
@@ -309,6 +310,12 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
                     wheel, ends, np.array([mu, end]), steps, labels), raw)
             except (TrackingAmbiguityError, ValueError) as exc:
                 return found, exc
+            if sum(wp.windings) != 1:
+                return found, ValueError(
+                    "the windings of wheel %d sum to %d, not 1 (steps = %d): "
+                    "det L, the product of the field values, turns once "
+                    "around 0 with the wheel (tracking failure?)"
+                    % (wheel, sum(wp.windings), steps))
             if paths:
                 values = np.tile(mu, (len(rows), 1))
                 values[:, labels] = rows[:, r]

@@ -31,7 +31,9 @@ and `wheel_permutation` read a full path, as the tracker gives one; the
 library sums each label's angle steps as it follows it, and shares with
 them only the attribution of windings to cycles (`_attribute_windings`).
 `group_closure` lists a permutation group breadth first, the way group
-orders were found before Schreier-Sims.
+orders were found before Schreier-Sims.  `intersection_closure` adds
+missing pairwise intersections one pair at a time, to make systems on
+which the Kaehler determinant is a product of intersection counts.
 """
 
 import cmath
@@ -119,6 +121,25 @@ def random_set_system(rng, n, max_vertex=6):
                                  rng.randint(1, max_vertex - 2)))
         if e not in elems:
             elems.append(e)
+    return SetSystem(elems)
+
+
+def intersection_closure(system):
+    """The elements of the system, in order, then every nonempty
+    intersection of two of them that is missing, repeated until none is
+    missing: the smallest system over it closed under nonempty pairwise
+    intersection."""
+    elems = list(system.elements)
+    members = set(elems)
+    grown = True
+    while grown:
+        grown = False
+        for a, b in itertools.combinations(list(elems), 2):
+            x = a & b
+            if x and x not in members:
+                members.add(x)
+                elems.append(x)
+                grown = True
     return SetSystem(elems)
 
 

@@ -354,6 +354,9 @@ def test_bad_input_is_reported(capsys):
     (["check", "--inline", "{{1,2}}", "--closure",
       "--field", "random:x:complex"],
      "--field random:x:complex: 'x' is not an integer"),
+    # one step from t = 0 to 2 pi never samples the circle: winding 0
+    (["phase", "--inline", "{{1}}", "--field", "roots:1", "--steps", "1"],
+     "the windings of wheel 0 sum to 0, not 1 (steps = 1)"),
 ], ids=["random-kind", "roots-0", "gaussian-literal-zero-denominator",
         "gaussian-kind-zero-denominator", "literal-of-other-kind",
         "steps-0", "steps-negative", "phase-ambiguous", "literal-overflow",
@@ -363,7 +366,7 @@ def test_bad_input_is_reported(capsys):
         "random-fourth-part", "random-fifth-part", "omega-other-kind",
         "random-other-kind", "braces-vertex-not-integer",
         "braces-second-vertex-not-integer", "roots-not-integer",
-        "random-seed-not-integer"])
+        "random-seed-not-integer", "phase-one-step"])
 def test_malformed_input_exits_two_with_one_line(capsys, argv, message):
     _assert_one_error_line(capsys, argv, message)
 
@@ -470,7 +473,9 @@ UNUSED_MODULES = [
     (["det", "--inline", "{{1,2"], 2, "setfield.determinants"),
     (["matrices", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral"),
     (["det", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral"),
-    (["check", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral")]
+    (["check", "--inline", "{{1,2}}", "--closure"], 0, "setfield.spectral"),
+    (["kaehler", "--inline", "{{1,2,3},{3,4,5}}", "--closure"], 0,
+     "setfield.determinants")]
 
 
 @pytest.mark.parametrize("argv, code, module", UNUSED_MODULES)
@@ -640,18 +645,22 @@ def test_repeated_start_eigenvalue_fails_at_once(capsys, monkeypatch,
 
 
 def test_kaehler_reports_unfactored_cofactor(capsys, monkeypatch):
-    from setfield import kaehler
+    from setfield import determinants
 
-    _, plain = run_json(capsys, "kaehler", "--inline", "{{1,2}}", "--closure")
+    # {2} is missing, so the determinant comes from Bareiss
+    _, plain = run_json(capsys, "kaehler", "--inline", "{{1,2},{2,3}}")
     assert "unfactored" not in plain
     cofactor = 1000003 * 1000033
-    monkeypatch.setattr(kaehler, "bareiss_det", lambda form: 9 * cofactor)
-    code, data = run_json(capsys, "kaehler", "--inline", "{{1,2}}",
-                          "--closure")
+    monkeypatch.setattr(determinants, "bareiss_det",
+                        lambda form: 9 * cofactor)
+    code, data = run_json(capsys, "kaehler", "--inline", "{{1,2},{2,3}}")
     assert code == 0
-    assert data["det"] == str(9 * cofactor)
+    assert data["det"] == str(9 * cofactor) and data["rank"] == 2
     assert data["factorization"] == [[3, 2]]
     assert data["unfactored"] == str(cofactor)
+    monkeypatch.undo()
+    assert run_json(capsys, "kaehler", "--inline", "{{1,2},{2,3}}") == (
+        0, plain)
 
 
 def test_dieudonne_over_octonions_names_the_study_method(capsys):

@@ -1,16 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from oracles import (fraction_det_rank, jacobian_by_sets, laplace_det,
-                     random_set_system)
-from setfield import SetSystem, field_matrices, generate
+import setfield
+from oracles import (fraction_det_rank, intersection_closure,
+                     jacobian_by_sets, laplace_det, random_set_system)
+from setfield import SetSystem, determinants, field_matrices, generate
 from setfield.connection import explicit_field
 from setfield.determinants import bareiss_det
-from setfield import kaehler
 from setfield.kaehler import (CompositeCofactorError,
                               complete_complex_exponent, factorize,
-                              kaehler_form, kaehler_report)
+                              intersection_counts, kaehler_form,
+                              kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
 
 
@@ -128,7 +133,7 @@ def test_factorize_basics():
     assert factorize(p * 9) == [(3, 2), (p, 1)]
 
 
-def test_composite_cofactor_keeps_the_exact_determinant(K2, monkeypatch):
+def test_composite_cofactor_keeps_the_exact_determinant(monkeypatch):
     # both primes exceed the trial-division bound, so their product is left
     cofactor = 1000003 * 1000033
     with pytest.raises(CompositeCofactorError) as info:
@@ -137,13 +142,16 @@ def test_composite_cofactor_keeps_the_exact_determinant(K2, monkeypatch):
     assert info.value.cofactor == cofactor
     assert "composite cofactor %d" % cofactor in str(info.value)
 
-    monkeypatch.setattr(kaehler, "bareiss_det", lambda form: 9 * cofactor)
-    report = kaehler_report(K2)
-    assert report.det == 9 * cofactor and report.rank == 3
+    # {2} is missing, so the determinant comes from Bareiss
+    unclosed = SetSystem([[1, 2], [2, 3]])
+    monkeypatch.setattr(determinants, "bareiss_det",
+                        lambda form: 9 * cofactor)
+    report = kaehler_report(unclosed)
+    assert report.det == 9 * cofactor and report.rank == 2
     assert report.factorization == [(3, 2)]
     assert report.unfactored == cofactor
     monkeypatch.undo()
-    assert kaehler_report(K2).unfactored is None
+    assert kaehler_report(unclosed).unfactored is None
 
 
 def test_complete_complex_formula_small():
@@ -169,3 +177,90 @@ def test_report_bundle(K2):
     assert report.factorization == [(3, 2)]
     assert report.rank == 3
     assert [len(row) for row in report.form] == [3, 3, 3]
+
+
+def _closed_and_counted(system):
+    counts = intersection_counts(system)
+    assert counts is not None and all(c >= 1 for c in counts)
+    return kaehler_report(system).det
+
+
+def test_product_of_counts_is_the_bareiss_determinant_on_complexes():
+    rng = random.Random(61)
+    for _ in range(300):
+        system = random_complex(rng)
+        assert _closed_and_counted(system) == bareiss_det(kaehler_form(system))
+
+
+def test_product_of_counts_is_the_bareiss_determinant_on_closures():
+    # intersection closures of systems that are not closed under subsets,
+    # in draw order: the product needs no canonical order
+    rng = random.Random(67)
+    not_complexes = 0
+    for _ in range(300):
+        system = intersection_closure(
+            random_set_system(rng, rng.randint(1, 12)))
+        not_complexes += not system.is_simplicial_complex()
+        assert _closed_and_counted(system) == bareiss_det(kaehler_form(system))
+    assert not_complexes > 250
+
+
+def test_counts_exist_exactly_on_systems_closed_under_intersection():
+    rng = random.Random(71)
+    unclosed = 0
+    for _ in range(300):
+        system = random_set_system(rng, rng.randint(1, 12))
+        closed = len(intersection_closure(system)) == len(system)
+        assert (intersection_counts(system) is not None) == closed
+        unclosed += not closed
+        assert kaehler_report(system).det == bareiss_det(kaehler_form(system))
+    assert unclosed > 150
+
+
+def test_full_simplex_on_eight_vertices():
+    system = complete_complex(8)
+    assert complete_complex_exponent(8) == 1016
+    assert intersection_counts(system) == [
+        3 ** (8 - len(x)) for x in system.elements]
+    report = kaehler_report(system)
+    assert report.det == 3 ** 1016 and report.factorization == [(3, 1016)]
+    assert report.rank == report.n == 255
+
+
+def test_bareiss_runs_only_on_systems_not_closed_under_intersection(
+        monkeypatch):
+    calls = []
+    original = determinants.bareiss_det
+
+    def counting(form):
+        calls.append(len(form))
+        return original(form)
+
+    monkeypatch.setattr(determinants, "bareiss_det", counting)
+    assert kaehler_report(generate([[1, 2, 3], [3, 4, 5]])).det == 3 ** 14 * 35
+    # 7 of the 9 ordered pairs meet in {3}; each triangle meets only itself
+    assert kaehler_report(SetSystem([[1, 2, 3], [3, 4, 5], [3]])).det == 7
+    assert calls == []
+    # without {3} the form is the identity
+    assert kaehler_report(SetSystem([[1, 2, 3], [3, 4, 5]])).det == 1
+    assert calls == [2]
+
+
+def test_a_complex_needs_neither_determinants_nor_scalars_nor_numpy():
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    unused = ["setfield.determinants", "setfield.scalars", "numpy"]
+    script = "\n".join([
+        "import sys",
+        "from setfield.kaehler import kaehler_report",
+        "from setfield.setsystem import SetSystem, generate",
+        "report = kaehler_report(generate([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]]))",
+        "before = [m in sys.modules for m in %r]" % (unused,),
+        "kaehler_report(SetSystem([[1, 2], [2, 3]]))",
+        "print(repr((report.det == 3 ** 113 * 5 ** 7 * 7 ** 7, before,",
+        "            'setfield.determinants' in sys.modules)))"])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == repr((True, [False] * 3, True))

@@ -143,6 +143,20 @@ def test_constant_path_winds_zero():
     assert wheel_permutation(path).windings == (0,)
 
 
+def test_one_step_fails_the_winding_sum():
+    # det L is the product of the field values, so it turns once around 0
+    # with each wheel and a wheel's windings sum to 1; one step from t = 0
+    # straight to 2 pi never samples the circle and reads 0
+    system = SetSystem([[1]])
+    h = roots_field(system, 1)
+    with pytest.raises(ValueError,
+                       match=r"windings of wheel 0 sum to 0, not 1 "
+                             r"\(steps = 1\)"):
+        wheel_permutations(system, h, steps=1)
+    assert [wp.windings for wp in wheel_permutations(system, h, steps=2)] \
+        == [(1,)]
+
+
 def _brute_force_matching(prev, new):
     """The permutation p of least total distance |prev[i] - new[p[i]]|."""
     n = len(prev)
