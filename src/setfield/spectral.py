@@ -15,7 +15,9 @@ the block's secular equation.
 One Newton call solves a run of coarse steps, each started from the
 polynomial through the last four coarse rows, and the run's longest prefix
 of steps that pass a one-pass step test (_step_holds) is taken; the run
-length follows the Newton iterations the solves take.
+length follows the Newton iterations the solves take.  The same loop
+(_follow_wheels) follows a step that fails for a wheel again, for that
+wheel alone, as two steps at half the spacing.
 `group` (monodromy_report) reads each wheel's permutation and windings;
 `phase` reads the same, and the labels on the requested grid.  The order of
 the wheel group comes from a certificate of transpositions when it applies,
@@ -34,7 +36,7 @@ from .scalars import COMPLEX, format_scalar
 from .setsystem import SetSystem
 
 DEFAULT_STEPS = 500
-ADAPTIVE_DOUBLINGS = 4  # a failing step is split down to 2**-4 of a step
+ADAPTIVE_DOUBLINGS = 4  # a failing step is halved down to 2**-4 of a step
 WINDING_INT_TOL = 1e-3
 # A step whose labels have not converged after SECULAR_ITERATIONS Newton
 # steps fails; a label has converged when its Newton step is at most
@@ -216,17 +218,15 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
 
     The first wheel in order that fails raises: TrackingAmbiguityError for
     a repeated t=0 eigenvalue or a cond(V) above SECULAR_COND_CAP in its
-    block, a step that fails at the finest spacing (naming its start) or a
-    failed end match; ValueError for windings that are not integers or do
-    not sum to 1.
+    block, a step that fails at the finest spacing, 2^-ADAPTIVE_DOUBLINGS
+    of a step (naming its start), or a failed end match; ValueError for
+    windings that are not integers or do not sum to 1.
     Wheels after the first failure found so far are not followed.
     """
     wheels = list(range(len(system)) if wheels is None else wheels)
     if not wheels:
         return []
     h0, mu, blocks = _start(system, h, wheels, steps)
-    stride = 2 ** ADAPTIVE_DOUBLINGS
-    fine = np.linspace(0.0, 2.0 * math.pi, steps * stride + 1)
     tol = SECULAR_TOL * np.abs(mu).max()
     found = [None] * len(wheels)
     failed, error = len(wheels), None  # the first position that fails
@@ -237,8 +237,8 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
             if not mine:
                 continue
             done, exc = _follow_block([wheels[p] for p in mine], members,
-                                      labels, V, mu, h0, system.zeta, fine,
-                                      steps, tol, paths)
+                                      labels, V, mu, h0, system.zeta, steps,
+                                      tol, paths)
             for p, wp in zip(mine, done):
                 found[p] = wp
             if exc is not None:
@@ -248,8 +248,7 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     return found
 
 
-def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
-                  paths):
+def _follow_block(wheels, members, labels, V, mu, h0, Z, steps, tol, paths):
     """The WheelPermutation of each of the wheels of one block (members,
     labels, V of _start), in order up to the first that fails, and that
     one's error, else None.
@@ -264,9 +263,8 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
     (Frobenius norm) above SECULAR_COND_CAP, which would make the weights
     inexact, fails the first wheel before any is followed.  Wheels are
     followed in groups of at most SECULAR_BLOCK / n_c^2, n_c the block's
-    size, each group on one table of the pole offsets (_follow_wheels); a
-    failing step is split down to one spacing of fine, the grid of
-    steps * 2^ADAPTIVE_DOUBLINGS intervals.
+    size, each group on one table of the pole offsets (_follow_wheels), on
+    every 2^ADAPTIVE_DOUBLINGS-th point of the grid of fine intervals.
     """
     found = []
     poles = mu[labels]
@@ -284,14 +282,14 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
     # mu_k - mu_a, and inf for k = a, where 1 / (mu_k - lam) must read 0
     off = poles - poles[:, None]
     np.fill_diagonal(off, np.inf)
-    stride = 2 ** ADAPTIVE_DOUBLINGS
-    ends = fine[[0, -1]]
+    fine = steps * 2 ** ADAPTIVE_DOUBLINGS
     size = max(1, SECULAR_BLOCK // len(poles) ** 2)
     for first in range(0, len(wheels), size):
         group = wheels[first:first + size]
-        followed, rows = _follow_wheels(
-            poles, off, C[np.searchsorted(members, group)], h0[group], fine,
-            stride, tol, paths)
+        followed, ts, rows = _follow_wheels(
+            poles, off, C[np.searchsorted(members, group)], h0[group],
+            np.tile(poles, (len(group), 1)),
+            range(0, fine + 1, 2 ** ADAPTIVE_DOUBLINGS), fine, tol, paths)
         for r, (wheel, (at, last, turned)) in enumerate(zip(group, followed)):
             if at is not None:
                 # why a higher --steps may not help: an exact meeting is
@@ -300,14 +298,15 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
                     "eigenvalue tracking for wheel %d stayed ambiguous near "
                     "t = %.4f at %d steps; two eigenvalues meet or nearly "
                     "meet there, and a higher step count resolves only a "
-                    "near meeting" % (wheel, fine[at], steps * stride))
+                    "near meeting" % (wheel, at, fine))
             end = mu.copy()
             end[labels] = last
             raw = np.zeros(len(mu))
             raw[labels] = turned / (2.0 * math.pi)
             try:
                 wp = _attribute_windings(SpectralPath(
-                    wheel, ends, np.array([mu, end]), steps, labels), raw)
+                    wheel, ts[[0, -1]], np.array([mu, end]), steps, labels),
+                    raw)
             except (TrackingAmbiguityError, ValueError) as exc:
                 return found, exc
             if sum(wp.windings) != 1:
@@ -319,52 +318,57 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, fine, steps, tol,
             if paths:
                 values = np.tile(mu, (len(rows), 1))
                 values[:, labels] = rows[:, r]
-                wp.path = SpectralPath(wheel, fine[::stride], values, steps,
-                                       labels)
+                wp.path = SpectralPath(wheel, ts, values, steps, labels)
             found.append(wp)
     return found, None
 
 
-def _follow_wheels(mu, off, C, h, fine, stride, tol, paths):
-    """For the wheels with weights C (W, n) and field values h (W,): one
-    (at, last, turned) per wheel, with at the index into fine of the start
-    of a step that fails at one spacing of fine, or else at None, the labels
-    last at t = 2pi and each label's total angle increment turned in
-    radians; and with paths, the labels at every coarse time (every
-    stride-th point of fine), (steps + 1, W, n), else None.
+def _follow_wheels(mu, off, C, h, lam, ticks, fine, tol, paths):
+    """For the wheels with weights C (W, n), field values h (W,) and labels
+    lam (W, n) at the first of ticks, a range of points of the grid of fine
+    intervals: one (at, last, turned) per wheel, the angles t of ticks, and
+    with paths the labels at each of them, (len(ticks), W, n), else None.
+    Point j lies at j 2pi / fine and point fine at 2pi, the bits of
+    np.linspace(0, 2pi, fine + 1)[j]; t and its turns are the one place
+    that knows the path is a circle.  at is the angle where a wheel's step
+    of one spacing fails, else None; last are the labels at the last of
+    ticks and turned each label's total angle increment in radians.
 
-    All wheels take a run of coarse steps as one (run, W, n) Newton solve.
-    Row j of a run starts from the polynomial through the last
-    PREDICTOR_ORDER + 1 coarse rows, j steps ahead (_predictors; the first
-    steps, with fewer rows, use the lower degrees), and holds when it
-    converged and passes _step_holds against the row before it.  The
-    longest prefix of rows that hold for every wheel is taken.  When the
-    first row fails for some wheels, the others take it, and the step of
-    each of those is split by _secular_refine on fine; a wheel that fails
-    there is dropped, with its rows of the history.  The run length starts
-    at 1 and follows the solver: it doubles after a run taken whole in at
-    most 3 Newton iterations, halves after one that took more than 4, and
-    falls to the prefix taken when a row fails.  A run of more than one
-    step holds at most SECULAR_BLOCK / 2 entries in each of its two
+    All wheels take a run of steps as one (run, W, n) Newton solve.  Row j
+    of a run starts from the polynomial through the last PREDICTOR_ORDER + 1
+    rows, j steps ahead (_predictors; the first steps, with fewer rows, use
+    the lower degrees), and holds when it converged and passes _step_holds
+    against the row before it.  The longest prefix of rows that hold for
+    every wheel is taken.  When the first row fails for some wheels, the
+    others take it, and each of those follows the step again alone, by a
+    nested call at half the stride; a wheel whose step of one spacing fails
+    is dropped, with its rows of the history.  The run length starts at 1
+    and follows the solver: it doubles after a run taken whole in at most
+    3 Newton iterations, halves after one that took more than 4, and falls
+    to the prefix taken when a row fails.  A run of more than one step
+    holds at most SECULAR_BLOCK / 2 entries in each of its two
     (run, W, n, n) Newton temporaries, and its step test runs after they
-    are freed.  Besides the kept rows, only the last coarse rows and the
-    running angle sums are kept.  The rows a run takes are kept polished by
-    further Newton iterations on a copy, in one call, until every Newton
-    step is at most 4 eps max |mu|; the stepping never reads them and they
-    are not tested.  off is the table of pole offsets (_secular_step).
+    are freed.  Besides t, turns and the kept rows, only the last rows and
+    the running angle sums are kept.  The rows a run takes are kept
+    polished by further Newton iterations on a copy, in one call, until
+    every Newton step is at most 4 eps max |mu|; the stepping never reads
+    them and they are not tested.  off is the table of pole offsets
+    (_secular_step).
     """
-    turns = np.exp(1j * fine[::stride]) - 1.0
+    t = np.arange(ticks.start, ticks.stop, ticks.step) * (2 * math.pi / fine)
+    if ticks[-1] == fine:
+        t[-1] = 2 * math.pi
+    turns = np.exp(1j * t) - 1.0
     steps, n = len(turns) - 1, len(mu)
     live = np.arange(len(C))  # the wheel of each live row
     out = [None] * len(C)
-    lam = np.tile(mu, (len(C), 1))
-    # the last coarse rows, newest first
+    # the last rows, newest first
     history = np.repeat(lam[None], PREDICTOR_ORDER + 1, axis=0)
     turned = np.zeros(lam.shape)
     rows = None
     if paths:
         rows = np.empty((len(turns),) + lam.shape, dtype=complex)
-        rows[0] = mu
+        rows[0] = lam
         polish = 4.0 * np.finfo(float).eps * np.abs(mu).max()
     weights = _predictors(1)
     k, horizon = 0, 1  # coarse steps taken, length of the next run
@@ -391,10 +395,17 @@ def _follow_wheels(mu, off, C, h, fine, stride, tol, paths):
         else:
             taken = horizon = 1
             for r in np.flatnonzero(~holds[0]):
-                at, new[0, r], moved[0, r] = _secular_refine(
-                    mu, off, C[r], h[r], fine, k * stride, (k + 1) * stride,
-                    lam[r], tol)
-                if at < (k + 1) * stride:
+                # the step again as two at half the stride, down to one
+                # spacing, which fails where it starts
+                at = t[k]
+                if ticks.step > 1:
+                    at, last, angles = _follow_wheels(
+                        mu, off, C[[r]], h[[r]], lam[[r]],
+                        range(ticks[k], ticks[k + 1] + 1, ticks.step // 2),
+                        fine, tol, False)[0][0]
+                if at is None:
+                    new[0, r], moved[0, r] = last, angles
+                else:
                     out[live[r]] = at, None, None
                     live[r] = -1
             if (live < 0).any():
@@ -415,31 +426,7 @@ def _follow_wheels(mu, off, C, h, fine, stride, tol, paths):
         k += taken
     for r, wheel in enumerate(live):
         out[wheel] = None, lam[r], turned[r]
-    return out, rows
-
-
-def _secular_refine(mu, off, c, h, fine, start, stop, lam, tol):
-    """One wheel's step from lam at fine[start] toward fine[stop]: a step
-    that fails is split at its midpoint on fine and its first half is tried
-    next.  Returns the index into fine reached, the labels there and their
-    angle increments; the index is stop unless the step of one spacing of
-    fine that starts there fails.  A list, not a recursive closure, holds
-    the pending targets."""
-    at, targets = start, [stop]
-    moved = np.zeros(len(lam))
-    while targets:
-        j = targets[-1]
-        s = np.array([(np.exp(1j * fine[j]) - 1.0) * h])
-        new, converged, _ = _secular_step(mu, off, c[None], s, lam[None],
-                                          tol)
-        if converged[0] and _step_holds(lam, new[0]):
-            moved += np.angle(new[0] / lam)
-            lam, at = new[0], targets.pop()
-        elif j - at == 1:
-            break
-        else:
-            targets.append((at + j) // 2)
-    return at, lam, moved
+    return out, t, rows
 
 
 def _secular_step(mu, off, C, s, guess, tol):

@@ -676,7 +676,8 @@ def test_dieudonne_over_octonions_names_the_study_method(capsys):
 
 @pytest.mark.parametrize("command", ["group", "phase"])
 def test_steps_too_large_for_memory_report_one_line(capsys, command):
-    # numpy refuses the 114 PiB grid before it allocates anything
+    # numpy refuses the circle's (steps + 1)-point arrays, 7.1 PiB of
+    # grid indices before the 14 PiB of turns, before it allocates anything
     _assert_one_error_line(capsys, [command, "--inline", "{{1}}", "--field",
                                     "roots:3", "--steps", "1000000000000000"],
                            "Unable to allocate")

@@ -482,6 +482,24 @@ def test_runs_of_coarse_steps_amortize_the_secular_solves(monkeypatch):
         assert 0 < len(solves) <= most
 
 
+def _random_draws(seed, count):
+    """(system, field) of each of the first count draws of the seed: set
+    systems of up to 10 elements and complexes on up to 5 vertices, with
+    random fields and roots:(2n + 1)."""
+    rng = random.Random(seed)
+    for draw in range(count):
+        if draw % 3 == 2:  # in general not closed under subsets
+            system = random_set_system(rng, rng.randint(1, 10))
+        else:
+            system = random_complex(rng, max_generators=3, max_vertices=5,
+                                    max_cardinality=3)
+        if draw % 5 == 4:
+            h = roots_field(system, 2 * len(system) + 1)
+        else:
+            h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
+        yield system, h
+
+
 def _wheel_outcomes(system, h, steps):
     """Each wheel's (permutation, windings), or the type and message of the
     error wheel_permutations raises."""
@@ -498,18 +516,8 @@ def test_runs_of_coarse_steps_give_the_outcomes_of_one_step_per_solve(
     # Newton call; runs of steps of all wheels must give the same
     # permutations, windings and errors, word for word
     solves = _count_secular_solves(monkeypatch)
-    rng = random.Random(5)
     failed = run_solves = single_solves = 0
-    for draw in range(280):
-        if draw % 3 == 2:  # in general not closed under subsets
-            system = random_set_system(rng, rng.randint(1, 10))
-        else:
-            system = random_complex(rng, max_generators=3, max_vertices=5,
-                                    max_cardinality=3)
-        if draw % 5 == 4:
-            h = roots_field(system, 2 * len(system) + 1)
-        else:
-            h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
+    for system, h in _random_draws(5, 280):
         for steps in (40, 500):
             solves.clear()
             got = _wheel_outcomes(system, h, steps)
@@ -542,18 +550,8 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
     attribute = spectral._attribute_windings
     monkeypatch.setattr(spectral, "_attribute_windings", lambda *a: (
         certified_wps.append(attribute(*a)) or certified_wps[-1]))
-    rng = random.Random(31)
     certified = failed = 0
-    for draw in range(250):
-        if draw % 3 == 2:  # in general not closed under subsets
-            system = random_set_system(rng, rng.randint(1, 10))
-        else:
-            system = random_complex(rng, max_generators=3, max_vertices=5,
-                                    max_cardinality=3)
-        if draw % 5 == 4:
-            h = roots_field(system, 2 * len(system) + 1)
-        else:
-            h = random_field(system, COMPLEX, rng, unit=draw % 2 == 0)
+    for system, h in _random_draws(31, 250):
         want = [_tracked_outcome(system, h, w, 40) for w in range(len(system))]
         errors = [w for w in range(len(system))
                   if isinstance(want[w][0], type)]
@@ -579,6 +577,43 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
                 i for i, w in enumerate(rest) if w not in done):]
         failed += len(errors)
     assert certified > 900 and failed > 200
+
+
+# seed 31, draw 184: roots:27 on a 13-element complex; wheel 9 permutes
+# labels 2, 6 and 3 and winds label 2 once
+FOUND_WHEEL = ((0, 1, 6, 2, 4, 5, 3) + tuple(range(7, 13)),
+               (0, 0, 1) + (0,) * 10)
+
+
+def _found_draw():
+    return next(itertools.islice(_random_draws(31, 185), 184, None))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md, line 444: at 2 doublings the secular path fails "
+    "wheel 9 of seed 31, draw 184 near t = 6.0476, where the eigenvalue "
+    "tracker follows it"))
+def test_two_doublings_follow_the_wheel_the_tracker_follows(monkeypatch):
+    monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)
+    system, h = _found_draw()
+    assert _tracked_outcome(system, h, 9, 40) == FOUND_WHEEL
+    try:
+        got = [(wp.perm, wp.windings)
+               for wp in wheel_permutations(system, h, 40, [9])]
+    except TrackingAmbiguityError as exc:
+        got = str(exc)
+    assert got == [FOUND_WHEEL]
+
+
+def test_three_doublings_follow_the_wheel_the_tracker_follows(monkeypatch):
+    # the wheel of the xfail above: from 3 doublings on (and at the default)
+    # the secular path and the per-block tracker give one outcome
+    system, h = _found_draw()
+    for doublings in (spectral.ADAPTIVE_DOUBLINGS, 3):
+        monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", doublings)
+        assert _tracked_outcome(system, h, 9, 40) == FOUND_WHEEL
+        assert [(wp.perm, wp.windings) for wp in wheel_permutations(
+            system, h, 40, [9])] == [FOUND_WHEEL]
 
 
 def test_a_step_where_two_labels_pick_one_eigenvalue_fails_the_attempt():
@@ -663,20 +698,108 @@ def test_polished_rows_lie_near_the_eigenvalue_tracker(linear10):
 
 
 def test_end_collision_names_the_requested_steps(monkeypatch):
-    # two labels that end nearest one start value leave no permutation
+    # two labels that end nearest one start value leave no permutation.  A
+    # failing step is refined by nested calls of _follow_wheels at half the
+    # stride, so only the outer call, at the full coarse stride, is altered
     follow = spectral._follow_wheels
 
-    def colliding(*args):
-        followed, rows = follow(*args)
-        at, last, turned = followed[0]
-        followed[0] = at, np.concatenate([last[:1], last[:-1]]), turned
-        return followed, rows
+    def colliding(mu, off, C, h, lam, ticks, *rest):
+        followed, ts, rows = follow(mu, off, C, h, lam, ticks, *rest)
+        if ticks.step == 2 ** spectral.ADAPTIVE_DOUBLINGS:
+            at, last, turned = followed[0]
+            followed[0] = at, np.concatenate([last[:1], last[:-1]]), turned
+        return followed, ts, rows
 
     monkeypatch.setattr(spectral, "_follow_wheels", colliding)
     K3 = generate([[1, 2, 3]])
     with pytest.raises(TrackingAmbiguityError, match="wheel 0 ended with two "
                        "labels nearest one start value at 40 steps$"):
         wheel_permutations(K3, roots_field(K3, 7), 40)
+
+
+def test_grid_angles_are_the_bits_of_linspace():
+    # _follow_wheels makes the angle of point j of a grid of fine intervals
+    # as j 2pi / fine, and point fine as 2pi: bit for bit the points of
+    # np.linspace on the coarse grid, on the slices a refined step follows
+    # at half the stride, and at single points (at 25 steps, 25 * (2pi / 25)
+    # is not 2pi).  One pole of weight 1 moves as e^{it}
+    one = np.ones((1, 1), dtype=complex)
+    off = np.full((1, 1), np.inf, dtype=complex)
+    for steps, stride in itertools.product(
+            (1, 2, 3, 7, 25, 40, 500, 777, 4000), (1, 4, 16)):
+        fine = steps * stride
+        want = np.linspace(0.0, 2.0 * math.pi, fine + 1)
+        spans = [range(0, fine + 1, stride)] + [
+            range(j, j + stride + 1, max(1, stride // 2))
+            for j in (0, steps // 2 * stride, fine - stride)]
+        for ticks in spans:
+            followed, t, _ = spectral._follow_wheels(
+                one[0], off, one, one[0], one, ticks, fine, 1e-9, False)
+            assert followed[0][0] is None
+            assert t.tobytes() == want[ticks.start:ticks.stop:ticks.step] \
+                .tobytes()
+            for k in (0, len(ticks) // 2, -1):
+                assert t[k].tobytes() == want[ticks[k]].tobytes()
+
+
+def _nested_follows(monkeypatch):
+    """A list of (depth, stride, points, wheels) of each _follow_wheels
+    call, depth 0 for the calls _follow_block makes."""
+    follow = spectral._follow_wheels
+    calls, depth = [], [0]
+
+    def nested(mu, off, C, h, lam, ticks, *rest):
+        calls.append((depth[0], ticks.step, len(ticks), len(C)))
+        depth[0] += 1
+        try:
+            return follow(mu, off, C, h, lam, ticks, *rest)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(spectral, "_follow_wheels", nested)
+    return calls
+
+
+def test_a_failing_step_is_followed_again_at_half_the_stride(monkeypatch,
+                                                             K3):
+    # a step that fails for a wheel is followed again by _follow_wheels, for
+    # that wheel alone, as 2 steps at half the stride, and so on down to one
+    # spacing of the fine grid: at most ADAPTIVE_DOUBLINGS levels deep
+    calls = _nested_follows(monkeypatch)
+    stride = 2 ** spectral.ADAPTIVE_DOUBLINGS
+    wps = wheel_permutations(K3, roots_field(K3, 7), 500)
+    assert group_order([wp.perm for wp in wps]) == 36
+    assert calls[0] == (0, stride, 501, 7) and (1, 8, 3, 1) in calls
+
+    def nested_correctly():
+        return all((step, points, wheels) == (stride >> depth, 3, 1)
+                   and 1 <= depth <= spectral.ADAPTIVE_DOUBLINGS
+                   for depth, step, points, wheels in calls[1:])
+
+    assert nested_correctly()
+    # an exact meeting fails at every level, down to one spacing
+    calls.clear()
+    with pytest.raises(TrackingAmbiguityError, match="near t = 1.5700"):
+        wheel_permutations(SetSystem([[1], [1, 2]]),
+                           explicit_field([1 + 0j, 2 + 0j]), 500)
+    assert calls[0][:2] == (0, stride) and nested_correctly()
+    assert calls[-1][:2] == (spectral.ADAPTIVE_DOUBLINGS, 1)
+
+
+def test_a_long_circle_holds_no_fine_grid():
+    # the angles are made per follow, (steps + 1) of them and their turns,
+    # not as an array of the steps * 2^ADAPTIVE_DOUBLINGS + 1 fine points
+    # (12.8 MB at 100 000 steps)
+    system = generate([[1, 2]])
+    h = roots_field(system, 5)
+    wheel_permutations(system, h, 500)  # imports and caches, unmeasured
+    tracemalloc.start()
+    try:
+        wheel_permutations(system, h, 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_track_wheel_rejects_steps_below_one(K3):
