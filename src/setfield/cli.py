@@ -45,8 +45,8 @@ def load_system(config: argparse.Namespace) -> SetSystem:
         flag = ("--input %s" % config.input_path if config.input_path
                 else "--inline")
         raise ValueError("%s: %s" % (flag, exc)) from None
-    if not len(system) and config.command in ("matrices", "check"):
-        # their matrix products need an element
+    if not len(system) and config.command in ("matrices", "check", "group"):
+        # their matrix products, and a group's generators, need an element
         raise ValueError("%s needs a nonempty set system" % config.command)
     return system
 

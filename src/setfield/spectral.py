@@ -26,6 +26,7 @@ else from Schreier-Sims (group_order).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,13 +61,14 @@ SECULAR_BLOCK = 2 ** 14
 PREDICTOR_ORDER = 3
 
 
+@functools.cache
 def _predictors(horizon):
     """Weights (PREDICTOR_ORDER + 1, horizon, PREDICTOR_ORDER + 1) of the
     guesses: entry [m, j - 1, i] weights the i-th newest of the last m + 1
     coarse rows in the polynomial of degree m through them, j steps ahead,
     prod_{l != i} (j + l) / (l - i) over l <= m (0 for i > m).  The weights
     are integers; for j = 1 they are (-1)^i binom(m + 1, i + 1), the cubic's
-    4, -6, 4, -1."""
+    4, -6, 4, -1.  No entry depends on horizon (the tables are cached)."""
     ahead = np.arange(1, horizon + 1)
     table = np.zeros((PREDICTOR_ORDER + 1, horizon, PREDICTOR_ORDER + 1),
                      dtype=complex)
@@ -91,10 +93,9 @@ class SpectralPath:
     """Labeled eigenvalue samples along t in [0, 2pi] for one turned wheel.
 
     steps is the number of even intervals of the grid the wheel was followed
-    on.  values holds a row for each of its steps + 1 times ts, or only the
-    rows at t = 0 and t = 2pi.  labels are the columns of the wheel's
-    comparability block, in increasing order (None: all of them); every
-    other column stays at its t=0 value.
+    on, and values holds a row for each of its steps + 1 times ts.  labels
+    are the columns of the wheel's comparability block, in increasing order
+    (None: all of them); every other column stays at its t=0 value.
     """
 
     wheel: int
@@ -139,20 +140,6 @@ def _complex_field_array(h: EnergyFunction) -> np.ndarray:
         raise ValueError("monodromy tracking needs a complex field, got %s"
                          % h.kind.name)
     return np.asarray(h.values, dtype=complex)
-
-
-def _greedy_match(prev, new):
-    """Greedy nearest matching of stacked steps (..., n): label i of prev goes
-    to new[..., cols[..., i]], a distance best[..., i] away; collided is set
-    where two labels pick one eigenvalue.  Without a collision cols is a
-    minimum-cost matching, as each label is at its nearest.  Returns
-    (cols, best, collided)."""
-    D = np.abs(prev[..., :, None] - new[..., None, :])
-    cols = D.argmin(axis=-1)
-    best = np.take_along_axis(D, cols[..., None], axis=-1)[..., 0]
-    sorted_cols = np.sort(cols, axis=-1)
-    collided = (sorted_cols[..., 1:] == sorted_cols[..., :-1]).any(axis=-1)
-    return cols, best, collided
 
 
 def _start(system: SetSystem, h: EnergyFunction, wheels, steps: int):
@@ -264,7 +251,8 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, steps, tol, paths):
     inexact, fails the first wheel before any is followed.  Wheels are
     followed in groups of at most SECULAR_BLOCK / n_c^2, n_c the block's
     size, each group on one table of the pole offsets (_follow_wheels), on
-    every 2^ADAPTIVE_DOUBLINGS-th point of the grid of fine intervals.
+    every 2^ADAPTIVE_DOUBLINGS-th point of the grid of fine intervals; a
+    wheel's end labels meet the poles once, in _wheel_permutation.
     """
     found = []
     poles = mu[labels]
@@ -299,14 +287,9 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, steps, tol, paths):
                     "t = %.4f at %d steps; two eigenvalues meet or nearly "
                     "meet there, and a higher step count resolves only a "
                     "near meeting" % (wheel, at, fine))
-            end = mu.copy()
-            end[labels] = last
-            raw = np.zeros(len(mu))
-            raw[labels] = turned / (2.0 * math.pi)
             try:
-                wp = _attribute_windings(SpectralPath(
-                    wheel, ts[[0, -1]], np.array([mu, end]), steps, labels),
-                    raw)
+                wp = _wheel_permutation(wheel, len(mu), labels, poles, last,
+                                        turned / (2.0 * math.pi), steps)
             except (TrackingAmbiguityError, ValueError) as exc:
                 return found, exc
             if sum(wp.windings) != 1:
@@ -375,8 +358,8 @@ def _follow_wheels(mu, off, C, h, lam, ticks, fine, tol, paths):
     while k < steps:
         run = min(horizon, steps - k,
                   max(1, SECULAR_BLOCK // (2 * len(live) * n * n)))
-        if run > weights.shape[1]:
-            weights = _predictors(run)
+        if run > weights.shape[1]:  # a power of two: at most 14 tables
+            weights = _predictors(1 << (run - 1).bit_length())
         guess = (weights[min(k, PREDICTOR_ORDER), :run]
                  @ history.reshape(len(history), -1)).reshape(
                      (run,) + lam.shape)
@@ -475,44 +458,36 @@ def _step_holds(lam, new):
     return (np.abs(lam - new) <= 0.5 * G.min(axis=-2)).all(axis=-1)
 
 
-def _attribute_windings(path: SpectralPath, raw) -> WheelPermutation:
-    """The wheel's permutation, from the path's end rows (path_permutation),
-    and the integer winding of each label around 0, from raw, the labels'
-    angle increments in turns.  A fixed label reports its own loop's
-    winding; a cycle's arcs close up only jointly, so its winding goes to
-    the arc that turned most and its other labels report 0.  A loop whose
-    total is not within WINDING_INT_TOL of an integer raises ValueError."""
-    perm = path_permutation(path)
-    out = [0] * path.n
-    for cyc in perm_cycles(perm) + [(k,) for k in range(path.n)
-                                    if perm[k] == k]:
-        total = float(sum(raw[m] for m in cyc))
+def _wheel_permutation(wheel, n, labels, start, end, raw, steps):
+    """The WheelPermutation of the wheel on n labels, from the start and end
+    values and the angle increments raw, in turns, of its block's labels
+    (the others are fixed, winding 0).  Each end value goes to the nearest
+    start value, the minimum-cost matching when no two pick one; a
+    collision raises TrackingAmbiguityError.  A fixed label reports its own
+    loop's winding; a cycle's arcs close up only jointly, so its winding
+    goes to the arc that turned most and its other labels report 0.  A loop
+    whose total is not within WINDING_INT_TOL of an integer raises
+    ValueError."""
+    cols = np.abs(end[:, None] - start).argmin(axis=1)
+    if len(np.unique(cols)) < len(cols):
+        raise TrackingAmbiguityError(
+            "eigenvalue tracking for wheel %d ended with two labels nearest "
+            "one start value at %d steps" % (wheel, steps))
+    perm = list(range(n))
+    turns = np.zeros(n)
+    for label, col, turn in zip(labels, cols, raw):
+        perm[label], turns[label] = int(labels[col]), turn
+    out = [0] * n
+    for cyc in perm_cycles(perm) + [(k,) for k in range(n) if perm[k] == k]:
+        total = float(sum(turns[m] for m in cyc))
         r = round(total)
         if abs(total - r) > WINDING_INT_TOL:
             raise ValueError(
                 "winding of cycle %s is %.6f, not an integer (tracking "
                 "failure?)" % (cyc, total))
-        carrier = max(cyc, key=lambda m: abs(raw[m]))
+        carrier = max(cyc, key=lambda m: abs(turns[m]))
         out[carrier] = int(r)
-    return WheelPermutation(path.wheel, perm, perm_order(perm), tuple(out))
-
-
-def path_permutation(path: SpectralPath) -> tuple:
-    """Match the end of the path back to the t=0 labels by the greedy
-    nearest match, which is the minimum-cost matching when no two labels
-    collide; a collision raises TrackingAmbiguityError.  Only the labels of
-    the path's block are matched, among themselves; the others are fixed."""
-    labels = np.arange(path.n) if path.labels is None else path.labels
-    start, end = path.values[[0, -1]][:, labels]
-    cols, _, collided = _greedy_match(end, start)
-    if collided:
-        raise TrackingAmbiguityError(
-            "eigenvalue tracking for wheel %d ended with two labels nearest "
-            "one start value at %d steps" % (path.wheel, path.steps))
-    perm = list(range(path.n))
-    for label, col in zip(labels, cols):
-        perm[label] = int(labels[col])
-    return tuple(perm)
+    return WheelPermutation(wheel, tuple(perm), perm_order(perm), tuple(out))
 
 
 # ---------------------------------------------------------------------------

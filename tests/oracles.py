@@ -18,18 +18,21 @@ every subset of every element; L and g come back in their own record,
 eigenvalue tracker the library ran before it followed wheels on the secular
 equation: LAPACK solves the eigenvalues of every sample (`eigenvalues`),
 and the whole circle is redone at twice the steps while a step stays
-ambiguous.  It shares only the start checks with their labels and the
-greedy match (`_start`, `_repeat_error`, `_greedy_match`) with the
-library; it builds L(t) itself, as the BLAS product (Z^T h) Z plus the
-turned rank-one term (`wheel_matrices`), where the library reads L(0) from
-`field_matrices`.  It tracks the whole L(t), or, in its per-block mode,
-the rows and columns of the wheel's comparability block, found by its own
-search (`comparability_block`).  Its step test, `step_passes`, is the
-library's from before the secular path tested each label against itself
-in one pass.  `raw_winding_increments`
-and `wheel_permutation` read a full path, as the tracker gives one; the
-library sums each label's angle steps as it follows it, and shares with
-them only the attribution of windings to cycles (`_attribute_windings`).
+ambiguous.  It shares only the start checks with their labels (`_start`,
+`_repeat_error`) with the library; it matches each step by its own greedy
+nearest match (`greedy_match`), and builds L(t) itself, as the BLAS
+product (Z^T h) Z plus the turned rank-one term (`wheel_matrices`), where
+the library reads L(0) from `field_matrices`.  It tracks the whole L(t),
+or, in its per-block mode, the rows and columns of the wheel's
+comparability block, found by its own search (`comparability_block`).
+Its step test, `step_passes`, is the library's from before the secular
+path tested each label against itself in one pass.
+`raw_winding_increments` and `wheel_permutation` read a full path, as the
+tracker gives one; the library sums each label's angle steps as it
+follows it, and shares with them only the end match and the attribution
+of windings to cycles (`_wheel_permutation`).  `path_permutation` matches
+the end of a path to its start by `greedy_match` alone, for tests that
+read only a permutation.
 `group_closure` lists a permutation group breadth first, the way group
 orders were found before Schreier-Sims.  `intersection_closure` adds
 missing pairwise intersections one pair at a time, to make systems on
@@ -719,6 +722,20 @@ def track_wheel(system, h, wheel, steps=spectral.DEFAULT_STEPS,
         % (wheel, ts[failed], attempt_steps // 2))
 
 
+def greedy_match(prev, new):
+    """Greedy nearest matching of stacked steps (..., n): label i of prev goes
+    to new[..., cols[..., i]], a distance best[..., i] away; collided is set
+    where two labels pick one eigenvalue.  Without a collision cols is a
+    minimum-cost matching, as each label is at its nearest.  Returns
+    (cols, best, collided)."""
+    D = np.abs(prev[..., :, None] - new[..., None, :])
+    cols = D.argmin(axis=-1)
+    best = np.take_along_axis(D, cols[..., None], axis=-1)[..., 0]
+    sorted_cols = np.sort(cols, axis=-1)
+    collided = (sorted_cols[..., 1:] == sorted_cols[..., :-1]).any(axis=-1)
+    return cols, best, collided
+
+
 def step_passes(prev, new):
     """Whether each step of a stack (..., n) of eigenvalue rows passes, and
     its greedy match: label i of prev goes to new[..., cols[..., i]].  A
@@ -731,7 +748,7 @@ def step_passes(prev, new):
     assignment is needed.  The verdict does not depend on the order of
     either row.  Returns (ok, cols).
     """
-    cols, best, collided = spectral._greedy_match(prev, new)
+    cols, best, collided = greedy_match(prev, new)
     G = np.abs(new[..., :, None] - new[..., None, :])
     diagonal = np.arange(new.shape[-1])
     G[..., diagonal, diagonal] = np.inf
@@ -785,10 +802,35 @@ def raw_winding_increments(path) -> np.ndarray:
     return increments.sum(axis=0) / (2.0 * math.pi)
 
 
+def _path_labels(path):
+    """The path's block labels, and their rows at its start and end."""
+    labels = np.arange(path.n) if path.labels is None else path.labels
+    return (labels,) + tuple(path.values[[0, -1]][:, labels])
+
+
 def wheel_permutation(path) -> spectral.WheelPermutation:
     """The permutation of a tracked wheel, with its order and the integer
     winding of each label around 0, from the full path (track_wheel's, or
-    phase's rows); the end of the path is matched to its start once, and the
-    windings are attributed as the library attributes them
-    (spectral._attribute_windings)."""
-    return spectral._attribute_windings(path, raw_winding_increments(path))
+    phase's rows); the end of the path is matched to its start once and the
+    windings are attributed, both as the library does them
+    (spectral._wheel_permutation)."""
+    labels, start, end = _path_labels(path)
+    return spectral._wheel_permutation(
+        path.wheel, path.n, labels, start, end,
+        raw_winding_increments(path)[labels], path.steps)
+
+
+def path_permutation(path) -> tuple:
+    """The permutation that takes each label of the path's block to the
+    start value nearest its end (greedy_match); the other labels are fixed.
+    Two labels nearest one start value raise TrackingAmbiguityError."""
+    labels, start, end = _path_labels(path)
+    cols, _, collided = greedy_match(end, start)
+    if collided:
+        raise spectral.TrackingAmbiguityError(
+            "eigenvalue tracking for wheel %d ended with two labels nearest "
+            "one start value at %d steps" % (path.wheel, path.steps))
+    perm = list(range(path.n))
+    for label, col in zip(labels, cols):
+        perm[label] = int(labels[col])
+    return tuple(perm)

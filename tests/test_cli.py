@@ -411,6 +411,10 @@ def test_empty_system_succeeds_or_reports_one_line(capsys, command):
         assert not captured.out
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+    if command in ("matrices", "check", "group"):
+        # refused before a field is built
+        assert (code, captured.err) == (
+            2, "error: %s needs a nonempty set system\n" % command)
 
 
 def test_import_does_not_load_scipy():
@@ -429,7 +433,8 @@ NUMPY_FREE_RUNS = [["gen", "--inline", "{{1,2,3},{3,4,5}}", "--closure"],
                    ["kaehler", "--inline", "{{1,2,3,4,5},{3,4,5,6,7}}",
                     "--closure"],
                    ["det", "--inline", "{{1,2"],
-                   ["check", "--inline", "[]"]]
+                   ["check", "--inline", "[]"],
+                   ["group", "--inline", "[]"]]
 
 
 def _cold_main(runs, block_numpy):
@@ -462,7 +467,7 @@ def _cold_main(runs, block_numpy):
 def test_cold_path_is_numpy_free():
     loaded, normal = _cold_main(NUMPY_FREE_RUNS, block_numpy=False)
     assert not loaded  # `import setfield, setfield.cli` leaves numpy out
-    assert [code for code, _, _ in normal] == [0, 0, 2, 2]
+    assert [code for code, _, _ in normal] == [0, 0, 2, 2, 2]
     assert _cold_main(NUMPY_FREE_RUNS, block_numpy=True) == (False, normal)
 
 

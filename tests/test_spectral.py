@@ -11,8 +11,9 @@ import pytest
 
 import oracles
 from oracles import (ClosureOverflowError, eigenvalues, greedy_eigen_tracking,
-                     group_closure, jacobian_by_sets, random_set_system,
-                     raw_winding_increments, wheel_permutation)
+                     group_closure, jacobian_by_sets, path_permutation,
+                     random_set_system, raw_winding_increments,
+                     wheel_permutation)
 from setfield import (SetSystem, field_matrices, generate, group_order,
                       monodromy_report, presentations, spectral,
                       wheel_permutations)
@@ -20,8 +21,8 @@ from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.setsystem import random_complex
 from setfield.spectral import (SpectralPath, TrackingAmbiguityError,
-                               format_cycles, path_permutation, perm_compose,
-                               perm_cycles, perm_order)
+                               format_cycles, perm_compose, perm_cycles,
+                               perm_order)
 
 ZERO_DIM = SetSystem([[1], [2]])
 DIAG_FIELD = explicit_field([1 + 0j, 2 + 0j])
@@ -169,15 +170,54 @@ def test_ambiguous_end_match_takes_the_minimum_cost_permutation():
     start = np.array([0.0, 1.0, 10.0], dtype=complex)
 
     def end_match(end):
-        return path_permutation(SpectralPath(
-            0, np.array([0.0, 2 * math.pi]), np.stack([start, end]), 1))
+        return spectral._wheel_permutation(0, 3, np.arange(3), start, end,
+                                           np.zeros(3), 1).perm
 
-    # labels 0 and 1 end nearest the same start value: no match is read off
-    with pytest.raises(TrackingAmbiguityError, match="wheel 0 ended with two"):
-        end_match(np.array([0.9, 0.8, 10.0], dtype=complex))
     # close, but each label has its own nearest start value
     end = np.array([0.9, 0.3, 10.0], dtype=complex)
     assert end_match(end) == _brute_force_matching(end, start)[0] == (1, 0, 2)
+
+
+def test_two_end_labels_nearest_one_start_value_fail_the_wheel():
+    # labels 0 and 1 end nearest the same start value: no match is read off
+    start = np.array([0.0, 1.0, 10.0], dtype=complex)
+    end = np.array([0.9, 0.8, 10.0], dtype=complex)
+    with pytest.raises(TrackingAmbiguityError,
+                       match="^eigenvalue tracking for wheel 4 ended with two "
+                             "labels nearest one start value at 37 steps$"):
+        spectral._wheel_permutation(4, 6, np.array([1, 2, 5]), start, end,
+                                    np.zeros(3), 37)
+
+
+def _second_block():
+    """The labels and t=0 eigenvalues of the block of {3}, {4}, {3, 4} in
+    the system generated by {1, 2} and {3, 4} under roots:13: the global
+    labels 0, 1 and 3, which are not the block's own 0, 1 and 2."""
+    system = generate([[1, 2], [3, 4]])
+    _, mu, blocks = spectral._start(system, roots_field(system, 13), [2], 1)
+    (_, labels, _), = [b for b in blocks if b[0] == [2, 3, 5]]
+    assert labels.tolist() == [0, 1, 3]
+    return len(mu), labels, mu[labels]
+
+
+def test_a_fractional_cycle_names_its_global_labels():
+    n, labels, start = _second_block()
+    # the block's first and last labels trade places: the global cycle
+    # (0 3), which block-local numbers would write (0 2)
+    with pytest.raises(ValueError,
+                       match=r"^winding of cycle \(0, 3\) is 0\.750000, not an "
+                             r"integer"):
+        spectral._wheel_permutation(2, n, labels, start, start[[2, 1, 0]],
+                                    np.array([0.25, 0.0, 0.5]), 500)
+
+
+def test_labels_outside_the_block_stay_fixed_with_winding_0():
+    n, labels, start = _second_block()
+    wp = spectral._wheel_permutation(2, n, labels, start, start[[2, 1, 0]],
+                                     np.array([0.25, 0.0, 0.75]), 500)
+    # the cycle's winding goes to its arc that turned most, label 3
+    assert wp.perm == (3, 1, 2, 0, 4, 5) and wp.order == 2
+    assert wp.windings == (0, 0, 0, 1, 0, 0)
 
 
 def test_greedy_match_that_passes_is_the_minimum_cost_matching():
@@ -197,7 +237,7 @@ def test_greedy_match_that_passes_is_the_minimum_cost_matching():
             i, j = rng.choice(n, 2, replace=False)
             new[j] = new[i] + 1e-6 * (rng.standard_normal()
                                       + 1j * rng.standard_normal())
-        cols, best, hit = spectral._greedy_match(prev, new)
+        cols, best, hit = oracles.greedy_match(prev, new)
         gaps = np.abs(new[:, None] - new[None, :])
         np.fill_diagonal(gaps, np.inf)
         gaps = gaps.min(axis=0)
@@ -219,13 +259,13 @@ def test_each_wheel_matches_its_end_to_its_start_once(K3, monkeypatch,
     from setfield.cli import main
 
     calls = []
-    match = spectral.path_permutation
+    match = spectral._wheel_permutation
 
-    def counting(path):
-        calls.append(path.wheel)
-        return match(path)
+    def counting(wheel, *args):
+        calls.append(wheel)
+        return match(wheel, *args)
 
-    monkeypatch.setattr(spectral, "path_permutation", counting)
+    monkeypatch.setattr(spectral, "_wheel_permutation", counting)
     wheel_permutations(K3, roots_field(K3, 7), steps=500)
     assert calls == list(range(7))
     calls.clear()
@@ -462,6 +502,29 @@ def test_predictors_extrapolate_polynomials_exactly():
             coeffs, np.arange(1, 41)).tolist()
 
 
+def test_every_predictor_table_is_a_slice_of_the_longest():
+    # no entry depends on the horizon, so one cached table of a power of two
+    # serves every shorter run; the slices are fresh builds, bit for bit
+    build = spectral._predictors.__wrapped__
+    longest = build(spectral.SECULAR_BLOCK // 2)  # the longest run
+    for horizon in (1, 2, 3, 7, 23, 64, 1000):
+        assert longest[:, :horizon].tobytes() == build(horizon).tobytes()
+    assert spectral._predictors(64) is spectral._predictors(64)
+
+
+def test_the_follower_reads_predictor_tables_of_powers_of_two(monkeypatch):
+    # runs of 245 and 23 steps would ask for tables of those horizons
+    horizons = []
+    cached = spectral._predictors
+    monkeypatch.setattr(spectral, "_predictors", lambda horizon: (
+        horizons.append(horizon) or cached(horizon)))
+    for gens, order in (([[1]], 3), ([[1, 2, 3]], 7)):
+        system = generate(gens)
+        wheel_permutations(system, roots_field(system, order), 500)
+    assert max(horizons) == 256
+    assert all(horizon & (horizon - 1) == 0 for horizon in horizons)
+
+
 def _count_secular_solves(monkeypatch):
     """A list that grows by one for each _secular_step call."""
     solves = []
@@ -547,9 +610,9 @@ def test_secular_path_matches_the_eigenvalue_tracker_on_random_systems(
         monkeypatch):
     monkeypatch.setattr(spectral, "ADAPTIVE_DOUBLINGS", 2)  # 40 steps, up to 160
     certified_wps = []  # each wheel of a run that passes its end match
-    attribute = spectral._attribute_windings
-    monkeypatch.setattr(spectral, "_attribute_windings", lambda *a: (
-        certified_wps.append(attribute(*a)) or certified_wps[-1]))
+    match = spectral._wheel_permutation
+    monkeypatch.setattr(spectral, "_wheel_permutation", lambda *a: (
+        certified_wps.append(match(*a)) or certified_wps[-1]))
     certified = failed = 0
     for system, h in _random_draws(31, 250):
         want = [_tracked_outcome(system, h, w, 40) for w in range(len(system))]
