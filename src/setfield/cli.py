@@ -468,9 +468,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     config = build_parser().parse_args(argv)
     command = COMMANDS[config.command]
-    # numpy refuses an array too large for memory (a huge --steps) with one
-    # line, before it allocates
-    errors = (ValueError, OSError, MemoryError)
     try:
         # inf would let every check hold, nan fail every one
         if config.command == "check" and not 0 <= config.tolerance < math.inf:
@@ -481,14 +478,12 @@ def main(argv=None) -> int:
             return command(config, system)
         import numpy as np
 
-        if config.command in ("phase", "group"):
-            from .spectral import TrackingAmbiguityError
-
-            errors += (TrackingAmbiguityError,)
         # an overflow shows as inf or nan in the report, which emit rejects
         with np.errstate(all="ignore"):
             return command(config, system)
-    except errors as exc:
+    # a tracking failure is a ValueError too; numpy refuses an array too
+    # large for memory (a huge --steps) with one line, before it allocates
+    except (ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -60,6 +60,13 @@ def _total_energy(fm):
                          fm.scale)
 
 
+def _on_complexes_only(system: SetSystem, what):
+    """None on a simplicial complex, else the applicability text for what."""
+    if system.is_simplicial_complex():
+        return None
+    return "not a simplicial complex; " + what
+
+
 def _scaled_tol(h: EnergyFunction, tol):
     if h.kind.exact:
         return 0.0
@@ -103,12 +110,9 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     dev_Lg, wit_Lg = _deviation(sq_Lg)
     worst = max(dev_gL, dev_Lg)
 
-    complex_ok = system.is_simplicial_complex()
-    units_ok = h.all_units(tol)
-    applicability = None
-    if not complex_ok:
-        applicability = "not a simplicial complex; inversion not expected"
-    elif not units_ok:
+    applicability = _on_complexes_only(system, "inversion not expected")
+    complex_ok = applicability is None
+    if complex_ok and not h.all_units(tol):
         applicability = "field is not unit valued; inversion not expected"
 
     diag = np.diagonal(gL, axis1=1, axis2=2)
@@ -149,12 +153,10 @@ def energy_check(system: SetSystem, h: EnergyFunction,
     target = _total_energy(fm)
     dev = float(scalars.norm_sq(total - target)) ** 0.5
     eff = _scaled_tol(h, tol)
-    applicability = None
-    if not system.is_simplicial_complex():
-        applicability = "not a simplicial complex; identity not guaranteed"
     return IdentityReport("energy", dev <= eff, dev,
                           witnesses=[] if dev <= eff else [(-1, -1)],
-                          applicability=applicability,
+                          applicability=_on_complexes_only(
+                              system, "identity not guaranteed"),
                           details={"lhs": scalars.to_jsonable(total),
                                    "rhs": scalars.to_jsonable(target)})
 
@@ -178,12 +180,10 @@ def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
         if d > 0:
             witnesses.append((i, i))
     eff = _scaled_tol(h, tol)
-    applicability = None
-    if not system.is_simplicial_complex():
-        applicability = "not a simplicial complex; identity not guaranteed"
     return IdentityReport("gaussbonnet", dev <= eff, dev,
                           witnesses=[] if dev <= eff else witnesses,
-                          applicability=applicability,
+                          applicability=_on_complexes_only(
+                              system, "identity not guaranteed"),
                           details={"super_trace": scalars.to_jsonable(st)})
 
 
@@ -199,9 +199,7 @@ def unimodularity_check(system: SetSystem) -> IdentityReport:
     for s in omega_vector(system):
         expected *= s
     ok = not witnesses and det == expected and det in (1, -1)
-    applicability = None
-    if not system.is_simplicial_complex():
-        applicability = "not a simplicial complex; inverse pairing not guaranteed"
+    applicability = _on_complexes_only(system, "inverse pairing not guaranteed")
     return IdentityReport("unimodular", ok, 0.0 if ok else 1.0,
                           witnesses=witnesses, applicability=applicability,
                           details={"det_L": det, "expected_det": expected})
@@ -218,12 +216,10 @@ def spectral_signature_check(system: SetSystem,
     neg_eig = int((eig < 0).sum())
     neg_h = sum(1 for v in h.values if v < 0)
     min_abs = float(np.abs(eig).min()) if len(eig) else 0.0
-    applicability = None
-    if not system.is_simplicial_complex():
-        applicability = "not a simplicial complex; signature rule not guaranteed"
     ok = neg_eig == neg_h
     return IdentityReport("signature", ok, 0.0 if ok else abs(neg_eig - neg_h),
-                          witnesses=[], applicability=applicability,
+                          witnesses=[], applicability=_on_complexes_only(
+                              system, "signature rule not guaranteed"),
                           details={"negative_eigenvalues": neg_eig,
                                    "negative_values": neg_h,
                                    "min_abs_eigenvalue": min_abs})

@@ -132,6 +132,10 @@ class Hypercomplex:
                             else self._components_of(other))
         return value
 
+    def __rsub__(self, other):
+        # a - b is a + (-b) in IEEE arithmetic, bit for bit
+        return (-self) + other
+
     def __neg__(self):
         return self._of(tuple(map(operator.neg, self.c)))
 

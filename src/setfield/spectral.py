@@ -80,12 +80,12 @@ def _predictors(horizon):
     return table
 
 
-class TrackingAmbiguityError(RuntimeError):
+class TrackingAmbiguityError(ValueError):
     """Eigenvalue labels could not be told apart: a repeated t=0 eigenvalue
     in a comparability block, eigenvectors of a block of L(0) too
-    ill-conditioned to weight the secular equation,
-    a step that stayed ambiguous at the finest spacing, or an end
-    collision."""
+    ill-conditioned to weight the secular equation, a step that stayed
+    ambiguous at the finest spacing, or an end collision; a ValueError, as
+    every refusal of an input is."""
 
 
 @dataclass
@@ -130,6 +130,8 @@ class GroupReport:
     pi_big_presentation: str
     pi_small_presentation: str
     commuting_pairs: list = field(default_factory=list)
+    # always True: each order is perm_order of its generator, so every
+    # relation of the presentations holds; it is not checked again
     relations_verified: bool = True
     duplicate_wheels: list = field(default_factory=list)
     multi_winding_wheels: list = field(default_factory=list)
@@ -203,11 +205,11 @@ def wheel_permutations(system: SetSystem, h: EnergyFunction,
     alone (_follow_block), and a label of another block is a fixed point
     of winding 0.  A crossing between blocks is no branch point.
 
-    The first wheel in order that fails raises: TrackingAmbiguityError for
-    a repeated t=0 eigenvalue or a cond(V) above SECULAR_COND_CAP in its
-    block, a step that fails at the finest spacing, 2^-ADAPTIVE_DOUBLINGS
-    of a step (naming its start), or a failed end match; ValueError for
-    windings that are not integers or do not sum to 1.
+    The first wheel in order that fails raises a ValueError: the subclass
+    TrackingAmbiguityError for a repeated t=0 eigenvalue or a cond(V) above
+    SECULAR_COND_CAP in its block, a step that fails at the finest spacing,
+    2^-ADAPTIVE_DOUBLINGS of a step (naming its start), or a failed end
+    match; a plain one when the windings are not integers or do not sum to 1.
     Wheels after the first failure found so far are not followed.
     """
     wheels = list(range(len(system)) if wheels is None else wheels)
@@ -290,7 +292,7 @@ def _follow_block(wheels, members, labels, V, mu, h0, Z, steps, tol, paths):
             try:
                 wp = _wheel_permutation(wheel, len(mu), labels, poles, last,
                                         turned / (2.0 * math.pi), steps)
-            except (TrackingAmbiguityError, ValueError) as exc:
+            except ValueError as exc:
                 return found, exc
             if sum(wp.windings) != 1:
                 return found, ValueError(
@@ -687,13 +689,6 @@ def _schreier_sims_order(perms) -> int:
     return math.prod(len(orbit) for orbit in trans)
 
 
-def _power(p, k):
-    out = tuple(range(len(p)))
-    for _ in range(k):
-        out = perm_compose(p, out)
-    return out
-
-
 def presentations(perms: list) -> tuple[str, str]:
     """Generator/relation text for the finite group and its relation-only sibling.
 
@@ -731,22 +726,14 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
     """Full pipeline: track every wheel, order the group, emit presentations.
 
     The wheels come from wheel_permutations, all of them on the secular
-    equation at once, and its errors pass through.  The order comes from
-    group_order (a certificate of transpositions, else Schreier-Sims), which
-    lists no group elements; `cap` is accepted for existing callers and
-    bounds nothing.
+    equation at once, and its errors, all ValueErrors, pass through.  The
+    order comes from group_order (a certificate of transpositions, else
+    Schreier-Sims), which lists no group elements; `cap` is accepted for
+    existing callers and bounds nothing.
     """
     perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])
     big, small = presentations(perms)
-
-    # every listed relation must hold in the concrete permutation group
-    ident = tuple(range(len(system)))
-    powers = [_power(w.perm, w.order) for w in perms]
-    verified = all(p == ident for p in powers) and all(
-        perm_compose(p, q) == perm_compose(q, p)
-        for i, p in enumerate(powers) for q in powers[i + 1:])
-
     commuting = [(i, j) for i in range(len(perms))
                  for j in range(i + 1, len(perms))
                  if perm_compose(perms[i].perm, perms[j].perm)
@@ -757,5 +744,5 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
     multi = [w.wheel for w in perms
              if sum(1 for x in w.windings if x != 0) > 1
              or any(abs(x) > 1 for x in w.windings)]
-    return GroupReport(perms, order, big, small, commuting, verified,
-                       duplicates, multi)
+    return GroupReport(perms, order, big, small, commuting,
+                       duplicate_wheels=duplicates, multi_winding_wheels=multi)

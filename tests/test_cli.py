@@ -618,6 +618,23 @@ def test_phase_and_group_report_one_tracking_error(capsys):
         "there, and a higher step count resolves only a near meeting\n"] * 2
 
 
+@pytest.mark.parametrize("command", ["phase", "group"])
+def test_a_tracking_error_is_a_value_error_main_reports(capsys, monkeypatch,
+                                                        command):
+    # main catches ValueError for every command; a tracking failure is one
+    from setfield import spectral
+
+    assert issubclass(spectral.TrackingAmbiguityError, ValueError)
+
+    def fail(*args, **kwargs):
+        raise spectral.TrackingAmbiguityError("labels could not be told apart")
+
+    monkeypatch.setattr(spectral, "wheel_permutations", fail)
+    _assert_one_error_line(capsys, [command, "--inline", "{{1,2}}",
+                                    "--closure", "--field", "roots:5"],
+                           "labels could not be told apart")
+
+
 def test_failing_phase_writes_no_wheel_file(tmp_path, capsys):
     # wheel 0, {3}, is a block of its own and tracks; wheel 1 fails at the
     # meeting of its block {1}, {1,2}: nothing of wheel 0 is written

@@ -120,6 +120,26 @@ def test_energy_check_off_complex_reports_applicability(nonclosed_pair):
     assert report.applicability is not None
 
 
+def test_each_check_off_complexes_names_what_is_not_guaranteed(
+        nonclosed_pair, K3):
+    h = explicit_field([1.0, -2.0])
+    reports = [green_star_check(nonclosed_pair, h),
+               energy_check(nonclosed_pair, h),
+               gauss_bonnet_check(nonclosed_pair, h),
+               unimodularity_check(nonclosed_pair),
+               spectral_signature_check(nonclosed_pair, h)]
+    assert [r.applicability for r in reports] == [
+        "not a simplicial complex; " + what for what in (
+            "inversion not expected", "identity not guaranteed",
+            "identity not guaranteed", "inverse pairing not guaranteed",
+            "signature rule not guaranteed")]
+    omega = omega_field(K3)
+    for check in (green_star_check, energy_check, gauss_bonnet_check,
+                  spectral_signature_check):
+        assert check(K3, omega).applicability is None
+    assert unimodularity_check(K3).applicability is None
+
+
 def test_gauss_bonnet_on_edge_and_zero_dim(K2):
     assert gauss_bonnet_check(K2, omega_field(K2)).holds
     system = SetSystem([[1], [2], [3]])

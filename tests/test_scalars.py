@@ -322,6 +322,33 @@ def test_hypercomplex_repr_is_unchanged():
         "Octonion(1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)"
 
 
+def test_a_number_minus_a_value_is_the_difference_of_components():
+    # o - v is (-v) + o, and IEEE arithmetic defines a - b as a + (-b):
+    # each component is o[k] - v[k] bit for bit, signed zeros included
+    rng = random.Random(43)
+    for trial in range(200):
+        for cls in (Quaternion, Octonion):
+            c = tuple(rng.choice(SPECIAL) if trial % 2 else
+                      rng.uniform(-2, 2) for _ in range(cls.dimension))
+            v = cls(c)
+            for o in (1, 0, -2, 0.0, -0.0, 0.5, rng.uniform(-2, 2)):
+                want = tuple(a - b for a, b in zip(cls(o).components(), c))
+                got = o - v
+                assert type(got) is cls
+                assert repr(got.components()) == repr(want)
+    for v in (GaussianRational(1, 2), GaussianRational(Fraction(-1, 2)),
+              GaussianRational(0, Fraction(7, 3))):
+        for o in (1, 0, -3, Fraction(1, 3)):
+            want = tuple(a - b for a, b in zip(GaussianRational(o).c, v.c))
+            got = o - v
+            assert type(got) is GaussianRational and got.c == want
+            assert all(type(a) is Fraction for a in got.c)
+    for o, v in ((Fraction(1, 2), Quaternion(1)), (1j, Octonion(1)),
+                 (0.5, GaussianRational(1))):
+        with pytest.raises(TypeError):
+            o - v
+
+
 def _component_formulas(c):
     """conjugate, |c|^2 (added left to right) and inverse on a tuple."""
     conj = (c[0],) + tuple(-a for a in c[1:])
