@@ -198,12 +198,9 @@ def cmd_det(config: argparse.Namespace, system: SetSystem) -> int:
     study = config.method in ("study", "all")
     dieudonne = (config.method in ("dieudonne", "all")
                  and h.kind is not scalars.OCTONION)
-    leibniz, skipped = config.method in ("leibniz", "all"), None
-    if leibniz:
-        try:
-            determinants.check_leibniz_cap(len(system))
-        except determinants.MatrixSizeError as exc:
-            leibniz, skipped = False, str(exc)
+    leibniz = config.method in ("leibniz", "all")
+    skipped = determinants.leibniz_refusal(len(system)) if leibniz else None
+    leibniz = leibniz and skipped is None
     # Q(i) commutes: there the permutation sum is the determinant, which the
     # elimination gives exactly, so Bareiss runs once per matrix
     exact = leibniz and h.kind is scalars.GAUSSIAN
@@ -311,7 +308,7 @@ def cmd_kaehler(config: argparse.Namespace, system: SetSystem) -> int:
 
     report = kaehler.kaehler_report(system)
     if config.heatmap:
-        _write_form_svg(config.heatmap, report.form)
+        _write_form_svg(config.heatmap, kaehler.kaehler_form(system))
     out = {
         "n": report.n,
         "rank": report.rank,

@@ -46,7 +46,8 @@ def leibniz_det(M, kind=None):
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    check_leibniz_cap(n)
+    if refusal := leibniz_refusal(n):
+        raise MatrixSizeError(refusal)
     kind = kind or kind_of(M[0][0])
     if kind is GAUSSIAN:
         from . import kernel
@@ -59,11 +60,12 @@ def leibniz_det(M, kind=None):
     return total
 
 
-def check_leibniz_cap(n):
-    """Raise MatrixSizeError if an n x n permutation sum is over the cap."""
+def leibniz_refusal(n):
+    """Why an n x n permutation sum is refused (over the cap), else None."""
     if n > DEFAULT_LEIBNIZ_CAP:
-        raise MatrixSizeError("n=%d exceeds the permutation-sum cap %d"
-                              % (n, DEFAULT_LEIBNIZ_CAP))
+        return ("n=%d exceeds the permutation-sum cap %d"
+                % (n, DEFAULT_LEIBNIZ_CAP))
+    return None
 
 
 def _perm_parity(perm):

@@ -9,6 +9,7 @@ and the report carries the witness).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +38,22 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # helpers on arrays in the form of connection.field_matrices
 
+def _worst(devs):
+    """The largest deviation, NaN if one is NaN: max drops a NaN not first."""
+    return np.nan if any(d != d for d in devs) else max(devs, default=0.0)
+
+
 def _deviation(norms):
     """(max over entries of sqrt(norm), index pairs of the eight largest
-    nonzero ones, largest first) for a 2-d float array of squared norms."""
+    nonzero ones, largest first) for a 2-d float array of squared norms;
+    NaN entries rank above all others, in index order."""
     at = np.flatnonzero(norms > 0)
     roots = [v ** 0.5 for v in norms.flat[at].tolist()]
     order = sorted(range(len(roots)), key=lambda t: -roots[t])[:8]
-    return (max(roots, default=0.0),
-            [divmod(int(at[t]), norms.shape[1]) for t in order])
+    nan = np.flatnonzero(np.isnan(norms))[:8].tolist()
+    cells = (nan + [int(at[t]) for t in order])[:8]
+    return (np.nan if nan else max(roots, default=0.0),
+            [divmod(k, norms.shape[1]) for k in cells])
 
 
 def _minus_identity(X, one):
@@ -71,7 +80,8 @@ def _scaled_tol(h: EnergyFunction, tol):
     if h.kind.exact:
         return 0.0
     peak = max((float(scalars.norm_sq(v)) for v in h.values), default=1.0)
-    return tol * max(1.0, peak)
+    # finite even when |h|^2 overflows, so that an inf deviation fails
+    return min(tol * max(1.0, peak), sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +118,7 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
             scale)
     dev_gL, wit_gL = _deviation(sq_gL)
     dev_Lg, wit_Lg = _deviation(sq_Lg)
-    worst = max(dev_gL, dev_Lg)
+    worst = _worst([dev_gL, dev_Lg])
 
     applicability = _on_complexes_only(system, "inversion not expected")
     complex_ok = applicability is None
@@ -116,10 +126,8 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
         applicability = "field is not unit valued; inversion not expected"
 
     diag = np.diagonal(gL, axis1=1, axis2=2)
-    diag_dev = 0.0
-    for v in kernel.norms(diag - kernel.norm_values(fm.values, kind), kind,
-                          scale).tolist():
-        diag_dev = max(diag_dev, v ** 0.5)
+    diag_dev = _worst([v ** 0.5 for v in kernel.norms(
+        diag - kernel.norm_values(fm.values, kind), kind, scale).tolist()])
     upper = None
     if complex_ok and system.is_canonical():
         # below the diagonal, gL - 1 is gL
@@ -172,13 +180,9 @@ def gauss_bonnet_check(system: SetSystem, h: EnergyFunction,
     st = kernel.scalar(kernel.running_sum(K), h.kind, fm.scale)
     target = _total_energy(fm)
     dev = float(scalars.norm_sq(st - target)) ** 0.5
-    witnesses = []
-    for i, v in enumerate(kernel.norms(V - K, h.kind, fm.scale).tolist()):
-        d = v ** 0.5
-        if d > dev:
-            dev = d
-        if d > 0:
-            witnesses.append((i, i))
+    roots = [v ** 0.5 for v in kernel.norms(V - K, h.kind, fm.scale).tolist()]
+    dev = _worst([dev] + roots)
+    witnesses = [(i, i) for i, d in enumerate(roots) if not d <= 0]
     eff = _scaled_tol(h, tol)
     return IdentityReport("gaussbonnet", dev <= eff, dev,
                           witnesses=[] if dev <= eff else witnesses,

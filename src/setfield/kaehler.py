@@ -14,10 +14,10 @@ x_k | x_l <= z & z', so the form is the sum over the pairwise intersections
 w of c(w) y_w y_w^T, with c(w) the number of pairs meeting in exactly w and
 y_w[x] = [x <= w].  When every nonempty pairwise intersection is an element
 (simplicial complexes among them) that is Z D_c Z^T, Z unitriangular up to
-order, so the determinant is the product of the counts c(x).  Other systems
-take one Bareiss elimination of the form.  Determinants grow like 10^60
-already for medium complexes, so everything here is exact integer
-arithmetic on Python ints.
+order, so the determinant is the product of the counts c(x).  Only other
+systems build the form, for one Bareiss elimination.  Determinants grow
+like 10^60 already for medium complexes, so everything here is exact
+integer arithmetic on Python ints.
 """
 
 from __future__ import annotations
@@ -83,25 +83,13 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-class CompositeCofactorError(ValueError):
-    """Trial division left a composite cofactor; carries the prime factors
-    found so far and the cofactor."""
-
-    def __init__(self, factors, cofactor):
-        self.factors = factors
-        self.cofactor = cofactor
-        super().__init__("composite cofactor %d survived trial division"
-                         % cofactor)
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factors (p, e) of an integer n >= 1: trial division up to 10^6,
-    then a strong-pseudoprime check on the rest.
+def factorize(n: int) -> tuple[list[tuple[int, int]], int | None]:
+    """(factors, cofactor) of an integer n >= 1: the prime factors (p, e)
+    from trial division up to 10^6 and a strong-pseudoprime check on the
+    rest, and the composite cofactor that check rejects, else None.
 
     The forms are positive definite, so their determinants are n >= 1 (the
-    empty form's is 1).  They factor into tiny primes in practice; a
-    composite leftover would be surprising and raises
-    CompositeCofactorError.
+    empty form's is 1).  They factor into tiny primes in practice.
     """
     out = []
     for p in range(2, TRIAL_DIVISION_BOUND + 1):
@@ -115,18 +103,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
     if n > 1:
         if not _is_probable_prime(n):
-            raise CompositeCofactorError(out, n)
+            return out, n
         out.append((n, 1))
-    return out
+    return out, None
 
 
 @dataclass
 class KaehlerReport:
-    """The form (kaehler_form's nested lists of ints), its determinant,
-    factorization and rank."""
+    """The form's determinant, factorization and rank; the form itself is
+    kaehler_form's."""
 
     n: int
-    form: list[list[int]]
     det: int
     factorization: list
     rank: int
@@ -134,29 +121,24 @@ class KaehlerReport:
 
 
 def kaehler_report(system: SetSystem) -> KaehlerReport:
-    """The form, its exact determinant and factorization, and its rank.
+    """The form's exact determinant and factorization, and its rank.
 
     The elements are distinct, so Z is unitriangular once they are sorted
     by size.  Hence the columns z_k (x) z_k of the Jacobian are linearly
     independent, and the form J^T J is positive definite: det > 0 and
     rank = n for every set system.  The determinant is the product of the
     intersection counts, each at most n^2, when they exist, else one
-    Bareiss elimination of the form.
+    Bareiss elimination of the form, the only case that builds it.
     """
-    form = kaehler_form(system)
     counts = intersection_counts(system)
     if counts is None:
         from .determinants import bareiss_det
 
-        det = bareiss_det(form)
+        det = bareiss_det(kaehler_form(system))
     else:
         det = math.prod(counts)
-    try:
-        factors, unfactored = factorize(det), None
-    except CompositeCofactorError as exc:
-        factors, unfactored = exc.factors, exc.cofactor
-    return KaehlerReport(len(system), form, det, factors, len(system),
-                         unfactored)
+    factors, unfactored = factorize(det)
+    return KaehlerReport(len(system), det, factors, len(system), unfactored)
 
 
 def complete_complex_exponent(n: int) -> int:

@@ -227,6 +227,26 @@ def test_kaehler_edge_and_heatmap(tmp_path, capsys):
     assert os.path.exists(heat)
 
 
+def test_kaehler_heatmap_of_an_unclosed_system_draws_the_form(tmp_path,
+                                                              capsys):
+    # {3} and {1, 3} are missing, so the determinant comes from Bareiss;
+    # the heatmap draws J^T J of the set-comparison Jacobian all the same
+    import oracles
+    from setfield import SetSystem
+    from setfield.cli import _write_form_svg
+
+    sets = [[1, 2, 3], [3, 4, 5], [1, 2], [2]]
+    J = oracles.jacobian_by_sets(SetSystem(sets))
+    want = str(tmp_path / "want.svg")
+    _write_form_svg(want, (J.T @ J).tolist())
+    heat = str(tmp_path / "form.svg")
+    code, data = run_json(capsys, "kaehler", "--inline", json.dumps(sets),
+                          "--heatmap", heat)
+    assert code == 0 and data["n"] == 4
+    assert open(heat).read() == open(want).read()
+    assert open(heat).read().count("<rect") == 16
+
+
 def test_json_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "matrices", "--inline", "{{1,2}}", "--closure",
                        "--field", "random:42:complex")

@@ -50,6 +50,16 @@ def test_leibniz_cap(monkeypatch):
     assert leibniz_det(small) == 1.0
 
 
+def test_leibniz_refusal_is_the_text_leibniz_det_raises():
+    assert determinants.leibniz_refusal(10) is None
+    refusal = "n=11 exceeds the permutation-sum cap 10"
+    assert determinants.leibniz_refusal(11) == refusal
+    M = [[float(i == j) for j in range(11)] for i in range(11)]
+    with pytest.raises(MatrixSizeError) as info:
+        leibniz_det(M)
+    assert str(info.value) == refusal
+
+
 def test_dieudonne_two_by_two_formulas():
     rng = random.Random(71)
     for _ in range(20):

@@ -156,6 +156,42 @@ def test_gauss_bonnet_random_path_complex():
     assert report.holds and report.max_abs_deviation < 1e-9
 
 
+def test_green_star_with_a_nan_deviation_does_not_hold():
+    # |h|^2 overflows: every entry of conj(g) L is NaN, and the tolerance,
+    # scaled by the largest |h|^2, is inf
+    K3 = generate([[1, 2, 3]])
+    with np.errstate(all="ignore"):
+        report = green_star_check(K3, explicit_field([1e155] * 7, REAL))
+    assert not report.holds and np.isnan(report.max_abs_deviation)
+    # all 49 cells are NaN: the first eight in index order
+    assert report.witnesses == [divmod(k, 7) for k in range(8)]
+    assert np.isnan(report.details["gL_deviation"])
+
+
+def test_green_star_with_an_inf_deviation_does_not_hold():
+    # an inf deviation is not within an inf tolerance
+    K3 = generate([[1, 2, 3]])
+    with np.errstate(all="ignore"):
+        report = green_star_check(K3, explicit_field(
+            [1e200, -1e200, 1e200, 1, 1, 1, 1], REAL))
+    assert not report.holds and report.max_abs_deviation == np.inf
+    assert len(report.witnesses) == 8
+
+
+def test_gauss_bonnet_and_energy_with_non_finite_deviations_fail():
+    # V - K is NaN at {1} (inf - inf) and -inf at {1, 2}; the super trace
+    # and the total of g alone are off by inf
+    K2 = generate([[1, 2]])
+    with np.errstate(all="ignore"):
+        report = gauss_bonnet_check(K2, explicit_field([1e308, -1e308, 1e308],
+                                                       REAL))
+    assert not report.holds and np.isnan(report.max_abs_deviation)
+    assert report.witnesses == [(0, 0), (2, 2)]
+    with np.errstate(all="ignore"):
+        energy = energy_check(K2, explicit_field([1e308, -1e308, 1e308], REAL))
+    assert not energy.holds and energy.max_abs_deviation == np.inf
+
+
 def test_unimodularity_edge_and_triangle(K2, K3):
     r2 = unimodularity_check(K2)
     assert r2.holds and r2.details["det_L"] == -1

@@ -9,11 +9,11 @@ import pytest
 import setfield
 from oracles import (fraction_det_rank, intersection_closure,
                      jacobian_by_sets, laplace_det, random_set_system)
-from setfield import SetSystem, determinants, field_matrices, generate
+from setfield import (SetSystem, determinants, field_matrices, generate,
+                      kaehler)
 from setfield.connection import explicit_field
 from setfield.determinants import bareiss_det
-from setfield.kaehler import (CompositeCofactorError,
-                              complete_complex_exponent, factorize,
+from setfield.kaehler import (complete_complex_exponent, factorize,
                               intersection_counts, kaehler_form,
                               kaehler_report)
 from setfield.setsystem import complete_complex, random_complex
@@ -99,7 +99,8 @@ def test_form_is_positive_definite_on_every_set_system():
     for system in systems:
         report = kaehler_report(system)
         assert report.det > 0
-        assert report.rank == len(system) == fraction_det_rank(report.form)[1]
+        assert report.rank == len(system) == fraction_det_rank(
+            kaehler_form(system))[1]
 
 
 def test_triangle_boundary_det_is_not_divisible_by_3():
@@ -124,23 +125,20 @@ def test_det_multiplies_over_disjoint_union():
 
 
 def test_factorize_basics():
-    assert factorize(1) == []
-    assert factorize(9) == [(3, 2)]
-    assert factorize(12) == [(2, 2), (3, 1)]
+    assert factorize(1) == ([], None)
+    assert factorize(9) == ([(3, 2)], None)
+    assert factorize(12) == ([(2, 2), (3, 1)], None)
     big = 3 ** 40 * 5 ** 3
-    assert factorize(big) == [(3, 40), (5, 3)]
+    assert factorize(big) == ([(3, 40), (5, 3)], None)
     p = 1000003  # prime just past the trial-division bound
-    assert factorize(p * 9) == [(3, 2), (p, 1)]
+    assert factorize(p * 9) == ([(3, 2), (p, 1)], None)
 
 
 def test_composite_cofactor_keeps_the_exact_determinant(monkeypatch):
     # both primes exceed the trial-division bound, so their product is left
     cofactor = 1000003 * 1000033
-    with pytest.raises(CompositeCofactorError) as info:
-        factorize(4 * cofactor)
-    assert info.value.factors == [(2, 2)]
-    assert info.value.cofactor == cofactor
-    assert "composite cofactor %d" % cofactor in str(info.value)
+    assert factorize(4 * cofactor) == ([(2, 2)], cofactor)
+    assert factorize(cofactor) == ([], cofactor)
 
     # {2} is missing, so the determinant comes from Bareiss
     unclosed = SetSystem([[1, 2], [2, 3]])
@@ -176,7 +174,7 @@ def test_report_bundle(K2):
     assert report.det == 9
     assert report.factorization == [(3, 2)]
     assert report.rank == 3
-    assert [len(row) for row in report.form] == [3, 3, 3]
+    assert [len(row) for row in kaehler_form(K2)] == [3, 3, 3]
 
 
 def _closed_and_counted(system):
@@ -242,6 +240,27 @@ def test_bareiss_runs_only_on_systems_not_closed_under_intersection(
     assert kaehler_report(SetSystem([[1, 2, 3], [3, 4, 5], [3]])).det == 7
     assert calls == []
     # without {3} the form is the identity
+    assert kaehler_report(SetSystem([[1, 2, 3], [3, 4, 5]])).det == 1
+    assert calls == [2]
+
+
+def test_the_form_is_built_only_for_bareiss(monkeypatch):
+    original = kaehler.kaehler_form
+    monkeypatch.setattr(kaehler, "kaehler_form",
+                        lambda system: pytest.fail("the form was built"))
+    for v in range(3, 7):
+        assert kaehler_report(complete_complex(v)).det == (
+            3 ** complete_complex_exponent(v))
+    two_fives = generate([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]])
+    assert kaehler_report(two_fives).det == 3 ** 113 * 5 ** 7 * 7 ** 7
+    calls = []
+
+    def counting(system):
+        calls.append(len(system))
+        return original(system)
+
+    monkeypatch.setattr(kaehler, "kaehler_form", counting)
+    # {3} is missing, so the determinant comes from Bareiss
     assert kaehler_report(SetSystem([[1, 2, 3], [3, 4, 5]])).det == 1
     assert calls == [2]
 
