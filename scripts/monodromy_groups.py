@@ -2,9 +2,11 @@
 """Reproduce the two worked monodromy group computations.
 
 Turning each field value once around the circle permutes the eigenvalues of
-L; the permutations generate a finite group.  The full simplex on three
-vertices with 7th roots of unity gives a group of order 36, and the path
-complex on {1..4} plus a separate edge with 10th roots gives order 72.
+L; the permutations generate a finite group, the wheel group.  The full
+simplex on three vertices with 7th roots of unity gives a group of order
+36, and the path complex on {1..4} plus a separate edge with 10th roots
+gives order 72.  Each case prints the group order and every wheel's
+permutation, order and windings; no presentation is printed.
 """
 
 import argparse
@@ -35,16 +37,13 @@ def main():
         for w in report.generators:
             print("  wheel %d: %-18s order %d  windings %s"
                   % (w.wheel + 1, w.cycle_string(), w.order, list(w.windings)))
+        # wheels are numbered from 1 here, as in the lines above
         if report.duplicate_wheels:
             print("wheels producing identical permutations:",
-                  report.duplicate_wheels)
+                  [(i + 1, j + 1) for i, j in report.duplicate_wheels])
         if report.multi_winding_wheels:
             print("wheels winding more than one eigenvalue:",
-                  report.multi_winding_wheels)
-        print("finite presentation:")
-        print(" ", report.pi_big_presentation)
-        print("mixed-relation (infinite) presentation:")
-        print(" ", report.pi_small_presentation)
+                  [w + 1 for w in report.multi_winding_wheels])
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ _EXPORTS = {
     "setsystem": ("SetSystem", "complete_complex", "generate", "parse_system"),
     "spectral": ("GroupReport", "SpectralPath", "TrackingAmbiguityError",
                  "WheelPermutation", "group_order",
-                 "monodromy_report", "presentations", "wheel_permutations"),
+                 "monodromy_report", "wheel_permutations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -293,8 +293,6 @@ def cmd_group(config: argparse.Namespace, system: SetSystem) -> int:
             "order": w.order,
             "windings": list(w.windings),
         } for w in report.generators],
-        "presentation_finite": report.pi_big_presentation,
-        "presentation_mixed": report.pi_small_presentation,
         "commuting_pairs": [list(p) for p in report.commuting_pairs],
         "relations_verified": report.relations_verified,
         "duplicate_wheels": [list(p) for p in report.duplicate_wheels],

@@ -112,7 +112,7 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     if not (isinstance(M, tuple) and len(M) == 2
             and isinstance(M[0], np.ndarray)):
         M = kernel.to_array(M, kind)
-    steps = _gaussian_steps(*M) if kind is GAUSSIAN else _float_steps(*M, kind)
+    steps = _gaussian_steps(*M) if kind is GAUSSIAN else _float_steps(M[0], kind)
     log, pivots, swaps = [], [], 0
     for c, step in enumerate(steps):
         if step is None:
@@ -131,7 +131,7 @@ def row_reduce(M, kind=None, want_log=False) -> Elimination:
     return Elimination(pivots, swaps, False, log)
 
 
-def _float_steps(W, scale, kind):
+def _float_steps(W, kind):
     """row_reduce's steps on a (d, n, n) float-kind array: per column
     (pivot row, pivot, lazy (row, multiplier) pairs), the pivot being the
     entry of largest norm, or None once that norm is at most

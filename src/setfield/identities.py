@@ -76,12 +76,13 @@ def _on_complexes_only(system: SetSystem, what):
     return "not a simplicial complex; " + what
 
 
-def _scaled_tol(h: EnergyFunction, tol):
+def _scaled_tol(h: EnergyFunction, tol, quadratic=False):
+    """tol times max(1, max |h|), squared for an identity quadratic in h;
+    finite even where that overflows, so that an inf deviation fails."""
     if h.kind.exact:
         return 0.0
-    peak = max((float(scalars.norm_sq(v)) for v in h.values), default=1.0)
-    # finite even when |h|^2 overflows, so that an inf deviation fails
-    return min(tol * max(1.0, peak), sys.float_info.max)
+    scale = max([1.0, *map(abs, h.values)])
+    return min(tol * scale * (scale if quadratic else 1.0), sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def green_star_check(system: SetSystem, h: EnergyFunction,
     gbar = kernel.conjugate(fm.g, kind)
     gL = kernel.product(gbar, fm.L, kind)
     scale = fm.scale ** 2  # of the products, for Gaussian integers
-    eff = _scaled_tol(h, tol)
+    eff = _scaled_tol(h, tol, quadratic=True)
     # squared norms of the entries of gL - 1 and Lg - 1
     sq_gL = kernel.norms(_minus_identity(gL, scale), kind, scale)
     if kind in _COMMUTATIVE:

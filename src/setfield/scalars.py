@@ -152,6 +152,10 @@ class Hypercomplex:
     def conjugate(self):
         return self._of(self.c[:1] + tuple(map(operator.neg, self.c[1:])))
 
+    def __abs__(self):
+        """|a| as a float, finite where the norm |a|^2 overflows."""
+        return math.hypot(*self.c)
+
     def norm_sq(self):
         """Sum of the squared components, added left to right."""
         c = self.c

@@ -127,11 +127,9 @@ class WheelPermutation:
 class GroupReport:
     generators: list
     group_order: int
-    pi_big_presentation: str
-    pi_small_presentation: str
     commuting_pairs: list = field(default_factory=list)
-    # always True: each order is perm_order of its generator, so every
-    # relation of the presentations holds; it is not checked again
+    # always True, since each order is perm_order of its generator; kept
+    # only because the perfbench monodromy and cli-cold checks read it
     relations_verified: bool = True
     duplicate_wheels: list = field(default_factory=list)
     multi_winding_wheels: list = field(default_factory=list)
@@ -689,51 +687,19 @@ def _schreier_sims_order(perms) -> int:
     return math.prod(len(orbit) for orbit in trans)
 
 
-def presentations(perms: list) -> tuple[str, str]:
-    """Generator/relation text for the finite group and its relation-only sibling.
-
-    The finite presentation lists the measured generator orders n_k and the
-    mixed relations g_i^{n_i} g_j^{n_j} g_i^{-n_i} g_j^{-n_j} = 1; dropping
-    the power relations leaves the infinite finitely presented group, which
-    collapses to Z^n when every wheel permutation is trivial.
-    """
-    n = len(perms)
-    orders = [p.order if isinstance(p, WheelPermutation) else perm_order(p)
-              for p in perms]
-    gens = ", ".join("g%d" % (k + 1) for k in range(n))
-    power_rels = ["g%d^%d = 1" % (k + 1, orders[k]) for k in range(n)]
-    mixed_rels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed_rels.append(
-                "g%d^%d g%d^%d g%d^-%d g%d^-%d = 1"
-                % (i + 1, orders[i], j + 1, orders[j],
-                   i + 1, orders[i], j + 1, orders[j]))
-    big = "< %s | %s >" % (gens, ", ".join(power_rels + mixed_rels))
-    if all(o == 1 for o in orders):
-        small = ("Z^%d = < %s | %s >"
-                 % (n, gens, ", ".join("g%d g%d g%d^-1 g%d^-1 = 1"
-                                       % (i + 1, j + 1, i + 1, j + 1)
-                                       for i in range(n)
-                                       for j in range(i + 1, n))))
-    else:
-        small = "< %s | %s >" % (gens, ", ".join(mixed_rels))
-    return big, small
-
-
 def monodromy_report(system: SetSystem, h: EnergyFunction,
                      steps: int = DEFAULT_STEPS, cap=10 ** 6) -> GroupReport:
-    """Full pipeline: track every wheel, order the group, emit presentations.
+    """Track every wheel and order the wheel group their permutations generate.
 
     The wheels come from wheel_permutations, all of them on the secular
     equation at once, and its errors, all ValueErrors, pass through.  The
     order comes from group_order (a certificate of transpositions, else
     Schreier-Sims), which lists no group elements; `cap` is accepted for
-    existing callers and bounds nothing.
+    existing callers and bounds nothing.  No presentation is given: the
+    wheel group is not the fundamental group of the simple-spectrum set.
     """
     perms = wheel_permutations(system, h, steps)
     order = group_order([w.perm for w in perms])
-    big, small = presentations(perms)
     commuting = [(i, j) for i in range(len(perms))
                  for j in range(i + 1, len(perms))
                  if perm_compose(perms[i].perm, perms[j].perm)
@@ -744,5 +710,5 @@ def monodromy_report(system: SetSystem, h: EnergyFunction,
     multi = [w.wheel for w in perms
              if sum(1 for x in w.windings if x != 0) > 1
              or any(abs(x) > 1 for x in w.windings)]
-    return GroupReport(perms, order, big, small, commuting,
+    return GroupReport(perms, order, commuting,
                        duplicate_wheels=duplicates, multi_winding_wheels=multi)

@@ -74,9 +74,8 @@ def run(src):
     def outcome(*args, **kwargs):
         try:
             return wheel_permutations(*args, **kwargs), None
-        # the base tree may predate TrackingAmbiguityError's deriving
-        # from ValueError, so both are named
-        except (spectral.TrackingAmbiguityError, ValueError) as exc:
+        # every library error of tracking is a ValueError
+        except ValueError as exc:
             return None, {"error": [type(exc).__name__, str(exc)]}
 
     for name, system, h in _systems():

@@ -28,11 +28,13 @@ comparability block, found by its own search (`comparability_block`).
 Its step test, `step_passes`, is the library's from before the secular
 path tested each label against itself in one pass.
 `raw_winding_increments` and `wheel_permutation` read a full path, as the
-tracker gives one; the library sums each label's angle steps as it
-follows it, and shares with them only the end match and the attribution
-of windings to cycles (`_wheel_permutation`).  `path_permutation` matches
-the end of a path to its start by `greedy_match` alone, for tests that
-read only a permutation.
+tracker gives one, where the library sums each label's angle steps as it
+follows it.  `wheel_permutation` matches the end of the path to its start
+by `path_permutation`, which uses `greedy_match` alone, and sums the
+windings of each cycle itself; of the library's end match
+(`_wheel_permutation`) it shares only the `WheelPermutation` record it
+returns, and the rule it states: the winding goes to the arc that turned
+most, with the same error texts.
 `group_closure` lists a permutation group breadth first, the way group
 orders were found before Schreier-Sims.  `intersection_closure` adds
 missing pairwise intersections one pair at a time, to make systems on
@@ -427,11 +429,13 @@ def _identity_deviation(M, kind):
     return worst, [(i, j) for i, j, _ in witnesses[:8]]
 
 
-def _scaled_tol(h, tol):
+def _scaled_tol(h, tol, power=1):
+    """tol times max(1, max |h|)^power: power 2 for Green-star, which is
+    quadratic in h, 1 for the linear energy and Gauss-Bonnet."""
     if h.kind.exact:
         return 0.0
     peak = max((float(scalars.norm_sq(v)) for v in h.values), default=1.0)
-    return tol * max(1.0, peak)
+    return tol * max(1.0, peak) ** (power / 2)
 
 
 def _norm_sq_as_scalar(v, kind):
@@ -447,7 +451,7 @@ def green_star_by_entries(system, h, tol=scalars.DEFAULT_TOL):
     gbar = entrywise_conjugate(cm.g)
     gL = mat_mul(gbar, cm.L, kind)
     Lg = mat_mul(cm.L, gbar, kind)
-    eff = _scaled_tol(h, tol)
+    eff = _scaled_tol(h, tol, 2)
     dev_gL, wit_gL = _identity_deviation(gL, kind)
     dev_Lg, wit_Lg = _identity_deviation(Lg, kind)
     worst = max(dev_gL, dev_Lg)
@@ -608,6 +612,7 @@ def leibniz_sum(M, kind):
 # Steps solved by one stacked eigenvalue call and matched together; also the
 # most work an attempt does past the step that fails it.
 TRACK_CHUNK = 32
+WINDING_INT_TOL = 1e-3  # a loop's winding is an integer within this
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -811,13 +816,34 @@ def _path_labels(path):
 def wheel_permutation(path) -> spectral.WheelPermutation:
     """The permutation of a tracked wheel, with its order and the integer
     winding of each label around 0, from the full path (track_wheel's, or
-    phase's rows); the end of the path is matched to its start once and the
-    windings are attributed, both as the library does them
-    (spectral._wheel_permutation)."""
-    labels, start, end = _path_labels(path)
-    return spectral._wheel_permutation(
-        path.wheel, path.n, labels, start, end,
-        raw_winding_increments(path)[labels], path.steps)
+    phase's rows).  The end of the path is matched to its start by
+    path_permutation.  Each cycle's loop, fixed labels last, winds by the
+    sum of its labels' angle increments, which must be within
+    WINDING_INT_TOL of an integer; the winding goes to the label that
+    turned most, and the cycle's other labels report 0."""
+    turns = np.zeros(path.n)
+    labels = _path_labels(path)[0]
+    turns[labels] = raw_winding_increments(path)[labels]
+    perm = path_permutation(path)
+    cycles, seen = [], set()
+    for label in range(path.n):
+        cycle = []
+        while label not in seen:
+            seen.add(label)
+            cycle.append(label)
+            label = perm[label]
+        if cycle:
+            cycles.append(tuple(cycle))
+    cycles.sort(key=lambda cycle: len(cycle) == 1)
+    windings = [0] * path.n
+    for cycle in cycles:
+        total = float(sum(turns[m] for m in cycle))
+        if abs(total - round(total)) > WINDING_INT_TOL:
+            raise ValueError("winding of cycle %s is %.6f, not an integer "
+                             "(tracking failure?)" % (cycle, total))
+        windings[max(cycle, key=lambda m: abs(turns[m]))] = round(total)
+    return spectral.WheelPermutation(
+        path.wheel, perm, math.lcm(*map(len, cycles)), tuple(windings))
 
 
 def path_permutation(path) -> tuple:

@@ -534,7 +534,7 @@ def test_package_names_resolve():
         generate, green_star_check, group_order, invert,
         is_unit, kaehler_form, kaehler_report, leibniz_det, monodromy_report,
         norm_sq, omega, omega_field, ones_field, parse_scalar, parse_system,
-        presentations, product_right, random_field, roots_field,
+        product_right, random_field, roots_field,
         spectral_signature_check, study_det, unimodularity_check,
         wheel_permutations)
     from setfield import connection, kaehler, spectral

@@ -158,7 +158,7 @@ def test_gauss_bonnet_random_path_complex():
 
 def test_green_star_with_a_nan_deviation_does_not_hold():
     # |h|^2 overflows: every entry of conj(g) L is NaN, and the tolerance,
-    # scaled by the largest |h|^2, is inf
+    # scaled by the largest |h|^2, is capped at the largest float
     K3 = generate([[1, 2, 3]])
     with np.errstate(all="ignore"):
         report = green_star_check(K3, explicit_field([1e155] * 7, REAL))
@@ -190,6 +190,27 @@ def test_gauss_bonnet_and_energy_with_non_finite_deviations_fail():
     with np.errstate(all="ignore"):
         energy = energy_check(K2, explicit_field([1e308, -1e308, 1e308], REAL))
     assert not energy.holds and energy.max_abs_deviation == np.inf
+
+
+def test_gauss_bonnet_tolerance_grows_with_the_field_not_its_square():
+    # {1, 2}, {2, 3} is not closed under subsets, and its Gauss-Bonnet
+    # deviation is four times the field values at every scale; the
+    # identity is linear in h, so the tolerance is 1e-9 max |h|, and a
+    # deviation of 4e10 is not within 10
+    system = SetSystem([[1, 2], [2, 3]])
+    for value in (1.0, 1e5, 1e10):
+        report = gauss_bonnet_check(system, explicit_field([value, value]))
+        assert not report.holds and report.max_abs_deviation == 4 * value
+
+
+def test_energy_tolerance_grows_with_the_field_not_its_square():
+    # {1}, {1, 2} is not closed under subsets; at 1e10 both linear
+    # identities miss by 1e10, far outside 1e-9 max |h| = 10
+    system = SetSystem([[1], [1, 2]])
+    h = explicit_field([1e10 + 0j, 1e10 + 0j])
+    for check in (energy_check, gauss_bonnet_check):
+        report = check(system, h)
+        assert not report.holds and report.max_abs_deviation == 1e10
 
 
 def test_unimodularity_edge_and_triangle(K2, K3):

@@ -68,6 +68,13 @@ def test_norm_sq_examples():
     assert norm_sq(e5) == 1.0
 
 
+def test_abs_is_finite_where_the_norm_overflows():
+    assert abs(Quaternion(0, 3, 0, 4)) == 5.0
+    assert abs(Octonion((1.0,) * 8)) == math.sqrt(8)
+    big = Quaternion(3.0 * 2 ** 700, 0, -4.0 * 2 ** 700, 0)
+    assert norm_sq(big) == math.inf and abs(big) == 5.0 * 2 ** 700
+
+
 def test_quaternion_table():
     i = Quaternion(0, 1, 0, 0)
     j = Quaternion(0, 0, 1, 0)

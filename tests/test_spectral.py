@@ -15,8 +15,7 @@ from oracles import (ClosureOverflowError, eigenvalues, greedy_eigen_tracking,
                      random_set_system, raw_winding_increments,
                      wheel_permutation)
 from setfield import (SetSystem, field_matrices, generate, group_order,
-                      monodromy_report, presentations, spectral,
-                      wheel_permutations)
+                      monodromy_report, spectral, wheel_permutations)
 from setfield.connection import explicit_field, random_field, roots_field
 from setfield.scalars import COMPLEX
 from setfield.setsystem import random_complex
@@ -128,19 +127,30 @@ def test_raw_windings_sum_to_one_per_wheel(K3):
         assert sum(wheel_permutation(path).windings) == 1
 
 
+def _library_end_match(path):
+    """spectral._wheel_permutation on a full path's ends and windings."""
+    return spectral._wheel_permutation(
+        path.wheel, path.n, np.arange(path.n), path.values[0],
+        path.values[-1], raw_winding_increments(path), path.steps)
+
+
 def test_winding_rejects_fractional_loop():
-    # a lone label spiraling half a turn cannot report an integer winding
+    # a lone label spiraling half a turn cannot report an integer winding,
+    # in the oracle's end match or the library's
     ts = np.linspace(0.0, 2 * math.pi, 51)
     vals = np.exp(0.5j * ts)[:, None]
     path = SpectralPath(0, ts, vals, 50)
-    with pytest.raises(ValueError, match="not an integer"):
-        wheel_permutation(path)
+    for end_match in (wheel_permutation, _library_end_match):
+        with pytest.raises(ValueError, match=r"^winding of cycle \(0,\) is "
+                                             r"0\.500000, not an integer"):
+            end_match(path)
 
 
 def test_constant_path_winds_zero():
     ts = np.linspace(0.0, 2 * math.pi, 11)
     vals = np.full((11, 1), 2.0 + 1.0j)
     path = SpectralPath(0, ts, vals, 10)
+    assert wheel_permutation(path) == _library_end_match(path)
     assert wheel_permutation(path).windings == (0,)
 
 
@@ -1093,21 +1103,6 @@ def test_group_order_invariant_under_global_phase(K3):
     h = roots_field(K3, 7)
     rotated = explicit_field([phase * v for v in h.values])
     assert monodromy_report(K3, rotated).group_order == 36
-
-
-def test_presentations_shapes():
-    big, small = presentations([(0, 1, 2), (0, 1, 2), (0, 1, 2)])
-    assert small.startswith("Z^3")
-    assert "g1^1 = 1" in big
-    big1, small1 = presentations([(0,)])
-    assert small1.startswith("Z^1")
-
-
-def test_presentation_uses_measured_orders(K3):
-    report = monodromy_report(K3, roots_field(K3, 7))
-    for w in report.generators:
-        assert ("g%d^%d = 1" % (w.wheel + 1, w.order)) \
-            in report.pi_big_presentation
 
 
 def test_duplicate_and_multiwinding_surfaced(linear10):
