@@ -469,7 +469,7 @@ def _wheel_permutation(wheel, n, labels, start, end, raw, steps):
     whose total is not within WINDING_INT_TOL of an integer raises
     ValueError."""
     cols = np.abs(end[:, None] - start).argmin(axis=1)
-    if len(np.unique(cols)) < len(cols):
+    if len(set(cols.tolist())) < len(cols):
         raise TrackingAmbiguityError(
             "eigenvalue tracking for wheel %d ended with two labels nearest "
             "one start value at %d steps" % (wheel, steps))

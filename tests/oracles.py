@@ -39,6 +39,9 @@ most, with the same error texts.
 orders were found before Schreier-Sims.  `intersection_closure` adds
 missing pairwise intersections one pair at a time, to make systems on
 which the Kaehler determinant is a product of intersection counts.
+`intersection_counts_by_pairs` is the library's count of the factors c(x)
+of that product from before it became a recursion down the star rows: it
+intersects every ordered pair of elements and looks each intersection up.
 """
 
 import cmath
@@ -146,6 +149,24 @@ def intersection_closure(system):
                 elems.append(x)
                 grown = True
     return SetSystem(elems)
+
+
+def intersection_counts_by_pairs(system):
+    """c(x) for each element x, the number of ordered pairs (z, z') of
+    elements with z & z' = x, counted pair by pair; None when some nonempty
+    pairwise intersection is not an element."""
+    elements = system.elements
+    index = {x: k for k, x in enumerate(elements)}
+    counts = [0] * len(elements)
+    for z in elements:
+        for w in elements:
+            x = z & w
+            if x:
+                k = index.get(x)
+                if k is None:
+                    return None
+                counts[k] += 1
+    return counts
 
 
 def closure_by_enumeration(generators):

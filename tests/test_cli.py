@@ -523,6 +523,29 @@ def test_a_command_imports_only_the_modules_it_runs(argv, code, module):
     assert ast.literal_eval(proc.stdout) == (code, False)
 
 
+@pytest.mark.parametrize("command", ["group", "phase"])
+def test_tracking_does_not_import_numpy_ma(command):
+    # numpy 2 loads numpy.ma on first use, and np.unique uses it: about
+    # 10 ms of a cold process.  numpy 1.x imports it with numpy itself
+    src = str(Path(setfield.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [command, "--inline", "{{1,2,3}}", "--closure", "--field",
+            "roots:7"]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy, setfield.cli",
+        "with_numpy = 'numpy.ma' in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = setfield.cli.main(%r)" % (argv,),
+        "print(repr((code, with_numpy, 'numpy.ma' in sys.modules)))"])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    code, with_numpy, after = ast.literal_eval(proc.stdout)
+    assert (code, after) == (0, with_numpy)
+
+
 def test_package_names_resolve():
     from setfield import (  # noqa: F401  the names the package exported
         COMPLEX, GAUSSIAN, OCTONION, QUATERNION, REAL, EnergyFunction,

@@ -8,7 +8,8 @@ import pytest
 
 import setfield
 from oracles import (fraction_det_rank, intersection_closure,
-                     jacobian_by_sets, laplace_det, random_set_system)
+                     intersection_counts_by_pairs, jacobian_by_sets,
+                     laplace_det, random_set_system)
 from setfield import (SetSystem, determinants, field_matrices, generate,
                       kaehler)
 from setfield.connection import explicit_field
@@ -180,6 +181,7 @@ def test_report_bundle(K2):
 def _closed_and_counted(system):
     counts = intersection_counts(system)
     assert counts is not None and all(c >= 1 for c in counts)
+    assert counts == intersection_counts_by_pairs(system)
     return kaehler_report(system).det
 
 
@@ -209,7 +211,9 @@ def test_counts_exist_exactly_on_systems_closed_under_intersection():
     for _ in range(300):
         system = random_set_system(rng, rng.randint(1, 12))
         closed = len(intersection_closure(system)) == len(system)
-        assert (intersection_counts(system) is not None) == closed
+        counts = intersection_counts(system)
+        assert (counts is not None) == closed
+        assert counts == intersection_counts_by_pairs(system)
         unclosed += not closed
         assert kaehler_report(system).det == bareiss_det(kaehler_form(system))
     assert unclosed > 150
@@ -218,11 +222,57 @@ def test_counts_exist_exactly_on_systems_closed_under_intersection():
 def test_full_simplex_on_eight_vertices():
     system = complete_complex(8)
     assert complete_complex_exponent(8) == 1016
-    assert intersection_counts(system) == [
-        3 ** (8 - len(x)) for x in system.elements]
+    counts = intersection_counts(system)
+    assert counts == [3 ** (8 - len(x)) for x in system.elements]
+    assert counts == intersection_counts_by_pairs(system)
     report = kaehler_report(system)
     assert report.det == 3 ** 1016 and report.factorization == [(3, 1016)]
     assert report.rank == report.n == 255
+
+
+def test_counts_take_the_elements_by_size_not_by_index():
+    # shuffled complexes: a superset may come after its subsets
+    rng = random.Random(73)
+    systems = [SetSystem([[1, 2], [2], [1]]),
+               SetSystem(reversed(complete_complex(5).elements))]
+    for _ in range(200):
+        elements = list(random_complex(rng).elements)
+        rng.shuffle(elements)
+        systems.append(SetSystem(elements))
+    for system in systems:
+        counts = intersection_counts(system)
+        assert counts is not None
+        assert counts == intersection_counts_by_pairs(system)
+    assert intersection_counts(systems[0]) == [1, 3, 3]
+    assert kaehler_report(systems[0]).det == 9
+
+
+def test_only_systems_that_are_not_complexes_are_scanned_for_closure(
+        monkeypatch):
+    monkeypatch.setattr(kaehler, "_closed_under_intersection",
+                        lambda elements: pytest.fail("a complex was scanned"))
+    rng = random.Random(79)
+    complexes = [complete_complex(v) for v in range(1, 7)]
+    complexes += [generate([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]]),
+                  SetSystem([[1, 2], [2], [1]])]
+    complexes += [random_complex(rng) for _ in range(50)]
+    for system in complexes:
+        assert intersection_counts(system) == intersection_counts_by_pairs(
+            system)
+    monkeypatch.undo()
+    original = kaehler._closed_under_intersection
+    calls = []
+
+    def counting(elements):
+        calls.append(len(elements))
+        return original(elements)
+
+    monkeypatch.setattr(kaehler, "_closed_under_intersection", counting)
+    # closed but not a complex, then not closed: {3} is missing
+    assert intersection_counts(SetSystem([[1, 2, 3], [3, 4, 5], [3]])) == [
+        1, 1, 7]
+    assert intersection_counts(SetSystem([[1, 2, 3], [3, 4, 5]])) is None
+    assert calls == [3, 2]
 
 
 def test_bareiss_runs_only_on_systems_not_closed_under_intersection(
